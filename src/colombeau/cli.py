@@ -8,9 +8,8 @@ never touch the filesystem.  ``colombeau list`` prints the catalog.
 
 A JSON config file may carry the scientific knobs (experiment, k_min,
 k_max, mollifier, m_max, seed, eps, tol); explicit flags override it.
-Output location and parallelism are flags only.  For a fixed config and
-seed the written report is byte-identical across runs, including runs
-with ``--parallel``.
+The output location is a flag only.  For a fixed config and seed the
+written report is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -52,8 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma-separated eps list (mechanics only)")
     run.add_argument("--out", default=None,
                      help="output directory (default: ./<experiment>-report)")
-    run.add_argument("--parallel", action="store_true", default=None,
-                     help="solve per-eps work concurrently; output is unchanged")
 
     sub.add_parser("list", help="print the experiment catalog")
     return p
@@ -100,8 +97,6 @@ def _run(args) -> int:
             kwargs["eps"] = [float(tok) for tok in args.eps.split(",") if tok]
         except ValueError:
             return _usage_error(f"eps must be comma-separated floats, got {args.eps!r}")
-    if args.parallel:
-        kwargs["parallel"] = True
 
     try:
         cfg = ExperimentConfig(experiment, **kwargs)

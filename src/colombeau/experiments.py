@@ -29,7 +29,7 @@ from .manifolds import euclidean, circle
 from .mechanics import (HamiltonianSystem, StrictDeltaNet, SymplecticForm,
                         hamiltonian_vf, poisson, reflection_limit_check,
                         solve_singular_oscillator)
-from .mollifier import build_mollifier
+from .mollifier import mollifier_spec, parse_mollifier
 from .nets import Net, box_lattice, classify_net, sup_norm_on_box
 from .smooth import constant, coordinate, from_sympy, smoothstep_expr
 from .tensor import bracket, field_apply
@@ -53,8 +53,6 @@ class ExperimentConfig:
     seed: int = 0
     eps: tuple | None = None          # mechanics only
     tol: float | None = None          # override of the headline tolerance
-    out: str | None = None
-    parallel: bool = False
 
     def __post_init__(self):
         if self.experiment not in CATALOG:
@@ -71,19 +69,13 @@ class ExperimentConfig:
             self.eps = tuple(float(e) for e in self.eps)
             if not self.eps or any(e <= 0 or e >= 1 for e in self.eps):
                 raise ValueError("eps values must lie in (0, 1)")
-        _parse_mollifier(self.mollifier)  # raises on malformed spec
+        mollifier_spec(self.mollifier)  # raises on malformed spec
 
     def grid(self):
         return dyadic_grid(self.k_min, self.k_max)
 
-    def build_mollifier(self):
-        kind, order = _parse_mollifier(self.mollifier)
-        if kind == "fourier":
-            return build_mollifier("fourier")
-        return build_mollifier("gausspoly", order=order)
-
     def public(self) -> dict:
-        """The fields echoed into reports; excludes execution plumbing."""
+        """The fields echoed into reports."""
         d = {"experiment": self.experiment, "k_min": self.k_min,
              "k_max": self.k_max, "mollifier": self.mollifier,
              "m_max": self.m_max, "seed": self.seed}
@@ -92,20 +84,6 @@ class ExperimentConfig:
         if self.tol is not None:
             d["tol"] = self.tol
         return d
-
-
-def _parse_mollifier(text: str):
-    if text == "fourier":
-        return "fourier", None
-    if text.startswith("gausspoly:"):
-        try:
-            order = int(text.split(":", 1)[1])
-        except ValueError:
-            raise ValueError(f"malformed mollifier spec {text!r}")
-        if order < 1:
-            raise ValueError("gausspoly order must be >= 1")
-        return "gausspoly", order
-    raise ValueError(f"unknown mollifier {text!r}")
 
 
 def _fmt(v) -> str:
@@ -150,7 +128,7 @@ def _report(cfg: ExperimentConfig, checks: list) -> dict:
 
 def run_classify(cfg: ExperimentConfig):
     """Order classification of three reference nets on the line."""
-    mol = cfg.build_mollifier()
+    mol = parse_mollifier(cfg.mollifier)
     grid = cfg.grid()
     line = euclidean(1)
     box = ((-1.0, 1.0),)
@@ -193,13 +171,6 @@ def _window_expr(flat: float, outer: float):
     return smoothstep_expr((X + outer) / w) * smoothstep_expr((outer - X) / w)
 
 
-def _embed_slope_threshold(cfg: ExperimentConfig) -> float:
-    kind, order = _parse_mollifier(cfg.mollifier)
-    if kind == "fourier":
-        return cfg.m_max - 0.25
-    return order + 0.75
-
-
 # Residual sups at the rounding floor of the unit-scale target witness
 # decay past what doubles can measure; they are dropped from the order
 # fit, and fewer than four live samples means the decay outran the grid.
@@ -216,9 +187,9 @@ def _floor_fit(samples, m_max):
 
 def run_embed_check(cfg: ExperimentConfig):
     """Embedding minus direct inclusion of sin, on the line and the circle."""
-    mol = cfg.build_mollifier()
+    mol = parse_mollifier(cfg.mollifier)
     grid = cfg.grid()
-    need = _embed_slope_threshold(cfg)
+    need = cfg.m_max - 0.25 if mol.kind == "fourier" else mol.params["order"] + 0.75
     checks = []
     rows = []
 
@@ -265,7 +236,7 @@ def run_embed_check(cfg: ExperimentConfig):
 
 def run_pullback_demo(cfg: ExperimentConfig):
     """Embedding after x -> 2x versus x -> 2x after embedding, for delta."""
-    mol = cfg.build_mollifier()
+    mol = parse_mollifier(cfg.mollifier)
     grid = cfg.grid()
     tol = cfg.tol if cfg.tol is not None else 1e-3
     net, demo = pullback_commutator_demo(2.0, 0.0, dirac(), mol, grid=grid)
@@ -297,7 +268,7 @@ def run_pullback_demo(cfg: ExperimentConfig):
 
 def run_point_value_demo(cfg: ExperimentConfig):
     """iota(x) iota(delta): zero at classical points, rho(1) along eps -> eps."""
-    mol = cfg.build_mollifier()
+    mol = parse_mollifier(cfg.mollifier)
     grid = cfg.grid()
     tol = cfg.tol if cfg.tol is not None else 1e-3
     line = euclidean(1)
@@ -342,7 +313,7 @@ def run_point_value_demo(cfg: ExperimentConfig):
 
 def run_product_demo(cfg: ExperimentConfig):
     """eps * iota(delta)^2 pairs to the kernel energy; iota(delta) sigma(x) to 0."""
-    mol = cfg.build_mollifier()
+    mol = parse_mollifier(cfg.mollifier)
     grid = cfg.grid()
     tol = cfg.tol if cfg.tol is not None else 1e-3
     line = euclidean(1)
@@ -410,7 +381,7 @@ def run_poincare(cfg: ExperimentConfig):
 
 def run_stokes(cfg: ExperimentConfig):
     """Boundary-versus-bulk reports on an interval, a disk, and a box."""
-    mol = cfg.build_mollifier()
+    mol = parse_mollifier(cfg.mollifier)
     grid = cfg.grid()
     tol = cfg.tol if cfg.tol is not None else 1e-6
     line = euclidean(1)
@@ -448,16 +419,6 @@ def run_stokes(cfg: ExperimentConfig):
 
 
 # -- mechanics ---------------------------------------------------------------
-
-
-def _solve_all(system, t_span, eps_list, parallel):
-    if parallel and len(eps_list) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=min(8, len(eps_list))) as ex:
-            futs = [ex.submit(solve_singular_oscillator, system, t_span, [e])
-                    for e in eps_list]
-            return [f.result()[0] for f in futs]
-    return solve_singular_oscillator(system, t_span, eps_list)
 
 
 def _poisson_suite(system, grid) -> dict:
@@ -505,7 +466,7 @@ def run_mechanics(cfg: ExperimentConfig):
     """Reflected delta-barrier trajectories plus the Poisson identity suite."""
     eps_list = list(cfg.eps) if cfg.eps is not None else list(MECHANICS_EPS)
     system = HamiltonianSystem(StrictDeltaNet(), 1.0, -1.0)
-    trajs = _solve_all(system, (0.0, 2.0), eps_list, cfg.parallel)
+    trajs = solve_singular_oscillator(system, (0.0, 2.0), eps_list)
 
     drift_rows = []
     drift_ok = True

@@ -18,7 +18,7 @@ import numpy as np
 from scipy import integrate as _spint
 
 from . import _mindex as mi
-from .asymptotic import DEFAULT_M_MAX, AsymptoticFit, estimate_order
+from .asymptotic import DEFAULT_M_MAX, classify_scalar_net
 from .embed import DistributionSpec, embed_rn
 from .errors import (AtlasMismatch, CoherenceFailure, NotComparable,
                      PartitionMismatch, QuadratureFailure)
@@ -27,7 +27,7 @@ from .grid import dyadic_grid
 from .manifold import Atlas, GeneralizedPoint, Transition
 from .manifolds import Manifold
 from .mollifier import Mollifier
-from .nets import Net, _auto_samples, box_lattice, sup_norm_on_box
+from .nets import Net, box_lattice, classify_net, sup_norm_on_box
 from .smooth import SmoothFn, constant, from_sympy, smoothstep_expr
 
 # Relative clamp for overlap residuals: a gap this far below the net's
@@ -152,55 +152,84 @@ def sigma_embed(space, fns: dict, check: bool = True, tol: float = 1e-10,
 # -- coherence -----------------------------------------------------------
 
 
-def coherence_check(U: GeneralizedFunction, grid=None, n_samples: int = 61,
-                    m_max: int = DEFAULT_M_MAX, rtol: float = COHERENCE_RTOL,
-                    grad_rtol: float = COHERENCE_GRAD_RTOL) -> dict:
-    """Classify the transformation-law residual on every overlap.
+def overlap_residual(atlas: Atlas, comps: dict, valence, grid, n_samples: int,
+                     m_max: int, rtol: float, grad_rtol: float) -> dict:
+    """Classify the transformation-law residual of chartwise components.
 
-    For each transition a -> b carried by U, the gap
-    sup |U_a(x) - U_b(t_ab(x))| is measured per eps on the overlap
-    boxes, clamped below rounding scale, and order-fitted.  The family
+    ``comps`` maps chart names to object arrays of nets of shape
+    (dim,) * (r + s) for ``valence`` (r, s); shape () is a scalar.  For
+    each transition a -> b with Jacobian J carried by both charts, the
+    chart-a components are compared on the overlap boxes against the
+    pullback of the chart-b ones: inverse-J factors on upper slots, J
+    factors on lower slots, chart-b components at the mapped points.
+    Per eps the sup over components and lattice points is clamped to
+    zero below ``rtol`` times the value scale plus ``grad_rtol`` times
+    the chart-a first-derivative scale, then order-fitted.  The family
     is coherent when every fit is negligible.
     """
-    if grid is None:
-        grid = dyadic_grid()
-    atlas = U.atlas
     dim = atlas.dim
+    r, s = valence
+    zero = (0,) * dim
     rows = []
     coherent = True
     for (a, b), tr in sorted(atlas.transitions.items()):
-        if a not in U.nets or b not in U.nets:
+        if a not in comps or b not in comps:
             continue
+        ca, cb = comps[a], comps[b]
         for k, box in enumerate(atlas.overlap_boxes[(a, b)]):
             x = box_lattice(box, n_samples)
             y = tr.fn(x)
-            samples = []
-            n_clamped = 0
-            for e in grid:
-                fa, fb = U.nets[a].at(e), U.nets[b].at(e)
-                zero = (0,) * dim
-                va = fa._partial_fn(zero, x)
-                vb = fb._partial_fn(zero, y)
-                gap = float(np.max(np.abs(va - vb)))
-                s0 = max(float(np.max(np.abs(va))), float(np.max(np.abs(vb))))
-                s1 = 0.0
-                for i in range(dim):
-                    s1 = max(s1, float(np.max(np.abs(
-                        fa._partial_fn(mi.unit(dim, i), x)))))
-                if gap <= rtol * s0 + grad_rtol * s1:
-                    gap = 0.0
-                    n_clamped += 1
-                samples.append((float(e), gap))
-            fit = estimate_order(samples, m_max=m_max)
+            # the weights need J on lower slots and its inverse on upper ones
+            jac = np.asarray(tr.jac(x), dtype=float) if r + s else None
+            jinv = np.linalg.inv(jac) if r else None
+
+            def gap_at(e):
+                gap, s0, s1 = 0.0, 0.0, 0.0
+                vb = {kdx: np.asarray(cb[kdx].at(e)._partial_fn(zero, y))
+                      for kdx in np.ndindex(cb.shape)}
+                for idx in np.ndindex(ca.shape):
+                    fa = ca[idx].at(e)
+                    va = np.asarray(fa._partial_fn(zero, x))
+                    pullback = np.zeros(len(x))
+                    for kdx in np.ndindex(cb.shape):
+                        w = np.ones(len(x))
+                        for ai in range(r):
+                            w = w * jinv[:, idx[ai], kdx[ai]]
+                        for bi in range(s):
+                            w = w * jac[:, kdx[r + bi], idx[r + bi]]
+                        pullback = pullback + w * vb[kdx]
+                    gap = max(gap, float(np.max(np.abs(va - pullback))))
+                    s0 = max(s0, float(np.max(np.abs(va))),
+                             float(np.max(np.abs(pullback))))
+                    for i in range(dim):
+                        s1 = max(s1, float(np.max(np.abs(
+                            fa._partial_fn(mi.unit(dim, i), x)))))
+                return 0.0 if gap <= rtol * s0 + grad_rtol * s1 else gap
+
+            # clamped gaps are exact zeros: the fit counts them at its floor
+            fit = classify_scalar_net(gap_at, grid, m_max=m_max)
             ok = fit.is_negligible
             coherent = coherent and ok
             rows.append({
                 "pair": [a, b], "box": k, "slope": fit.slope,
                 "verdict": fit.verdict, "negligible": ok,
-                "n_clamped": n_clamped, "max_gap": max(g for _, g in samples),
+                "n_clamped": fit.n_clamped, "max_gap": float(max(fit.magnitudes)),
             })
     return {"coherent": coherent, "n_pairs": len(rows), "m_max": m_max,
             "rows": rows}
+
+
+def coherence_check(U: GeneralizedFunction, grid=None, n_samples: int = 61,
+                    m_max: int = DEFAULT_M_MAX, rtol: float = COHERENCE_RTOL,
+                    grad_rtol: float = COHERENCE_GRAD_RTOL) -> dict:
+    """Classify the transformation-law residual on every overlap.
+
+    The gap sup |U_a(x) - U_b(t_ab(x))| per eps is the rank-0 case of
+    :func:`overlap_residual`; coherent means every fit is negligible.
+    """
+    comps = {c: np.array(net, dtype=object) for c, net in U.nets.items()}  # shape ()
+    return overlap_residual(U.atlas, comps, (0, 0), grid, n_samples, m_max,
+                            rtol, grad_rtol)
 
 
 # -- classification ------------------------------------------------------
@@ -233,21 +262,13 @@ def classify(U: GeneralizedFunction, orders=(0, 1), boxes: dict | None = None,
     with negligible values is negligible), in which case
     ``order0_shortcut`` is flagged.
     """
-    if grid is None:
-        grid = dyadic_grid()
-    dim = U.atlas.dim
-    alphas = _expand_orders(orders, dim)
+    alphas = _expand_orders(orders, U.atlas.dim)
     rows = []
     for c in U.chart_names():
         box = (boxes or {}).get(c, U.atlas.charts[c].sample_box)
-        net = U.nets[c]
         for alpha in alphas:
-            samples = []
-            for e in grid:
-                n = _auto_samples(box if isinstance(box[0], tuple) else (box,),
-                                  float(e)) if n_samples == "auto" else int(n_samples)
-                samples.append((float(e), sup_norm_on_box(net.at(e), alpha, box, n)))
-            fit = estimate_order(samples, m_max=m_max)
+            fit = classify_net(U.nets[c], alpha, box, grid=grid, m_max=m_max,
+                               n_samples=n_samples)
             rows.append({"chart": c, "alpha": list(alpha), "fit": fit})
 
     verdicts = [r["fit"].verdict for r in rows]
@@ -655,10 +676,14 @@ def ck_associate(U: GeneralizedFunction, fns: dict, k: int, boxes: dict | None =
         box = (boxes or {}).get(c, U.atlas.charts[c].sample_box)
         diff = U.nets[c] - Net.constant_in_eps(f)
         for alpha in mi.up_to(dim, k):
-            samples = [(float(e), sup_norm_on_box(diff.at(e), alpha, box, n_samples))
-                       for e in grid]
-            fit = estimate_order(samples, m_max=m_max)
-            final = samples[int(np.argmin([e for e, _ in samples]))][1]
+            sups = {}
+
+            def sup(e):
+                sups[e] = sup_norm_on_box(diff.at(e), alpha, box, n_samples)
+                return sups[e]
+
+            fit = classify_scalar_net(sup, grid, m_max=m_max)
+            final = sups[min(sups)]  # the raw sup, not the floor-clamped fit input
             floor = COHERENCE_RTOL * (1.0 + sup_norm_on_box(f, alpha, box, n_samples))
             row_ok = (final < tol) and (
                 fit.slope > 0.0 or fit.n_clamped == len(grid) or final <= floor)

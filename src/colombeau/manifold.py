@@ -18,9 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from .asymptotic import DEFAULT_M_MAX, AsymptoticFit, estimate_order
+from .asymptotic import DEFAULT_M_MAX, AsymptoticFit, classify_scalar_net
 from .errors import CoherenceFailure, NotComparable, PartitionMismatch
-from .grid import dyadic_grid
 from .nets import box_lattice
 from .smooth import SmoothFn
 
@@ -83,7 +82,8 @@ class Atlas:
         if a == b:
             eye = np.eye(self.dim)
             return Transition(lambda x: np.asarray(x, dtype=float),
-                              lambda x: np.broadcast_to(eye, (len(x), self.dim, self.dim)))
+                              lambda x: np.broadcast_to(eye, (len(x), self.dim, self.dim)),
+                              [(lambda x: np.ones(len(x), dtype=bool), 1.0, 0.0)])
         try:
             return self.transitions[(a, b)]
         except KeyError:
@@ -268,8 +268,6 @@ def point_equiv(p: GeneralizedPoint, q: GeneralizedPoint, grid=None,
     """
     if p.atlas is not q.atlas:
         raise NotComparable("points live on different atlases")
-    if grid is None:
-        grid = dyadic_grid()
     if q.chart == p.chart:
         q_coords = q.coords_at
     elif (q.chart, p.chart) in p.atlas.transitions:
@@ -277,9 +275,6 @@ def point_equiv(p: GeneralizedPoint, q: GeneralizedPoint, grid=None,
         q_coords = lambda eps: t.fn(q.coords_at(eps)[None, :])[0]
     else:
         raise NotComparable(f"no common chart between {p.chart} and {q.chart}")
-    samples = []
-    for eps in grid:
-        gap = float(np.linalg.norm(p.coords_at(eps) - q_coords(eps)))
-        samples.append((float(eps), gap))
-    fit = estimate_order(samples, m_max=m_max)
+    fit = classify_scalar_net(
+        lambda eps: np.linalg.norm(p.coords_at(eps) - q_coords(eps)), grid, m_max=m_max)
     return fit.is_negligible, fit

@@ -3,8 +3,8 @@
 Circle points are angles in [0, 2pi).  Chart "A" uses the angle wrapped
 to (-pi, pi); chart "B" uses the raw angle on (0, 2pi).  On the two
 overlap components the transition is the identity or a shift by 2pi, so
-Jacobians are identically one.  The torus is the product construction
-with four charts named "AA", "AB", "BA", "BB".
+Jacobians are identically one.  The torus is ``product(circle(),
+circle())``, with four charts named "AA", "AB", "BA", "BB".
 
 Partition-of-unity members and the tapered coordinate surrogates are
 built from 2pi-periodic expressions in cos(theta), which makes one
@@ -21,7 +21,7 @@ import numpy as np
 import sympy as sp
 
 from .manifold import Atlas, Chart, PartitionOfUnity, Transition
-from .smooth import SmoothFn, coordinate, from_sympy, smoothstep_expr
+from .smooth import coordinate, from_sympy, lift_axis, smoothstep_expr
 
 TWO_PI = 2.0 * math.pi
 
@@ -64,6 +64,9 @@ class Manifold:
     pou: PartitionOfUnity
     surrogates: list = field(default_factory=list)
     spec: dict = field(default_factory=dict)
+    # per chart, the boxes standing for the chart's overlap with itself
+    # when it is a factor of a product chart pair; the sample box if absent
+    diagonal_boxes: dict = field(default_factory=dict)
 
     @property
     def dim(self) -> int:
@@ -182,7 +185,9 @@ def circle() -> Manifold:
     pou = PartitionOfUnity(atlas, chi, zeta, supp)
 
     surrogates = _circle_surrogates(th)
-    return Manifold("circle", atlas, pou, surrogates, {"name": "circle"})
+    diagonal = {"A": [((-2.9, 2.9),)], "B": [((0.25, TWO_PI - 0.25),)]}
+    return Manifold("circle", atlas, pou, surrogates, {"name": "circle"},
+                    diagonal_boxes=diagonal)
 
 
 def _circle_surrogates(th):
@@ -225,149 +230,108 @@ def _circle_surrogates(th):
     return [w_a, w_b]
 
 
-# -- torus -------------------------------------------------------------
+# -- products ----------------------------------------------------------
+
+
+def _product_chart(name: str, c1: Chart, c2: Chart) -> Chart:
+    d1 = c1.dim
+    return Chart(
+        name, d1 + c2.dim,
+        contains=lambda p: c1.contains(p[0]) and c2.contains(p[1]),
+        to_coords=lambda p: np.concatenate([np.atleast_1d(c1.to_coords(p[0])),
+                                            np.atleast_1d(c2.to_coords(p[1]))]),
+        from_coords=lambda x: (c1.from_coords(x[:d1]), c2.from_coords(x[d1:])),
+        sample_box=tuple(c1.sample_box) + tuple(c2.sample_box),
+    )
+
+
+def _factor_step(M: Manifold, a: str, b: str):
+    """(transition, overlap boxes) of one factor; the identity when a == b."""
+    if a == b:
+        return M.atlas.transition(a, a), M.diagonal_boxes.get(
+            a, [M.atlas.charts[a].sample_box])
+    return M.atlas.transitions.get((a, b)), M.atlas.overlap_boxes.get((a, b))
+
+
+def _product_transition(t1: Transition, t2: Transition, d1: int, d2: int) -> Transition:
+    def fn(x):
+        x = np.asarray(x, dtype=float)
+        return np.concatenate([t1.fn(x[:, :d1]), t2.fn(x[:, d1:])], axis=1)
+
+    def jac(x):
+        x = np.asarray(x, dtype=float)
+        out = np.zeros((len(x), d1 + d2, d1 + d2))
+        out[:, :d1, :d1] = t1.jac(x[:, :d1])
+        out[:, d1:, d1:] = t2.jac(x[:, d1:])
+        return out
+
+    pieces = []
+    for m1, a1, b1 in t1.affine_pieces or []:
+        for m2, a2, b2 in t2.affine_pieces or []:
+            mask = (lambda m1, m2: lambda x: m1(x[:, :d1]) & m2(x[:, d1:]))(m1, m2)
+            pieces.append((mask, np.r_[np.broadcast_to(a1, d1), np.broadcast_to(a2, d2)],
+                           np.r_[np.broadcast_to(b1, d1), np.broadcast_to(b2, d2)]))
+    return Transition(fn, jac, pieces or None)
+
+
+def _lift_surrogate(s: CoordinateSurrogate, charts: dict, lo: int, hi: int,
+                    dim: int) -> CoordinateSurrogate:
+    # ``charts`` maps each product chart to the factor chart on axes lo..hi-1
+    return CoordinateSurrogate(
+        lo + s.axis,
+        {c: lift_axis(s.exprs[f], lo, dim) for c, f in charts.items()},
+        {c: (lambda m: lambda x: m(x[:, lo:hi]))(s.core_mask[f]) for c, f in charts.items()},
+    )
+
+
+def product(M: Manifold, N: Manifold, name: str | None = None) -> Manifold:
+    """The product manifold M x N; its points are pairs of factor points.
+
+    Charts are pairs of factor charts, named by joining the factor chart
+    names, with M's coordinates first.  Transitions act factor by factor
+    (the identity where a factor keeps its chart) with block-diagonal
+    Jacobians and products of the affine pieces; overlap boxes are
+    products of factor boxes, M's outer, a kept chart contributing its
+    ``diagonal_boxes``.  Partition members are products of factor
+    members and every factor surrogate is lifted to its block of axes.
+    """
+    d1, dim = M.dim, M.dim + N.dim
+    name = name or f"{M.name}x{N.name}"
+    pairs = {c1 + c2: (c1, c2) for c1 in sorted(M.atlas.charts)
+             for c2 in sorted(N.atlas.charts)}
+    charts = {c: _product_chart(c, M.atlas.charts[c1], N.atlas.charts[c2])
+              for c, (c1, c2) in pairs.items()}
+    transitions, overlap = {}, {}
+    for a, (a1, a2) in pairs.items():
+        for b, (b1, b2) in pairs.items():
+            t1, boxes1 = _factor_step(M, a1, b1)
+            t2, boxes2 = _factor_step(N, a2, b2)
+            if a == b or t1 is None or t2 is None:
+                continue
+            transitions[(a, b)] = _product_transition(t1, t2, d1, N.dim)
+            overlap[(a, b)] = [tuple(i1) + tuple(i2) for i1 in boxes1 for i2 in boxes2]
+
+    def dist(p, q):
+        return float(np.linalg.norm([M.atlas.point_dist(p[0], q[0]),
+                                     N.atlas.point_dist(p[1], q[1])]))
+
+    atlas = Atlas(name, dim, charts, transitions, overlap, dist)
+    lifted = lambda f1, f2: {c: lift_axis(f1[c1], 0, dim) * lift_axis(f2[c2], d1, dim)
+                             for c, (c1, c2) in pairs.items()}
+    pou = PartitionOfUnity(atlas, lifted(M.pou.chi, N.pou.chi),
+                           lifted(M.pou.zeta, N.pou.zeta),
+                           {c: tuple(M.pou.supp_boxes[c1]) + tuple(N.pou.supp_boxes[c2])
+                            for c, (c1, c2) in pairs.items()})
+    first = {c: c1 for c, (c1, _) in pairs.items()}
+    second = {c: c2 for c, (_, c2) in pairs.items()}
+    surrogates = ([_lift_surrogate(s, first, 0, d1, dim) for s in M.surrogates]
+                  + [_lift_surrogate(s, second, d1, dim, dim) for s in N.surrogates])
+    return Manifold(name, atlas, pou, surrogates, {"name": name})
 
 
 def torus2() -> Manifold:
-    circ = circle()
-    ca, cb = circ.atlas.charts["A"], circ.atlas.charts["B"]
-    factor = {"A": ca, "B": cb}
-
-    charts = {}
-    for n1 in "AB":
-        for n2 in "AB":
-            name = n1 + n2
-            c1, c2 = factor[n1], factor[n2]
-            charts[name] = Chart(
-                name=name, dim=2,
-                contains=(lambda c1, c2: lambda p: c1.contains(p[0]) and c2.contains(p[1]))(c1, c2),
-                to_coords=(lambda c1, c2: lambda p: np.array(
-                    [c1.to_coords(p[0])[0], c2.to_coords(p[1])[0]]))(c1, c2),
-                from_coords=lambda x: np.array([wrap_2pi(x[0]), wrap_2pi(x[1])]),
-                sample_box=(c1.sample_box[0], c2.sample_box[0]),
-            )
-
-    def component_map(src: str, dst: str, col):
-        if src == dst:
-            return lambda v: v
-        if (src, dst) == ("A", "B"):
-            return lambda v: np.where(v > 0, v, v + TWO_PI)
-        return lambda v: np.where(v < math.pi, v, v - TWO_PI)
-
-    def component_pieces(src: str, dst: str):
-        # (scalar mask, shift) pairs covering the overlap in src coords
-        if src == dst:
-            return [(lambda v: np.ones_like(v, dtype=bool), 0.0)]
-        if (src, dst) == ("A", "B"):
-            return [(lambda v: v > 0, 0.0), (lambda v: v <= 0, TWO_PI)]
-        return [(lambda v: v < math.pi, 0.0), (lambda v: v >= math.pi, -TWO_PI)]
-
-    transitions = {}
-    overlap = {}
-    comp_overlap = {
-        ("A", "B"): [(0.15, math.pi - 0.15), (-math.pi + 0.15, -0.15)],
-        ("B", "A"): [(0.15, math.pi - 0.15), (math.pi + 0.15, TWO_PI - 0.15)],
-        ("A", "A"): [(-2.9, 2.9)],
-        ("B", "B"): [(0.25, TWO_PI - 0.25)],
-    }
-    names = sorted(charts)
-    eye2 = lambda x: np.broadcast_to(np.eye(2), (len(x), 2, 2)).copy()
-    for a in names:
-        for b in names:
-            if a == b:
-                continue
-            m1 = component_map(a[0], b[0], 0)
-            m2 = component_map(a[1], b[1], 1)
-
-            def fn(x, m1=m1, m2=m2):
-                x = np.asarray(x, dtype=float)
-                return np.stack([m1(x[:, 0]), m2(x[:, 1])], axis=1)
-
-            pieces = []
-            for p1, s1 in component_pieces(a[0], b[0]):
-                for p2, s2 in component_pieces(a[1], b[1]):
-                    mask = (lambda p1, p2: lambda pts: p1(pts[:, 0]) & p2(pts[:, 1]))(p1, p2)
-                    pieces.append((mask, (1.0, 1.0), (s1, s2)))
-            transitions[(a, b)] = Transition(fn, eye2, affine_pieces=pieces)
-            boxes = []
-            for i1 in comp_overlap[(a[0], b[0])]:
-                for i2 in comp_overlap[(a[1], b[1])]:
-                    boxes.append((i1, i2))
-            overlap[(a, b)] = boxes
-
-    def dist(p, q):
-        d = wrap_pi(np.asarray(p, dtype=float) - np.asarray(q, dtype=float))
-        return float(np.linalg.norm(d))
-
-    atlas = Atlas("torus2", 2, charts, transitions, overlap, dist)
-
-    t1, t2 = sp.symbols("t1 t2")
-    th = sp.Symbol("theta")
-    chi_a = smoothstep_expr(
-        (sp.cos(th) - math.cos(CHI_SUPP)) / (math.cos(CHI_FLAT) - math.cos(CHI_SUPP)))
-    zeta_a = smoothstep_expr(
-        (sp.cos(th) - math.cos(ZETA_A_SUPP)) / (math.cos(CHI_SUPP) - math.cos(ZETA_A_SUPP)))
-    zeta_b = smoothstep_expr(
-        (math.cos(ZETA_B_FLAT) - sp.cos(th)) / (math.cos(ZETA_B_FLAT) - math.cos(CHI_FLAT)))
-    comp_chi = {"A": chi_a, "B": 1 - chi_a}
-    comp_zeta = {"A": zeta_a, "B": zeta_b}
-    comp_supp = {"A": (-CHI_SUPP, CHI_SUPP), "B": (CHI_FLAT, TWO_PI - CHI_FLAT)}
-
-    chi, zeta, supp = {}, {}, {}
-    for name in names:
-        e1 = comp_chi[name[0]].subs(th, t1)
-        e2 = comp_chi[name[1]].subs(th, t2)
-        chi[name] = from_sympy(e1 * e2, [t1, t2], label=f"chi_{name}")
-        z1 = comp_zeta[name[0]].subs(th, t1)
-        z2 = comp_zeta[name[1]].subs(th, t2)
-        zeta[name] = from_sympy(z1 * z2, [t1, t2], label=f"zeta_{name}")
-        supp[name] = (comp_supp[name[0]], comp_supp[name[1]])
-    pou = PartitionOfUnity(atlas, chi, zeta, supp)
-
-    surrogates = _torus_surrogates(names, t1, t2)
-    return Manifold("torus2", atlas, pou, surrogates, {"name": "torus2"})
-
-
-def _torus_surrogates(names, t1, t2):
-    th = sp.Symbol("theta")
-    taper_a = smoothstep_expr(
-        (sp.cos(th) - math.cos(TAPER_A_SUPP))
-        / (math.cos(TAPER_A_FLAT) - math.cos(TAPER_A_SUPP)))
-    taper_b = smoothstep_expr(
-        (-sp.cos(th) - math.cos(TAPER_B_SUPP))
-        / (math.cos(TAPER_B_FLAT) - math.cos(TAPER_B_SUPP)))
-    wrap_a = sp.Piecewise((th, th < sp.pi), (th - 2 * sp.pi, True))
-    wrap_b = sp.Piecewise((th, th > 0), (th + 2 * sp.pi, True))
-    # expression for surrogate of style X as seen from a chart whose
-    # relevant factor has style Y
-    w_expr = {
-        ("A", "A"): th * taper_a,
-        ("A", "B"): wrap_a * taper_a,
-        ("B", "B"): th * taper_b,
-        ("B", "A"): wrap_b * taper_b,
-    }
-
-    def mask_a(v):
-        return np.abs(wrap_pi(v)) <= TAPER_A_FLAT
-
-    def mask_b(v):
-        return np.abs(wrap_2pi(v) - math.pi) <= TAPER_B_FLAT
-
-    masks = {"A": mask_a, "B": mask_b}
-
-    out = []
-    for axis in (0, 1):
-        sym = (t1, t2)[axis]
-        for style in "AB":
-            exprs, core = {}, {}
-            for name in names:
-                chart_style = name[axis]
-                expr = w_expr[(style, chart_style)].subs(th, sym)
-                exprs[name] = from_sympy(expr, [t1, t2],
-                                         label=f"W{axis}_{style}|{name}")
-                core[name] = (lambda m, ax: lambda pts: m(pts[:, ax]))(masks[style], axis)
-            out.append(CoordinateSurrogate(axis=axis, exprs=exprs, core_mask=core))
-    return out
+    """The 2-torus: ``product(circle(), circle())``, charts AA, AB, BA, BB."""
+    return product(circle(), circle(), name="torus2")
 
 
 # -- registry ----------------------------------------------------------

@@ -34,7 +34,7 @@ from .gfunc import GeneralizedFunction, _adaptive_gl, _atlas_of
 from .gnumber import GeneralizedNumber
 from .manifolds import euclidean
 from .nets import Net
-from .smooth import SmoothFn, from_sympy
+from .smooth import SmoothFn, from_sympy, lift_axis
 from .tensor import GeneralizedTensorField, GeneralizedVectorField, _make
 
 # Mass of the unnormalized bump exp(-1/(1-x^2)) on (-1, 1), frozen from a
@@ -266,18 +266,6 @@ def poisson(F: GeneralizedFunction, G: GeneralizedFunction,
 _KINETIC = from_sympy(sp.Symbol("s") ** 2 / 2, (sp.Symbol("s"),), label="p^2/2")
 
 
-def _lift_axis(f: SmoothFn, axis: int, dim: int) -> SmoothFn:
-    """View a one-dimensional function as a function of coordinate ``axis``."""
-
-    def pfn(alpha, pts):
-        if any(alpha[j] for j in range(dim) if j != axis):
-            return np.zeros(pts.shape[0])
-        return f._partial_fn((alpha[axis],), pts[:, axis:axis + 1])
-
-    return SmoothFn(dim, pfn, max_order=f.max_order, uses_fd=f.uses_fd,
-                    label=f"{f.label}@x{axis}")
-
-
 def _resolve_initial(value, eps: float) -> float:
     if isinstance(value, GeneralizedNumber):
         grid = np.asarray(value.grid, dtype=float)
@@ -316,11 +304,11 @@ class HamiltonianSystem:
         delta, pot = self.delta, self.potential
 
         def factory(eps):
-            h = _lift_axis(_KINETIC, 1, 2)
+            h = lift_axis(_KINETIC, 1, 2)
             if pot is not None:
-                h = h + _lift_axis(pot, 0, 2)
+                h = h + lift_axis(pot, 0, 2)
             if delta is not None:
-                h = h + _lift_axis(delta.at(eps), 0, 2)
+                h = h + lift_axis(delta.at(eps), 0, 2)
             return h
 
         return GeneralizedFunction(self.space, {"0": Net(2, factory)}, label="H")

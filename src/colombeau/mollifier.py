@@ -158,18 +158,6 @@ class Mollifier:
         """Vectorized k-th derivative of the profile."""
         return self._evaluator.deriv(k, np.asarray(x, dtype=float))
 
-    def lift(self, dim: int) -> SmoothFn:
-        """Product profile on R^dim: rho(x_1) ... rho(x_dim)."""
-        ev = self._evaluator
-
-        def pfn(alpha, pts):
-            acc = np.ones(pts.shape[0])
-            for i, k in enumerate(alpha):
-                acc = acc * ev.deriv(k, pts[:, i])
-            return acc
-
-        return SmoothFn(dim, pfn, label=f"mollifier {self.kind}^x{dim}")
-
     def scaled(self, dim: int = 1) -> "ScaledMollifier":
         return ScaledMollifier(self, dim)
 
@@ -334,11 +322,26 @@ def build_mollifier(kind: str = "fourier", **params) -> Mollifier:
     raise ValueError(f"unknown mollifier kind {kind!r}")
 
 
-def parse_mollifier(text: str) -> Mollifier:
-    """Parse CLI-style mollifier names: 'fourier' or 'gausspoly:M'."""
-    name, _, arg = text.partition(":")
-    if name == "fourier":
-        return build_mollifier("fourier")
-    if name == "gausspoly":
-        return build_mollifier("gausspoly", order=int(arg or 2))
+def mollifier_spec(text: str) -> tuple[str, dict]:
+    """Validate a mollifier name: 'fourier' or 'gausspoly:M' with M >= 1.
+
+    Returns ``(kind, params)`` for :func:`build_mollifier` without
+    building anything; raises ValueError on any other text.
+    """
+    if text == "fourier":
+        return "fourier", {}
+    if text.startswith("gausspoly:"):
+        try:
+            order = int(text.split(":", 1)[1])
+        except ValueError:
+            raise ValueError(f"malformed mollifier spec {text!r}")
+        if order < 1:
+            raise ValueError("gausspoly order must be >= 1")
+        return "gausspoly", {"order": order}
     raise ValueError(f"unknown mollifier {text!r}")
+
+
+def parse_mollifier(text: str) -> Mollifier:
+    """Build the mollifier a 'fourier' or 'gausspoly:M' name stands for."""
+    kind, params = mollifier_spec(text)
+    return build_mollifier(kind, **params)

@@ -13,9 +13,8 @@ import math
 import numpy as np
 
 from . import _mindex as mi
-from .asymptotic import DEFAULT_M_MAX, AsymptoticFit, estimate_order
+from .asymptotic import DEFAULT_M_MAX, AsymptoticFit, classify_scalar_net
 from .errors import DerivativeUnavailable, DimensionMismatch
-from .grid import dyadic_grid
 from .smooth import SmoothFn, constant
 
 
@@ -139,15 +138,21 @@ AUTO_LATTICE_CAP = 262145
 
 
 def _auto_samples(box, eps: float, base: int = 201, cap: int = AUTO_LATTICE_CAP) -> int:
-    """Lattice size resolving features of width eps inside the box.
+    """Per-axis lattice size resolving features of width eps inside the box.
 
     Nets that concentrate on an eps-scale (mollifier derivatives, say)
     have sup-norm peaks a fixed 201-point lattice never sees; aim for a
-    spacing of eps/8, capped to keep the evaluation bounded.
+    spacing of eps/8.  The count is odd, so the midpoint of a symmetric
+    box stays on the lattice, and at most the largest odd n with
+    n**dim <= cap, so the whole lattice stays bounded in any dimension.
     """
+    dim = len(box)
+    n_max = round(cap ** (1.0 / dim))  # never below the integer root
+    while n_max ** dim > cap or n_max % 2 == 0:
+        n_max -= 1
     width = max(float(hi) - float(lo) for lo, hi in box)
-    n = int(min(cap, max(base, math.ceil(8.0 * width / eps) + 1)))
-    return n | 1  # odd count keeps the midpoint of symmetric boxes on-lattice
+    n = int(min(n_max, max(base, math.ceil(8.0 * width / eps) + 1)))
+    return n | 1
 
 
 def classify_net(net: Net, alpha, box, grid=None, m_max: int = DEFAULT_M_MAX,
@@ -157,10 +162,9 @@ def classify_net(net: Net, alpha, box, grid=None, m_max: int = DEFAULT_M_MAX,
     ``n_samples`` is a per-axis lattice count, or "auto" to refine the
     lattice with eps (needed when the net concentrates on small scales).
     """
-    if grid is None:
-        grid = dyadic_grid()
-    samples = []
-    for e in grid:
-        n = _auto_samples(box, float(e)) if n_samples == "auto" else int(n_samples)
-        samples.append((float(e), sup_norm_on_box(net.at(e), alpha, box, n)))
-    return estimate_order(samples, m_max=m_max)
+
+    def sup(eps):
+        n = _auto_samples(box, eps) if n_samples == "auto" else int(n_samples)
+        return sup_norm_on_box(net.at(eps), alpha, box, n)
+
+    return classify_scalar_net(sup, grid, m_max=m_max)

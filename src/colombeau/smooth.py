@@ -21,7 +21,7 @@ import sympy as sp
 from . import _mindex as mi
 from .errors import DerivativeUnavailable, DimensionMismatch
 
-__all__ = ["SmoothFn", "from_sympy", "constant", "coordinate", "glue_exprs"]
+__all__ = ["SmoothFn", "from_sympy", "constant", "coordinate", "glue_exprs", "lift_axis"]
 
 
 def _as_points(x, dim: int):
@@ -204,6 +204,19 @@ def coordinate(axis: int, dim: int) -> SmoothFn:
         return np.zeros(pts.shape[0])
 
     return SmoothFn(dim, pfn, label=f"x{axis}")
+
+
+def lift_axis(f: SmoothFn, axis: int, dim: int) -> SmoothFn:
+    """View ``f`` as a function of coordinates axis .. axis + f.dim - 1 of R^dim."""
+    stop = axis + f.dim
+
+    def pfn(alpha, pts):
+        if any(alpha[:axis]) or any(alpha[stop:]):
+            return np.zeros(pts.shape[0])
+        return f._partial_fn(alpha[axis:stop], pts[:, axis:stop])
+
+    return SmoothFn(dim, pfn, max_order=f.max_order, uses_fd=f.uses_fd,
+                    label=f"{f.label}@x{axis}")
 
 
 def from_sympy(expr, symbols: Sequence[sp.Symbol], label="") -> SmoothFn:

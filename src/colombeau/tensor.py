@@ -14,10 +14,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import _mindex as mi
-from .asymptotic import DEFAULT_M_MAX, estimate_order
+from .asymptotic import DEFAULT_M_MAX, classify_scalar_net
 from .errors import AtlasMismatch, InvalidSlots, NotADerivation
 from .gfunc import (COHERENCE_GRAD_RTOL, COHERENCE_RTOL, GeneralizedFunction,
-                    _atlas_of)
+                    _atlas_of, overlap_residual)
 from .grid import dyadic_grid
 from .manifolds import Manifold
 from .nets import Net, box_lattice
@@ -381,65 +381,11 @@ def coherence_check_tensor(T: GeneralizedTensorField, grid=None, n_samples: int 
                            grad_rtol: float = COHERENCE_GRAD_RTOL) -> dict:
     """Classify the Jacobian-weighted transformation residual per overlap.
 
-    For a transition a -> b with Jacobian J, the chart-a components are
-    compared against the pullback: inverse-J factors on upper slots,
-    J factors on lower slots, chart-b components at the mapped points.
-    The sup over components and lattice points is order-fitted per eps;
-    coherent means every fit is negligible.
+    The valence-(r, s) case of :func:`gfunc.overlap_residual`; coherent
+    means every fit is negligible.
     """
-    if grid is None:
-        grid = dyadic_grid()
-    atlas = T.atlas
-    dim = atlas.dim
-    r, s = T.valence
-    rows = []
-    coherent = True
-    for (a, b), tr in sorted(atlas.transitions.items()):
-        if a not in T.comps or b not in T.comps:
-            continue
-        for k, box in enumerate(atlas.overlap_boxes[(a, b)]):
-            x = box_lattice(box, n_samples)
-            y = tr.fn(x)
-            jac = np.asarray(tr.jac(x), dtype=float)
-            jinv = np.linalg.inv(jac)
-            samples = []
-            n_clamped = 0
-            zero = (0,) * dim
-            for e in grid:
-                gap, s0, s1 = 0.0, 0.0, 0.0
-                vb = {idx: np.asarray(T.comps[b][idx].at(e)._partial_fn(zero, y))
-                      for idx in np.ndindex(T.comps[b].shape)}
-                for idx in np.ndindex(T.comps[a].shape):
-                    fa = T.comps[a][idx].at(e)
-                    va = np.asarray(fa._partial_fn(zero, x))
-                    pullback = np.zeros(len(x))
-                    for kdx in np.ndindex(T.comps[b].shape):
-                        w = np.ones(len(x))
-                        for ai in range(r):
-                            w = w * jinv[:, idx[ai], kdx[ai]]
-                        for bi in range(s):
-                            w = w * jac[:, kdx[r + bi], idx[r + bi]]
-                        pullback = pullback + w * vb[kdx]
-                    gap = max(gap, float(np.max(np.abs(va - pullback))))
-                    s0 = max(s0, float(np.max(np.abs(va))),
-                             float(np.max(np.abs(pullback))))
-                    for i in range(dim):
-                        s1 = max(s1, float(np.max(np.abs(
-                            fa._partial_fn(mi.unit(dim, i), x)))))
-                if gap <= rtol * s0 + grad_rtol * s1:
-                    gap = 0.0
-                    n_clamped += 1
-                samples.append((float(e), gap))
-            fit = estimate_order(samples, m_max=m_max)
-            ok = fit.is_negligible
-            coherent = coherent and ok
-            rows.append({
-                "pair": [a, b], "box": k, "slope": fit.slope,
-                "verdict": fit.verdict, "negligible": ok,
-                "n_clamped": n_clamped, "max_gap": max(g for _, g in samples),
-            })
-    return {"coherent": coherent, "n_pairs": len(rows), "m_max": m_max,
-            "rows": rows}
+    return overlap_residual(T.atlas, T.comps, T.valence, grid, n_samples, m_max,
+                            rtol, grad_rtol)
 
 
 # -- seeded coherent inputs -------------------------------------------------
@@ -615,8 +561,7 @@ def derivation_to_vector_field(theta, manifold: Manifold, seed: int = 0,
     for i, U in enumerate(probes):
         resid = thetas[i] - field_apply(Xi, U)
         for c in sorted(charts):
-            samples = [(float(e), sup_at(resid, c, e)) for e in grid]
-            fit = estimate_order(samples)
+            fit = classify_scalar_net(lambda e: sup_at(resid, c, e), grid)
             if not fit.is_negligible:
                 raise NotADerivation(
                     f"probe {i} residual in chart {c!r} is {fit.verdict} "

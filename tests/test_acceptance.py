@@ -7,6 +7,7 @@ regression in either physics or performance turns the line red.
 
 import time
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -16,7 +17,7 @@ from colombeau.experiments import ExperimentConfig, run_experiment
 from colombeau.gfunc import coherence_check
 from colombeau.grid import dyadic_grid
 from colombeau.manifolds import circle, euclidean, torus2
-from colombeau.mollifier import build_mollifier
+from colombeau.mollifier import FOURIER_C, FOURIER_S, build_mollifier
 from colombeau.nets import box_lattice
 
 pytestmark = pytest.mark.acceptance
@@ -58,11 +59,29 @@ def test_criterion_02_embedding_smoothness():
                  f">= 5.75, gausspoly(3) bar 3.75, {dt:.1f}s < 30s")
 
 
+def _parseval_kernel_energy(c: float, s: float) -> float:
+    """Integral of rho^2 for rho(x) = sin(cx)/(pi x) exp(-s^2 x^2 / 2), at 30 digits.
+
+    The transform of rho is the indicator of [-c, c] convolved with a
+    unit-mass Gaussian of width s, so by Parseval the energy is the
+    integral of its square over 2 pi, free of rho's oscillations.
+    """
+    with mp.workdps(30):
+        c, s = mp.mpf(c), mp.mpf(s)
+        k = s * mp.sqrt(2)
+        hat = lambda w: (mp.erf((w + c) / k) - mp.erf((w - c) / k)) / 2
+        edge = c + 40 * s
+        return float(mp.quad(lambda w: hat(w) ** 2, [-edge, -c, c, edge]) / (2 * mp.pi))
+
+
 def test_criterion_03_delta_square_pairings():
     t0 = time.monotonic()
     rep = _run("product-demo")
     dt = time.monotonic() - t0
     sq, xd = rep["checks"]
+    energy = _parseval_kernel_energy(FOURIER_C, FOURIER_S)
+    assert sq["kernel_energy"] == pytest.approx(energy, rel=1e-10), \
+        "reported kernel energy disagrees with the Parseval oracle"
     ok = rep["pass"] and dt < 30.0
     _line(3, ok, f"eps*delta^2 pairs to (kernel energy)*phi(0) within 1e-3 "
                  f"(worst {sq['max_residual']:.2e}) and x*delta to 0 "

@@ -23,6 +23,7 @@ from colombeau.manifolds import (
     torus2,
     wrap_pi,
 )
+from colombeau.nets import box_lattice
 
 TWO_PI = 2 * math.pi
 
@@ -72,6 +73,41 @@ def test_torus_atlas_and_pou_validate(t2):
         assert worst < 1e-12
     pou_report = t2.pou.validate(n_samples=21)
     assert pou_report["sum_minus_one"] < 1e-12
+
+
+def test_torus_is_circle_times_circle(s1, t2):
+    pi = math.pi
+    factor_boxes = {
+        ("A", "B"): [(0.15, pi - 0.15), (-pi + 0.15, -0.15)],
+        ("B", "A"): [(0.15, pi - 0.15), (pi + 0.15, TWO_PI - 0.15)],
+        ("A", "A"): [(-2.9, 2.9)],
+        ("B", "B"): [(0.25, TWO_PI - 0.25)],
+    }
+    names = ["AA", "AB", "BA", "BB"]
+    assert sorted(t2.atlas.charts) == names
+    for a in names:
+        for b in names:
+            if a == b:
+                continue
+            boxes = [(i1, i2) for i1 in factor_boxes[(a[0], b[0])]
+                     for i2 in factor_boxes[(a[1], b[1])]]
+            assert t2.atlas.overlap_boxes[(a, b)] == boxes
+            tr = t2.atlas.transitions[(a, b)]
+            for box in boxes:
+                x = box_lattice(box, 9)
+                y, jac = tr.fn(x), tr.jac(x)
+                for axis in (0, 1):
+                    f = s1.atlas.transition(a[axis], b[axis])
+                    col = x[:, axis:axis + 1]
+                    assert np.array_equal(y[:, axis:axis + 1], f.fn(col))
+                    assert np.array_equal(jac[:, axis, axis], f.jac(col)[:, 0, 0])
+                assert not jac[:, 0, 1].any() and not jac[:, 1, 0].any()
+    for c in names:
+        x = box_lattice(t2.atlas.charts[c].sample_box, 21)
+        for t_members, s_members in ((t2.pou.chi, s1.pou.chi),
+                                     (t2.pou.zeta, s1.pou.zeta)):
+            want = s_members[c[0]](x[:, 0]) * s_members[c[1]](x[:, 1])
+            assert np.max(np.abs(t_members[c](x) - want)) <= 1e-15
 
 
 def test_cubic_line_validates(cubic_line):

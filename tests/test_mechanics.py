@@ -1,5 +1,6 @@
 """Symplectic algebra, strict delta nets, and the reflected oscillator."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 import sympy as sp
@@ -11,8 +12,8 @@ from colombeau.forms import exterior_d, insert
 from colombeau.gfunc import GeneralizedFunction, sigma_embed
 from colombeau.grid import dyadic_grid
 from colombeau.manifolds import euclidean
-from colombeau.mechanics import (HamiltonianSystem, StrictDeltaNet,
-                                 SymplecticForm, bump_profile, flat,
+from colombeau.mechanics import (BUMP_NORMALIZATION, HamiltonianSystem,
+                                 StrictDeltaNet, SymplecticForm, bump_profile, flat,
                                  hamiltonian_vf, poisson,
                                  reflection_limit_check, sharp,
                                  solve_singular_oscillator)
@@ -55,6 +56,13 @@ PTS = box_lattice(((-3.0, 3.0), (-3.0, 3.0)), 7)
 
 
 # -- strict delta nets ----------------------------------------------------
+
+
+def test_bump_normalization_against_mpmath():
+    # mass of exp(-1/(1-x^2)) on (-1, 1), recomputed at 30 digits
+    with mp.workdps(30):
+        want = mp.quad(lambda x: mp.exp(-1 / (1 - x * x)), [-1, 0, 1])
+    assert BUMP_NORMALIZATION == pytest.approx(float(want), rel=1e-15)
 
 
 def test_bump_profile_values():

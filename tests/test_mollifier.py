@@ -7,11 +7,14 @@ Gamma-matrix solve (gausspoly leading coefficients).
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from colombeau.errors import MomentSystemSingular
 from colombeau.mollifier import (
+    FOURIER_C,
+    FOURIER_S,
     build_mollifier,
     gausspoly_coefficients,
     parse_mollifier,
@@ -30,6 +33,13 @@ def gp2():
 
 
 # -- frozen profile values (mpmath, 40 digits) -------------------------
+
+def test_fourier_value_at_one_against_closed_form(fourier):
+    # rho(1) = sin(C)/pi * exp(-S^2/2), recomputed at 40 digits
+    with mp.workdps(40):
+        want = mp.sin(FOURIER_C) / mp.pi * mp.exp(-mp.mpf(FOURIER_S) ** 2 / 2)
+    assert fourier.profile(1.0) == pytest.approx(float(want), rel=1e-14)
+
 
 def test_fourier_profile_values(fourier):
     p = fourier.profile
@@ -123,8 +133,10 @@ def test_build_rejects_unknown():
         build_mollifier("box")
     with pytest.raises(ValueError):
         build_mollifier("fourier", width=3)
-    with pytest.raises(ValueError):
-        parse_mollifier("spline:2")
+    # the grammar the command line accepts: no default order, no suffix
+    for spec in ("spline:2", "fourier:3", "gausspoly:", "gausspoly:0"):
+        with pytest.raises(ValueError):
+            parse_mollifier(spec)
 
 
 def test_parse_mollifier(fourier):

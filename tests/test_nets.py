@@ -5,7 +5,8 @@ import pytest
 import sympy as sp
 
 from colombeau.errors import DerivativeUnavailable, DimensionMismatch
-from colombeau.nets import Net, classify_net, sup_norm_on_box
+from colombeau.nets import (AUTO_LATTICE_CAP, Net, _auto_samples, classify_net,
+                            sup_norm_on_box)
 from colombeau.smooth import constant, from_sympy
 
 
@@ -78,3 +79,13 @@ def test_net_cache_returns_same_object():
     net = Net(1, lambda eps: from_sympy(sp.sin(x) * eps, [x]))
     assert net.at(0.5) is net.at(0.5)
     assert net.at(0.5) is not net.at(0.25)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_auto_lattice_is_bounded_in_total(dim):
+    box = ((-1.0, 1.0),) * dim
+    n = _auto_samples(box, 2.0 ** -14)
+    assert n % 2 == 1
+    assert n ** dim <= AUTO_LATTICE_CAP < (n + 2) ** dim
+    if dim == 1:
+        assert n == 262145
