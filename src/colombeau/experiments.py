@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import sympy as sp
-from scipy.integrate import quad
 
 from .asymptotic import estimate_order
 from .embed import (dirac, embed_rn, heaviside, pullback_commutator_demo,
@@ -321,9 +320,7 @@ def run_product_demo(cfg: ExperimentConfig):
     delta_gf = GeneralizedFunction(line, {"0": delta_net})
     sigma_x = sigma_embed(line, {"0": coordinate(0, 1)})
 
-    radius = mol.support_radius_hint
-    energy, _ = quad(lambda u: float(np.atleast_1d(mol.deriv(0, np.array([u])))[0]) ** 2,
-                     -radius, radius, limit=800, epsabs=1e-13, epsrel=1e-13)
+    energy = mol.energy()
 
     W = GeneralizedFunction(line, {"0": (delta_net * delta_net).scale_by_eps(1.0)})
     dens = default_densities(line, seed=cfg.seed)

@@ -6,15 +6,19 @@ Gamma-matrix solve (gausspoly leading coefficients).
 """
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning, quad
 
-from colombeau.errors import MomentSystemSingular
+from colombeau.errors import MomentSystemSingular, QuadratureFailure
 from colombeau.mollifier import (
     FOURIER_C,
     FOURIER_S,
+    ROUNDOFF_MULTIPLE,
+    _panelled_moments,
     build_mollifier,
     gausspoly_coefficients,
     parse_mollifier,
@@ -77,6 +81,20 @@ def test_fourier_derivatives_match_mpmath(fourier):
         assert got == pytest.approx(want, rel=1e-12, abs=1e-13), (k, x)
 
 
+def _fourier_moments_exact(n: int) -> list:
+    """Moments 0..n of the fourier profile from its transform, at 40 digits.
+
+    The transform of sin(Cx)/(pi x) exp(-S^2 x^2 / 2) is the indicator of
+    [-C, C] smoothed by a unit-mass Gaussian of width S, so moment k is
+    i^k times the k-th derivative of that window at zero frequency.  The
+    tails past the support radius are far below double precision.
+    """
+    with mp.workdps(40):
+        c, s = mp.mpf(FOURIER_C), mp.mpf(FOURIER_S)
+        hat = lambda xi: mp.ncdf((c - xi) / s) - mp.ncdf((-c - xi) / s)
+        return [float(mp.re(mp.mpc(0, 1) ** k * mp.diff(hat, 0, k))) for k in range(n + 1)]
+
+
 def test_fourier_certificates(fourier):
     cert = fourier.certificates
     assert cert["integral_error"] < 1e-12
@@ -84,10 +102,52 @@ def test_fourier_certificates(fourier):
     assert set(cert["moments"]) == set(range(1, 9))
     for k, v in cert["moments"].items():
         assert abs(v) < 1e-6, (k, v)
-    # odd moments vanish to quadrature noise, the even ones are small
-    # but genuinely nonzero measurements
-    assert abs(cert["moments"][7]) < 1e-9
-    assert 1e-9 < abs(cert["moments"][8]) < 2e-7
+    # the exact moments are below 1e-18, so what is measured is roundoff,
+    # and it must stay within the rule's own roundoff floor of the truth
+    exact = _fourier_moments_exact(8)
+    assert max(abs(m) for m in exact[1:]) < 1e-18
+    assert abs(exact[0] - 1.0) < 1e-30
+    assert cert["integral_error"] <= cert["roundoff"][0]
+    for k, v in cert["moments"].items():
+        assert abs(v - exact[k]) <= cert["roundoff"][k], (k, v, exact[k])
+
+
+def _quad_moment(fn, k: int, radius: float) -> float:
+    """Reference: integral of x^k fn(x) over [-radius, radius], scalar quad per panel.
+
+    Folded to [0, radius] as x^k (fn(x) + (-1)^k fn(-x)) on the same
+    panels as the library's rule, each pushed to near machine accuracy.
+    """
+    sign = (-1.0) ** k
+
+    def integrand(x):
+        return x ** k * (fn(np.array([x]))[0] + sign * fn(np.array([-x]))[0])
+
+    edges = np.arange(0.0, radius + 2.0, 2.0)
+    edges[-1] = radius
+    total = 0.0
+    with warnings.catch_warnings():
+        # panels are pushed to machine accuracy on purpose; the roundoff
+        # warning is the expected stopping condition
+        warnings.simplefilter("ignore", IntegrationWarning)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            if hi > lo:
+                total += quad(integrand, lo, hi, epsabs=1e-16, epsrel=1e-14, limit=200)[0]
+    return total
+
+
+@pytest.mark.parametrize("kind, params", [("fourier", {}), ("gausspoly", {"order": 4})])
+def test_certificates_agree_with_scalar_quad(kind, params):
+    # gausspoly's polynomial factor loses tens of floors to cancellation,
+    # so the bar is the multiple at which the rule itself gives up
+    mol = build_mollifier(kind, **params)
+    cert = mol.certificates
+    bar = {k: ROUNDOFF_MULTIPLE * r for k, r in cert["roundoff"].items()}
+    ref = [_quad_moment(lambda x: mol.deriv(0, x), k, mol.support_radius_hint)
+           for k in range(mol.moment_order + 1)]
+    assert abs(cert["integral_error"] - abs(ref[0] - 1.0)) <= bar[0]
+    for k, v in cert["moments"].items():
+        assert abs(v - ref[k]) <= bar[k], (k, v, ref[k])
 
 
 def test_gausspoly_leading_values():
@@ -149,11 +209,20 @@ def test_parse_mollifier(fourier):
 
 def test_scaled_integral_and_peak(fourier):
     sm = fourier.scaled()
-    for eps in (2.0 ** -4, 2.0 ** -8):
+    for eps in (2.0 ** -4, 2.0 ** -8, 2.0 ** -14):
         assert sm.integral_check(eps) < 1e-8
         f = sm.at(eps)
         assert f(0.0) == pytest.approx(0.47746482927568601 / eps, rel=1e-13)
     assert sm.support_radius(0.25) == pytest.approx(25.0)
+
+
+def test_unresolved_panels_raise(fourier):
+    # rho_eps on panels of width 2 instead of 2 eps: one panel holds the
+    # whole oscillating kernel, and the n- and 2n-point sums disagree
+    eps = 2.0 ** -8
+    rho_eps = lambda x: fourier.deriv(0, x / eps) / eps
+    with pytest.raises(QuadratureFailure, match="unresolved"):
+        _panelled_moments(rho_eps, (0,), 100.0 * eps, panel=2.0)
 
 
 def test_scaled_lift_2d(fourier):
