@@ -28,7 +28,7 @@ from .manifold import Atlas, GeneralizedPoint, Transition
 from .manifolds import Manifold
 from .mollifier import Mollifier
 from .nets import Net, box_lattice, classify_net, sup_norm_on_box
-from .smooth import SmoothFn, constant, from_sympy, smoothstep_expr
+from .smooth import SmoothFn, constant, from_sympy, leaf_memo, smoothstep_expr
 
 # Relative clamp for overlap residuals: a gap this far below the net's
 # own scale is attributed to rounding and treated as exact agreement.
@@ -164,8 +164,12 @@ def overlap_residual(atlas: Atlas, comps: dict, valence, grid, n_samples: int,
     factors on lower slots, chart-b components at the mapped points.
     Per eps the sup over components and lattice points is clamped to
     zero below ``rtol`` times the value scale plus ``grad_rtol`` times
-    the chart-a first-derivative scale, then order-fitted.  The family
-    is coherent when every fit is negligible.
+    the chart-a first-derivative scale, then order-fitted.  The
+    first-derivative scale is evaluated only when the value term alone
+    does not clamp.  Each box's eps sweep runs in one
+    :func:`smooth.leaf_memo` block, so a sympy leaf is evaluated once
+    per multi-index and lattice of that box.  The family is coherent
+    when every fit is negligible.
     """
     dim = atlas.dim
     r, s = valence
@@ -187,8 +191,8 @@ def overlap_residual(atlas: Atlas, comps: dict, valence, grid, n_samples: int,
                 gap, s0, s1 = 0.0, 0.0, 0.0
                 vb = {kdx: np.asarray(cb[kdx].at(e)._partial_fn(zero, y))
                       for kdx in np.ndindex(cb.shape)}
-                for idx in np.ndindex(ca.shape):
-                    fa = ca[idx].at(e)
+                fas = [ca[idx].at(e) for idx in np.ndindex(ca.shape)]
+                for idx, fa in zip(np.ndindex(ca.shape), fas):
                     va = np.asarray(fa._partial_fn(zero, x))
                     pullback = np.zeros(len(x))
                     for kdx in np.ndindex(cb.shape):
@@ -201,13 +205,20 @@ def overlap_residual(atlas: Atlas, comps: dict, valence, grid, n_samples: int,
                     gap = max(gap, float(np.max(np.abs(va - pullback))))
                     s0 = max(s0, float(np.max(np.abs(va))),
                              float(np.max(np.abs(pullback))))
+                # grad_rtol * s1 >= 0, so the derivative scale can only
+                # decide the clamp when the value term alone does not
+                if gap <= rtol * s0:
+                    return 0.0
+                for fa in fas:
                     for i in range(dim):
                         s1 = max(s1, float(np.max(np.abs(
                             fa._partial_fn(mi.unit(dim, i), x)))))
                 return 0.0 if gap <= rtol * s0 + grad_rtol * s1 else gap
 
-            # clamped gaps are exact zeros: the fit counts them at its floor
-            fit = classify_scalar_net(gap_at, grid, m_max=m_max)
+            # clamped gaps are exact zeros: the fit counts them at its floor;
+            # the memo serves the leaves every eps and component share
+            with leaf_memo():
+                fit = classify_scalar_net(gap_at, grid, m_max=m_max)
             ok = fit.is_negligible
             coherent = coherent and ok
             rows.append({

@@ -8,10 +8,19 @@ difference fallback exists for plain callables and is flagged as such.
 
 Points are arrays of shape (..., dim); in dimension one a bare scalar or
 a shape (m,) array is also accepted.
+
+Inside a ``leaf_memo()`` block each ``from_sympy`` leaf evaluates a
+given multi-index on a given lattice once; later calls get the stored
+values.  Lattices are keyed by dtype, shape and exact bytes, never by a
+digest, and the values are read-only.  The memo lives only while the
+outermost block runs and is dropped on exit, by exception too, so it
+holds at most the leaf values of the lattices that one block evaluates.
+Overlap-residual sweeps open one block per (transition, box).
 """
 
 from __future__ import annotations
 
+import contextlib
 import warnings
 from typing import Callable, Sequence
 
@@ -21,7 +30,29 @@ import sympy as sp
 from . import _mindex as mi
 from .errors import DerivativeUnavailable, DimensionMismatch
 
-__all__ = ["SmoothFn", "from_sympy", "constant", "coordinate", "glue_exprs", "lift_axis"]
+__all__ = ["SmoothFn", "from_sympy", "constant", "coordinate", "glue_exprs", "lift_axis",
+           "leaf_memo"]
+
+# lattice key -> {(leaf, alpha): read-only values} inside a leaf_memo block
+_memo: dict | None = None
+
+
+@contextlib.contextmanager
+def leaf_memo():
+    """Evaluate each sympy leaf once per (multi-index, lattice) in this block.
+
+    A nested block joins the memo that is already open; the outermost
+    block drops it on exit.
+    """
+    global _memo
+    if _memo is not None:
+        yield
+        return
+    _memo = {}
+    try:
+        yield
+    finally:
+        _memo = None
 
 
 def _as_points(x, dim: int):
@@ -222,7 +253,9 @@ def lift_axis(f: SmoothFn, axis: int, dim: int) -> SmoothFn:
 def from_sympy(expr, symbols: Sequence[sp.Symbol], label="") -> SmoothFn:
     """Build a SmoothFn from a sympy expression; derivatives are symbolic.
 
-    Lambdified callables are cached per multi-index.
+    Lambdified callables are cached per multi-index.  Inside a
+    ``leaf_memo()`` block values are also memoized per multi-index and
+    lattice (dtype, shape and exact bytes) and returned read-only.
     """
     symbols = tuple(symbols)
     dim = len(symbols)
@@ -240,7 +273,7 @@ def from_sympy(expr, symbols: Sequence[sp.Symbol], label="") -> SmoothFn:
             cache[alpha] = fn
         return fn
 
-    def pfn(alpha, pts):
+    def evaluate(alpha, pts):
         cols = [pts[:, i] for i in range(dim)]
         # Piecewise lowers to np.select, which evaluates every branch;
         # guarded branches may divide by zero or overflow off their piece
@@ -248,6 +281,19 @@ def from_sympy(expr, symbols: Sequence[sp.Symbol], label="") -> SmoothFn:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 out = np.asarray(lam(alpha)(*cols), dtype=float)
+        return out
+
+    def pfn(alpha, pts):
+        if _memo is None:
+            return evaluate(alpha, pts)
+        values = _memo.setdefault((pts.dtype.str, pts.shape, pts.tobytes()), {})
+        out = values.get((lam, alpha))
+        if out is None:
+            out = evaluate(alpha, pts)
+            if np.may_share_memory(out, pts):  # e.g. the leaf x -> x
+                out = out.copy()
+            out.setflags(write=False)
+            values[(lam, alpha)] = out
         return out
 
     return SmoothFn(dim, pfn, label=label or sp.srepr(expr)[:40])

@@ -4,6 +4,9 @@
 y = x^3 + x has a genuinely non-constant Jacobian, for exercising the
 coordinate-change machinery beyond the shift-by-2pi built-ins.  The
 inverse is closed form: x(y) = (2/sqrt(3)) sinh(asinh(3 sqrt(3) y / 2) / 3).
+``scaled_line`` is a two-chart atlas on the real line, the second chart
+in doubled units: its constant non-unit Jacobian exercises the slot
+weights of the overlap residual.
 """
 
 import math
@@ -96,3 +99,24 @@ def build_cubic_line() -> Manifold:
 @pytest.fixture(scope="session")
 def cubic_line():
     return build_cubic_line()
+
+
+@pytest.fixture(scope="session")
+def scaled_line() -> Atlas:
+    mk = lambda name, box: Chart(
+        name=name, dim=1, contains=lambda p: True,
+        to_coords=lambda p: np.atleast_1d(np.asarray(p, dtype=float)),
+        from_coords=lambda x: np.atleast_1d(np.asarray(x, dtype=float)),
+        sample_box=box)
+    charts = {"L": mk("L", ((-1.0, 1.0),)), "S": mk("S", ((-2.0, 2.0),))}
+    transitions = {
+        ("L", "S"): Transition(
+            fn=lambda x: 2.0 * np.asarray(x, dtype=float),
+            jac=lambda x: np.full((len(x), 1, 1), 2.0)),
+        ("S", "L"): Transition(
+            fn=lambda x: 0.5 * np.asarray(x, dtype=float),
+            jac=lambda x: np.full((len(x), 1, 1), 0.5)),
+    }
+    boxes = {("L", "S"): [((-1.0, 1.0),)], ("S", "L"): [((-2.0, 2.0),)]}
+    return Atlas("scaled-line", 1, charts, transitions, boxes,
+                 point_dist=lambda p, q: abs(float(np.ravel(p)[0]) - float(np.ravel(q)[0])))

@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from colombeau import _mindex as mi
 from colombeau import gfunc as G
+from colombeau import tensor as T
+from colombeau.asymptotic import DEFAULT_M_MAX, classify_scalar_net
 from colombeau.embed import (
     DistributionSpec,
     dirac,
@@ -23,9 +26,9 @@ from colombeau.errors import (
 )
 from colombeau.grid import dyadic_grid
 from colombeau.manifold import GeneralizedPoint, Transition
-from colombeau.manifolds import circle, euclidean
+from colombeau.manifolds import circle, euclidean, torus2
 from colombeau.mollifier import build_mollifier
-from colombeau.nets import Net
+from colombeau.nets import Net, box_lattice
 from colombeau.smooth import coordinate, from_sympy
 
 X = sp.Symbol("x")
@@ -223,12 +226,118 @@ def test_sigma_embed_rejects_incoherent_charts(s1):
 
 def test_coherence_of_rough_nets_clamps_rounding(fourier, s1):
     # embedded point mass on the circle: the overlap gap is pure float
-    # round trip, amplified by the eps^-2 derivative scale
+    # round trip, below the value clamp at every eps (rough-cubic below
+    # is the input whose clamp the derivative scale decides)
     theta = np.pi / 2
     iota = G.embed_manifold({"A": dirac(theta), "B": dirac(theta)}, s1, fourier)
     rep = G.coherence_check(iota, grid=dyadic_grid(4, 11), n_samples=41)
     assert rep["coherent"] is True
     assert all(row["n_clamped"] == len(dyadic_grid(4, 11)) for row in rep["rows"])
+
+
+def _reference_rows(atlas, comps, valence, grid, n_samples):
+    """The overlap residual's rows from an eager loop: no leaf memo, and
+    the first-derivative scale evaluated at every (box, eps)."""
+    dim = atlas.dim
+    r, s = valence
+    zero = (0,) * dim
+    rows = []
+    for (a, b), tr in sorted(atlas.transitions.items()):
+        if a not in comps or b not in comps:
+            continue
+        ca, cb = comps[a], comps[b]
+        for k, box in enumerate(atlas.overlap_boxes[(a, b)]):
+            x = box_lattice(box, n_samples)
+            y = tr.fn(x)
+            jac = np.asarray(tr.jac(x), dtype=float) if r + s else None
+            jinv = np.linalg.inv(jac) if r else None
+
+            def gap_at(e):
+                gap, s0, s1 = 0.0, 0.0, 0.0
+                vb = {kdx: np.asarray(cb[kdx].at(e)._partial_fn(zero, y))
+                      for kdx in np.ndindex(cb.shape)}
+                for idx in np.ndindex(ca.shape):
+                    fa = ca[idx].at(e)
+                    va = np.asarray(fa._partial_fn(zero, x))
+                    pullback = np.zeros(len(x))
+                    for kdx in np.ndindex(cb.shape):
+                        w = np.ones(len(x))
+                        for ai in range(r):
+                            w = w * jinv[:, idx[ai], kdx[ai]]
+                        for bi in range(s):
+                            w = w * jac[:, kdx[r + bi], idx[r + bi]]
+                        pullback = pullback + w * vb[kdx]
+                    gap = max(gap, float(np.max(np.abs(va - pullback))))
+                    s0 = max(s0, float(np.max(np.abs(va))),
+                             float(np.max(np.abs(pullback))))
+                    for i in range(dim):
+                        s1 = max(s1, float(np.max(np.abs(
+                            fa._partial_fn(mi.unit(dim, i), x)))))
+                return (0.0 if gap <= G.COHERENCE_RTOL * s0 + G.COHERENCE_GRAD_RTOL * s1
+                        else gap)
+
+            fit = classify_scalar_net(gap_at, grid)
+            rows.append(_row_key(fit.slope, float(max(fit.magnitudes)),
+                                 fit.n_clamped, fit.verdict))
+    return rows
+
+
+def _row_key(slope, max_gap, n_clamped, verdict):
+    return (float(slope).hex(), float(max_gap).hex(), n_clamped, verdict)
+
+
+def _residual_inputs(name, request):
+    """(atlas, comps, valence, grid, n_samples) of one overlap-residual input."""
+    s1, y = circle(), sp.Symbol("y0")
+    scalar = lambda U: {c: np.array(net, dtype=object) for c, net in U.nets.items()}
+    if name == "circle-product":
+        U, V = T.random_coherent_functions(s1, count=2, seed=0)
+        return s1.atlas, scalar(U * V), (0, 0), dyadic_grid(4, 9), 61
+    if name == "torus-bracket":
+        t2 = torus2()
+        F = T.bracket(T.random_tensor_field(t2, (1, 0), seed=50),
+                      T.random_tensor_field(t2, (1, 0), seed=75))
+        return t2.atlas, F.comps, F.valence, dyadic_grid(4, 9), 9
+    if name == "incoherent-field":
+        F = T.GeneralizedVectorField(s1, {"A": [from_sympy(sp.sin(y), [y])],
+                                          "B": [from_sympy(sp.cos(y), [y])]})
+        return s1.atlas, F.comps, F.valence, dyadic_grid(4, 9), 21
+    if name == "embedded-dirac":
+        iota = G.embed_manifold({"A": dirac(np.pi / 2), "B": dirac(np.pi / 2)}, s1,
+                                request.getfixturevalue("fourier"))
+        return s1.atlas, scalar(iota), (0, 0), dyadic_grid(4, 11), 41
+    if name == "rough-cubic":
+        # sin(x/eps) through the cubic transition: the round trip's gap
+        # outgrows the value clamp and the derivative scale decides
+        atlas, (x, y) = request.getfixturevalue("cubic_line").atlas, sp.symbols("x y")
+        x_of_y = 2 / sp.sqrt(3) * sp.sinh(sp.asinh(sp.Rational(3, 2) * sp.sqrt(3) * y) / 3)
+        U = G.GeneralizedFunction(atlas, {
+            "U": Net(1, lambda e: from_sympy(sp.sin(x / e), [x])),
+            "V": Net(1, lambda e: from_sympy(sp.sin(x_of_y / e), [y]))})
+        return atlas, scalar(U), (0, 0), dyadic_grid(4, 14), 41
+    atlas, x0 = request.getfixturevalue("scaled_line"), sp.Symbol("x0")
+    if name == "jacobian-field":
+        F = T.GeneralizedVectorField(atlas, {"L": [from_sympy(sp.sin(x0), [x0])],
+                                             "S": [from_sympy(2 * sp.sin(x0 / 2), [x0])]})
+    else:  # jacobian-one-form
+        F = T.GeneralizedOneForm(atlas, {"L": [from_sympy(sp.sin(x0), [x0])],
+                                         "S": [from_sympy(sp.sin(x0 / 2) / 2, [x0])]})
+    return atlas, F.comps, F.valence, dyadic_grid(4, 9), 17
+
+
+@pytest.mark.parametrize("name", ["circle-product", "torus-bracket", "incoherent-field",
+                                  "embedded-dirac", "rough-cubic", "jacobian-field",
+                                  "jacobian-one-form"])
+def test_overlap_residual_rows_match_eager_reference(name, request):
+    # the sweep's leaf memo and its skipped derivative scale change no row:
+    # slopes and max gaps bitwise, clamp counts and verdicts exactly
+    atlas, comps, valence, grid, n = _residual_inputs(name, request)
+    rep = G.overlap_residual(atlas, comps, valence, grid, n, DEFAULT_M_MAX,
+                             G.COHERENCE_RTOL, G.COHERENCE_GRAD_RTOL)
+    got = [_row_key(row["slope"], row["max_gap"], row["n_clamped"], row["verdict"])
+           for row in rep["rows"]]
+    assert got == _reference_rows(atlas, comps, valence, grid, n)
+    assert rep["coherent"] is (name != "incoherent-field")
 
 
 # -- association -----------------------------------------------------------

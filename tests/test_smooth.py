@@ -122,3 +122,78 @@ def test_smoothstep_profile():
     for k in (1, 2, 3):
         assert abs(s.partial((k,), -0.1)) == 0.0
         assert abs(s.partial((k,), 1.1)) == 0.0
+
+
+# -- leaf memo ----------------------------------------------------------
+
+
+@pytest.fixture
+def counted_sin(monkeypatch):
+    """sin as a sympy leaf, and the list its lambdified callables append to."""
+    calls = []
+    lambdify = sp.lambdify
+
+    def counting(*args, **kwargs):
+        fn = lambdify(*args, **kwargs)
+
+        def wrapped(*cols):
+            calls.append(len(cols[0]))
+            return fn(*cols)
+
+        return wrapped
+
+    monkeypatch.setattr(sp, "lambdify", counting)
+    x = sp.Symbol("x")
+    return from_sympy(sp.sin(x), [x]), calls
+
+
+def test_leaf_memo_evaluates_once_per_lattice(counted_sin):
+    f, calls = counted_sin
+    pts = np.linspace(-1.0, 1.0, 9).reshape(-1, 1)
+    with smooth.leaf_memo():
+        v = f._partial_fn((0,), pts)
+        w = f._partial_fn((0,), pts.copy())  # equal values, distinct array
+        assert len(calls) == 1 and np.array_equal(v, w)
+        assert np.array_equal(v, np.sin(pts[:, 0]))
+        f._partial_fn((1,), pts)  # another multi-index
+        assert len(calls) == 2
+        f._partial_fn((0,), pts + 1e-16)  # another lattice, bytes differ
+        f._partial_fn((0,), pts[:4])  # another shape
+        assert len(calls) == 4
+        with pytest.raises(ValueError):
+            v[0] = 0.0
+    assert np.array_equal(f._partial_fn((0,), pts), np.sin(pts[:, 0]))
+
+
+def test_leaf_memo_copies_values_that_alias_the_lattice():
+    x = sp.Symbol("x")
+    ident = from_sympy(x, [x])
+    pts = np.linspace(0.0, 1.0, 5).reshape(-1, 1)
+    with smooth.leaf_memo():
+        v = ident._partial_fn((0,), pts)
+        assert not np.shares_memory(v, pts)
+        pts[0, 0] = 7.0  # a caller reusing its lattice array
+        assert v[0] == 0.0
+
+
+def test_leaf_memo_is_scoped_to_its_block(counted_sin):
+    f, calls = counted_sin
+    pts = np.linspace(-1.0, 1.0, 9).reshape(-1, 1)
+    f._partial_fn((0,), pts)
+    f._partial_fn((0,), pts)
+    assert len(calls) == 2 and smooth._memo is None  # no memo outside a block
+    with smooth.leaf_memo():
+        f._partial_fn((0,), pts)
+        with smooth.leaf_memo():  # a nested block joins the open memo
+            f._partial_fn((0,), pts)
+        f._partial_fn((0,), pts)
+        assert len(calls) == 3
+    assert smooth._memo is None
+    with pytest.raises(RuntimeError):
+        with smooth.leaf_memo():
+            f._partial_fn((0,), pts)
+            raise RuntimeError("sweep failed")
+    assert smooth._memo is None and len(calls) == 4
+    with smooth.leaf_memo():  # nothing retained from the earlier blocks
+        f._partial_fn((0,), pts)
+    assert len(calls) == 5

@@ -11,7 +11,6 @@ from colombeau.errors import AtlasMismatch, InvalidSlots, NotADerivation
 from colombeau.gfunc import (GeneralizedFunction, associate, coherence_check,
                              embed_manifold, sigma_embed)
 from colombeau.grid import dyadic_grid
-from colombeau.manifold import Atlas, Chart, Transition
 from colombeau.manifolds import circle, euclidean, torus2
 from colombeau.mollifier import build_mollifier
 from colombeau.nets import Net, box_lattice
@@ -245,30 +244,8 @@ def test_incoherent_components_flagged(s1):
     assert not rep["coherent"]
 
 
-def _scaled_line_atlas():
-    # two global charts on the real line, the second in doubled units;
-    # the non-unit Jacobian exercises the slot weights in the residual
-    mk = lambda name, box: Chart(
-        name=name, dim=1, contains=lambda p: True,
-        to_coords=lambda p: np.atleast_1d(np.asarray(p, dtype=float)),
-        from_coords=lambda x: np.atleast_1d(np.asarray(x, dtype=float)),
-        sample_box=box)
-    charts = {"L": mk("L", ((-1.0, 1.0),)), "S": mk("S", ((-2.0, 2.0),))}
-    transitions = {
-        ("L", "S"): Transition(
-            fn=lambda x: 2.0 * np.asarray(x, dtype=float),
-            jac=lambda x: np.full((len(x), 1, 1), 2.0)),
-        ("S", "L"): Transition(
-            fn=lambda x: 0.5 * np.asarray(x, dtype=float),
-            jac=lambda x: np.full((len(x), 1, 1), 0.5)),
-    }
-    boxes = {("L", "S"): [((-1.0, 1.0),)], ("S", "L"): [((-2.0, 2.0),)]}
-    return Atlas("scaled-line", 1, charts, transitions, boxes,
-                 point_dist=lambda p, q: abs(float(np.ravel(p)[0]) - float(np.ravel(q)[0])))
-
-
-def test_jacobian_weights_in_coherence():
-    atlas = _scaled_line_atlas()
+def test_jacobian_weights_in_coherence(scaled_line):
+    atlas = scaled_line
     y = sp.Symbol("x0")
     # vector components scale with the Jacobian, one-form components
     # against it
