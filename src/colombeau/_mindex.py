@@ -33,11 +33,6 @@ def up_to(dim: int, max_order: int):
     return out
 
 
-def leq(beta, alpha) -> bool:
-    """Componentwise beta <= alpha."""
-    return all(b <= a for b, a in zip(beta, alpha))
-
-
 def sub_indices(alpha):
     """All beta with beta <= alpha componentwise."""
     return [tuple(c) for c in itertools.product(*(range(a + 1) for a in alpha))]

@@ -21,16 +21,15 @@ quadrature over the mollifier window.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from . import _mindex as mi
-from .errors import QuadratureFailure, UnsupportedDistribution
+from .errors import UnsupportedDistribution
 from .mollifier import Mollifier
 from .nets import Net
+from .quadrature import gauss_legendre, quad
 from .smooth import SmoothFn
 
 QUAD_EPSREL = 1e-11
@@ -85,7 +84,8 @@ class DistributionSpec:
         for e in self.singular:
             total += e.weight * phi.partial(e.beta, np.array(e.loc))
         for p in self.regular:
-            val, _ = _quad(lambda y: p.density(y) * phi(y), p.lo, p.hi)
+            val, _ = quad(lambda y: p.density(y) * phi(y), p.lo, p.hi,
+                          epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL, limit=200)
             total += val
         return total
 
@@ -128,16 +128,6 @@ def smooth_piece(fn: SmoothFn, lo: float, hi: float, label: str = "") -> Distrib
     return DistributionSpec(1, label=label or "regular").piece(fn, lo, hi)
 
 
-def _quad(fn, lo, hi, points=None):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, err = quad(fn, lo, hi, epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL,
-                        limit=200, points=points)
-    if not math.isfinite(val):
-        raise QuadratureFailure(f"integral over [{lo}, {hi}] returned {val}")
-    return val, err
-
-
 def _dirac_part_fn(entries, mol: Mollifier, dim: int, eps: float) -> SmoothFn:
     ev = mol._evaluator
 
@@ -153,9 +143,6 @@ def _dirac_part_fn(entries, mol: Mollifier, dim: int, eps: float) -> SmoothFn:
         return acc
 
     return SmoothFn(dim, pfn, label="dirac part")
-
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
 def _kernel_rule(mol: Mollifier):
@@ -174,8 +161,9 @@ def _kernel_rule(mol: Mollifier):
         edges = np.linspace(-r, r, n_panels + 1)
         half = (edges[1] - edges[0]) / 2.0
         centers = (edges[:-1] + edges[1:]) / 2.0
-        nodes = (centers[:, None] + half * _GL_NODES[None, :]).ravel()
-        kern_w = np.tile(half * _GL_WEIGHTS, n_panels) * ev.deriv(0, nodes)
+        gl_nodes, gl_weights = gauss_legendre(16)
+        nodes = (centers[:, None] + half * gl_nodes[None, :]).ravel()
+        kern_w = np.tile(half * gl_weights, n_panels) * ev.deriv(0, nodes)
         rule = (nodes, kern_w, edges, half)
         ev._conv_rule = rule
     return rule
@@ -195,6 +183,7 @@ def _regular_part_fn(pieces, mol: Mollifier, eps: float) -> SmoothFn:
     radius = float(mol.support_radius_hint)
     ev = mol._evaluator
     nodes, kern_w, edges, _ = _kernel_rule(mol)
+    gl_nodes, gl_weights = gauss_legendre(16)
     n_panels = edges.size - 1
     w_pan = edges[1] - edges[0]
     pan_nodes = nodes.reshape(n_panels, 16)
@@ -238,11 +227,11 @@ def _regular_part_fn(pieces, mol: Mollifier, eps: float) -> SmoothFn:
             seg_lo = np.maximum(edges[ipan], at[ipt])
             seg_hi = np.minimum(edges[ipan + 1], bt[ipt])
             hw = np.maximum(seg_hi - seg_lo, 0.0) / 2.0
-            u_ex = (seg_lo + seg_hi)[:, None] / 2.0 + hw[:, None] * _GL_NODES[None, :]
+            u_ex = (seg_lo + seg_hi)[:, None] / 2.0 + hw[:, None] * gl_nodes[None, :]
             k_ex = ev.deriv(0, u_ex.ravel()).reshape(u_ex.shape)
             y_ex = np.clip(xt[ipt, None] - eps * u_ex, lo, hi)
             f_ex = np.asarray(fn._partial_fn((j,), y_ex.reshape(-1, 1)), float)
-            exact = ((k_ex * f_ex.reshape(u_ex.shape)) @ _GL_WEIGHTS) * hw
+            exact = ((k_ex * f_ex.reshape(u_ex.shape)) @ gl_weights) * hw
             np.add.at(acc, ipt, exact - crude)
         out[touched] = acc
         return out
@@ -299,7 +288,8 @@ def sigma_rn(f: SmoothFn) -> Net:
 def pair_net(net: Net, density: SmoothFn, lo: float, hi: float, eps: float) -> float:
     """Pairing integral of net(eps) against a density over [lo, hi]."""
     f = net.at(eps)
-    val, _ = _quad(lambda y: f(y) * density(y), lo, hi)
+    val, _ = quad(lambda y: f(y) * density(y), lo, hi,
+                  epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL, limit=200)
     return val
 
 

@@ -25,9 +25,8 @@ from .gfunc import (GeneralizedFunction, associate, classify, default_densities,
 from .grid import dyadic_grid
 from .manifold import GeneralizedPoint
 from .manifolds import euclidean, circle
-from .mechanics import (HamiltonianSystem, StrictDeltaNet, SymplecticForm,
-                        hamiltonian_vf, poisson, reflection_limit_check,
-                        solve_singular_oscillator)
+from .mechanics import (HamiltonianSystem, StrictDeltaNet, hamiltonian_vf, poisson,
+                        reflection_limit_check, solve_singular_oscillator)
 from .mollifier import mollifier_spec, parse_mollifier
 from .nets import Net, box_lattice, classify_net, sup_norm_on_box
 from .smooth import constant, coordinate, from_sympy, smoothstep_expr

@@ -23,8 +23,9 @@ from .gnumber import GeneralizedNumber
 from .grid import dyadic_grid
 from .manifolds import Manifold
 from .nets import Net, box_lattice
+from .quadrature import gauss_legendre
 from .smooth import SmoothFn
-from .tensor import (GeneralizedTensorField, _as_net, coherence_check_tensor,
+from .tensor import (GeneralizedTensorField, _as_net, _object_array, coherence_check_tensor,
                      random_coherent_functions)
 
 
@@ -118,17 +119,14 @@ class GeneralizedKForm:
                 raise AtlasMismatch("scalar weight lives on a different atlas")
             if set(w.nets) != set(self.comps):
                 raise AtlasMismatch("scalar weight carries different charts")
-            return GeneralizedKForm(
-                self.atlas, self.degree,
-                {c: {K: w.nets[c] * net for K, net in self.comps[c].items()}
-                 for c in self.comps})
-        if np.isscalar(w):
-            w = float(w)
-            return GeneralizedKForm(
-                self.atlas, self.degree,
-                {c: {K: net * w for K, net in self.comps[c].items()}
-                 for c in self.comps})
-        return NotImplemented
+            weight = lambda c, net: w.nets[c] * net
+        elif np.isscalar(w):
+            weight = lambda c, net: net * float(w)
+        else:
+            return NotImplemented
+        return GeneralizedKForm(
+            self.atlas, self.degree,
+            {c: {K: weight(c, net) for K, net in self.comps[c].items()} for c in self.comps})
 
     __rmul__ = __mul__
 
@@ -138,12 +136,8 @@ class GeneralizedKForm:
         """The (0, k) tensor with fully antisymmetrized components."""
         dim = self.atlas.dim
         shape = (dim,) * self.degree
-        comps = {}
-        for c in self.comps:
-            arr = np.empty(shape, dtype=object)
-            for idx in np.ndindex(shape):
-                arr[idx] = self.component(c, idx)
-            comps[c] = arr
+        comps = {c: _object_array(shape, lambda idx: self.component(c, idx))
+                 for c in self.comps}
         return GeneralizedTensorField(self.atlas, (0, self.degree), comps,
                                       label=self.label)
 
@@ -334,7 +328,7 @@ def homotopy_H(omega: GeneralizedKForm, n_t: int = 32):
     c = _single_star_chart(atlas)
     dim = atlas.dim
     k = omega.degree
-    g, w = np.polynomial.legendre.leggauss(int(n_t))
+    g, w = gauss_legendre(int(n_t))
     t_nodes = (g + 1.0) / 2.0
     t_weights = w / 2.0
 
@@ -441,7 +435,7 @@ def _face_integral(fn: SmoothFn, box, axis: int, value: float) -> float:
     rest = [b for i, b in enumerate(box) if i != axis]
     if not rest:
         return float(np.ravel(fn(np.array([[value]])))[0])
-    g, w = np.polynomial.legendre.leggauss(48)
+    g, w = gauss_legendre(48)
     grids, wgts = [], []
     for lo, hi in rest:
         half = (hi - lo) / 2.0
@@ -502,7 +496,7 @@ def stokes_check(omega, domain, grid=None, tol: float = 1e-6,
         if radius <= 0:
             raise DomainError(f"radius {radius} is not positive")
         curl = exterior_d(omega).comps[c][(0, 1)]
-        g, w = np.polynomial.legendre.leggauss(int(n_r))
+        g, w = gauss_legendre(int(n_r))
         r_nodes = (g + 1.0) * radius / 2.0
         r_weights = w * radius / 2.0
         theta = np.linspace(0.0, 2.0 * np.pi, int(n_theta), endpoint=False)

@@ -11,11 +11,9 @@ testing against distribution targets, and integration.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate as _spint
 
 from . import _mindex as mi
 from .asymptotic import DEFAULT_M_MAX, classify_scalar_net
@@ -28,6 +26,7 @@ from .manifold import Atlas, GeneralizedPoint, Transition
 from .manifolds import Manifold
 from .mollifier import Mollifier
 from .nets import Net, box_lattice, classify_net, sup_norm_on_box
+from .quadrature import gauss_legendre, quad
 from .smooth import SmoothFn, constant, from_sympy, leaf_memo, smoothstep_expr
 
 # Relative clamp for overlap residuals: a gap this far below the net's
@@ -433,25 +432,6 @@ def default_densities(space, per_chart: int = 5, seed: int = 7,
     return out
 
 
-def _quad_1d(f, lo, hi, points=None):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", _spint.IntegrationWarning)
-        val, _ = _spint.quad(f, lo, hi, points=points or None, limit=400,
-                             epsabs=1e-12, epsrel=1e-10)
-    if not np.isfinite(val):
-        raise QuadratureFailure(f"pairing quadrature returned {val}")
-    return float(val)
-
-
-_GL_CACHE: dict[int, tuple] = {}
-
-
-def _gl_rule(n: int = 48):
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]
-
-
 MAX_PAIR_INTERVALS = 20000
 
 
@@ -462,7 +442,7 @@ def _adaptive_gl(fn: SmoothFn, lo: float, hi: float, eps_hint: float) -> float:
     fall between the nodes of a coarse first pass; intervals where the
     two-half refinement disagrees are subdivided, whole levels at a time.
     """
-    g, w = _gl_rule(16)
+    g, w = gauss_legendre(16)
     width = hi - lo
     n_seed = int(np.clip(math.ceil(width / (8.0 * eps_hint)), 8, 32768))
     edges = np.linspace(lo, hi, n_seed + 1)
@@ -515,9 +495,10 @@ def integrate_box(fn: SmoothFn, box, eps_hint: float | None = None) -> float:
     if dim == 1:
         lo, hi = float(box[0][0]), float(box[0][1])
         if eps_hint is None:
-            return _quad_1d(lambda x: float(fn(np.array([x]))), lo, hi)
+            return quad(lambda x: float(fn(np.array([x]))), lo, hi,
+                        epsabs=1e-12, epsrel=1e-10, limit=400)[0]
         return _adaptive_gl(fn, lo, hi, float(eps_hint))
-    nodes, weights = _gl_rule()
+    nodes, weights = gauss_legendre(48)
     grids, wgts = [], []
     for lo, hi in box:
         half = (hi - lo) / 2.0

@@ -21,7 +21,6 @@ import numpy as np
 from .asymptotic import DEFAULT_M_MAX, AsymptoticFit, classify_scalar_net
 from .errors import CoherenceFailure, NotComparable, PartitionMismatch
 from .nets import box_lattice
-from .smooth import SmoothFn
 
 ROUND_TRIP_TOL = 1e-12
 TRANSITION_TOL = 1e-10

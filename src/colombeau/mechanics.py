@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import sympy as sp
-from scipy.integrate import solve_ivp
 
 from .errors import (AtlasMismatch, DimensionMismatch, InvalidSlots,
                      NoImpact, StiffnessFailure)
@@ -34,6 +33,7 @@ from .gfunc import GeneralizedFunction, _adaptive_gl, _atlas_of
 from .gnumber import GeneralizedNumber
 from .manifolds import euclidean
 from .nets import Net
+from .quadrature import gauss_legendre
 from .smooth import SmoothFn, from_sympy, lift_axis
 from .tensor import GeneralizedTensorField, GeneralizedVectorField, _make
 
@@ -87,7 +87,7 @@ class StrictDeltaNet:
 
     def l1_norm(self, eps: float, n_panels: int = 8, n_nodes: int = 64) -> float:
         r = self.support_radius(eps)
-        xs, ws = np.polynomial.legendre.leggauss(n_nodes)
+        xs, ws = gauss_legendre(n_nodes)
         edges = np.linspace(-r, r, n_panels + 1)
         fn = self.at(eps)
         total = 0.0
@@ -382,6 +382,8 @@ def _boundary_event(level: float, direction: int):
 
 def _integrate_segments(rhs, y0, t_span, eps, radius, rtol, atol, max_nfev):
     """Event-split RK45 run; the step cap drops to eps^2 inside the barrier."""
+    from scipy.integrate import solve_ivp
+
     t0, t1 = float(t_span[0]), float(t_span[1])
     t, y = t0, np.asarray(y0, dtype=float)
     segs, nfev, n_steps = [], 0, 0

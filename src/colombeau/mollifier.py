@@ -40,6 +40,7 @@ from numpy.polynomial import Polynomial
 
 from .errors import MomentSystemSingular, QuadratureFailure
 from .nets import Net
+from .quadrature import gauss_legendre
 from .smooth import SmoothFn
 
 INTEGRAL_TOL = 1e-8
@@ -245,7 +246,7 @@ def _panelled_moments(fn, ks, radius: float, panel: float = 2.0):
     edges = np.minimum(np.arange(n_panels + 1) * panel, radius)
     mid = (edges[1:] + edges[:-1])[:, None] / 2
     half = (edges[1:] - edges[:-1])[:, None] / 2
-    rules = [np.polynomial.legendre.leggauss(m) for m in (_GL_POINTS, 2 * _GL_POINTS)]
+    rules = [gauss_legendre(m) for m in (_GL_POINTS, 2 * _GL_POINTS)]
     x = np.concatenate([(mid + half * t).ravel() for t, _ in rules])
     w = np.concatenate([(half * wt).ravel() for _, wt in rules])
     f = fn(np.concatenate([x, -x]))

@@ -9,6 +9,15 @@ difference fallback exists for plain callables and is flagged as such.
 Points are arrays of shape (..., dim); in dimension one a bare scalar or
 a shape (m,) array is also accepted.
 
+A ``from_sympy`` leaf differentiates once per multi-index, from its cached
+parent: alpha with its last nonzero axis zeroed, differentiated along that
+axis.  That is the chain of ``sp.diff`` calls of differentiating from
+scratch axis by axis, so the expressions are unchanged.  A derivative is
+lambdified against the numpy module, whose namespace spares the ``from
+numpy import *`` that loads every numpy submodule, unless it names a
+function numpy lacks (``erf``, ``gamma``, ``besselj``); only then is
+``scipy.special`` loaded.
+
 Inside a ``leaf_memo()`` block each ``from_sympy`` leaf evaluates a
 given multi-index on a given lattice once; later calls get the stored
 values.  Lattices are keyed by dtype, shape and exact bytes, never by a
@@ -26,6 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 import sympy as sp
+from sympy.printing.numpy import NumPyPrinter, SciPyPrinter
 
 from . import _mindex as mi
 from .errors import DerivativeUnavailable, DimensionMismatch
@@ -250,27 +260,41 @@ def lift_axis(f: SmoothFn, axis: int, dim: int) -> SmoothFn:
                     label=f"{f.label}@x{axis}")
 
 
+# functions the numpy printer lowers to numpy exactly as the scipy printer does
+_NUMPY_FUNCTIONS = {name for name, path in NumPyPrinter._kf.items()
+                    if SciPyPrinter._kf.get(name) == path} | {"Piecewise"}
+
+
+def _modules(expr) -> list:
+    """Lambdify against numpy alone unless ``expr`` names a function numpy lacks."""
+    numpy_only = all(type(f).__name__ in _NUMPY_FUNCTIONS for f in expr.atoms(sp.Function))
+    return [np] if numpy_only else ["numpy", "scipy"]
+
+
 def from_sympy(expr, symbols: Sequence[sp.Symbol], label="") -> SmoothFn:
     """Build a SmoothFn from a sympy expression; derivatives are symbolic.
 
-    Lambdified callables are cached per multi-index.  Inside a
-    ``leaf_memo()`` block values are also memoized per multi-index and
-    lattice (dtype, shape and exact bytes) and returned read-only.
+    Derivatives and lambdified callables are cached per multi-index, on this
+    leaf only.  Inside a ``leaf_memo()`` block values are also memoized per
+    multi-index and lattice (dtype, shape and exact bytes), read-only.
     """
     symbols = tuple(symbols)
     dim = len(symbols)
     expr = sp.sympify(expr)
+    exprs = {(0,) * dim: expr}
     cache: dict[tuple, Callable] = {}
+
+    def derivative(alpha):  # the parent zeroes alpha's last nonzero axis
+        if alpha not in exprs:
+            i = max(i for i, k in enumerate(alpha) if k)
+            exprs[alpha] = sp.diff(derivative(alpha[:i] + (0,) * (dim - i)), symbols[i], alpha[i])
+        return exprs[alpha]
 
     def lam(alpha):
         fn = cache.get(alpha)
         if fn is None:
-            d = expr
-            for s, k in zip(symbols, alpha):
-                if k:
-                    d = sp.diff(d, s, k)
-            fn = sp.lambdify(symbols, d, modules=["numpy", "scipy"])
-            cache[alpha] = fn
+            d = derivative(alpha)
+            fn = cache[alpha] = sp.lambdify(symbols, d, modules=_modules(d))
         return fn
 
     def evaluate(alpha, pts):
@@ -342,18 +366,12 @@ def glue_exprs():
     below double rounding for every quantity built on top of these.
     """
     t = sp.Symbol("t", real=True)
-    up = sp.exp(-1 / t)
-    dn = sp.exp(-1 / (1 - t))
-    step = sp.Piecewise(
-        (sp.Integer(0), t <= _GLUE_TAU),
-        (sp.Integer(1), t >= 1 - _GLUE_TAU),
-        (up / (up + dn), True),
-    )
     bump = sp.Piecewise((sp.exp(-1 / t), t > _GLUE_TAU), (sp.Integer(0), True))
-    return t, bump, step
+    return t, bump, smoothstep_expr(t)
 
 
 def smoothstep_expr(u):
-    """Smoothstep in an arbitrary sympy expression ``u``."""
-    t, _, step = glue_exprs()
-    return step.subs(t, u)
+    """Smoothstep S(u) in an arbitrary sympy expression ``u``, built directly."""
+    up, dn = sp.exp(-1 / u), sp.exp(-1 / (1 - u))
+    return sp.Piecewise((sp.Integer(0), u <= _GLUE_TAU), (sp.Integer(1), u >= 1 - _GLUE_TAU),
+                        (up / (up + dn), True))

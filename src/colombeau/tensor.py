@@ -34,6 +34,14 @@ def _as_net(value, dim: int) -> Net:
     raise TypeError(f"cannot use {value!r} as a tensor component")
 
 
+def _object_array(shape, entry) -> np.ndarray:
+    """Object array holding ``entry(idx)`` at every index, in C order."""
+    out = np.empty(shape, dtype=object)
+    for idx in np.ndindex(shape):
+        out[idx] = entry(idx)
+    return out
+
+
 class GeneralizedTensorField:
     """Valence-(r, s) tensor field with one component net per chart."""
 
@@ -53,10 +61,7 @@ class GeneralizedTensorField:
             if src.shape != shape:
                 raise AtlasMismatch(
                     f"components for chart {c!r} have shape {src.shape}, want {shape}")
-            out = np.empty(shape, dtype=object)
-            for idx in np.ndindex(shape):
-                out[idx] = _as_net(src[idx], dim)
-            self.comps[c] = out
+            self.comps[c] = _object_array(shape, lambda idx: _as_net(src[idx], dim))
         self.label = label
 
     @property
@@ -87,12 +92,8 @@ class GeneralizedTensorField:
         self._check_peer(other)
         if other.valence != self.valence:
             raise InvalidSlots(f"valence {other.valence} != {self.valence}")
-        comps = {}
-        for c, arr in self.comps.items():
-            out = np.empty(arr.shape, dtype=object)
-            for idx in np.ndindex(arr.shape):
-                out[idx] = op(arr[idx], other.comps[c][idx])
-            comps[c] = out
+        comps = {c: _object_array(arr.shape, lambda idx: op(arr[idx], other.comps[c][idx]))
+                 for c, arr in self.comps.items()}
         return _make(self.atlas, self.valence, comps)
 
     def __add__(self, other):
@@ -119,12 +120,8 @@ class GeneralizedTensorField:
             weight = lambda c, net: net * float(w)
         else:
             return NotImplemented
-        comps = {}
-        for c, arr in self.comps.items():
-            out = np.empty(arr.shape, dtype=object)
-            for idx in np.ndindex(arr.shape):
-                out[idx] = weight(c, arr[idx])
-            comps[c] = out
+        comps = {c: _object_array(arr.shape, lambda idx: weight(c, arr[idx]))
+                 for c, arr in self.comps.items()}
         return _make(self.atlas, self.valence, comps)
 
     __rmul__ = __mul__
@@ -282,12 +279,7 @@ def contract(T: GeneralizedTensorField, up: int = 0, low: int = 0):
         nets = {c: traced(c, ()) for c in T.comps}
         return GeneralizedFunction(T.atlas, nets, label=f"tr {T.label}")
     shape = (dim,) * (r - 1 + s - 1)
-    comps = {}
-    for c in T.comps:
-        out = np.empty(shape, dtype=object)
-        for rest in np.ndindex(shape):
-            out[rest] = traced(c, rest)
-        comps[c] = out
+    comps = {c: _object_array(shape, lambda rest: traced(c, rest)) for c in T.comps}
     return _make(T.atlas, (r - 1, s - 1), comps, label=f"tr {T.label}")
 
 
@@ -446,14 +438,9 @@ def random_tensor_field(manifold: Manifold, valence, seed: int = 0) -> Generaliz
     atlas = manifold.atlas
     dim = atlas.dim
     shape = (dim,) * (r + s)
-    n_comp = int(np.prod(shape))
-    fns = random_coherent_functions(manifold, count=n_comp, seed=seed)
-    comps = {}
-    for c in atlas.charts:
-        arr = np.empty(shape, dtype=object)
-        for t, idx in enumerate(np.ndindex(shape)):
-            arr[idx] = fns[t].nets[c]
-        comps[c] = arr
+    fns = random_coherent_functions(manifold, count=int(np.prod(shape)), seed=seed)
+    comps = {c: _object_array(shape, lambda idx: fns[np.ravel_multi_index(idx, shape)].nets[c])
+             for c in atlas.charts}
     return _make(manifold, (r, s), comps, label=f"seeded {valence}")
 
 

@@ -1,7 +1,12 @@
 """Driver behavior: catalog, exit codes, files on disk, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import colombeau
 from colombeau.cli import main
 
 
@@ -92,3 +97,29 @@ def test_mechanics_quick_run(tmp_path):
     assert csv.splitlines()[0] == "t,q,p,E"
     report = json.loads((out / "report.json").read_text())
     assert report["config"]["eps"] == [0.01]
+
+
+_COLD_RUN = """
+import sys
+import colombeau.cli
+
+def scipy_loaded():
+    return [m for m in ("scipy.integrate", "scipy.special") if m in sys.modules]
+
+out = sys.argv[1]
+assert scipy_loaded() == [], ("after import", scipy_loaded())
+assert colombeau.cli.main(["run", "classify", "--out", out + "/classify"]) == 0
+assert scipy_loaded() == [], ("after classify", scipy_loaded())
+assert colombeau.cli.main(["run", "mechanics", "--eps", "1e-2", "--grid", "4..7",
+                           "--out", out + "/mechanics"]) == 0
+"""
+
+
+def test_cold_run_loads_scipy_only_where_it_integrates(tmp_path):
+    src = str(Path(colombeau.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", _COLD_RUN, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads((tmp_path / "mechanics" / "report.json").read_text())["pass"] is True

@@ -1,12 +1,17 @@
 """SmoothFn: exact derivative algebra and shape handling."""
 
+import conftest
 import numpy as np
 import pytest
 import sympy as sp
 
-from colombeau import smooth
+from colombeau import _mindex as mi
+from colombeau import experiments, gfunc, manifolds, smooth
 from colombeau.errors import DerivativeUnavailable, DimensionMismatch
-from colombeau.smooth import SmoothFn, constant, coordinate, from_sympy
+from colombeau.smooth import SmoothFn, constant, coordinate, from_sympy, smoothstep_expr
+
+# sympy's own functions, kept before any test patches them
+_DIFF, _LAMBDIFY = sp.diff, sp.lambdify
 
 
 @pytest.fixture(scope="module")
@@ -197,3 +202,138 @@ def test_leaf_memo_is_scoped_to_its_block(counted_sin):
     with smooth.leaf_memo():  # nothing retained from the earlier blocks
         f._partial_fn((0,), pts)
     assert len(calls) == 5
+
+
+# -- derivative chain and module choice ----------------------------------
+
+
+def _diff_from_scratch(expr, symbols, alpha):
+    """Reference: the derivative differentiated from ``expr`` axis by axis."""
+    d = expr
+    for s, k in zip(symbols, alpha):
+        if k:
+            d = _DIFF(d, s, k)
+    return d
+
+
+def _reference_values(expr, symbols, alpha, pts):
+    """Reference: the from-scratch derivative lambdified against numpy and scipy."""
+    fn = _LAMBDIFY(symbols, _diff_from_scratch(expr, symbols, alpha),
+                   modules=["numpy", "scipy"])
+    with np.errstate(all="ignore"):
+        out = fn(*[pts[:, i] for i in range(len(symbols))])
+    return np.broadcast_to(np.asarray(out, dtype=float), (pts.shape[0],))
+
+
+def _smoothstep_by_subs(u):
+    """Reference: the smoothstep as the glue step with t replaced by u."""
+    t = sp.Symbol("t", real=True)
+    up, dn = sp.exp(-1 / t), sp.exp(-1 / (1 - t))
+    step = sp.Piecewise((sp.Integer(0), t <= smooth._GLUE_TAU),
+                        (sp.Integer(1), t >= 1 - smooth._GLUE_TAU),
+                        (up / (up + dn), True))
+    return step.subs(t, u)
+
+
+@pytest.fixture
+def sympy_calls(monkeypatch):
+    """Record each ``sp.diff`` call and each expression handed to ``sp.lambdify``."""
+    diffs, lambdified = [], []
+
+    def diff(*args, **kwargs):
+        diffs.append(args[1:])
+        return _DIFF(*args, **kwargs)
+
+    def lambdify(symbols, expr, modules=None):
+        lambdified.append((expr, modules))
+        return _LAMBDIFY(symbols, expr, modules=modules)
+
+    monkeypatch.setattr(sp, "diff", diff)
+    monkeypatch.setattr(sp, "lambdify", lambdify)
+    return diffs, lambdified
+
+
+def _poly3():
+    x, y, z = sp.symbols("x y z")
+    return (1 + x * y - 2 * z ** 2) ** 3 + x ** 4 * z - y ** 3 * z ** 2, (x, y, z)
+
+
+def _smoothstep_product2():
+    x, y = sp.symbols("x y")
+    return (smoothstep_expr((x + sp.Rational(3, 2)) / sp.Rational(3, 10))
+            * smoothstep_expr((1 - y) / 0.6)), (x, y)
+
+
+@pytest.mark.parametrize("build", [_poly3, _smoothstep_product2])
+def test_derivatives_from_the_parent_match_from_scratch(build, sympy_calls):
+    diffs, lambdified = sympy_calls
+    expr, symbols = build()
+    dim = len(symbols)
+    f = from_sympy(expr, symbols)
+    alphas = mi.up_to(dim, 3)
+    order = np.random.default_rng(3).permutation(len(alphas))  # parents not first
+    pts = np.random.default_rng(4).uniform(-1.6, 1.6, size=(64, dim))
+    for j in order:
+        alpha = alphas[j]
+        got = f._partial_fn(alpha, pts)
+        f._partial_fn(alpha, pts)  # a repeat lambdifies and differentiates nothing
+        d, modules = lambdified[-1]
+        assert d == _diff_from_scratch(expr, symbols, alpha), alpha
+        assert modules == [np]
+        want = _reference_values(expr, symbols, alpha, pts)
+        got = np.broadcast_to(np.asarray(got, dtype=float), want.shape)
+        assert got.tobytes() == want.tobytes(), alpha
+    assert len(lambdified) == len(alphas)
+    assert len(diffs) == len(alphas) - 1  # one per distinct nonzero multi-index
+
+
+def test_a_derivative_extends_its_parent_by_one_axis(sympy_calls):
+    diffs, _ = sympy_calls
+    x, y = sp.symbols("x y")
+    f = from_sympy(sp.sin(x * y) * sp.exp(y), [x, y])
+    pts = np.zeros((3, 2))
+    f._partial_fn((2, 1), pts)  # (0, 0) -> (2, 0) -> (2, 1)
+    assert [d[:2] for d in diffs] == [(x, 2), (y, 1)]
+    f._partial_fn((2, 0), pts)
+    f._partial_fn((2, 3), pts)  # (2, 0) -> (2, 3)
+    assert [d[:2] for d in diffs[2:]] == [(y, 3)]
+
+
+@pytest.mark.parametrize("make", [sp.erf, sp.gamma, lambda v: sp.besselj(0, v)],
+                         ids=["erf", "gamma", "besselj0"])
+def test_functions_numpy_lacks_lambdify_against_scipy(make):
+    x = sp.Symbol("x")
+    expr = make(x)
+    assert smooth._modules(expr) == ["numpy", "scipy"]
+    f = from_sympy(expr, [x])
+    pts = np.linspace(0.3, 4.0, 37).reshape(-1, 1)
+    for k in range(3):
+        want = _reference_values(expr, (x,), (k,), pts)
+        assert f._partial_fn((k,), pts).tobytes() == want.tobytes(), k
+
+
+def test_library_functions_lambdify_against_numpy_alone():
+    th = sp.Symbol("theta")
+    for expr in (smoothstep_expr(sp.cos(th) / 2), sp.sin(th) * sp.exp(th),
+                 sp.Piecewise((th, th < sp.pi), (th - 2 * sp.pi, True))):
+        assert smooth._modules(expr) == [np]
+
+
+def test_smoothstep_is_the_substituted_glue_step(monkeypatch):
+    """Every argument the library and the shared fixtures pass is checked."""
+    seen = []
+
+    def recording(u):
+        seen.append(u)
+        return smoothstep_expr(u)
+
+    for mod in (manifolds, gfunc, experiments, conftest):
+        monkeypatch.setattr(mod, "smoothstep_expr", recording)
+    gfunc.default_densities(manifolds.circle(), per_chart=2)  # two bumps per chart
+    experiments._window_expr(1.2, 2.0)
+    conftest.build_cubic_line()
+    assert len(seen) == 5 + 2 * 2 * 2 + 2 + 4
+    assert any(isinstance(a, sp.Rational) and not a.is_integer
+               for u in seen for a in u.atoms(sp.Number))
+    for u in seen + [sp.Symbol("t", real=True)]:
+        assert sp.srepr(smoothstep_expr(u)) == sp.srepr(_smoothstep_by_subs(u)), u
