@@ -161,63 +161,75 @@ def overlap_residual(atlas: Atlas, comps: dict, valence, grid, n_samples: int,
     chart-a components are compared on the overlap boxes against the
     pullback of the chart-b ones: inverse-J factors on upper slots, J
     factors on lower slots, chart-b components at the mapped points.
-    Per eps the sup over components and lattice points is clamped to
-    zero below ``rtol`` times the value scale plus ``grad_rtol`` times
-    the chart-a first-derivative scale, then order-fitted.  The
-    first-derivative scale is evaluated only when the value term alone
-    does not clamp.  Each box's eps sweep runs in one
+    Per eps and box the sup over components and lattice points is
+    clamped to zero below ``rtol`` times the value scale plus
+    ``grad_rtol`` times the chart-a first-derivative scale, then each
+    box is order-fitted.  The first-derivative scale is evaluated only
+    when the value term alone does not clamp some box.  The lattices of
+    a transition's boxes are concatenated into one lattice, mapped once
+    and evaluated once per component and eps; each box reads its sup
+    from its own slice.  A transition's eps sweep runs in one
     :func:`smooth.leaf_memo` block, so a sympy leaf is evaluated once
-    per multi-index and lattice of that box.  The family is coherent
-    when every fit is negligible.
+    per multi-index and lattice.  Memory is bounded by one transition:
+    a leaf call sees at most its boxes' n_samples**dim points each, and
+    the memo holds only that transition's sweep.  The family is
+    coherent when every fit is negligible.
     """
     dim = atlas.dim
     r, s = valence
     zero = (0,) * dim
+    grid = tuple(float(e) for e in (dyadic_grid() if grid is None else grid))
     rows = []
     coherent = True
     for (a, b), tr in sorted(atlas.transitions.items()):
-        if a not in comps or b not in comps:
+        if a not in comps or b not in comps or not atlas.overlap_boxes[(a, b)]:
             continue
         ca, cb = comps[a], comps[b]
-        for k, box in enumerate(atlas.overlap_boxes[(a, b)]):
-            x = box_lattice(box, n_samples)
-            y = tr.fn(x)
-            # the weights need J on lower slots and its inverse on upper ones
-            jac = np.asarray(tr.jac(x), dtype=float) if r + s else None
-            jinv = np.linalg.inv(jac) if r else None
+        lattices = [box_lattice(box, n_samples) for box in atlas.overlap_boxes[(a, b)]]
+        starts = np.cumsum([0] + [len(p) for p in lattices[:-1]])
+        x = np.concatenate(lattices)
+        y = tr.fn(x)
+        # the weights need J on lower slots and its inverse on upper ones
+        jac = np.asarray(tr.jac(x), dtype=float) if r + s else None
+        jinv = np.linalg.inv(jac) if r else None
 
-            def gap_at(e):
-                gap, s0, s1 = 0.0, 0.0, 0.0
-                vb = {kdx: np.asarray(cb[kdx].at(e)._partial_fn(zero, y))
-                      for kdx in np.ndindex(cb.shape)}
-                fas = [ca[idx].at(e) for idx in np.ndindex(ca.shape)]
-                for idx, fa in zip(np.ndindex(ca.shape), fas):
-                    va = np.asarray(fa._partial_fn(zero, x))
-                    pullback = np.zeros(len(x))
-                    for kdx in np.ndindex(cb.shape):
-                        w = np.ones(len(x))
-                        for ai in range(r):
-                            w = w * jinv[:, idx[ai], kdx[ai]]
-                        for bi in range(s):
-                            w = w * jac[:, kdx[r + bi], idx[r + bi]]
-                        pullback = pullback + w * vb[kdx]
-                    gap = max(gap, float(np.max(np.abs(va - pullback))))
-                    s0 = max(s0, float(np.max(np.abs(va))),
-                             float(np.max(np.abs(pullback))))
-                # grad_rtol * s1 >= 0, so the derivative scale can only
-                # decide the clamp when the value term alone does not
-                if gap <= rtol * s0:
-                    return 0.0
+        def raise_to(acc, vals):
+            # per box: the max of |vals| over its own slice joins the running
+            # sup; fmax, like Python's max(acc, v), never lets a NaN in
+            return np.fmax(acc, np.maximum.reduceat(
+                np.broadcast_to(np.abs(vals), (len(x),)), starts))
+
+        def gaps_at(e):
+            gap, s0, s1 = (np.zeros(len(lattices)) for _ in range(3))
+            vb = {kdx: np.asarray(cb[kdx].at(e)._partial_fn(zero, y))
+                  for kdx in np.ndindex(cb.shape)}
+            fas = [ca[idx].at(e) for idx in np.ndindex(ca.shape)]
+            for idx, fa in zip(np.ndindex(ca.shape), fas):
+                va = np.asarray(fa._partial_fn(zero, x))
+                pullback = np.zeros(len(x))
+                for kdx in np.ndindex(cb.shape):
+                    w = np.ones(len(x))
+                    for ai in range(r):
+                        w = w * jinv[:, idx[ai], kdx[ai]]
+                    for bi in range(s):
+                        w = w * jac[:, kdx[r + bi], idx[r + bi]]
+                    pullback = pullback + w * vb[kdx]
+                gap = raise_to(gap, va - pullback)
+                s0 = raise_to(raise_to(s0, va), pullback)
+            # grad_rtol * s1 >= 0, so the derivative scale can only
+            # decide the clamp of a box the value term alone does not clamp
+            if np.any(gap > rtol * s0):
                 for fa in fas:
                     for i in range(dim):
-                        s1 = max(s1, float(np.max(np.abs(
-                            fa._partial_fn(mi.unit(dim, i), x)))))
-                return 0.0 if gap <= rtol * s0 + grad_rtol * s1 else gap
+                        s1 = raise_to(s1, fa._partial_fn(mi.unit(dim, i), x))
+            return np.where(gap <= rtol * s0 + grad_rtol * s1, 0.0, gap)
 
-            # clamped gaps are exact zeros: the fit counts them at its floor;
-            # the memo serves the leaves every eps and component share
-            with leaf_memo():
-                fit = classify_scalar_net(gap_at, grid, m_max=m_max)
+        # clamped gaps are exact zeros: the fit counts them at its floor;
+        # the memo serves the leaves every eps and component share
+        with leaf_memo():
+            sweep = {e: gaps_at(e) for e in grid}
+        for k in range(len(lattices)):
+            fit = classify_scalar_net(lambda e: sweep[e][k], grid, m_max=m_max)
             ok = fit.is_negligible
             coherent = coherent and ok
             rows.append({

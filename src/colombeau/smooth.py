@@ -16,7 +16,9 @@ scratch axis by axis, so the expressions are unchanged.  A derivative is
 lambdified against the numpy module, whose namespace spares the ``from
 numpy import *`` that loads every numpy submodule, unless it names a
 function numpy lacks (``erf``, ``gamma``, ``besselj``); only then is
-``scipy.special`` loaded.
+``scipy.special`` loaded.  ``lambdify`` runs with ``docstring_limit=0``:
+the generated code is the same, but the expression is not printed a
+second time only to fill the callable's docstring.
 
 Inside a ``leaf_memo()`` block each ``from_sympy`` leaf evaluates a
 given multi-index on a given lattice once; later calls get the stored
@@ -24,7 +26,8 @@ values.  Lattices are keyed by dtype, shape and exact bytes, never by a
 digest, and the values are read-only.  The memo lives only while the
 outermost block runs and is dropped on exit, by exception too, so it
 holds at most the leaf values of the lattices that one block evaluates.
-Overlap-residual sweeps open one block per (transition, box).
+Overlap-residual sweeps open one block per transition, whose boxes they
+evaluate as one lattice.
 """
 
 from __future__ import annotations
@@ -294,7 +297,7 @@ def from_sympy(expr, symbols: Sequence[sp.Symbol], label="") -> SmoothFn:
         fn = cache.get(alpha)
         if fn is None:
             d = derivative(alpha)
-            fn = cache[alpha] = sp.lambdify(symbols, d, modules=_modules(d))
+            fn = cache[alpha] = sp.lambdify(symbols, d, modules=_modules(d), docstring_limit=0)
         return fn
 
     def evaluate(alpha, pts):

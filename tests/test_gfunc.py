@@ -236,8 +236,9 @@ def test_coherence_of_rough_nets_clamps_rounding(fourier, s1):
 
 
 def _reference_rows(atlas, comps, valence, grid, n_samples):
-    """The overlap residual's rows from an eager loop: no leaf memo, and
-    the first-derivative scale evaluated at every (box, eps)."""
+    """The overlap residual's rows from an eager loop, one box at a time:
+    no leaf memo, and the first-derivative scale evaluated at every
+    (box, eps)."""
     dim = atlas.dim
     r, s = valence
     zero = (0,) * dim
@@ -293,6 +294,12 @@ def _residual_inputs(name, request):
     if name == "circle-product":
         U, V = T.random_coherent_functions(s1, count=2, seed=0)
         return s1.atlas, scalar(U * V), (0, 0), dyadic_grid(4, 9), 61
+    if name == "torus-field-apply":
+        # rank 0 at the default 61**2 lattice: 2- and 4-box transitions
+        t2 = torus2()
+        (U,) = T.random_coherent_functions(t2, count=1, seed=3)
+        Xi = T.random_tensor_field(t2, (1, 0), seed=53)
+        return t2.atlas, scalar(T.field_apply(Xi, U)), (0, 0), dyadic_grid(4, 9), 61
     if name == "torus-bracket":
         t2 = torus2()
         F = T.bracket(T.random_tensor_field(t2, (1, 0), seed=50),
@@ -325,12 +332,13 @@ def _residual_inputs(name, request):
     return atlas, F.comps, F.valence, dyadic_grid(4, 9), 17
 
 
-@pytest.mark.parametrize("name", ["circle-product", "torus-bracket", "incoherent-field",
-                                  "embedded-dirac", "rough-cubic", "jacobian-field",
-                                  "jacobian-one-form"])
+@pytest.mark.parametrize("name", ["circle-product", "torus-field-apply", "torus-bracket",
+                                  "incoherent-field", "embedded-dirac", "rough-cubic",
+                                  "jacobian-field", "jacobian-one-form"])
 def test_overlap_residual_rows_match_eager_reference(name, request):
-    # the sweep's leaf memo and its skipped derivative scale change no row:
-    # slopes and max gaps bitwise, clamp counts and verdicts exactly
+    # the per-transition lattice, the sweep's leaf memo and its skipped
+    # derivative scale change no row: slopes and max gaps bitwise, clamp
+    # counts and verdicts exactly
     atlas, comps, valence, grid, n = _residual_inputs(name, request)
     rep = G.overlap_residual(atlas, comps, valence, grid, n, DEFAULT_M_MAX,
                              G.COHERENCE_RTOL, G.COHERENCE_GRAD_RTOL)
@@ -338,6 +346,36 @@ def test_overlap_residual_rows_match_eager_reference(name, request):
            for row in rep["rows"]]
     assert got == _reference_rows(atlas, comps, valence, grid, n)
     assert rep["coherent"] is (name != "incoherent-field")
+
+
+def test_overlap_residual_evaluates_one_lattice_per_transition(monkeypatch):
+    # every leaf call sees one transition's boxes together, as chart-a
+    # points or their images: never one box alone, never a whole chart
+    t2, n = torus2(), 61
+    U, V = T.random_coherent_functions(t2, count=2, seed=6)
+    lattices = {}
+    for (a, b), tr in t2.atlas.transitions.items():
+        x = np.concatenate([box_lattice(box, n) for box in t2.atlas.overlap_boxes[(a, b)]])
+        lattices[x.tobytes()] = lattices[tr.fn(x).tobytes()] = (a, b)
+    seen = []
+    lambdify = sp.lambdify
+
+    def recording(*args, **kwargs):
+        fn = lambdify(*args, **kwargs)
+
+        def wrapped(*cols):
+            seen.append((len(cols[0]), np.column_stack(cols).tobytes()))
+            return fn(*cols)
+
+        return wrapped
+
+    monkeypatch.setattr(sp, "lambdify", recording)
+    rep = G.coherence_check(U * V, grid=dyadic_grid(4, 9), n_samples=n)
+    assert rep["coherent"] and len(rep["rows"]) == 32
+    assert max(m for m, _ in seen) <= 4 * n ** 2
+    owners = [lattices.get(pts) for _, pts in seen]  # None: no transition's lattice
+    assert None not in owners
+    assert set(owners) == set(t2.atlas.transitions)
 
 
 # -- association -----------------------------------------------------------

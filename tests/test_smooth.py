@@ -1,5 +1,7 @@
 """SmoothFn: exact derivative algebra and shape handling."""
 
+import inspect
+
 import conftest
 import numpy as np
 import pytest
@@ -237,16 +239,18 @@ def _smoothstep_by_subs(u):
 
 @pytest.fixture
 def sympy_calls(monkeypatch):
-    """Record each ``sp.diff`` call and each expression handed to ``sp.lambdify``."""
+    """Record each ``sp.diff`` call, and each expression handed to ``sp.lambdify``
+    with its modules and the callable it returned."""
     diffs, lambdified = [], []
 
     def diff(*args, **kwargs):
         diffs.append(args[1:])
         return _DIFF(*args, **kwargs)
 
-    def lambdify(symbols, expr, modules=None):
-        lambdified.append((expr, modules))
-        return _LAMBDIFY(symbols, expr, modules=modules)
+    def lambdify(symbols, expr, modules=None, **kwargs):
+        fn = _LAMBDIFY(symbols, expr, modules=modules, **kwargs)
+        lambdified.append((expr, modules, fn))
+        return fn
 
     monkeypatch.setattr(sp, "diff", diff)
     monkeypatch.setattr(sp, "lambdify", lambdify)
@@ -277,9 +281,12 @@ def test_derivatives_from_the_parent_match_from_scratch(build, sympy_calls):
         alpha = alphas[j]
         got = f._partial_fn(alpha, pts)
         f._partial_fn(alpha, pts)  # a repeat lambdifies and differentiates nothing
-        d, modules = lambdified[-1]
+        d, modules, fn = lambdified[-1]
         assert d == _diff_from_scratch(expr, symbols, alpha), alpha
         assert modules == [np]
+        # lambdify skips only printing the docstring: the code is the default's
+        assert "EXPRESSION REDACTED" in fn.__doc__
+        assert inspect.getsource(fn) == inspect.getsource(_LAMBDIFY(symbols, d, modules=[np]))
         want = _reference_values(expr, symbols, alpha, pts)
         got = np.broadcast_to(np.asarray(got, dtype=float), want.shape)
         assert got.tobytes() == want.tobytes(), alpha
