@@ -321,6 +321,14 @@ def homotopy_H(omega: GeneralizedKForm, n_t: int = 32):
     Gauss-Legendre with ``n_t`` nodes in t.  The resulting component
     evaluators carry exact derivative rules, so d(H w) is available
     analytically.  A 1-form collapses to a generalized function.
+
+    An evaluation on m points stacks the n_t scaled lattices t_q * x
+    into one lattice of n_t * m points and evaluates each source
+    component and multi-index it needs once on that stack: a leaf call
+    sees n_t * m points, and an evaluation holds at most 2 * dim value
+    arrays of that length.  The sum over the nodes then runs node by
+    node in the same order as a per-node loop, so the values are the
+    same to the bit.
     """
     if not isinstance(omega, GeneralizedKForm):
         raise InvalidDegree("the homotopy applies to forms of degree >= 1")
@@ -347,16 +355,25 @@ def homotopy_H(omega: GeneralizedKForm, n_t: int = 32):
 
             def pfn(alpha, pts):
                 n_a = mi.order(alpha)
-                out = np.zeros(pts.shape[0])
-                for tq, wq in zip(t_nodes, t_weights):
-                    scaled = tq * pts
-                    layer = np.zeros(pts.shape[0])
+                n = pts.shape[0]
+                stack = (t_nodes[:, None, None] * pts).reshape(-1, dim)
+                vals = {}  # (key, multi-index) -> values on the stack, per node
+
+                def at(key, beta):
+                    if (key, beta) not in vals:
+                        v = fns[key]._partial_fn(beta, stack)
+                        vals[key, beta] = np.broadcast_to(v, (len(stack),)).reshape(len(t_nodes), n)
+                    return vals[key, beta]
+
+                # no np.sum over the nodes: its pairwise order would change the bits
+                out = np.zeros(n)
+                for q, (tq, wq) in enumerate(zip(t_nodes, t_weights)):
+                    layer = np.zeros(n)
                     for sign, m, key in terms:
-                        f = fns[key]
-                        val = pts[:, m] * tq ** n_a * f._partial_fn(alpha, scaled)
+                        val = pts[:, m] * tq ** n_a * at(key, alpha)[q]
                         if alpha[m]:
                             val = val + alpha[m] * tq ** (n_a - 1) \
-                                * f._partial_fn(mi.sub(alpha, mi.unit(dim, m)), scaled)
+                                * at(key, mi.sub(alpha, mi.unit(dim, m)))[q]
                         layer = layer + sign * val
                     out = out + wq * tq ** (k - 1) * layer
                 return out

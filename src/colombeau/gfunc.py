@@ -165,15 +165,23 @@ def overlap_residual(atlas: Atlas, comps: dict, valence, grid, n_samples: int,
     clamped to zero below ``rtol`` times the value scale plus
     ``grad_rtol`` times the chart-a first-derivative scale, then each
     box is order-fitted.  The first-derivative scale is evaluated only
-    when the value term alone does not clamp some box.  The lattices of
-    a transition's boxes are concatenated into one lattice, mapped once
-    and evaluated once per component and eps; each box reads its sup
-    from its own slice.  A transition's eps sweep runs in one
-    :func:`smooth.leaf_memo` block, so a sympy leaf is evaluated once
-    per multi-index and lattice.  Memory is bounded by one transition:
-    a leaf call sees at most its boxes' n_samples**dim points each, and
-    the memo holds only that transition's sweep.  The family is
-    coherent when every fit is negligible.
+    when the value term alone does not clamp some box.  A box whose gap
+    or scale is non-finite (NaN or infinite) at any eps is not clamped
+    at that eps: its row has verdict ``"non-finite"``, NaN slope and
+    max_gap, and is not negligible.
+
+    The lattices of a transition's boxes are concatenated into one
+    read-only lattice x, mapped once to its read-only image y, and
+    evaluated once per component and eps; each box reads its sup from
+    its own slice.  The pullback weights (products of J and inverse-J
+    entries per pair of chart-a and chart-b components) are computed
+    once per transition, outside the eps loop.  A transition's eps sweep
+    runs in one :func:`smooth.leaf_memo` block that registers x and y,
+    so a sympy leaf is evaluated once per multi-index on each.  Memory
+    is bounded by one transition: a leaf call sees at most its boxes'
+    n_samples**dim points each, the weights take dim**(2(r+s)) arrays of
+    that length, and the memo holds only that transition's sweep.  The
+    family is coherent when every fit is negligible.
     """
     dim = atlas.dim
     r, s = valence
@@ -189,14 +197,27 @@ def overlap_residual(atlas: Atlas, comps: dict, valence, grid, n_samples: int,
         starts = np.cumsum([0] + [len(p) for p in lattices[:-1]])
         x = np.concatenate(lattices)
         y = tr.fn(x)
+        if not y.flags.owndata:
+            y = y.copy()
+        # the leaf memo keys x and y by identity, so they must not change
+        x.flags.writeable = y.flags.writeable = False
         # the weights need J on lower slots and its inverse on upper ones
         jac = np.asarray(tr.jac(x), dtype=float) if r + s else None
         jinv = np.linalg.inv(jac) if r else None
+        weights = {}
+        for idx in np.ndindex(ca.shape):
+            for kdx in np.ndindex(cb.shape):
+                w = np.ones(len(x))
+                for ai in range(r):
+                    w = w * jinv[:, idx[ai], kdx[ai]]
+                for bi in range(s):
+                    w = w * jac[:, kdx[r + bi], idx[r + bi]]
+                weights[idx, kdx] = w
 
         def raise_to(acc, vals):
             # per box: the max of |vals| over its own slice joins the running
-            # sup; fmax, like Python's max(acc, v), never lets a NaN in
-            return np.fmax(acc, np.maximum.reduceat(
+            # sup; np.maximum lets a NaN through, so a NaN box stays NaN
+            return np.maximum(acc, np.maximum.reduceat(
                 np.broadcast_to(np.abs(vals), (len(x),)), starts))
 
         def gaps_at(e):
@@ -208,12 +229,7 @@ def overlap_residual(atlas: Atlas, comps: dict, valence, grid, n_samples: int,
                 va = np.asarray(fa._partial_fn(zero, x))
                 pullback = np.zeros(len(x))
                 for kdx in np.ndindex(cb.shape):
-                    w = np.ones(len(x))
-                    for ai in range(r):
-                        w = w * jinv[:, idx[ai], kdx[ai]]
-                    for bi in range(s):
-                        w = w * jac[:, kdx[r + bi], idx[r + bi]]
-                    pullback = pullback + w * vb[kdx]
+                    pullback = pullback + weights[idx, kdx] * vb[kdx]
                 gap = raise_to(gap, va - pullback)
                 s0 = raise_to(raise_to(s0, va), pullback)
             # grad_rtol * s1 >= 0, so the derivative scale can only
@@ -222,13 +238,23 @@ def overlap_residual(atlas: Atlas, comps: dict, valence, grid, n_samples: int,
                 for fa in fas:
                     for i in range(dim):
                         s1 = raise_to(s1, fa._partial_fn(mi.unit(dim, i), x))
-            return np.where(gap <= rtol * s0 + grad_rtol * s1, 0.0, gap)
+            # a non-finite gap or scale must not clamp: it reads NaN
+            finite = np.isfinite(gap) & np.isfinite(s0) & np.isfinite(s1)
+            return np.where(finite, np.where(gap <= rtol * s0 + grad_rtol * s1, 0.0, gap),
+                            np.nan)
 
         # clamped gaps are exact zeros: the fit counts them at its floor;
         # the memo serves the leaves every eps and component share
-        with leaf_memo():
+        with leaf_memo(x, y):
             sweep = {e: gaps_at(e) for e in grid}
         for k in range(len(lattices)):
+            gaps = [sweep[e][k] for e in grid]
+            if not np.all(np.isfinite(gaps)):
+                coherent = False
+                rows.append({"pair": [a, b], "box": k, "slope": math.nan,
+                             "verdict": "non-finite", "negligible": False,
+                             "n_clamped": gaps.count(0.0), "max_gap": math.nan})
+                continue
             fit = classify_scalar_net(lambda e: sweep[e][k], grid, m_max=m_max)
             ok = fit.is_negligible
             coherent = coherent and ok

@@ -20,14 +20,19 @@ function numpy lacks (``erf``, ``gamma``, ``besselj``); only then is
 the generated code is the same, but the expression is not printed a
 second time only to fill the callable's docstring.
 
-Inside a ``leaf_memo()`` block each ``from_sympy`` leaf evaluates a
-given multi-index on a given lattice once; later calls get the stored
-values.  Lattices are keyed by dtype, shape and exact bytes, never by a
-digest, and the values are read-only.  The memo lives only while the
-outermost block runs and is dropped on exit, by exception too, so it
-holds at most the leaf values of the lattices that one block evaluates.
-Overlap-residual sweeps open one block per transition, whose boxes they
-evaluate as one lattice.
+A ``leaf_memo(*lattices)`` block names the lattice arrays it sweeps.
+Inside it each ``from_sympy`` leaf evaluates a given multi-index on a
+registered lattice once; later calls with that same array object get
+the stored values.  The memo is keyed by the identity of the array, not
+by its contents: an equal-valued copy or a view is another lattice and
+is evaluated afresh.  So a registered lattice must be read-only, and so
+must the array it views, if any; the block holds a reference to each,
+which keeps its id from being reused while the block runs.  Stored
+values are read-only too.  The memo lives only while the outermost
+block runs and is dropped on exit, by exception too, so it holds at
+most the leaf values of the lattices that one block registers.
+Overlap-residual sweeps open one block per transition and register its
+chart-a lattice and the lattice's image.
 """
 
 from __future__ import annotations
@@ -46,26 +51,36 @@ from .errors import DerivativeUnavailable, DimensionMismatch
 __all__ = ["SmoothFn", "from_sympy", "constant", "coordinate", "glue_exprs", "lift_axis",
            "leaf_memo"]
 
-# lattice key -> {(leaf, alpha): read-only values} inside a leaf_memo block
-_memo: dict | None = None
+# id(lattice) -> (lattice, {(leaf, alpha): read-only values}) inside a
+# leaf_memo block; holding the lattice keeps its id from being reused
+_memo: dict[int, tuple[np.ndarray, dict]] | None = None
 
 
 @contextlib.contextmanager
-def leaf_memo():
+def leaf_memo(*lattices: np.ndarray):
     """Evaluate each sympy leaf once per (multi-index, lattice) in this block.
 
-    A nested block joins the memo that is already open; the outermost
-    block drops it on exit.
+    Only the ``lattices`` named here are memoized, by identity; each must
+    be a read-only array whose base, if any, is read-only too, else
+    ``ValueError``.  A nested block adds its lattices to the memo that
+    is already open; the outermost block drops it on exit.
     """
     global _memo
-    if _memo is not None:
-        yield
-        return
-    _memo = {}
+    for a in lattices:
+        if (not isinstance(a, np.ndarray) or a.flags.writeable
+                or (isinstance(a.base, np.ndarray) and a.base.flags.writeable)):
+            raise ValueError("a leaf_memo lattice must be a read-only array "
+                             "that views no writable array")
+    outer = _memo is None
+    if outer:
+        _memo = {}
+    for a in lattices:
+        _memo.setdefault(id(a), (a, {}))
     try:
         yield
     finally:
-        _memo = None
+        if outer:
+            _memo = None
 
 
 def _as_points(x, dim: int):
@@ -278,8 +293,9 @@ def from_sympy(expr, symbols: Sequence[sp.Symbol], label="") -> SmoothFn:
     """Build a SmoothFn from a sympy expression; derivatives are symbolic.
 
     Derivatives and lambdified callables are cached per multi-index, on this
-    leaf only.  Inside a ``leaf_memo()`` block values are also memoized per
-    multi-index and lattice (dtype, shape and exact bytes), read-only.
+    leaf only.  Inside a ``leaf_memo(*lattices)`` block values are also
+    memoized, read-only, per multi-index and registered lattice, keyed by
+    the array's identity; any other array is evaluated directly.
     """
     symbols = tuple(symbols)
     dim = len(symbols)
@@ -311,9 +327,11 @@ def from_sympy(expr, symbols: Sequence[sp.Symbol], label="") -> SmoothFn:
         return out
 
     def pfn(alpha, pts):
-        if _memo is None:
+        # the memo holds each registered lattice, so no other live array has its id
+        entry = None if _memo is None else _memo.get(id(pts))
+        if entry is None:
             return evaluate(alpha, pts)
-        values = _memo.setdefault((pts.dtype.str, pts.shape, pts.tobytes()), {})
+        values = entry[1]
         out = values.get((lam, alpha))
         if out is None:
             out = evaluate(alpha, pts)

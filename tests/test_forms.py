@@ -204,6 +204,54 @@ def test_poincare_identity_all_degrees(space3):
         assert rep["max_residual"] < 1e-7
 
 
+def _homotopy_per_node(omega, J, eps, alpha, pts, n_t=32):
+    """Reference: the homotopy component J of ``omega`` at ``eps``, evaluated
+    node by node in t, each source leaf called once per node."""
+    from colombeau import _mindex as mi
+    from colombeau.quadrature import gauss_legendre
+    dim, k = omega.atlas.dim, omega.degree
+    g, w = gauss_legendre(n_t)
+    terms = []
+    for m in range(dim):
+        sign, key = F.canonical_index((m,) + J)
+        if sign != 0:
+            terms.append((sign, m, omega.comps["0"][key].at(eps)))
+    n_a = mi.order(alpha)
+    out = np.zeros(pts.shape[0])
+    for tq, wq in zip((g + 1.0) / 2.0, w / 2.0):
+        scaled = tq * pts
+        layer = np.zeros(pts.shape[0])
+        for sign, m, f in terms:
+            val = pts[:, m] * tq ** n_a * f._partial_fn(alpha, scaled)
+            if alpha[m]:
+                val = val + alpha[m] * tq ** (n_a - 1) \
+                    * f._partial_fn(mi.sub(alpha, mi.unit(dim, m)), scaled)
+            layer = layer + sign * val
+        out = out + wq * tq ** (k - 1) * layer
+    return out
+
+
+def test_homotopy_on_stacked_nodes_matches_per_node_loop(space3):
+    from colombeau import _mindex as mi
+    trig = {}
+    for i, K in enumerate(F.index_tuples(3, 2)):
+        f = from_sympy(sp.sin(X0 + i * X1) * sp.exp(-X2) + sp.cos(2 * X2), [X0, X1, X2])
+        trig[K] = Net(3, lambda e, f=f: f * (1.0 + e))
+    forms = [seeded_form(space3, k, seed) for k, seed in ((1, 31), (2, 32), (3, 33))]
+    forms.append(F.GeneralizedKForm(space3, 2, {"0": trig}))
+    pts = box_lattice(space3.atlas.charts["0"].sample_box, 5)
+    for omega in forms:
+        H = F.homotopy_H(omega)
+        comps = {(): H.nets["0"]} if omega.degree == 1 else H.comps["0"]
+        for J, net in comps.items():
+            for eps in (0.5, 2.0 ** -9):
+                fn = net.at(eps)
+                for alpha in mi.up_to(3, 2):
+                    got = np.broadcast_to(fn._partial_fn(alpha, pts), (len(pts),))
+                    want = _homotopy_per_node(omega, J, eps, alpha, pts)
+                    assert got.tobytes() == want.tobytes(), (omega.degree, J, alpha)
+
+
 def test_homotopy_domain_guard(t2, line):
     w = F.random_kform(t2, 1, seed=1)
     with pytest.raises(DomainError):

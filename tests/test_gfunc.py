@@ -1,6 +1,8 @@
 """Generalized functions on atlases: algebra, classification, point
 values, coherence, association, products, and the atlas embedding."""
 
+import contextlib
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -376,6 +378,71 @@ def test_overlap_residual_evaluates_one_lattice_per_transition(monkeypatch):
     owners = [lattices.get(pts) for _, pts in seen]  # None: no transition's lattice
     assert None not in owners
     assert set(owners) == set(t2.atlas.transitions)
+
+
+def _evaluations(monkeypatch, check):
+    """(lambdified leaf evaluations, distinct (leaf, multi-index, lattice)
+    triples) during ``check()``; lattices by content, within one leaf-memo
+    block, as a content-keyed memo would serve them."""
+    calls, triples, block = [], set(), [0]
+    lambdify, leaf_memo = sp.lambdify, G.leaf_memo
+
+    def recording(*args, **kwargs):
+        fn, serial = lambdify(*args, **kwargs), len(calls)  # one per leaf and alpha
+        calls.append(0)
+
+        def wrapped(*cols):
+            calls[serial] += 1
+            triples.add((block[0], serial, np.column_stack(cols).tobytes()))
+            return fn(*cols)
+
+        return wrapped
+
+    @contextlib.contextmanager
+    def numbered(*lattices):
+        block[0] += 1
+        with leaf_memo(*lattices):
+            yield
+
+    monkeypatch.setattr(sp, "lambdify", recording)
+    monkeypatch.setattr(G, "leaf_memo", numbered)
+    assert check()["coherent"]
+    return sum(calls), len(triples)
+
+
+@pytest.mark.parametrize("name", ["field_apply", "bracket"])
+def test_coherence_sweep_evaluates_each_leaf_once_per_lattice(name, monkeypatch):
+    # a memo keyed by the registered lattices must serve every repeat a
+    # content-keyed memo would: a lost hit shows as an extra evaluation
+    # (96 and 288 are also the counts of the former content-keyed memo)
+    t2 = torus2()
+    (U,) = T.random_coherent_functions(t2, count=1, seed=3)
+    Xi = T.random_tensor_field(t2, (1, 0), seed=50)
+    Yi = T.random_tensor_field(t2, (1, 0), seed=75)
+    grid = dyadic_grid(4, 9)
+    check, expected = {
+        "field_apply": (lambda: G.coherence_check(T.field_apply(Xi, U), grid=grid), 96),
+        "bracket": (lambda: T.coherence_check_tensor(T.bracket(Xi, Yi), grid=grid,
+                                                     n_samples=9), 288),
+    }[name]
+    calls, distinct = _evaluations(monkeypatch, check)
+    assert calls == distinct == expected
+
+
+@pytest.mark.parametrize("chart_b", [sp.sqrt(Y - 10), sp.exp(1000 + Y)])
+def test_non_finite_residual_is_not_coherent(chart_b, s1):
+    # chart B is NaN (or infinite) on the whole overlap: the gap must not
+    # read as exact agreement, as it did when the sup dropped NaNs and an
+    # infinite gap fell under its infinite clamp
+    fa, fb = from_sympy(sp.sin(Y), [Y]), from_sympy(chart_b, [Y])
+    U = G.GeneralizedFunction(s1.atlas, {"A": Net(1, lambda e: fa),
+                                         "B": Net(1, lambda e: fb)})
+    rep = G.coherence_check(U, grid=dyadic_grid(4, 9))
+    assert rep["coherent"] is False and len(rep["rows"]) == 4
+    for row in rep["rows"]:
+        assert row["verdict"] == "non-finite" and row["negligible"] is False
+        assert np.isnan(row["slope"]) and np.isnan(row["max_gap"])
+        assert row["n_clamped"] == 0
 
 
 # -- association -----------------------------------------------------------

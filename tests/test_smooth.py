@@ -154,56 +154,111 @@ def counted_sin(monkeypatch):
     return from_sympy(sp.sin(x), [x]), calls
 
 
+def _lattice(lo=-1.0, hi=1.0, n=9):
+    """A read-only lattice of shape (n, 1), as a leaf_memo block requires."""
+    pts = np.linspace(lo, hi, n).reshape(-1, 1).copy()  # owns its data
+    pts.flags.writeable = False
+    return pts
+
+
 def test_leaf_memo_evaluates_once_per_lattice(counted_sin):
     f, calls = counted_sin
-    pts = np.linspace(-1.0, 1.0, 9).reshape(-1, 1)
-    with smooth.leaf_memo():
+    pts = _lattice()
+    with smooth.leaf_memo(pts):
         v = f._partial_fn((0,), pts)
-        w = f._partial_fn((0,), pts.copy())  # equal values, distinct array
-        assert len(calls) == 1 and np.array_equal(v, w)
+        assert f._partial_fn((0,), pts) is v and len(calls) == 1
         assert np.array_equal(v, np.sin(pts[:, 0]))
         f._partial_fn((1,), pts)  # another multi-index
         assert len(calls) == 2
-        f._partial_fn((0,), pts + 1e-16)  # another lattice, bytes differ
-        f._partial_fn((0,), pts[:4])  # another shape
-        assert len(calls) == 4
+        # the key is the array object, not its contents: an equal-valued
+        # copy or a view is another lattice, evaluated afresh and equally
+        w = f._partial_fn((0,), pts.copy())
+        u = f._partial_fn((0,), pts[:])
+        assert len(calls) == 4 and np.array_equal(v, w) and np.array_equal(v, u)
+        f._partial_fn((0,), pts.copy())
+        assert len(calls) == 5  # an unregistered array is never memoized
         with pytest.raises(ValueError):
             v[0] = 0.0
     assert np.array_equal(f._partial_fn((0,), pts), np.sin(pts[:, 0]))
 
 
+def test_leaf_memo_rejects_a_writable_lattice(counted_sin):
+    f, calls = counted_sin
+    pts = np.linspace(-1.0, 1.0, 9).reshape(-1, 1)
+    with pytest.raises(ValueError):
+        with smooth.leaf_memo(pts):
+            pass
+    view = pts[:]
+    view.flags.writeable = False  # read-only, but its base can still change
+    with pytest.raises(ValueError):
+        with smooth.leaf_memo(view):
+            pass
+    with pytest.raises(ValueError):
+        with smooth.leaf_memo(pts.tolist()):
+            pass
+    assert smooth._memo is None
+    ro = _lattice()
+    with smooth.leaf_memo(ro):
+        with pytest.raises(ValueError):  # a nested block checks its lattices too
+            with smooth.leaf_memo(pts):
+                pass
+        assert set(smooth._memo) == {id(ro)}
+    assert smooth._memo is None and not calls
+
+
 def test_leaf_memo_copies_values_that_alias_the_lattice():
     x = sp.Symbol("x")
     ident = from_sympy(x, [x])
-    pts = np.linspace(0.0, 1.0, 5).reshape(-1, 1)
-    with smooth.leaf_memo():
+    pts = _lattice(0.0, 1.0, 5)
+    with smooth.leaf_memo(pts):
         v = ident._partial_fn((0,), pts)
-        assert not np.shares_memory(v, pts)
-        pts[0, 0] = 7.0  # a caller reusing its lattice array
-        assert v[0] == 0.0
+        assert not np.shares_memory(v, pts) and not v.flags.writeable
+        assert ident._partial_fn((0,), pts) is v
+    pts.flags.writeable = True  # the owner reuses its array after the block
+    pts[0, 0] = 7.0
+    assert v[0] == 0.0
 
 
 def test_leaf_memo_is_scoped_to_its_block(counted_sin):
     f, calls = counted_sin
-    pts = np.linspace(-1.0, 1.0, 9).reshape(-1, 1)
+    pts, other = _lattice(), _lattice(0.0, 2.0)
     f._partial_fn((0,), pts)
     f._partial_fn((0,), pts)
     assert len(calls) == 2 and smooth._memo is None  # no memo outside a block
-    with smooth.leaf_memo():
+    with smooth.leaf_memo(pts):
         f._partial_fn((0,), pts)
-        with smooth.leaf_memo():  # a nested block joins the open memo
+        with smooth.leaf_memo(other):  # a nested block joins the open memo
             f._partial_fn((0,), pts)
+            f._partial_fn((0,), other)
         f._partial_fn((0,), pts)
-        assert len(calls) == 3
+        f._partial_fn((0,), other)  # still registered after the inner block
+        assert len(calls) == 4
     assert smooth._memo is None
     with pytest.raises(RuntimeError):
-        with smooth.leaf_memo():
+        with smooth.leaf_memo(pts):
             f._partial_fn((0,), pts)
             raise RuntimeError("sweep failed")
-    assert smooth._memo is None and len(calls) == 4
-    with smooth.leaf_memo():  # nothing retained from the earlier blocks
+    assert smooth._memo is None and len(calls) == 5
+    with smooth.leaf_memo(pts):  # nothing retained from the earlier blocks
         f._partial_fn((0,), pts)
-    assert len(calls) == 5
+    assert len(calls) == 6
+
+
+def test_leaf_memo_keeps_its_lattices_alive(counted_sin):
+    f, calls = counted_sin
+    with smooth.leaf_memo():
+        for _ in range(20):
+            # register a lattice in a nested block, then drop the caller's
+            # only reference: the open memo still holds it, so no new array
+            # can take its address and pick up its values
+            pts = _lattice()
+            with smooth.leaf_memo(pts):
+                f._partial_fn((0,), pts)
+            del pts
+            fresh = _lattice(2.0, 3.0)
+            assert np.array_equal(f._partial_fn((0,), fresh), np.sin(fresh[:, 0]))
+        assert len(smooth._memo) == 20
+    assert len(calls) == 40 and smooth._memo is None
 
 
 # -- derivative chain and module choice ----------------------------------
