@@ -127,8 +127,9 @@ def sigma_embed(space, fns: dict, check: bool = True, tol: float = 1e-10,
 
     ``fns`` maps chart names to SmoothFns in chart coordinates.  With
     ``check`` the chart representations are compared through each
-    transition on the overlap boxes; a mismatch beyond rounding scale is
-    an incoherent input.
+    transition on the overlap boxes; a mismatch beyond rounding scale, or
+    a gap or scale that is not finite (NaN or infinite), is an incoherent
+    input.
     """
     atlas = _atlas_of(space)
     if check:
@@ -141,7 +142,7 @@ def sigma_embed(space, fns: dict, check: bool = True, tol: float = 1e-10,
                 vb = fns[b]._partial_fn((0,) * atlas.dim, tr.fn(x))
                 gap = float(np.max(np.abs(va - vb)))
                 scale = 1.0 + float(np.max(np.abs(va)))
-                if gap > tol * scale:
+                if not (np.isfinite(gap) and np.isfinite(scale)) or gap > tol * scale:
                     raise CoherenceFailure(
                         f"chart functions disagree on overlap {a}->{b}: gap {gap:.3g}")
     nets = {c: Net.constant_in_eps(f) for c, f in fns.items()}

@@ -17,8 +17,19 @@ lambdified against the numpy module, whose namespace spares the ``from
 numpy import *`` that loads every numpy submodule, unless it names a
 function numpy lacks (``erf``, ``gamma``, ``besselj``); only then is
 ``scipy.special`` loaded.  ``lambdify`` runs with ``docstring_limit=0``:
-the generated code is the same, but the expression is not printed a
-second time only to fill the callable's docstring.
+the expression is not printed a second time only to fill the callable's
+docstring.
+
+The derivative is printed by a subclass of the printer lambdify would
+pick (``NumPyPrinter``, or ``SciPyPrinter`` with scipy) that prints each
+elementary-function call with free symbols (an *atom*: ``sin(y0)``,
+``exp(-1/t)``; not a Piecewise, whose branches are printed as usual,
+nor an undefined function) as ``_atom(key, lambda: <its usual source>)``.
+The key is the text that runs: the module set, the parameter names in
+order and the atom's source, so one key is one computation on the same
+columns.  Everything around the atoms is printed as lambdify prints it,
+so every sum and product runs in the same order and the values are
+bitwise those of plain ``lambdify``.
 
 A ``leaf_memo(*lattices)`` block names the lattice arrays it sweeps.
 Inside it each ``from_sympy`` leaf evaluates a given multi-index on a
@@ -28,11 +39,16 @@ by its contents: an equal-valued copy or a view is another lattice and
 is evaluated afresh.  So a registered lattice must be read-only, and so
 must the array it views, if any; the block holds a reference to each,
 which keeps its id from being reused while the block runs.  Stored
-values are read-only too.  The memo lives only while the outermost
-block runs and is dropped on exit, by exception too, so it holds at
-most the leaf values of the lattices that one block registers.
-Overlap-residual sweeps open one block per transition and register its
-chart-a lattice and the lattice's image.
+values are read-only too.  Each registered lattice also has an atom
+table: while a leaf evaluates on that lattice, ``_atom`` returns the
+stored value of its key or runs the thunk once and stores the result,
+read-only, so every leaf and multi-index on the lattice shares each
+``sin``, ``cos`` or ``exp`` array.  Anywhere else ``_atom`` just runs
+the thunk.  The memo lives only while the outermost block runs and is
+dropped on exit, by exception too, so it holds at most the leaf values
+and atoms of the lattices that one block registers.  Overlap-residual
+sweeps open one block per transition and register its chart-a lattice
+and the lattice's image.
 """
 
 from __future__ import annotations
@@ -43,6 +59,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 import sympy as sp
+from sympy.core.function import AppliedUndef
 from sympy.printing.numpy import NumPyPrinter, SciPyPrinter
 
 from . import _mindex as mi
@@ -51,9 +68,11 @@ from .errors import DerivativeUnavailable, DimensionMismatch
 __all__ = ["SmoothFn", "from_sympy", "constant", "coordinate", "glue_exprs", "lift_axis",
            "leaf_memo"]
 
-# id(lattice) -> (lattice, {(leaf, alpha): read-only values}) inside a
-# leaf_memo block; holding the lattice keeps its id from being reused
-_memo: dict[int, tuple[np.ndarray, dict]] | None = None
+# id(lattice) -> (lattice, {(leaf, alpha): read-only values}, {key: atom})
+# inside a leaf_memo block; holding the lattice keeps its id from being reused
+_memo: dict[int, tuple[np.ndarray, dict, dict]] | None = None
+# the atom table of the registered lattice a leaf is evaluating on, if any
+_atoms: dict | None = None
 
 
 @contextlib.contextmanager
@@ -75,12 +94,25 @@ def leaf_memo(*lattices: np.ndarray):
     if outer:
         _memo = {}
     for a in lattices:
-        _memo.setdefault(id(a), (a, {}))
+        _memo.setdefault(id(a), (a, {}, {}))
     try:
         yield
     finally:
         if outer:
             _memo = None
+
+
+def _atom(key: str, thunk):
+    """The atom ``key`` on the lattice being evaluated, computed at most once there."""
+    table = _atoms
+    if table is None:
+        return thunk()
+    out = table.get(key)
+    if out is None:
+        out = table[key] = thunk()
+        if isinstance(out, np.ndarray):
+            out.flags.writeable = False
+    return out
 
 
 def _as_points(x, dim: int):
@@ -281,12 +313,42 @@ def lift_axis(f: SmoothFn, axis: int, dim: int) -> SmoothFn:
 # functions the numpy printer lowers to numpy exactly as the scipy printer does
 _NUMPY_FUNCTIONS = {name for name, path in NumPyPrinter._kf.items()
                     if SciPyPrinter._kf.get(name) == path} | {"Piecewise"}
+# the namespace that gives generated code its atom lookup
+_ATOM_NAMESPACE = {"_atom": _atom}
 
 
-def _modules(expr) -> list:
-    """Lambdify against numpy alone unless ``expr`` names a function numpy lacks."""
+class _AtomPrinting:
+    """Print each elementary-function call with free symbols as a shared atom."""
+
+    def __init__(self, params: str):
+        # the settings lambdify gives the printer it picks itself
+        super().__init__({"fully_qualified_modules": False, "inline": True,
+                          "allow_unknown_functions": True, "user_functions": {}})
+        self._prefix = f"{self.module_set}({params}) "
+
+    def _print(self, expr, **kwargs):
+        src = super()._print(expr, **kwargs)
+        if (isinstance(expr, sp.Function) and not isinstance(expr, (sp.Piecewise, AppliedUndef))
+                and expr.free_symbols):
+            return f"_atom({self._prefix + src!r}, lambda: {src})"
+        return src
+
+
+class _NumPyAtomPrinter(_AtomPrinting, NumPyPrinter):
+    module_set = "numpy"
+    modules = [_ATOM_NAMESPACE, np]
+
+
+class _SciPyAtomPrinter(_AtomPrinting, SciPyPrinter):
+    module_set = "numpy+scipy"
+    modules = [_ATOM_NAMESPACE, "numpy", "scipy"]
+
+
+def _modules(expr):
+    """The atom printer class for ``expr``, with the modules it lambdifies against:
+    numpy alone unless ``expr`` names a function numpy lacks."""
     numpy_only = all(type(f).__name__ in _NUMPY_FUNCTIONS for f in expr.atoms(sp.Function))
-    return [np] if numpy_only else ["numpy", "scipy"]
+    return _NumPyAtomPrinter if numpy_only else _SciPyAtomPrinter
 
 
 def from_sympy(expr, symbols: Sequence[sp.Symbol], label="") -> SmoothFn:
@@ -295,10 +357,14 @@ def from_sympy(expr, symbols: Sequence[sp.Symbol], label="") -> SmoothFn:
     Derivatives and lambdified callables are cached per multi-index, on this
     leaf only.  Inside a ``leaf_memo(*lattices)`` block values are also
     memoized, read-only, per multi-index and registered lattice, keyed by
-    the array's identity; any other array is evaluated directly.
+    the array's identity; any other array is evaluated directly.  Each
+    derivative is lambdified with its ``sin``, ``cos``, ``exp``, ... calls
+    printed as atoms: on a registered lattice every leaf and multi-index
+    shares one evaluation of each atom, elsewhere an atom is just computed.
     """
     symbols = tuple(symbols)
     dim = len(symbols)
+    params = ",".join(str(x) for x in symbols)
     expr = sp.sympify(expr)
     exprs = {(0,) * dim: expr}
     cache: dict[tuple, Callable] = {}
@@ -313,7 +379,9 @@ def from_sympy(expr, symbols: Sequence[sp.Symbol], label="") -> SmoothFn:
         fn = cache.get(alpha)
         if fn is None:
             d = derivative(alpha)
-            fn = cache[alpha] = sp.lambdify(symbols, d, modules=_modules(d), docstring_limit=0)
+            printer = _modules(d)
+            fn = cache[alpha] = sp.lambdify(symbols, d, modules=printer.modules,
+                                            printer=printer(params), docstring_limit=0)
         return fn
 
     def evaluate(alpha, pts):
@@ -327,14 +395,19 @@ def from_sympy(expr, symbols: Sequence[sp.Symbol], label="") -> SmoothFn:
         return out
 
     def pfn(alpha, pts):
+        global _atoms
         # the memo holds each registered lattice, so no other live array has its id
         entry = None if _memo is None else _memo.get(id(pts))
         if entry is None:
             return evaluate(alpha, pts)
-        values = entry[1]
+        _, values, atoms = entry
         out = values.get((lam, alpha))
         if out is None:
-            out = evaluate(alpha, pts)
+            outer, _atoms = _atoms, atoms  # the atoms of this lattice, for this call
+            try:
+                out = evaluate(alpha, pts)
+            finally:
+                _atoms = outer
             if np.may_share_memory(out, pts):  # e.g. the leaf x -> x
                 out = out.copy()
             out.setflags(write=False)

@@ -9,6 +9,7 @@ import sympy as sp
 
 from colombeau import _mindex as mi
 from colombeau import gfunc as G
+from colombeau import smooth
 from colombeau import tensor as T
 from colombeau.asymptotic import DEFAULT_M_MAX, classify_scalar_net
 from colombeau.embed import (
@@ -226,6 +227,13 @@ def test_sigma_embed_rejects_incoherent_charts(s1):
     assert any(not row["negligible"] for row in rep["rows"])
 
 
+def test_sigma_embed_rejects_a_non_finite_gap(s1):
+    # chart B is NaN on the whole overlap: a NaN gap is not below the tolerance
+    fns = {"A": from_sympy(sp.sin(Y), [Y]), "B": from_sympy(sp.sqrt(Y - 10), [Y])}
+    with pytest.raises(CoherenceFailure):
+        G.sigma_embed(s1, fns)
+
+
 def test_coherence_of_rough_nets_clamps_rounding(fourier, s1):
     # embedded point mass on the circle: the overlap gap is pure float
     # round trip, below the value clamp at every eps (rough-cubic below
@@ -381,11 +389,15 @@ def test_overlap_residual_evaluates_one_lattice_per_transition(monkeypatch):
 
 
 def _evaluations(monkeypatch, check):
-    """(lambdified leaf evaluations, distinct (leaf, multi-index, lattice)
-    triples) during ``check()``; lattices by content, within one leaf-memo
-    block, as a content-keyed memo would serve them."""
+    """Counts during ``check()``: lambdified leaf evaluations; distinct (leaf,
+    multi-index, lattice) triples, lattices by content within one leaf-memo
+    block, as a content-keyed memo would serve them; elementary-function
+    (sin, cos, exp) array evaluations; atom lookups; and distinct (atom
+    key, lattice) pairs within one block, with the names of the atoms'
+    functions."""
     calls, triples, block = [], set(), [0]
-    lambdify, leaf_memo = sp.lambdify, G.leaf_memo
+    elementary, lookups, pairs, names = [0], [0], set(), set()
+    lambdify, leaf_memo, atom = sp.lambdify, G.leaf_memo, smooth._atom
 
     def recording(*args, **kwargs):
         fn, serial = lambdify(*args, **kwargs), len(calls)  # one per leaf and alpha
@@ -404,29 +416,64 @@ def _evaluations(monkeypatch, check):
         with leaf_memo(*lattices):
             yield
 
+    def recording_atom(key, thunk):
+        # the table is current only on a registered lattice, alive in its block
+        if smooth._atoms is not None:
+            pairs.add((block[0], id(smooth._atoms), key))
+        lookups[0] += 1
+        names.add(key.split(") ", 1)[1].split("(", 1)[0])
+        return atom(key, thunk)
+
+    def counting(f):
+        def counted(v, *args, **kwargs):
+            elementary[0] += isinstance(v, np.ndarray) and v.ndim > 0
+            return f(v, *args, **kwargs)
+
+        return counted
+
     monkeypatch.setattr(sp, "lambdify", recording)
     monkeypatch.setattr(G, "leaf_memo", numbered)
+    monkeypatch.setitem(smooth._ATOM_NAMESPACE, "_atom", recording_atom)
+    for name in ("sin", "cos", "exp"):  # leaves lambdified from now on call these
+        monkeypatch.setattr(np, name, counting(getattr(np, name)))
     assert check()["coherent"]
-    return sum(calls), len(triples)
+    return {"calls": sum(calls), "distinct": len(triples), "elementary": elementary[0],
+            "lookups": lookups[0], "pairs": len(pairs), "names": names}
+
+
+def _torus_check(name):
+    """A coherence check of a torus field_apply or bracket, and its lambdified
+    leaf evaluations (the counts of the former content-keyed memo too)."""
+    t2 = torus2()
+    (U,) = T.random_coherent_functions(t2, count=1, seed=3)
+    Xi = T.random_tensor_field(t2, (1, 0), seed=50)
+    Yi = T.random_tensor_field(t2, (1, 0), seed=75)
+    grid = dyadic_grid(4, 9)
+    return {
+        "field_apply": (lambda: G.coherence_check(T.field_apply(Xi, U), grid=grid), 96),
+        "bracket": (lambda: T.coherence_check_tensor(T.bracket(Xi, Yi), grid=grid,
+                                                     n_samples=9), 288),
+    }[name]
 
 
 @pytest.mark.parametrize("name", ["field_apply", "bracket"])
 def test_coherence_sweep_evaluates_each_leaf_once_per_lattice(name, monkeypatch):
     # a memo keyed by the registered lattices must serve every repeat a
     # content-keyed memo would: a lost hit shows as an extra evaluation
-    # (96 and 288 are also the counts of the former content-keyed memo)
-    t2 = torus2()
-    (U,) = T.random_coherent_functions(t2, count=1, seed=3)
-    Xi = T.random_tensor_field(t2, (1, 0), seed=50)
-    Yi = T.random_tensor_field(t2, (1, 0), seed=75)
-    grid = dyadic_grid(4, 9)
-    check, expected = {
-        "field_apply": (lambda: G.coherence_check(T.field_apply(Xi, U), grid=grid), 96),
-        "bracket": (lambda: T.coherence_check_tensor(T.bracket(Xi, Yi), grid=grid,
-                                                     n_samples=9), 288),
-    }[name]
-    calls, distinct = _evaluations(monkeypatch, check)
-    assert calls == distinct == expected
+    check, expected = _torus_check(name)
+    counts = _evaluations(monkeypatch, check)
+    assert counts["calls"] == counts["distinct"] == expected
+
+
+def test_coherence_sweep_evaluates_each_atom_once_per_lattice(monkeypatch):
+    # every leaf and multi-index on a lattice shares each sin and cos: one
+    # array evaluation per distinct (atom, lattice), where the 96 leaf
+    # evaluations name 576 atoms
+    check, expected = _torus_check("field_apply")
+    counts = _evaluations(monkeypatch, check)
+    assert counts["names"] == {"sin", "cos"}
+    assert counts["calls"] == expected and counts["lookups"] == 576
+    assert counts["elementary"] == counts["pairs"] == 192
 
 
 @pytest.mark.parametrize("chart_b", [sp.sqrt(Y - 10), sp.exp(1000 + Y)])

@@ -1,6 +1,8 @@
 """SmoothFn: exact derivative algebra and shape handling."""
 
+import ast
 import inspect
+import weakref
 
 import conftest
 import numpy as np
@@ -261,6 +263,119 @@ def test_leaf_memo_keeps_its_lattices_alive(counted_sin):
     assert len(calls) == 40 and smooth._memo is None
 
 
+# -- shared atoms ---------------------------------------------------------
+
+
+@pytest.fixture
+def atom_runs(monkeypatch):
+    """The runs of each atom's thunk by key, for leaves lambdified from now on;
+    setting ``fail`` makes the next thunk raise."""
+    runs, fail = {}, []
+    atom = smooth._atom
+
+    def counting(key, thunk):
+        def counted():
+            if fail:
+                raise RuntimeError("atom failed")
+            runs[key] = runs.get(key, 0) + 1
+            return thunk()
+
+        return atom(key, counted)
+
+    monkeypatch.setitem(smooth._ATOM_NAMESPACE, "_atom", counting)
+    return runs, fail
+
+
+def _plane(n=7):
+    """A read-only lattice of shape (n, 2) with distinct columns."""
+    t = np.linspace(-1.0, 1.0, n)
+    pts = np.column_stack([t, 0.5 - 2 * t])
+    pts.flags.writeable = False
+    return pts
+
+
+def test_leaves_on_a_registered_lattice_share_each_atom(atom_runs):
+    runs, _ = atom_runs
+    y0, y1 = sp.symbols("y0 y1")
+    f = from_sympy(sp.sin(y0) * y1, [y0, y1])
+    g = from_sympy(sp.sin(y0) + sp.cos(2 * y1), [y0, y1])
+    pts = _plane()
+    with smooth.leaf_memo(pts):
+        vf = f._partial_fn((0, 0), pts)
+        vg = g._partial_fn((0, 0), pts)
+        vd = f._partial_fn((0, 1), pts)  # sin(y0): the stored atom itself
+        table = smooth._memo[id(pts)][2]
+        assert all(not v.flags.writeable for v in table.values())
+    assert runs == {"numpy(y0,y1) sin(y0)": 1, "numpy(y0,y1) cos(2*y1)": 1}
+    assert set(table) == set(runs)
+    s0, c1 = np.sin(pts[:, 0]), np.cos(2 * pts[:, 1])
+    assert vf.tobytes() == (s0 * pts[:, 1]).tobytes()
+    assert vg.tobytes() == (s0 + c1).tobytes() and vd.tobytes() == s0.tobytes()
+
+
+def test_atoms_are_keyed_by_parameter_order_and_module_set(atom_runs):
+    runs, _ = atom_runs
+    y0, y1 = sp.symbols("y0 y1")
+    f = from_sympy(sp.sin(y0), [y0, y1])
+    g = from_sympy(sp.sin(y0), [y1, y0])  # y0 is the second column here
+    h_expr = sp.sin(y0) * sp.erf(y1)  # numpy and scipy
+    h = from_sympy(h_expr, [y0, y1])
+    pts = _plane()
+    with smooth.leaf_memo(pts):
+        vf, vg, vh = (u._partial_fn((0, 0), pts) for u in (f, g, h))
+    assert vf.tobytes() == np.sin(pts[:, 0]).tobytes()
+    assert vg.tobytes() == np.sin(pts[:, 1]).tobytes()
+    assert vh.tobytes() == _reference_values(h_expr, (y0, y1), (0, 0), pts).tobytes()
+    assert runs == {"numpy(y0,y1) sin(y0)": 1, "numpy(y1,y0) sin(y0)": 1,
+                    "numpy+scipy(y0,y1) sin(y0)": 1, "numpy+scipy(y0,y1) erf(y1)": 1}
+
+
+def test_constant_atoms_are_not_wrapped(sympy_calls):
+    _, lambdified = sympy_calls
+    x = sp.Symbol("x")
+    expr = x * sp.sin(1) + sp.exp(2) + sp.cos(x)
+    pts = _lattice()
+    want = _reference_values(expr, (x,), (0,), pts)
+    assert from_sympy(expr, [x])._partial_fn((0,), pts).tobytes() == want.tobytes()
+    src = inspect.getsource(lambdified[-1][2])
+    assert src.count("_atom(") == 1 and "_atom('numpy(x) cos(x)', lambda: cos(x))" in src
+
+
+def test_atoms_are_stored_only_on_registered_lattices(atom_runs):
+    runs, _ = atom_runs
+    x = sp.Symbol("x")
+    f = from_sympy(2 * sp.sin(x), [x])
+    pts, other = _lattice(), _lattice(0.0, 2.0)
+    f._partial_fn((0,), pts)
+    f._partial_fn((0,), pts)
+    assert runs == {"numpy(x) sin(x)": 2} and smooth._atoms is None  # outside a block
+    with smooth.leaf_memo(pts):
+        v = f._partial_fn((0,), other)
+        w = f._partial_fn((0,), other)
+        assert runs["numpy(x) sin(x)"] == 4 and smooth._memo[id(pts)][2] == {}
+        assert v.flags.writeable and w is not v  # unregistered: nothing stored
+        ref = weakref.ref(f._partial_fn((1,), pts))  # 2*cos(x): its atom is cos(x)
+        atom = weakref.ref(smooth._memo[id(pts)][2]["numpy(x) cos(x)"])
+        assert smooth._atoms is None  # the table is current only during the call
+    assert smooth._memo is None and smooth._atoms is None
+    assert ref() is None and atom() is None  # leaf values and atoms leave with the block
+
+
+def test_a_failing_leaf_resets_the_current_table(atom_runs):
+    runs, fail = atom_runs
+    x = sp.Symbol("x")
+    f = from_sympy(sp.exp(x), [x])
+    pts = _lattice()
+    with smooth.leaf_memo(pts):
+        fail.append(True)
+        with pytest.raises(RuntimeError):
+            f._partial_fn((0,), pts)
+        assert smooth._atoms is None and smooth._memo[id(pts)][2] == {}
+        fail.clear()
+        assert f._partial_fn((0,), pts).tobytes() == np.exp(pts[:, 0]).tobytes()
+    assert runs == {"numpy(x) exp(x)": 1} and smooth._atoms is None
+
+
 # -- derivative chain and module choice ----------------------------------
 
 
@@ -290,6 +405,24 @@ def _smoothstep_by_subs(u):
                         (sp.Integer(1), t >= 1 - smooth._GLUE_TAU),
                         (up / (up + dn), True))
     return step.subs(t, u)
+
+
+def _unwrap_atoms(src):
+    """``src`` with each ``_atom(key, lambda: X)`` replaced by the text X,
+    after checking that the key ends with that text."""
+    while True:
+        calls = [n for n in ast.walk(ast.parse(src))
+                 if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_atom"]
+        if not calls:
+            return src
+        call = calls[0]  # breadth first: no other atom encloses it
+        key, thunk = call.args
+        body = ast.get_source_segment(src, thunk.body)
+        assert isinstance(key.value, str) and key.value.endswith(") " + body)
+        lines = src.splitlines(keepends=True)
+        start = sum(map(len, lines[:call.lineno - 1])) + call.col_offset
+        end = sum(map(len, lines[:call.end_lineno - 1])) + call.end_col_offset
+        src = src[:start] + body + src[end:]
 
 
 @pytest.fixture
@@ -338,10 +471,12 @@ def test_derivatives_from_the_parent_match_from_scratch(build, sympy_calls):
         f._partial_fn(alpha, pts)  # a repeat lambdifies and differentiates nothing
         d, modules, fn = lambdified[-1]
         assert d == _diff_from_scratch(expr, symbols, alpha), alpha
-        assert modules == [np]
-        # lambdify skips only printing the docstring: the code is the default's
+        assert modules == [smooth._ATOM_NAMESPACE, np]
+        # lambdify skips only printing the docstring, and each atom wraps the
+        # default's text: unwrapped, the code is the default's
         assert "EXPRESSION REDACTED" in fn.__doc__
-        assert inspect.getsource(fn) == inspect.getsource(_LAMBDIFY(symbols, d, modules=[np]))
+        assert (_unwrap_atoms(inspect.getsource(fn))
+                == inspect.getsource(_LAMBDIFY(symbols, d, modules=[np])))
         want = _reference_values(expr, symbols, alpha, pts)
         got = np.broadcast_to(np.asarray(got, dtype=float), want.shape)
         assert got.tobytes() == want.tobytes(), alpha
@@ -363,22 +498,28 @@ def test_a_derivative_extends_its_parent_by_one_axis(sympy_calls):
 
 @pytest.mark.parametrize("make", [sp.erf, sp.gamma, lambda v: sp.besselj(0, v)],
                          ids=["erf", "gamma", "besselj0"])
-def test_functions_numpy_lacks_lambdify_against_scipy(make):
+def test_functions_numpy_lacks_lambdify_against_scipy(make, sympy_calls):
+    _, lambdified = sympy_calls
     x = sp.Symbol("x")
     expr = make(x)
-    assert smooth._modules(expr) == ["numpy", "scipy"]
+    assert smooth._modules(expr).modules == [smooth._ATOM_NAMESPACE, "numpy", "scipy"]
     f = from_sympy(expr, [x])
     pts = np.linspace(0.3, 4.0, 37).reshape(-1, 1)
     for k in range(3):
         want = _reference_values(expr, (x,), (k,), pts)
         assert f._partial_fn((k,), pts).tobytes() == want.tobytes(), k
+        # a derivative may need numpy alone (erf' is a Gaussian)
+        d, modules, fn = lambdified[-1]
+        assert modules == smooth._modules(d).modules and modules[0] is smooth._ATOM_NAMESPACE
+        assert (_unwrap_atoms(inspect.getsource(fn))
+                == inspect.getsource(_LAMBDIFY((x,), d, modules=modules[1:])))
 
 
 def test_library_functions_lambdify_against_numpy_alone():
     th = sp.Symbol("theta")
     for expr in (smoothstep_expr(sp.cos(th) / 2), sp.sin(th) * sp.exp(th),
                  sp.Piecewise((th, th < sp.pi), (th - 2 * sp.pi, True))):
-        assert smooth._modules(expr) == [np]
+        assert smooth._modules(expr).modules == [smooth._ATOM_NAMESPACE, np]
 
 
 def test_smoothstep_is_the_substituted_glue_step(monkeypatch):
