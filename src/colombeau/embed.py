@@ -29,7 +29,7 @@ from . import _mindex as mi
 from .errors import UnsupportedDistribution
 from .mollifier import Mollifier
 from .nets import Net
-from .quadrature import gauss_legendre, quad
+from .quadrature import gauss_legendre, panel_rule, quad
 from .smooth import SmoothFn
 
 QUAD_EPSREL = 1e-11
@@ -159,12 +159,8 @@ def _kernel_rule(mol: Mollifier):
         r = float(mol.support_radius_hint)
         n_panels = max(16, int(math.ceil(r)))
         edges = np.linspace(-r, r, n_panels + 1)
-        half = (edges[1] - edges[0]) / 2.0
-        centers = (edges[:-1] + edges[1:]) / 2.0
-        gl_nodes, gl_weights = gauss_legendre(16)
-        nodes = (centers[:, None] + half * gl_nodes[None, :]).ravel()
-        kern_w = np.tile(half * gl_weights, n_panels) * ev.deriv(0, nodes)
-        rule = (nodes, kern_w, edges, half)
+        nodes, weights = panel_rule(edges, 16)
+        rule = (nodes, weights * ev.deriv(0, nodes), edges)
         ev._conv_rule = rule
     return rule
 
@@ -182,7 +178,7 @@ def _regular_part_fn(pieces, mol: Mollifier, eps: float) -> SmoothFn:
     """
     radius = float(mol.support_radius_hint)
     ev = mol._evaluator
-    nodes, kern_w, edges, _ = _kernel_rule(mol)
+    nodes, kern_w, edges = _kernel_rule(mol)
     gl_nodes, gl_weights = gauss_legendre(16)
     n_panels = edges.size - 1
     w_pan = edges[1] - edges[0]

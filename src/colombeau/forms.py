@@ -23,10 +23,14 @@ from .gnumber import GeneralizedNumber
 from .grid import dyadic_grid
 from .manifolds import Manifold
 from .nets import Net, box_lattice
-from .quadrature import gauss_legendre
+from .quadrature import box_rule, interval_rule
 from .smooth import SmoothFn
 from .tensor import (GeneralizedTensorField, _as_net, _object_array, coherence_check_tensor,
                      random_coherent_functions)
+
+HOMOTOPY_NODES = 32   # Gauss-Legendre nodes in t of the radial homotopy
+DISK_ANGLES = 256     # equispaced angles of the disk Stokes check
+DISK_RADII = 64       # Gauss-Legendre nodes in r of the disk Stokes check
 
 
 def index_tuples(dim: int, k: int):
@@ -315,12 +319,12 @@ def _single_star_chart(atlas):
     return c
 
 
-def homotopy_H(omega: GeneralizedKForm, n_t: int = 32):
+def homotopy_H(omega: GeneralizedKForm):
     """Radial homotopy: (H w)(x)(v...) integrates t^(k-1) w(tx)(x, v...).
 
-    Gauss-Legendre with ``n_t`` nodes in t.  The resulting component
-    evaluators carry exact derivative rules, so d(H w) is available
-    analytically.  A 1-form collapses to a generalized function.
+    Gauss-Legendre with n_t = HOMOTOPY_NODES nodes in t.  The resulting
+    component evaluators carry exact derivative rules, so d(H w) is
+    available analytically.  A 1-form collapses to a generalized function.
 
     An evaluation on m points stacks the n_t scaled lattices t_q * x
     into one lattice of n_t * m points and evaluates each source
@@ -336,9 +340,7 @@ def homotopy_H(omega: GeneralizedKForm, n_t: int = 32):
     c = _single_star_chart(atlas)
     dim = atlas.dim
     k = omega.degree
-    g, w = gauss_legendre(int(n_t))
-    t_nodes = (g + 1.0) / 2.0
-    t_weights = w / 2.0
+    t_nodes, t_weights = interval_rule(0.0, 1.0, HOMOTOPY_NODES)
 
     def comp_net(J):
         terms = []  # (sign, m, source key)
@@ -452,15 +454,7 @@ def _face_integral(fn: SmoothFn, box, axis: int, value: float) -> float:
     rest = [b for i, b in enumerate(box) if i != axis]
     if not rest:
         return float(np.ravel(fn(np.array([[value]])))[0])
-    g, w = gauss_legendre(48)
-    grids, wgts = [], []
-    for lo, hi in rest:
-        half = (hi - lo) / 2.0
-        grids.append((g + 1.0) * half + lo)
-        wgts.append(w * half)
-    mesh = np.stack([m.ravel() for m in np.meshgrid(*grids, indexing="ij")], axis=1)
-    wmesh = np.prod(np.stack(
-        [m.ravel() for m in np.meshgrid(*wgts, indexing="ij")], axis=1), axis=1)
+    mesh, wmesh = box_rule(rest, 48)
     pts = np.insert(mesh, axis, value, axis=1)
     vals = fn._partial_fn((0,) * dim, pts)
     out = float(np.dot(wmesh, vals))
@@ -469,8 +463,7 @@ def _face_integral(fn: SmoothFn, box, axis: int, value: float) -> float:
     return out
 
 
-def stokes_check(omega, domain, grid=None, tol: float = 1e-6,
-                 n_theta: int = 256, n_r: int = 64) -> dict:
+def stokes_check(omega, domain, grid=None, tol: float = 1e-6) -> dict:
     """Residual of the boundary theorem on a supported domain, per eps.
 
     Domains: ("interval", (a, b)) for 0-forms on a line chart,
@@ -513,10 +506,8 @@ def stokes_check(omega, domain, grid=None, tol: float = 1e-6,
         if radius <= 0:
             raise DomainError(f"radius {radius} is not positive")
         curl = exterior_d(omega).comps[c][(0, 1)]
-        g, w = gauss_legendre(int(n_r))
-        r_nodes = (g + 1.0) * radius / 2.0
-        r_weights = w * radius / 2.0
-        theta = np.linspace(0.0, 2.0 * np.pi, int(n_theta), endpoint=False)
+        r_nodes, r_weights = interval_rule(0.0, radius, DISK_RADII)
+        theta = np.linspace(0.0, 2.0 * np.pi, DISK_ANGLES, endpoint=False)
         ring = np.stack([np.cos(theta), np.sin(theta)], axis=1)
         area_pts = np.concatenate([r * ring for r in r_nodes])
         area_w = np.concatenate([np.full(len(theta), rw * r)
@@ -555,6 +546,8 @@ def stokes_check(omega, domain, grid=None, tol: float = 1e-6,
     report_rows = []
     worst = 0.0
     for e, (lhs, rhs) in zip(grid, rows):
+        if not (np.isfinite(lhs) and np.isfinite(rhs)):
+            raise QuadratureFailure(f"{kind} check at eps {e}: lhs {lhs}, rhs {rhs}")
         resid = abs(lhs - rhs)
         # relative to the larger side, floored at one so a vanishing
         # flux does not divide roundoff by roundoff

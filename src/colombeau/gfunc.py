@@ -26,7 +26,7 @@ from .manifold import Atlas, GeneralizedPoint, Transition
 from .manifolds import Manifold
 from .mollifier import Mollifier
 from .nets import Net, box_lattice, classify_net, sup_norm_on_box
-from .quadrature import gauss_legendre, quad
+from .quadrature import adaptive, box_rule
 from .smooth import SmoothFn, constant, from_sympy, leaf_memo, smoothstep_expr
 
 # Relative clamp for overlap residuals: a gap this far below the net's
@@ -39,6 +39,10 @@ COHERENCE_RTOL = 5e-13
 COHERENCE_GRAD_RTOL = 1e-13
 
 PAIRING_TOL = 1e-3
+
+# sigma_embed rejects an overlap gap above SIGMA_TOL * (1 + max |u|) on a
+# lattice of SIGMA_SAMPLES points per axis
+SIGMA_TOL, SIGMA_SAMPLES = 1e-10, 31
 
 
 def _atlas_of(obj):
@@ -121,8 +125,7 @@ class GeneralizedFunction:
         return GeneralizedFunction(self.atlas, nets, label=f"L_xi {self.label}")
 
 
-def sigma_embed(space, fns: dict, check: bool = True, tol: float = 1e-10,
-                n_samples: int = 31) -> GeneralizedFunction:
+def sigma_embed(space, fns: dict, check: bool = True) -> GeneralizedFunction:
     """Constant-in-eps embedding of a chartwise smooth function.
 
     ``fns`` maps chart names to SmoothFns in chart coordinates.  With
@@ -137,12 +140,12 @@ def sigma_embed(space, fns: dict, check: bool = True, tol: float = 1e-10,
             if a not in fns or b not in fns:
                 continue
             for box in atlas.overlap_boxes[(a, b)]:
-                x = box_lattice(box, n_samples)
+                x = box_lattice(box, SIGMA_SAMPLES)
                 va = fns[a]._partial_fn((0,) * atlas.dim, x)
                 vb = fns[b]._partial_fn((0,) * atlas.dim, tr.fn(x))
                 gap = float(np.max(np.abs(va - vb)))
                 scale = 1.0 + float(np.max(np.abs(va)))
-                if not (np.isfinite(gap) and np.isfinite(scale)) or gap > tol * scale:
+                if not (np.isfinite(gap) and np.isfinite(scale)) or gap > SIGMA_TOL * scale:
                     raise CoherenceFailure(
                         f"chart functions disagree on overlap {a}->{b}: gap {gap:.3g}")
     nets = {c: Net.constant_in_eps(f) for c, f in fns.items()}
@@ -471,83 +474,21 @@ def default_densities(space, per_chart: int = 5, seed: int = 7,
     return out
 
 
-MAX_PAIR_INTERVALS = 20000
-
-
-def _adaptive_gl(fn: SmoothFn, lo: float, hi: float, eps_hint: float) -> float:
-    """Vectorized adaptive Gauss-Legendre over [lo, hi].
-
-    Seed intervals are about 8*eps wide, so a concentrated net cannot
-    fall between the nodes of a coarse first pass; intervals where the
-    two-half refinement disagrees are subdivided, whole levels at a time.
-    """
-    g, w = gauss_legendre(16)
-    width = hi - lo
-    n_seed = int(np.clip(math.ceil(width / (8.0 * eps_hint)), 8, 32768))
-    edges = np.linspace(lo, hi, n_seed + 1)
-    los, his = edges[:-1], edges[1:]
-
-    def gl_batch(a, b):
-        half = (b - a) / 2.0
-        nodes = (a + half)[:, None] + half[:, None] * g[None, :]
-        vals = fn._partial_fn((0,), nodes.reshape(-1, 1)).reshape(nodes.shape)
-        return (vals @ w) * half
-
-    estimates = gl_batch(los, his)
-    accepted = 0.0
-    for _ in range(40):
-        scale = max(1.0, abs(accepted + float(np.sum(estimates))))
-        mid = (los + his) / 2.0
-        left = gl_batch(los, mid)
-        right = gl_batch(mid, his)
-        err = np.abs(estimates - left - right)
-        done = err <= 1e-14 * scale
-        refined = (16.0 * (left + right) - estimates) / 15.0
-        accepted += float(np.sum(refined[done]))
-        keep = ~done
-        if not keep.any():
-            break
-        if 2 * int(keep.sum()) > MAX_PAIR_INTERVALS:
-            accepted += float(np.sum(refined[keep]))
-            break
-        los = np.concatenate([los[keep], mid[keep]])
-        his = np.concatenate([mid[keep], his[keep]])
-        estimates = np.concatenate([left[keep], right[keep]])
-    else:
-        accepted += float(np.sum(estimates))
-    if not np.isfinite(accepted):
-        raise QuadratureFailure("adaptive quadrature returned non-finite value")
-    return accepted
-
-
-def integrate_box(fn: SmoothFn, box, eps_hint: float | None = None) -> float:
+def integrate_box(fn: SmoothFn, box, eps_hint: float) -> float:
     """Integral of a SmoothFn over a box.
 
-    The 1-d path uses adaptive Gauss-Legendre seeded at the eps scale,
-    so concentrated or oscillatory nets are resolved without paying for
-    it on smooth ones.  Higher dimensions use a fixed tensor rule, which
-    assumes the integrand is resolved at that scale.
+    The 1-d path uses adaptive Gauss-Legendre seeded at the scale
+    ``eps_hint``, so concentrated or oscillatory nets are resolved without
+    paying for it on smooth ones.  Higher dimensions use a fixed tensor
+    rule, which assumes the integrand is resolved at that scale.
     """
     if not isinstance(box[0], tuple):
         box = (box,)
     dim = len(box)
     if dim == 1:
-        lo, hi = float(box[0][0]), float(box[0][1])
-        if eps_hint is None:
-            return quad(lambda x: float(fn(np.array([x]))), lo, hi,
-                        epsabs=1e-12, epsrel=1e-10, limit=400)[0]
-        return _adaptive_gl(fn, lo, hi, float(eps_hint))
-    nodes, weights = gauss_legendre(48)
-    grids, wgts = [], []
-    for lo, hi in box:
-        half = (hi - lo) / 2.0
-        grids.append((nodes + 1.0) * half + lo)
-        wgts.append(weights * half)
-    mesh = np.stack([g.ravel() for g in np.meshgrid(*grids, indexing="ij")], axis=1)
-    wmesh = np.prod(np.stack(
-        [g.ravel() for g in np.meshgrid(*wgts, indexing="ij")], axis=1), axis=1)
-    vals = fn._partial_fn((0,) * dim, mesh)
-    out = float(np.dot(wmesh, vals))
+        return adaptive(fn, float(box[0][0]), float(box[0][1]), float(eps_hint))
+    pts, weights = box_rule(box, 48)
+    out = float(np.dot(weights, fn._partial_fn((0,) * dim, pts)))
     if not np.isfinite(out):
         raise QuadratureFailure("tensor quadrature returned non-finite value")
     return out

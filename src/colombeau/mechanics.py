@@ -29,11 +29,11 @@ import sympy as sp
 from .errors import (AtlasMismatch, DimensionMismatch, InvalidSlots,
                      NoImpact, StiffnessFailure)
 from .forms import GeneralizedKForm, exterior_d
-from .gfunc import GeneralizedFunction, _adaptive_gl, _atlas_of
+from .gfunc import GeneralizedFunction, _atlas_of
 from .gnumber import GeneralizedNumber
 from .manifolds import euclidean
 from .nets import Net
-from .quadrature import gauss_legendre
+from .quadrature import adaptive, panel_rule
 from .smooth import SmoothFn, from_sympy, lift_axis
 from .tensor import GeneralizedTensorField, GeneralizedVectorField, _make
 
@@ -44,6 +44,9 @@ BUMP_NORMALIZATION = 0.44399381616807944
 # Below 1 - x^2 = _BUMP_GATE the bump is under 4e-44 and is clamped to
 # zero so lambdified branches never feed exp a huge positive argument.
 _BUMP_GATE = 0.01
+
+# StrictDeltaNet.l1_norm: an L1_NODES-point rule on L1_PANELS equal panels
+L1_PANELS, L1_NODES = 8, 64
 
 
 def bump_profile() -> SmoothFn:
@@ -83,18 +86,12 @@ class StrictDeltaNet:
 
     def mass(self, eps: float) -> float:
         r = self.support_radius(eps)
-        return _adaptive_gl(self.at(eps), -r, r, float(eps))
+        return adaptive(self.at(eps), -r, r, float(eps))
 
-    def l1_norm(self, eps: float, n_panels: int = 8, n_nodes: int = 64) -> float:
+    def l1_norm(self, eps: float) -> float:
         r = self.support_radius(eps)
-        xs, ws = gauss_legendre(n_nodes)
-        edges = np.linspace(-r, r, n_panels + 1)
-        fn = self.at(eps)
-        total = 0.0
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            total += half * float(np.sum(ws * np.abs(fn(mid + half * xs))))
-        return total
+        xs, ws = panel_rule(np.linspace(-r, r, L1_PANELS + 1), L1_NODES)
+        return float(np.sum(ws * np.abs(self.at(eps)(xs))))
 
     def certify(self, eps_values, n_check: int = 9,
                 mass_tol: float = 1e-8) -> dict:

@@ -40,7 +40,7 @@ from numpy.polynomial import Polynomial
 
 from .errors import MomentSystemSingular, QuadratureFailure
 from .nets import Net
-from .quadrature import gauss_legendre
+from .quadrature import panel_rule
 from .smooth import SmoothFn
 
 INTEGRAL_TOL = 1e-8
@@ -244,11 +244,9 @@ def _panelled_moments(fn, ks, radius: float, panel: float = 2.0):
     ks = np.asarray(ks)[:, None]
     n_panels = math.ceil(radius / panel)
     edges = np.minimum(np.arange(n_panels + 1) * panel, radius)
-    mid = (edges[1:] + edges[:-1])[:, None] / 2
-    half = (edges[1:] - edges[:-1])[:, None] / 2
-    rules = [gauss_legendre(m) for m in (_GL_POINTS, 2 * _GL_POINTS)]
-    x = np.concatenate([(mid + half * t).ravel() for t, _ in rules])
-    w = np.concatenate([(half * wt).ravel() for _, wt in rules])
+    rules = [panel_rule(edges, m) for m in (_GL_POINTS, 2 * _GL_POINTS)]
+    x = np.concatenate([t for t, _ in rules])
+    w = np.concatenate([wt for _, wt in rules])
     f = fn(np.concatenate([x, -x]))
     f_pos, f_neg = f[:x.size], f[x.size:]
     wx = w * x ** ks

@@ -392,6 +392,8 @@ def from_sympy(expr, symbols: Sequence[sp.Symbol], label="") -> SmoothFn:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 out = np.asarray(lam(alpha)(*cols), dtype=float)
+        if out.shape != (len(pts),):  # a constant derivative lambdifies to a scalar
+            out = np.full(len(pts), out)
         return out
 
     def pfn(alpha, pts):

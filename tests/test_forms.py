@@ -9,7 +9,7 @@ from colombeau import forms as F
 from colombeau import tensor as T
 from colombeau.embed import dirac, embed_rn, heaviside
 from colombeau.errors import (AtlasMismatch, DegreeOverflow, DomainError,
-                              InvalidDegree, InvalidSlots)
+                              InvalidDegree, InvalidSlots, QuadratureFailure)
 from colombeau.gfunc import GeneralizedFunction, sigma_embed
 from colombeau.grid import dyadic_grid
 from colombeau.manifold import Atlas, Chart
@@ -319,6 +319,35 @@ def test_stokes_disk(plane):
         F.stokes_check(w, ("disk", -1.0))
     with pytest.raises(DomainError):
         F.stokes_check(w, ("interval", (0.0, 1.0)))
+
+
+def test_quadrature_of_constant_components(line, plane):
+    """Forms whose derivatives are constant sympy leaves integrate exactly."""
+    xy = [X0, X1]
+    grid = dyadic_grid(4, 6)
+    rot = F.GeneralizedKForm(plane, 1, {"0": {(0,): from_sympy(-X1, xy),
+                                              (1,): from_sympy(X0, xy)}})
+    rep = F.stokes_check(rot, ("disk", 1.0), grid=grid)
+    assert rep["ok"]
+    for row in rep["rows"]:
+        assert abs(row["lhs"] - 2.0 * np.pi) < 1e-12 and abs(row["rhs"] - 2.0 * np.pi) < 1e-12
+    u = sigma_embed(line, {"0": from_sympy(2 * X0, [X0])})
+    rep = F.stokes_check(u, ("interval", (-1.0, 1.0)), grid=grid)
+    assert rep["ok"]
+    for row in rep["rows"]:
+        assert abs(row["lhs"] - 4.0) < 1e-14 and row["rhs"] == 4.0
+    area = F.GeneralizedKForm(plane, 2, {"0": {(0, 1): from_sympy(sp.Integer(1), xy)}})
+    gi = F.integrate_nform(area, box=((-1.0, 1.0), (-1.0, 1.0)), grid=grid)
+    assert np.allclose(gi.values, 4.0, rtol=0, atol=1e-13)
+
+
+def test_stokes_disk_rejects_non_finite_sides(plane):
+    """sqrt(x + 0.5) is NaN on part of the unit disk: no residual can be read."""
+    xy = [X0, X1]
+    w = F.GeneralizedKForm(plane, 1, {"0": {(0,): from_sympy(-X0 * X1, xy),
+                                            (1,): from_sympy(sp.sqrt(X0 + 0.5), xy)}})
+    with pytest.raises(QuadratureFailure):
+        F.stokes_check(w, ("disk", 1.0), grid=dyadic_grid(4, 6))
 
 
 def test_stokes_box_r3(space3):

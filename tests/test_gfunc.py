@@ -686,4 +686,15 @@ def test_integrate_needs_chart_name_on_atlases(s1):
 def test_integrate_box_rejects_non_finite():
     bad = from_sympy(sp.sqrt(X), [X])
     with pytest.raises(QuadratureFailure):
-        G.integrate_box(bad, ((-1.0, 1.0),))
+        G.integrate_box(bad, ((-1.0, 1.0),), eps_hint=0.1)
+
+
+def test_integrate_box_of_a_constant_leaf():
+    """A constant sympy leaf evaluates to one value per point on both paths."""
+    Y0, Y1 = sp.symbols("y0 y1")
+    three = from_sympy(sp.Integer(3), [X])
+    assert three._partial_fn((0,), np.zeros((5, 1))).shape == (5,)
+    assert G.integrate_box(three, ((0.0, 1.0),), eps_hint=0.1) == pytest.approx(3.0, abs=1e-14)
+    plane_three = from_sympy(sp.Integer(3), [Y0, Y1])
+    assert G.integrate_box(plane_three, ((0.0, 1.0), (-1.0, 1.0)), eps_hint=0.1) \
+        == pytest.approx(6.0, abs=1e-13)
