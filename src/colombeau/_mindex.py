@@ -5,6 +5,7 @@ A multi-index is a tuple of non-negative ints, one entry per axis.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -36,6 +37,12 @@ def up_to(dim: int, max_order: int):
 def sub_indices(alpha):
     """All beta with beta <= alpha componentwise."""
     return [tuple(c) for c in itertools.product(*(range(a + 1) for a in alpha))]
+
+
+@functools.lru_cache(maxsize=None)
+def leibniz_terms(alpha) -> tuple:
+    """The Leibniz rule's (beta, C(alpha, beta), alpha - beta), beta in sub_indices order."""
+    return tuple((beta, binom(alpha, beta), sub(alpha, beta)) for beta in sub_indices(alpha))
 
 
 def binom(alpha, beta) -> int:

@@ -61,10 +61,6 @@ class AsymptoticFit:
     def is_negligible(self) -> bool:
         return self.verdict == NEGLIGIBLE
 
-    @property
-    def is_moderate(self) -> bool:
-        return self.verdict in (NEGLIGIBLE, MODERATE)
-
     def to_json(self) -> dict:
         return {
             "slope": self.slope,

@@ -281,14 +281,6 @@ def sigma_rn(f: SmoothFn) -> Net:
     return Net.constant_in_eps(f, label="sigma")
 
 
-def pair_net(net: Net, density: SmoothFn, lo: float, hi: float, eps: float) -> float:
-    """Pairing integral of net(eps) against a density over [lo, hi]."""
-    f = net.at(eps)
-    val, _ = quad(lambda y: f(y) * density(y), lo, hi,
-                  epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL, limit=200)
-    return val
-
-
 def pullback_affine(net: Net, a: float, b: float = 0.0) -> Net:
     """Composition net(eps) o mu for the affine map mu(x) = a x + b."""
     if a == 0.0:

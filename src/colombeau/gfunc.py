@@ -44,6 +44,10 @@ PAIRING_TOL = 1e-3
 # lattice of SIGMA_SAMPLES points per axis
 SIGMA_TOL, SIGMA_SAMPLES = 1e-10, 31
 
+# An overlap sweep evaluates its transitions in blocks of at most this
+# many lattice points, chart-a points and their images counted together
+SWEEP_POINTS = 8192
+
 
 def _atlas_of(obj):
     if isinstance(obj, Manifold):
@@ -155,6 +159,84 @@ def sigma_embed(space, fns: dict, check: bool = True) -> GeneralizedFunction:
 # -- coherence -----------------------------------------------------------
 
 
+def _block_gaps(atlas: Atlas, comps: dict, valence, block: list, grid, n_samples: int,
+                rtol: float, grad_rtol: float) -> list:
+    """(pair, box count, {eps: clamped gap per box}) of each transition in ``block``."""
+    dim = atlas.dim
+    r, s = valence
+    zero = (0,) * dim
+    parts: dict[str, list] = {}  # chart -> the block's points in it, in order
+    jobs = []
+    for (a, b), tr in block:
+        lattices = [box_lattice(box, n_samples) for box in atlas.overlap_boxes[(a, b)]]
+        x = np.concatenate(lattices)
+        # x and its image y join their charts' lattices at these slices
+        xs, ys = (slice(k, k + len(x)) for k in
+                  [sum(map(len, parts.setdefault(c, []))) for c in (a, b)])
+        parts[a].append(x)
+        parts[b].append(tr.fn(x))
+        # the weights need J on lower slots and its inverse on upper ones
+        jac = np.asarray(tr.jac(x), dtype=float) if r + s else None
+        jinv = np.linalg.inv(jac) if r else None
+        weights = []  # per chart-a component, one array per chart-b component
+        for idx in np.ndindex(comps[a].shape):
+            weights.append([])
+            for kdx in np.ndindex(comps[b].shape):
+                w = np.ones(len(x))
+                for ai in range(r):
+                    w = w * jinv[:, idx[ai], kdx[ai]]
+                for bi in range(s):
+                    w = w * jac[:, kdx[r + bi], idx[r + bi]]
+                weights[-1].append(w)
+        starts = np.cumsum([0] + [len(p) for p in lattices[:-1]])
+        jobs.append(((a, b), starts, xs, ys, weights))
+    lattice = {c: np.concatenate(p) for c, p in parts.items()}
+    for pts in lattice.values():  # the leaf memo keys them by identity
+        pts.flags.writeable = False
+
+    def gaps_at(e):
+        fns = {c: [net.at(e) for net in comps[c].flat] for c in lattice}  # C order
+        vals = {c: [f._partial_fn(zero, lattice[c]) for f in fns[c]] for c in lattice}
+        grads = {}  # chart -> its components' first derivatives, once a box needs them
+        out = []
+        for (a, b), starts, xs, ys, weights in jobs:
+
+            def raise_to(acc, v):
+                # per box: the max of |v| over its own slice joins the running
+                # sup; np.maximum lets a NaN through, so a NaN box stays NaN
+                return np.maximum(acc, np.maximum.reduceat(np.abs(v), starts))
+
+            gap, s0, s1 = (np.zeros(len(starts)) for _ in range(3))
+            vb = [v[ys] for v in vals[b]]
+            for va, row in zip(vals[a], weights):
+                va = va[xs]
+                pullback = np.zeros(len(va))
+                for w, v in zip(row, vb):
+                    pullback = pullback + w * v
+                gap = raise_to(gap, va - pullback)
+                s0 = raise_to(raise_to(s0, va), pullback)
+            # grad_rtol * s1 >= 0, so the derivative scale can only
+            # decide the clamp of a box the value term alone does not clamp
+            if np.any(gap > rtol * s0):
+                if a not in grads:
+                    grads[a] = [f._partial_fn(mi.unit(dim, i), lattice[a])
+                                for f in fns[a] for i in range(dim)]
+                for g in grads[a]:
+                    s1 = raise_to(s1, g[xs])
+            # a non-finite gap or scale must not clamp: it reads NaN
+            finite = np.isfinite(gap) & np.isfinite(s0) & np.isfinite(s1)
+            out.append(np.where(finite, np.where(gap <= rtol * s0 + grad_rtol * s1, 0.0, gap),
+                                np.nan))
+        return out
+
+    # clamped gaps are exact zeros: the fit counts them at its floor; the
+    # memo serves the leaves every eps, component and transition share
+    with leaf_memo(*lattice.values()):
+        sweep = {e: gaps_at(e) for e in grid}
+    return [(pair, len(starts), {e: sweep[e][j] for e in grid})
+            for j, (pair, starts, *_) in enumerate(jobs)]
+
+
 def overlap_residual(atlas: Atlas, comps: dict, valence, grid, n_samples: int,
                      m_max: int, rtol: float, grad_rtol: float) -> dict:
     """Classify the transformation-law residual of chartwise components.
@@ -174,101 +256,50 @@ def overlap_residual(atlas: Atlas, comps: dict, valence, grid, n_samples: int,
     at that eps: its row has verdict ``"non-finite"``, NaN slope and
     max_gap, and is not negligible.
 
-    The lattices of a transition's boxes are concatenated into one
-    read-only lattice x, mapped once to its read-only image y, and
-    evaluated once per component and eps; each box reads its sup from
-    its own slice.  The pullback weights (products of J and inverse-J
-    entries per pair of chart-a and chart-b components) are computed
-    once per transition, outside the eps loop.  A transition's eps sweep
-    runs in one :func:`smooth.leaf_memo` block that registers x and y,
-    so a sympy leaf is evaluated once per multi-index on each.  Memory
-    is bounded by one transition: a leaf call sees at most its boxes'
-    n_samples**dim points each, the weights take dim**(2(r+s)) arrays of
-    that length, and the memo holds only that transition's sweep.  The
-    family is coherent when every fit is negligible.
+    The sorted transitions are swept in blocks of at most
+    ``SWEEP_POINTS`` points, each transition's overlap-box lattice x and
+    its image y counted together; a larger transition is a block alone.
+    In each chart, a block's x (chart a) and y (chart b) arrays make one
+    read-only lattice, registered with one :func:`smooth.leaf_memo`
+    block for the eps sweep.  Per eps each chart component, and its
+    first derivatives when a box needs them, is evaluated once on its
+    chart's lattice; each transition reads slices of those values, each
+    box its sup from its own slice.  The pullback weights (products of
+    J and inverse-J entries) are computed once per transition.  A
+    block's lattices, weights and memo are dropped after it, so memory
+    is bounded by the larger of ``SWEEP_POINTS`` and one transition's
+    points.  The family is coherent when every fit is negligible.
     """
-    dim = atlas.dim
-    r, s = valence
-    zero = (0,) * dim
     grid = tuple(float(e) for e in (dyadic_grid() if grid is None else grid))
-    rows = []
-    coherent = True
+    blocks, used = [], 0
     for (a, b), tr in sorted(atlas.transitions.items()):
         if a not in comps or b not in comps or not atlas.overlap_boxes[(a, b)]:
             continue
-        ca, cb = comps[a], comps[b]
-        lattices = [box_lattice(box, n_samples) for box in atlas.overlap_boxes[(a, b)]]
-        starts = np.cumsum([0] + [len(p) for p in lattices[:-1]])
-        x = np.concatenate(lattices)
-        y = tr.fn(x)
-        if not y.flags.owndata:
-            y = y.copy()
-        # the leaf memo keys x and y by identity, so they must not change
-        x.flags.writeable = y.flags.writeable = False
-        # the weights need J on lower slots and its inverse on upper ones
-        jac = np.asarray(tr.jac(x), dtype=float) if r + s else None
-        jinv = np.linalg.inv(jac) if r else None
-        weights = {}
-        for idx in np.ndindex(ca.shape):
-            for kdx in np.ndindex(cb.shape):
-                w = np.ones(len(x))
-                for ai in range(r):
-                    w = w * jinv[:, idx[ai], kdx[ai]]
-                for bi in range(s):
-                    w = w * jac[:, kdx[r + bi], idx[r + bi]]
-                weights[idx, kdx] = w
-
-        def raise_to(acc, vals):
-            # per box: the max of |vals| over its own slice joins the running
-            # sup; np.maximum lets a NaN through, so a NaN box stays NaN
-            return np.maximum(acc, np.maximum.reduceat(
-                np.broadcast_to(np.abs(vals), (len(x),)), starts))
-
-        def gaps_at(e):
-            gap, s0, s1 = (np.zeros(len(lattices)) for _ in range(3))
-            vb = {kdx: np.asarray(cb[kdx].at(e)._partial_fn(zero, y))
-                  for kdx in np.ndindex(cb.shape)}
-            fas = [ca[idx].at(e) for idx in np.ndindex(ca.shape)]
-            for idx, fa in zip(np.ndindex(ca.shape), fas):
-                va = np.asarray(fa._partial_fn(zero, x))
-                pullback = np.zeros(len(x))
-                for kdx in np.ndindex(cb.shape):
-                    pullback = pullback + weights[idx, kdx] * vb[kdx]
-                gap = raise_to(gap, va - pullback)
-                s0 = raise_to(raise_to(s0, va), pullback)
-            # grad_rtol * s1 >= 0, so the derivative scale can only
-            # decide the clamp of a box the value term alone does not clamp
-            if np.any(gap > rtol * s0):
-                for fa in fas:
-                    for i in range(dim):
-                        s1 = raise_to(s1, fa._partial_fn(mi.unit(dim, i), x))
-            # a non-finite gap or scale must not clamp: it reads NaN
-            finite = np.isfinite(gap) & np.isfinite(s0) & np.isfinite(s1)
-            return np.where(finite, np.where(gap <= rtol * s0 + grad_rtol * s1, 0.0, gap),
-                            np.nan)
-
-        # clamped gaps are exact zeros: the fit counts them at its floor;
-        # the memo serves the leaves every eps and component share
-        with leaf_memo(x, y):
-            sweep = {e: gaps_at(e) for e in grid}
-        for k in range(len(lattices)):
-            gaps = [sweep[e][k] for e in grid]
-            if not np.all(np.isfinite(gaps)):
-                coherent = False
-                rows.append({"pair": [a, b], "box": k, "slope": math.nan,
-                             "verdict": "non-finite", "negligible": False,
-                             "n_clamped": gaps.count(0.0), "max_gap": math.nan})
-                continue
-            fit = classify_scalar_net(lambda e: sweep[e][k], grid, m_max=m_max)
-            ok = fit.is_negligible
-            coherent = coherent and ok
-            rows.append({
-                "pair": [a, b], "box": k, "slope": fit.slope,
-                "verdict": fit.verdict, "negligible": ok,
-                "n_clamped": fit.n_clamped, "max_gap": float(max(fit.magnitudes)),
-            })
-    return {"coherent": coherent, "n_pairs": len(rows), "m_max": m_max,
-            "rows": rows}
+        size = 2 * len(atlas.overlap_boxes[(a, b)]) * n_samples ** atlas.dim
+        if not blocks or used + size > SWEEP_POINTS:
+            blocks.append([])
+            used = 0
+        blocks[-1].append(((a, b), tr))
+        used += size
+    rows = []
+    for block in blocks:
+        for pair, n_boxes, sweep in _block_gaps(atlas, comps, valence, block, grid,
+                                                n_samples, rtol, grad_rtol):
+            for k in range(n_boxes):
+                gaps = [sweep[e][k] for e in grid]
+                if not np.all(np.isfinite(gaps)):
+                    rows.append({"pair": list(pair), "box": k, "slope": math.nan,
+                                 "verdict": "non-finite", "negligible": False,
+                                 "n_clamped": gaps.count(0.0), "max_gap": math.nan})
+                    continue
+                fit = classify_scalar_net(lambda e: sweep[e][k], grid, m_max=m_max)
+                rows.append({
+                    "pair": list(pair), "box": k, "slope": fit.slope,
+                    "verdict": fit.verdict, "negligible": fit.is_negligible,
+                    "n_clamped": fit.n_clamped, "max_gap": float(max(fit.magnitudes)),
+                })
+    return {"coherent": all(row["negligible"] for row in rows), "n_pairs": len(rows),
+            "m_max": m_max, "rows": rows}
 
 
 def coherence_check(U: GeneralizedFunction, grid=None, n_samples: int = 61,

@@ -13,7 +13,6 @@ formula valid in every chart.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -332,43 +331,3 @@ def product(M: Manifold, N: Manifold, name: str | None = None) -> Manifold:
 def torus2() -> Manifold:
     """The 2-torus: ``product(circle(), circle())``, charts AA, AB, BA, BB."""
     return product(circle(), circle(), name="torus2")
-
-
-# -- registry ----------------------------------------------------------
-
-
-def builtin_manifolds() -> dict:
-    """Fresh instances of every built-in manifold."""
-    return {
-        "euclidean1": euclidean(1),
-        "euclidean2": euclidean(2),
-        "euclidean3": euclidean(3),
-        "circle": circle(),
-        "torus2": torus2(),
-    }
-
-
-def load_manifold(entry) -> Manifold:
-    """Build a manifold from a registry entry (dict or JSON string)."""
-    if isinstance(entry, str):
-        entry = json.loads(entry)
-    name = entry["name"]
-    if name == "euclidean":
-        return euclidean(int(entry.get("dim", 1)),
-                         float(entry.get("box_halfwidth", 3.0)))
-    if name == "circle":
-        return circle()
-    if name == "torus2":
-        return torus2()
-    raise ValueError(f"unknown manifold {name!r}")
-
-
-def registry_json() -> str:
-    entries = [
-        {"name": "euclidean", "dim": 1},
-        {"name": "euclidean", "dim": 2},
-        {"name": "euclidean", "dim": 3},
-        {"name": "circle"},
-        {"name": "torus2"},
-    ]
-    return json.dumps({"manifolds": entries}, indent=2, sort_keys=True)

@@ -47,8 +47,9 @@ read-only, so every leaf and multi-index on the lattice shares each
 the thunk.  The memo lives only while the outermost block runs and is
 dropped on exit, by exception too, so it holds at most the leaf values
 and atoms of the lattices that one block registers.  Overlap-residual
-sweeps open one block per transition and register its chart-a lattice
-and the lattice's image.
+sweeps open one block per group of transitions of at most
+``gfunc.SWEEP_POINTS`` points and register one lattice per chart: the
+group's points in it and their images in it.
 """
 
 from __future__ import annotations
@@ -211,9 +212,8 @@ class SmoothFn:
         def pfn(alpha, pts):
             # general Leibniz rule; exact given exact factor derivatives
             acc = np.zeros(pts.shape[0])
-            for beta in mi.sub_indices(alpha):
-                c = mi.binom(alpha, beta)
-                acc = acc + c * f._partial_fn(beta, pts) * g._partial_fn(mi.sub(alpha, beta), pts)
+            for beta, c, rest in mi.leibniz_terms(alpha):
+                acc = acc + c * f._partial_fn(beta, pts) * g._partial_fn(rest, pts)
             return acc
 
         return SmoothFn(self.dim, pfn, _min_order(f, g), f.uses_fd or g.uses_fd)
@@ -250,6 +250,12 @@ class SmoothFn:
             return np.where(mask, va, vb)
 
         return SmoothFn(self.dim, pfn, _min_order(f, g), f.uses_fd or g.uses_fd)
+
+
+def _per_point(values, m: int) -> np.ndarray:
+    """``values`` as float values of shape (m,), a scalar repeated m times."""
+    out = np.asarray(values, dtype=float)
+    return out if out.shape == (m,) else np.full(m, out)
 
 
 def _min_order(f: SmoothFn, g: SmoothFn):
@@ -391,10 +397,8 @@ def from_sympy(expr, symbols: Sequence[sp.Symbol], label="") -> SmoothFn:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                out = np.asarray(lam(alpha)(*cols), dtype=float)
-        if out.shape != (len(pts),):  # a constant derivative lambdifies to a scalar
-            out = np.full(len(pts), out)
-        return out
+                # a constant derivative lambdifies to a scalar
+                return _per_point(lam(alpha)(*cols), len(pts))
 
     def pfn(alpha, pts):
         global _atoms
@@ -443,7 +447,7 @@ def from_callable(fn, dim: int, fd_step=1e-5, max_order=4, label="") -> SmoothFn
         for axis, times in enumerate(alpha):
             for _ in range(times):
                 g = d_axis(g, axis, h)
-        return g(pts)
+        return _per_point(g(pts), len(pts))
 
     return SmoothFn(dim, pfn, max_order=max_order, uses_fd=True, label=label)
 

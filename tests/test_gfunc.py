@@ -359,9 +359,12 @@ def test_overlap_residual_rows_match_eager_reference(name, request):
 
 
 def test_overlap_residual_evaluates_one_lattice_per_transition(monkeypatch):
-    # every leaf call sees one transition's boxes together, as chart-a
-    # points or their images: never one box alone, never a whole chart
+    # at n=61 each torus transition is larger than SWEEP_POINTS and sweeps
+    # as a block alone: every leaf call sees one transition's boxes
+    # together, as chart-a points or their images, never one box alone
     t2, n = torus2(), 61
+    assert min(2 * len(boxes) * n ** 2 for boxes in t2.atlas.overlap_boxes.values()) \
+        > G.SWEEP_POINTS
     U, V = T.random_coherent_functions(t2, count=2, seed=6)
     lattices = {}
     for (a, b), tr in t2.atlas.transitions.items():
@@ -386,6 +389,49 @@ def test_overlap_residual_evaluates_one_lattice_per_transition(monkeypatch):
     owners = [lattices.get(pts) for _, pts in seen]  # None: no transition's lattice
     assert None not in owners
     assert set(owners) == set(t2.atlas.transitions)
+
+
+def test_overlap_residual_evaluates_one_lattice_per_chart_and_block(monkeypatch):
+    # at n=9 every torus transition fits in one block: each leaf call sees
+    # one chart's lattice, its points on every overlap and the images of
+    # the other charts' overlap points in it, and no lattice exceeds the
+    # budget or the largest transition
+    t2, n = torus2(), 9
+    U, V = T.random_coherent_functions(t2, count=2, seed=6)
+    union, largest = {}, 0
+    for (a, b), tr in t2.atlas.transitions.items():
+        x = np.concatenate([box_lattice(box, n) for box in t2.atlas.overlap_boxes[(a, b)]])
+        union.setdefault(a, []).append(x)
+        union.setdefault(b, []).append(tr.fn(x))
+        largest = max(largest, 2 * len(x))
+    union = {c: np.unique(np.concatenate(p), axis=0) for c, p in union.items()}
+    registered, seen = [], []
+    lambdify, leaf_memo = sp.lambdify, G.leaf_memo
+
+    def recording(*args, **kwargs):
+        fn = lambdify(*args, **kwargs)
+
+        def wrapped(*cols):
+            seen.append(np.column_stack(cols).tobytes())
+            return fn(*cols)
+
+        return wrapped
+
+    @contextlib.contextmanager
+    def registering(*lattices):
+        registered.extend(lattices)
+        with leaf_memo(*lattices):
+            yield
+
+    monkeypatch.setattr(sp, "lambdify", recording)
+    monkeypatch.setattr(G, "leaf_memo", registering)
+    rep = G.coherence_check(U * V, grid=dyadic_grid(4, 9), n_samples=n)
+    assert rep["coherent"] and len(rep["rows"]) == 32
+    assert len(registered) == 4
+    assert max(map(len, registered)) <= max(G.SWEEP_POINTS, largest)
+    assert seen and set(seen) <= {pts.tobytes() for pts in registered}
+    assert sorted(np.unique(pts, axis=0).tobytes() for pts in registered) \
+        == sorted(pts.tobytes() for pts in union.values())
 
 
 def _evaluations(monkeypatch, check):
@@ -452,7 +498,7 @@ def _torus_check(name):
     return {
         "field_apply": (lambda: G.coherence_check(T.field_apply(Xi, U), grid=grid), 96),
         "bracket": (lambda: T.coherence_check_tensor(T.bracket(Xi, Yi), grid=grid,
-                                                     n_samples=9), 288),
+                                                     n_samples=9), 48),
     }[name]
 
 
@@ -687,6 +733,19 @@ def test_integrate_box_rejects_non_finite():
     bad = from_sympy(sp.sqrt(X), [X])
     with pytest.raises(QuadratureFailure):
         G.integrate_box(bad, ((-1.0, 1.0),), eps_hint=0.1)
+
+
+def test_a_constant_callable_gives_one_value_per_point(s1):
+    """A callable that returns a scalar evaluates to one value per point."""
+    three = smooth.from_callable(lambda q: 3.0, 1)
+    assert three._partial_fn((0,), np.zeros((5, 1))).shape == (5,)
+    assert G.integrate_box(three, ((0.0, 1.0),), eps_hint=0.1) == pytest.approx(3.0, abs=1e-14)
+    plane_three = smooth.from_callable(lambda q: 3.0, 2)
+    assert G.integrate_box(plane_three, ((0.0, 1.0), (-1.0, 1.0)), eps_hint=0.1) \
+        == pytest.approx(6.0, abs=1e-13)
+    U = G.GeneralizedFunction(s1.atlas, {c: Net.constant_in_eps(three) for c in ("A", "B")})
+    rep = G.coherence_check(U, grid=dyadic_grid(4, 9))
+    assert rep["coherent"] and len(rep["rows"]) == 4
 
 
 def test_integrate_box_of_a_constant_leaf():

@@ -14,15 +14,7 @@ from colombeau.manifold import (
     Transition,
     point_equiv,
 )
-from colombeau.manifolds import (
-    builtin_manifolds,
-    circle,
-    euclidean,
-    load_manifold,
-    registry_json,
-    torus2,
-    wrap_pi,
-)
+from colombeau.manifolds import circle, euclidean, torus2, wrap_pi
 from colombeau.nets import box_lattice
 
 TWO_PI = 2 * math.pi
@@ -147,19 +139,6 @@ def test_pou_membership_must_match_charts(s1):
     with pytest.raises(PartitionMismatch):
         PartitionOfUnity(s1.atlas, {"A": s1.pou.chi["A"]}, s1.pou.zeta,
                          s1.pou.supp_boxes)
-
-
-def test_builtins_and_registry():
-    mans = builtin_manifolds()
-    assert set(mans) == {"euclidean1", "euclidean2", "euclidean3", "circle", "torus2"}
-    assert mans["euclidean2"].dim == 2
-    assert mans["torus2"].dim == 2
-    reg = registry_json()
-    assert "circle" in reg and "torus2" in reg
-    m = load_manifold('{"name": "euclidean", "dim": 2}')
-    assert m.dim == 2 and m.name == "euclidean2"
-    with pytest.raises(ValueError):
-        load_manifold({"name": "mobius"})
 
 
 def test_point_equiv_basics():

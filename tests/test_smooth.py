@@ -70,6 +70,15 @@ def test_product_leibniz_matches_symbolic():
         assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("alpha", [(0,), (3,), (0, 0), (2, 1), (1, 0, 2), (3, 3)])
+def test_leibniz_terms_match_the_index_helpers(alpha):
+    # the cached terms are the products' old triples, in sub_indices order
+    terms = [(beta, mi.binom(alpha, beta), mi.sub(alpha, beta))
+             for beta in mi.sub_indices(alpha)]
+    assert list(mi.leibniz_terms(alpha)) == terms
+    assert mi.leibniz_terms(alpha) is mi.leibniz_terms(alpha)
+
+
 def test_linear_combination_derivatives():
     x = sp.Symbol("x")
     f = from_sympy(sp.cos(x), [x])
