@@ -201,7 +201,7 @@ def _regular_part_fn(pieces, mol: Mollifier, eps: float) -> SmoothFn:
         for s in range(0, xt.size, step):
             xx = xt[s:s + step]
             yy = np.clip(xx[:, None] - eps * nodes[None, :], lo, hi)
-            ff = np.asarray(fn._partial_fn((j,), yy.reshape(-1, 1)), float)
+            ff = fn._partial_fn((j,), yy.reshape(-1, 1))
             mask = (nodes[None, :] >= at[s:s + step, None]) & (
                 nodes[None, :] <= bt[s:s + step, None])
             acc[s:s + step] = (ff.reshape(yy.shape) * mask) @ kern_w
@@ -217,7 +217,7 @@ def _regular_part_fn(pieces, mol: Mollifier, eps: float) -> SmoothFn:
             ipan = keys % n_panels
             u_sub = pan_nodes[ipan]
             y_sub = np.clip(xt[ipt, None] - eps * u_sub, lo, hi)
-            f_sub = np.asarray(fn._partial_fn((j,), y_sub.reshape(-1, 1)), float)
+            f_sub = fn._partial_fn((j,), y_sub.reshape(-1, 1))
             m_sub = (u_sub >= at[ipt, None]) & (u_sub <= bt[ipt, None])
             crude = ((f_sub.reshape(u_sub.shape) * m_sub) * pan_kw[ipan]).sum(axis=1)
             seg_lo = np.maximum(edges[ipan], at[ipt])
@@ -226,7 +226,7 @@ def _regular_part_fn(pieces, mol: Mollifier, eps: float) -> SmoothFn:
             u_ex = (seg_lo + seg_hi)[:, None] / 2.0 + hw[:, None] * gl_nodes[None, :]
             k_ex = ev.deriv(0, u_ex.ravel()).reshape(u_ex.shape)
             y_ex = np.clip(xt[ipt, None] - eps * u_ex, lo, hi)
-            f_ex = np.asarray(fn._partial_fn((j,), y_ex.reshape(-1, 1)), float)
+            f_ex = fn._partial_fn((j,), y_ex.reshape(-1, 1))
             exact = ((k_ex * f_ex.reshape(u_ex.shape)) @ gl_weights) * hw
             np.add.at(acc, ipt, exact - crude)
         out[touched] = acc
@@ -240,8 +240,8 @@ def _regular_part_fn(pieces, mol: Mollifier, eps: float) -> SmoothFn:
             res += conv0(p.density, k, x, p.lo, p.hi)
             for j in range(k):
                 m = k - 1 - j
-                flo = float(np.asarray(p.density._partial_fn((j,), np.array([[p.lo]])))[0])
-                fhi = float(np.asarray(p.density._partial_fn((j,), np.array([[p.hi]])))[0])
+                flo = float(p.density._partial_fn((j,), np.array([[p.lo]]))[0])
+                fhi = float(p.density._partial_fn((j,), np.array([[p.hi]]))[0])
                 sc = eps ** (-(1 + m))
                 if flo:
                     res += flo * sc * ev.deriv(m, (x - p.lo) / eps)

@@ -64,6 +64,8 @@ class ExperimentConfig:
         if self.tol is not None and not self.tol > 0:
             raise ValueError("tolerance override must be positive")
         if self.eps is not None:
+            if self.experiment != "mechanics":
+                raise ValueError("eps applies to the mechanics experiment only")
             self.eps = tuple(float(e) for e in self.eps)
             if not self.eps or any(e <= 0 or e >= 1 for e in self.eps):
                 raise ValueError("eps values must lie in (0, 1)")

@@ -148,24 +148,6 @@ class GeneralizedKForm:
     def evaluate(self, vector_fields) -> GeneralizedFunction:
         return self.to_tensor().evaluate(vector_fields=tuple(vector_fields))
 
-    def to_json(self, grid=None, n_samples: int = 5) -> dict:
-        if grid is None:
-            grid = dyadic_grid()
-        tables = {}
-        for c in self.chart_names():
-            box = self.atlas.charts[c].sample_box
-            pts = box_lattice(box, n_samples)
-            rows = []
-            for K in self.keys():
-                for e in grid:
-                    vals = self.comps[c][K].at(e)._partial_fn(
-                        (0,) * self.atlas.dim, pts)
-                    rows.append({"indices": list(K), "eps": float(e),
-                                 "values": [float(v) for v in np.asarray(vals).ravel()]})
-            tables[c] = {"box": [[float(lo), float(hi)] for lo, hi in box],
-                         "rows": rows}
-        return {"label": self.label, "degree": self.degree, "charts": tables}
-
 
 # -- exterior calculus -------------------------------------------------------
 
@@ -363,8 +345,7 @@ def homotopy_H(omega: GeneralizedKForm):
 
                 def at(key, beta):
                     if (key, beta) not in vals:
-                        v = fns[key]._partial_fn(beta, stack)
-                        vals[key, beta] = np.broadcast_to(v, (len(stack),)).reshape(len(t_nodes), n)
+                        vals[key, beta] = fns[key]._partial_fn(beta, stack).reshape(len(t_nodes), n)
                     return vals[key, beta]
 
                 # no np.sum over the nodes: its pairwise order would change the bits

@@ -40,10 +40,6 @@ COHERENCE_GRAD_RTOL = 1e-13
 
 PAIRING_TOL = 1e-3
 
-# sigma_embed rejects an overlap gap above SIGMA_TOL * (1 + max |u|) on a
-# lattice of SIGMA_SAMPLES points per axis
-SIGMA_TOL, SIGMA_SAMPLES = 1e-10, 31
-
 # An overlap sweep evaluates its transitions in blocks of at most this
 # many lattice points, chart-a points and their images counted together
 SWEEP_POINTS = 8192
@@ -129,31 +125,21 @@ class GeneralizedFunction:
         return GeneralizedFunction(self.atlas, nets, label=f"L_xi {self.label}")
 
 
-def sigma_embed(space, fns: dict, check: bool = True) -> GeneralizedFunction:
+def sigma_embed(space, fns: dict) -> GeneralizedFunction:
     """Constant-in-eps embedding of a chartwise smooth function.
 
-    ``fns`` maps chart names to SmoothFns in chart coordinates.  With
-    ``check`` the chart representations are compared through each
-    transition on the overlap boxes; a mismatch beyond rounding scale, or
-    a gap or scale that is not finite (NaN or infinite), is an incoherent
-    input.
+    ``fns`` maps chart names to SmoothFns in chart coordinates.  Raises
+    ``CoherenceFailure`` exactly when :func:`coherence_check` finds the
+    constant nets incoherent, naming the first failing overlap and its gap.
     """
-    atlas = _atlas_of(space)
-    if check:
-        for (a, b), tr in sorted(atlas.transitions.items()):
-            if a not in fns or b not in fns:
-                continue
-            for box in atlas.overlap_boxes[(a, b)]:
-                x = box_lattice(box, SIGMA_SAMPLES)
-                va = fns[a]._partial_fn((0,) * atlas.dim, x)
-                vb = fns[b]._partial_fn((0,) * atlas.dim, tr.fn(x))
-                gap = float(np.max(np.abs(va - vb)))
-                scale = 1.0 + float(np.max(np.abs(va)))
-                if not (np.isfinite(gap) and np.isfinite(scale)) or gap > SIGMA_TOL * scale:
-                    raise CoherenceFailure(
-                        f"chart functions disagree on overlap {a}->{b}: gap {gap:.3g}")
-    nets = {c: Net.constant_in_eps(f) for c, f in fns.items()}
-    return GeneralizedFunction(atlas, nets, label="sigma")
+    U = GeneralizedFunction(space, {c: Net.constant_in_eps(f) for c, f in fns.items()},
+                            label="sigma")
+    for row in coherence_check(U)["rows"]:
+        if not row["negligible"]:
+            a, b = row["pair"]
+            raise CoherenceFailure(
+                f"chart functions disagree on overlap {a}->{b}: gap {row['max_gap']:.3g}")
+    return U
 
 
 # -- coherence -----------------------------------------------------------

@@ -15,11 +15,3 @@ def dyadic_grid(k_min: int = DEFAULT_K_MIN, k_max: int = DEFAULT_K_MAX) -> np.nd
     ks = np.arange(int(k_min), int(k_max) + 1)
     return np.ldexp(1.0, -ks)
 
-
-def parse_grid(text: str) -> np.ndarray:
-    """Parse 'a..b' into the dyadic grid with k = a..b."""
-    lo, _, hi = text.partition("..")
-    try:
-        return dyadic_grid(int(lo), int(hi))
-    except ValueError as exc:
-        raise ValueError(f"bad grid spec {text!r}; expected e.g. '4..14'") from exc

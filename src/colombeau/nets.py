@@ -14,7 +14,7 @@ import numpy as np
 
 from . import _mindex as mi
 from .asymptotic import DEFAULT_M_MAX, AsymptoticFit, classify_scalar_net
-from .errors import DerivativeUnavailable, DimensionMismatch
+from .errors import DimensionMismatch
 from .smooth import SmoothFn, constant
 
 
@@ -31,10 +31,6 @@ def sup_norm_on_box(f: SmoothFn, alpha, box, n_samples: int = 201) -> float:
     alpha = mi.check(alpha, f.dim)
     if len(box) != f.dim:
         raise DimensionMismatch(f"box has {len(box)} axes, function has {f.dim}")
-    if f.max_order is not None and mi.order(alpha) > f.max_order:
-        raise DerivativeUnavailable(
-            f"order {mi.order(alpha)} beyond available {f.max_order}"
-        )
     pts = box_lattice(box, n_samples)
     vals = f.partial(alpha, pts)
     return float(np.max(np.abs(vals)))

@@ -3,8 +3,7 @@
 ``SmoothFn`` wraps a vectorized evaluator for a C^inf function on R^dim
 together with evaluators for its partial derivatives.  Derivatives are
 analytic wherever possible (symbolic differentiation, closed-form rules
-for products, affine substitutions, linear combinations); a finite
-difference fallback exists for plain callables and is flagged as such.
+for products, affine substitutions, linear combinations).
 
 Points are arrays of shape (..., dim); in dimension one a bare scalar or
 a shape (m,) array is also accepted.
@@ -158,8 +157,7 @@ class SmoothFn:
             )
         pts, lead = _as_points(x, self.dim)
         with np.errstate(all="ignore"):
-            vals = np.asarray(self._partial_fn(alpha, pts), dtype=float)
-        vals = np.broadcast_to(vals, (pts.shape[0],))
+            vals = self._partial_fn(alpha, pts)
         if lead == ():
             return float(vals[0])
         return vals.reshape(lead)
@@ -421,35 +419,6 @@ def from_sympy(expr, symbols: Sequence[sp.Symbol], label="") -> SmoothFn:
         return out
 
     return SmoothFn(dim, pfn, label=label or sp.srepr(expr)[:40])
-
-
-def from_callable(fn, dim: int, fd_step=1e-5, max_order=4, label="") -> SmoothFn:
-    """Wrap a plain vectorized callable; derivatives by central differences.
-
-    Each derivative axis uses a Richardson-extrapolated central stencil.
-    Results are approximate and the function is flagged ``uses_fd``.
-    """
-
-    def d_axis(g, axis, h):
-        def out(pts):
-            e = np.zeros(dim)
-            e[axis] = 1.0
-            c1 = (g(pts + h * e) - g(pts - h * e)) / (2 * h)
-            c2 = (g(pts + 0.5 * h * e) - g(pts - 0.5 * h * e)) / h
-            return (4 * c2 - c1) / 3.0
-
-        return out
-
-    def pfn(alpha, pts):
-        g = lambda q: np.asarray(fn(q), dtype=float)
-        k = mi.order(alpha)
-        h = fd_step * (10.0 ** max(0, k - 1))
-        for axis, times in enumerate(alpha):
-            for _ in range(times):
-                g = d_axis(g, axis, h)
-        return _per_point(g(pts), len(pts))
-
-    return SmoothFn(dim, pfn, max_order=max_order, uses_fd=True, label=label)
 
 
 # -- smooth glue ------------------------------------------------------

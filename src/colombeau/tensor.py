@@ -20,7 +20,7 @@ from .gfunc import (COHERENCE_GRAD_RTOL, COHERENCE_RTOL, GeneralizedFunction,
                     _atlas_of, overlap_residual)
 from .grid import dyadic_grid
 from .manifolds import Manifold
-from .nets import Net, box_lattice
+from .nets import Net
 from .smooth import SmoothFn, constant, from_sympy
 
 
@@ -161,26 +161,6 @@ class GeneralizedTensorField:
                 acc = term if acc is None else acc + term
             nets[c] = acc if acc is not None else Net.zero(dim)
         return GeneralizedFunction(self.atlas, nets, label=f"eval {self.label}")
-
-    def to_json(self, grid=None, n_samples: int = 5) -> dict:
-        """Component tables on each chart's sample lattice."""
-        if grid is None:
-            grid = dyadic_grid()
-        tables = {}
-        for c in self.chart_names():
-            box = self.atlas.charts[c].sample_box
-            pts = box_lattice(box, n_samples)
-            rows = []
-            for idx in np.ndindex(self.comps[c].shape):
-                net = self.comps[c][idx]
-                for e in grid:
-                    vals = net.at(e)._partial_fn((0,) * self.atlas.dim, pts)
-                    rows.append({"indices": list(idx), "eps": float(e),
-                                 "values": [float(v) for v in np.asarray(vals).ravel()]})
-            tables[c] = {"box": [[float(lo), float(hi)] for lo, hi in box],
-                         "rows": rows}
-        return {"label": self.label, "valence": list(self.valence),
-                "charts": tables}
 
 
 class GeneralizedVectorField(GeneralizedTensorField):

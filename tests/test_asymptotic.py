@@ -15,7 +15,7 @@ from colombeau.asymptotic import (
     estimate_order,
 )
 from colombeau.errors import InsufficientSamples, InvalidSample
-from colombeau.grid import dyadic_grid, parse_grid
+from colombeau.grid import dyadic_grid
 
 
 def test_default_grid_is_dyadic_4_to_14():
@@ -24,15 +24,6 @@ def test_default_grid_is_dyadic_4_to_14():
     assert g[0] == 2.0 ** -4
     assert g[-1] == 2.0 ** -14
     assert np.all(np.diff(g) < 0)
-
-
-def test_parse_grid():
-    g = parse_grid("3..9")
-    assert g[0] == 2.0 ** -3 and g[-1] == 2.0 ** -9
-    with pytest.raises(ValueError):
-        parse_grid("9..3")
-    with pytest.raises(ValueError):
-        parse_grid("abc")
 
 
 @settings(max_examples=60, deadline=None)

@@ -35,6 +35,7 @@ def test_malformed_flags_exit_two(tmp_path):
     for spec in ("gausspoly:x", "fourier:3", "gausspoly:", "gausspoly:0"):
         assert main(["run", "classify", "--mollifier", spec, "--out", out]) == 2, spec
     assert main(["run", "mechanics", "--eps", "0.1,zap", "--out", out]) == 2
+    assert main(["run", "classify", "--eps", "0.1,0.2", "--out", out]) == 2  # mechanics only
     assert main(["run", "--out", out]) == 2  # no experiment named anywhere
     assert not (tmp_path / "never").exists()
 

@@ -247,7 +247,7 @@ def test_homotopy_on_stacked_nodes_matches_per_node_loop(space3):
             for eps in (0.5, 2.0 ** -9):
                 fn = net.at(eps)
                 for alpha in mi.up_to(3, 2):
-                    got = np.broadcast_to(fn._partial_fn(alpha, pts), (len(pts),))
+                    got = fn._partial_fn(alpha, pts)
                     want = _homotopy_per_node(omega, J, eps, alpha, pts)
                     assert got.tobytes() == want.tobytes(), (omega.degree, J, alpha)
 
@@ -383,11 +383,3 @@ def test_circle_top_degree_d_is_empty(t2):
     assert dA.degree == 2 and dA.keys() == []
     with pytest.raises(DegreeOverflow):
         F.wedge(A, A)
-
-
-def test_form_json(plane):
-    w = seeded_form(plane, 1, seed=40)
-    doc = w.to_json(grid=dyadic_grid(4, 7), n_samples=3)
-    assert doc["degree"] == 1
-    rows = doc["charts"]["0"]["rows"]
-    assert len(rows) == 8 and all(len(r["values"]) == 9 for r in rows)

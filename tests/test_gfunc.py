@@ -221,10 +221,20 @@ def test_sigma_embed_rejects_incoherent_charts(s1):
     fns = {"A": from_sympy(sp.sin(Y), [Y]), "B": from_sympy(sp.cos(Y), [Y])}
     with pytest.raises(CoherenceFailure):
         G.sigma_embed(s1, fns)
-    u = G.sigma_embed(s1, fns, check=False)
+    u = G.GeneralizedFunction(s1, {c: Net.constant_in_eps(f) for c, f in fns.items()})
     rep = G.coherence_check(u, grid=dyadic_grid(4, 8), n_samples=41)
     assert rep["coherent"] is False
     assert any(not row["negligible"] for row in rep["rows"])
+
+
+def test_sigma_embed_judges_by_coherence_check(s1):
+    """A constant offset between the charts fails exactly when the
+    coherence check's rounding clamp does not absorb it."""
+    sin_a = from_sympy(sp.sin(Y), [Y])
+    with pytest.raises(CoherenceFailure, match="A->B: gap 1e-11"):
+        G.sigma_embed(s1, {"A": sin_a, "B": from_sympy(sp.sin(Y) + 1e-11, [Y])})
+    u = G.sigma_embed(s1, {"A": sin_a, "B": from_sympy(sp.sin(Y) + 1e-13, [Y])})
+    assert G.coherence_check(u)["coherent"] is True
 
 
 def test_sigma_embed_rejects_a_non_finite_gap(s1):
@@ -733,19 +743,6 @@ def test_integrate_box_rejects_non_finite():
     bad = from_sympy(sp.sqrt(X), [X])
     with pytest.raises(QuadratureFailure):
         G.integrate_box(bad, ((-1.0, 1.0),), eps_hint=0.1)
-
-
-def test_a_constant_callable_gives_one_value_per_point(s1):
-    """A callable that returns a scalar evaluates to one value per point."""
-    three = smooth.from_callable(lambda q: 3.0, 1)
-    assert three._partial_fn((0,), np.zeros((5, 1))).shape == (5,)
-    assert G.integrate_box(three, ((0.0, 1.0),), eps_hint=0.1) == pytest.approx(3.0, abs=1e-14)
-    plane_three = smooth.from_callable(lambda q: 3.0, 2)
-    assert G.integrate_box(plane_three, ((0.0, 1.0), (-1.0, 1.0)), eps_hint=0.1) \
-        == pytest.approx(6.0, abs=1e-13)
-    U = G.GeneralizedFunction(s1.atlas, {c: Net.constant_in_eps(three) for c in ("A", "B")})
-    rep = G.coherence_check(U, grid=dyadic_grid(4, 9))
-    assert rep["coherent"] and len(rep["rows"]) == 4
 
 
 def test_integrate_box_of_a_constant_leaf():

@@ -10,8 +10,10 @@ import pytest
 import sympy as sp
 
 from colombeau import _mindex as mi
-from colombeau import experiments, gfunc, manifolds, smooth
+from colombeau import embed, experiments, forms, gfunc, manifolds, mechanics, smooth
 from colombeau.errors import DerivativeUnavailable, DimensionMismatch
+from colombeau.mollifier import build_mollifier
+from colombeau.nets import Net
 from colombeau.smooth import SmoothFn, constant, coordinate, from_sympy, smoothstep_expr
 
 # sympy's own functions, kept before any test patches them
@@ -115,15 +117,71 @@ def test_where_combinator():
 
 
 def test_finite_difference_fallback_flagged():
-    f = smooth.from_callable(lambda p: np.sin(p[:, 0]), 1)
-    assert f.uses_fd
+    """A hand-built SmoothFn's derivative flags propagate through the algebra."""
+    cycle = (np.sin, np.cos, lambda x: -np.sin(x), lambda x: -np.cos(x))
+    f = SmoothFn(1, lambda alpha, pts: cycle[alpha[0] % 4](pts[:, 0]),
+                 max_order=4, uses_fd=True)
     xs = np.linspace(-1, 1, 5)
-    assert np.allclose(f.partial((1,), xs), np.cos(xs), atol=1e-8)
-    assert np.allclose(f.partial((2,), xs), -np.sin(xs), atol=1e-5)
+    assert np.array_equal(f.partial((1,), xs), np.cos(xs))
     with pytest.raises(DerivativeUnavailable):
         f.partial((5,), xs)
     g = from_sympy(sp.Symbol("x") ** 2, [sp.Symbol("x")])
-    assert (f * g).uses_fd and not g.uses_fd
+    prod = f * g
+    assert prod.uses_fd and not g.uses_fd and prod.max_order == 4
+    assert g.max_order is None
+    with pytest.raises(DerivativeUnavailable):
+        prod.partial((5,), xs)
+    shifted = f.scale_shift(2.0, 1.0)
+    assert shifted.uses_fd and shifted.max_order == 4
+
+
+X0, X1 = sp.symbols("x0 x1")
+
+
+def _homotopy_component():
+    omega = forms.GeneralizedKForm(manifolds.euclidean(2), 1,
+                                   {"0": {(0,): from_sympy(X0 ** 2 * X1, [X0, X1]),
+                                          (1,): constant(1.0, 2)}})
+    return forms.homotopy_H(omega).nets["0"].at(0.25)
+
+
+def _embedded(spec):
+    return embed.embed_rn(spec, build_mollifier("fourier")).at(0.1)
+
+
+# producers of SmoothFn evaluators across the library, each building a fresh one
+_PRODUCERS = {
+    "constant": lambda: constant(2.5, 2),
+    "coordinate": lambda: coordinate(1, 2),
+    "from_sympy-constant": lambda: from_sympy(sp.Integer(3), [X0, X1]),
+    "from_sympy": lambda: from_sympy(X0 * sp.sin(X1), [X0, X1]),
+    "lift_axis": lambda: smooth.lift_axis(from_sympy(sp.sin(X0), [X0]), 1, 2),
+    "scale_shift": lambda: from_sympy(X0 * X1, [X0, X1]).scale_shift([2.0, -1.0], [0.5, 0.0]),
+    "where": lambda: constant(1.0, 2).where(lambda p: p[:, 0] > 0, coordinate(0, 2)),
+    "add": lambda: from_sympy(X1 ** 2, [X0, X1]) + constant(1.0, 2),
+    "mul": lambda: coordinate(0, 2) * from_sympy(sp.cos(X1), [X0, X1]),
+    "Net.partial": lambda: Net.constant_in_eps(
+        from_sympy(X0 ** 3 * X1, [X0, X1])).partial((1, 0)).at(0.1),
+    "embed_rn-dirac": lambda: _embedded(embed.dirac()),
+    "embed_rn-smooth_piece": lambda: _embedded(
+        embed.smooth_piece(from_sympy(sp.sin(X0), [X0]), -0.5, 0.5)),
+    "ScaledMollifier.at": lambda: build_mollifier("fourier").scaled(2).at(0.1),
+    "StrictDeltaNet.at": lambda: mechanics.StrictDeltaNet().at(0.1),
+    "homotopy_H": _homotopy_component,
+}
+
+
+@pytest.mark.parametrize("m", [1, 7])
+@pytest.mark.parametrize("producer", sorted(_PRODUCERS))
+def test_partial_fn_returns_one_float_per_point(producer, m):
+    """Every evaluator returns a float array of shape (m,), even for a
+    constant derivative, so callers need no broadcast."""
+    fn = _PRODUCERS[producer]()
+    pts = np.random.default_rng(m).uniform(-0.6, 0.6, size=(m, fn.dim))
+    for alpha in mi.up_to(fn.dim, 2):
+        out = fn._partial_fn(alpha, pts)
+        assert isinstance(out, np.ndarray) and out.dtype == float, (alpha, type(out))
+        assert out.shape == (m,), alpha
 
 
 def test_smoothstep_profile():
@@ -487,7 +545,6 @@ def test_derivatives_from_the_parent_match_from_scratch(build, sympy_calls):
         assert (_unwrap_atoms(inspect.getsource(fn))
                 == inspect.getsource(_LAMBDIFY(symbols, d, modules=[np])))
         want = _reference_values(expr, symbols, alpha, pts)
-        got = np.broadcast_to(np.asarray(got, dtype=float), want.shape)
         assert got.tobytes() == want.tobytes(), alpha
     assert len(lambdified) == len(alphas)
     assert len(diffs) == len(alphas) - 1  # one per distinct nonzero multi-index

@@ -323,13 +323,3 @@ def test_not_a_derivation(line):
                                      grid=dyadic_grid(4, 9))
     with pytest.raises(NotADerivation):
         T.derivation_to_vector_field(lambda U: 3.0, line, grid=dyadic_grid(4, 9))
-
-
-def test_component_tables(line):
-    sin = from_sympy(sp.sin(X), [X])
-    F = vf(line, sin)
-    doc = F.to_json(grid=dyadic_grid(4, 7), n_samples=3)
-    assert doc["valence"] == [1, 0]
-    rows = doc["charts"]["0"]["rows"]
-    assert len(rows) == 4 and all(len(r["values"]) == 3 for r in rows)
-    assert rows[0]["indices"] == [0]
