@@ -18,7 +18,7 @@ outright with an infinite slope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -139,10 +139,9 @@ def estimate_order(samples, m_max: int = DEFAULT_M_MAX,
     )
 
 
-def classify_scalar_net(f, grid=None, m_max: int = DEFAULT_M_MAX,
-                        slope_tolerance: float = SLOPE_TOLERANCE) -> AsymptoticFit:
+def classify_scalar_net(f, grid=None, m_max: int = DEFAULT_M_MAX) -> AsymptoticFit:
     """Classify a scalar net given as a callable eps -> value."""
     if grid is None:
         grid = dyadic_grid()
     samples = [(float(e), abs(float(f(float(e))))) for e in grid]
-    return estimate_order(samples, m_max=m_max, slope_tolerance=slope_tolerance)
+    return estimate_order(samples, m_max=m_max)

@@ -11,7 +11,7 @@ section of the package README that explains the underlying machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import sympy as sp

@@ -18,14 +18,14 @@ import numpy as np
 from . import _mindex as mi
 from .errors import (AtlasMismatch, DegreeOverflow, DomainError,
                      InvalidDegree, InvalidSlots, QuadratureFailure)
-from .gfunc import GeneralizedFunction, _atlas_of, integrate_box
+from .gfunc import GeneralizedFunction, _atlas_of, _same_charts, _sum, _weight, integrate_box
 from .gnumber import GeneralizedNumber
 from .grid import dyadic_grid
 from .manifolds import Manifold
-from .nets import Net, box_lattice
+from .nets import Net, _as_net, box_lattice
 from .quadrature import box_rule, interval_rule
 from .smooth import SmoothFn
-from .tensor import (GeneralizedTensorField, _as_net, _object_array, coherence_check_tensor,
+from .tensor import (GeneralizedTensorField, _object_array, coherence_check_tensor,
                      random_coherent_functions)
 
 HOMOTOPY_NODES = 32   # Gauss-Legendre nodes in t of the radial homotopy
@@ -50,6 +50,10 @@ def canonical_index(idx):
 def _merge_sign(positions):
     # parity of pulling the chosen positions to the front, order kept
     return (-1) ** sum(p - i for i, p in enumerate(positions))
+
+
+def _signed(net, negate):
+    return net * -1.0 if negate else net
 
 
 class GeneralizedKForm:
@@ -97,10 +101,7 @@ class GeneralizedKForm:
     def _zip(self, other, op):
         if not isinstance(other, GeneralizedKForm):
             raise TypeError(f"cannot combine a form with {other!r}")
-        if other.atlas is not self.atlas:
-            raise AtlasMismatch("operands live on different atlases")
-        if set(other.comps) != set(self.comps):
-            raise AtlasMismatch("operands carry different chart sets")
+        _same_charts(self, other)
         if other.degree != self.degree:
             raise InvalidDegree(f"degree {other.degree} != {self.degree}")
         return GeneralizedKForm(
@@ -118,15 +119,8 @@ class GeneralizedKForm:
         return self * -1.0
 
     def __mul__(self, w):
-        if isinstance(w, GeneralizedFunction):
-            if w.atlas is not self.atlas:
-                raise AtlasMismatch("scalar weight lives on a different atlas")
-            if set(w.nets) != set(self.comps):
-                raise AtlasMismatch("scalar weight carries different charts")
-            weight = lambda c, net: w.nets[c] * net
-        elif np.isscalar(w):
-            weight = lambda c, net: net * float(w)
-        else:
+        weight = _weight(self, w)
+        if weight is None:
             return NotImplemented
         return GeneralizedKForm(
             self.atlas, self.degree,
@@ -164,19 +158,10 @@ def exterior_d(omega):
         raise TypeError(f"cannot differentiate {omega!r}")
     dim = omega.atlas.dim
     k = omega.degree
-    comps = {}
-    for c in omega.comps:
-        table = {}
-        for J in index_tuples(dim, k + 1):
-            acc = None
-            for t in range(k + 1):
-                rest = J[:t] + J[t + 1:]
-                term = omega.comps[c][rest].partial(mi.unit(dim, J[t]))
-                if t % 2:
-                    term = term * -1.0
-                acc = term if acc is None else acc + term
-            table[J] = acc
-        comps[c] = table
+    comps = {c: {J: _sum(_signed(table[J[:t] + J[t + 1:]].partial(mi.unit(dim, J[t])), t % 2)
+                         for t in range(k + 1))
+                 for J in index_tuples(dim, k + 1)}
+             for c, table in omega.comps.items()}
     return GeneralizedKForm(omega.atlas, k + 1, comps, label=f"d {omega.label}")
 
 
@@ -188,28 +173,20 @@ def wedge(a, b):
         return a * b
     if not isinstance(a, GeneralizedKForm) or not isinstance(b, GeneralizedKForm):
         raise TypeError("wedge takes forms or generalized functions")
-    if b.atlas is not a.atlas:
-        raise AtlasMismatch("factors live on different atlases")
-    if set(b.comps) != set(a.comps):
-        raise AtlasMismatch("factors carry different chart sets")
+    _same_charts(a, b)
     dim = a.atlas.dim
     k, l = a.degree, b.degree
     if k + l > dim:
         raise DegreeOverflow(f"degree {k}+{l} exceeds dimension {dim}")
-    comps = {}
-    for c in a.comps:
-        table = {}
-        for K in index_tuples(dim, k + l):
-            acc = None
-            for pos in itertools.combinations(range(k + l), k):
-                comp = tuple(p for p in range(k + l) if p not in pos)
-                term = a.comps[c][tuple(K[p] for p in pos)] \
-                    * b.comps[c][tuple(K[p] for p in comp)]
-                if _merge_sign(pos) < 0:
-                    term = term * -1.0
-                acc = term if acc is None else acc + term
-            table[K] = acc
-        comps[c] = table
+
+    def term(c, K, pos):
+        comp = tuple(p for p in range(k + l) if p not in pos)
+        return _signed(a.comps[c][tuple(K[p] for p in pos)]
+                       * b.comps[c][tuple(K[p] for p in comp)], _merge_sign(pos) < 0)
+
+    comps = {c: {K: _sum(term(c, K, pos) for pos in itertools.combinations(range(k + l), k))
+                 for K in index_tuples(dim, k + l)}
+             for c in a.comps}
     return GeneralizedKForm(a.atlas, k + l, comps,
                             label=f"({a.label})^({b.label})")
 
@@ -223,31 +200,19 @@ def insert(omega: GeneralizedKForm, Xi: GeneralizedTensorField):
         raise InvalidDegree("interior product needs a form of degree >= 1")
     if not isinstance(Xi, GeneralizedTensorField) or Xi.valence != (1, 0):
         raise InvalidSlots("interior product inserts a vector field")
-    if Xi.atlas is not omega.atlas or set(Xi.comps) != set(omega.comps):
-        raise AtlasMismatch("field and form do not share charts")
-    dim = omega.atlas.dim
+    _same_charts(omega, Xi)
     k = omega.degree
     if k == 1:
-        nets = {}
-        for c in omega.comps:
-            acc = None
-            for (m,), net in omega.comps[c].items():
-                term = Xi.comps[c][(m,)] * net
-                acc = term if acc is None else acc + term
-            nets[c] = acc if acc is not None else Net.zero(dim)
+        nets = {c: _sum(Xi.comps[c][(m,)] * net for (m,), net in table.items())
+                for c, table in omega.comps.items()}
         return GeneralizedFunction(omega.atlas, nets, label=f"i_Xi {omega.label}")
     comps = {}
-    for c in omega.comps:
-        table = {J: None for J in index_tuples(dim, k - 1)}
-        for K, net in omega.comps[c].items():
+    for c, table in omega.comps.items():
+        terms = {J: [] for J in index_tuples(omega.atlas.dim, k - 1)}
+        for K, net in table.items():
             for t in range(k):
-                J = K[:t] + K[t + 1:]
-                term = Xi.comps[c][(K[t],)] * net
-                if t % 2:
-                    term = term * -1.0
-                table[J] = term if table[J] is None else table[J] + term
-        comps[c] = {J: (v if v is not None else Net.zero(dim))
-                    for J, v in table.items()}
+                terms[K[:t] + K[t + 1:]].append(_signed(Xi.comps[c][(K[t],)] * net, t % 2))
+        comps[c] = {J: _sum(ts, 0.0) for J, ts in terms.items()}
     return GeneralizedKForm(omega.atlas, k - 1, comps, label=f"i_Xi {omega.label}")
 
 
@@ -258,32 +223,26 @@ def lie_derivative_form(omega: GeneralizedKForm,
         raise InvalidDegree("need a form of degree >= 1")
     if not isinstance(Xi, GeneralizedTensorField) or Xi.valence != (1, 0):
         raise InvalidSlots("Lie derivative needs a vector field")
-    if Xi.atlas is not omega.atlas or set(Xi.comps) != set(omega.comps):
-        raise AtlasMismatch("field and form do not share charts")
+    _same_charts(omega, Xi)
     dim = omega.atlas.dim
     k = omega.degree
     comps = {}
-    for c in omega.comps:
+    for c, table in omega.comps.items():
         xs = [Xi.comps[c][(m,)] for m in range(dim)]
         dxs = [[xs[i].partial(mi.unit(dim, m)) for m in range(dim)]
                for i in range(dim)]
-        table = {}
-        for K in index_tuples(dim, k):
-            acc = None
+
+        def terms(K):
+            # the transport term Xi^m d_m w_K, then one correction per slot
             for m in range(dim):
-                term = xs[m] * omega.comps[c][K].partial(mi.unit(dim, m))
-                acc = term if acc is None else acc + term
+                yield xs[m] * table[K].partial(mi.unit(dim, m))
             for b in range(k):
                 for m in range(dim):
                     sign, key = canonical_index(K[:b] + (m,) + K[b + 1:])
-                    if sign == 0:
-                        continue
-                    term = dxs[m][K[b]] * omega.comps[c][key]
-                    if sign < 0:
-                        term = term * -1.0
-                    acc = acc + term
-            table[K] = acc
-        comps[c] = table
+                    if sign != 0:
+                        yield _signed(dxs[m][K[b]] * table[key], sign < 0)
+
+        comps[c] = {K: _sum(terms(K)) for K in index_tuples(dim, k)}
     return GeneralizedKForm(omega.atlas, k, comps, label=f"L_Xi {omega.label}")
 
 

@@ -10,7 +10,9 @@ testing against distribution targets, and integration.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +55,38 @@ def _atlas_of(obj):
     raise TypeError(f"expected Manifold or Atlas, got {obj!r}")
 
 
+# -- the chart contract every generalized section keeps --------------------
+
+
+def _same_charts(a, b):
+    """Raise AtlasMismatch unless sections ``a`` and ``b`` share atlas and charts."""
+    if b.atlas is not a.atlas:
+        raise AtlasMismatch("operands live on different atlases")
+    if b.chart_names() != a.chart_names():
+        raise AtlasMismatch("operands carry different chart sets")
+
+
+def _weight(section, w):
+    """The chartwise weighting (chart, net) -> w * net, or None for other ``w``.
+
+    A generalized function weights each chart's net by its own net there,
+    a number by itself.
+    """
+    if isinstance(w, GeneralizedFunction):
+        _same_charts(section, w)
+        return lambda c, net: w.nets[c] * net
+    if np.isscalar(w):
+        return lambda c, net: net * float(w)
+    return None
+
+
+def _sum(terms, empty=None):
+    """((t0 + t1) + t2) + ... of ``terms`` in order, or ``empty`` when there are none."""
+    terms = iter(terms)
+    first = next(terms, None)
+    return empty if first is None else functools.reduce(operator.add, terms, first)
+
+
 class GeneralizedFunction:
     """Per-chart nets subject to the overlap transformation law."""
 
@@ -80,10 +114,7 @@ class GeneralizedFunction:
 
     def _combine(self, other, op):
         if isinstance(other, GeneralizedFunction):
-            if other.atlas is not self.atlas:
-                raise AtlasMismatch("operands live on different atlases")
-            if set(other.nets) != set(self.nets):
-                raise AtlasMismatch("operands carry different chart sets")
+            _same_charts(self, other)
             return GeneralizedFunction(
                 self.atlas, {c: op(self.nets[c], other.nets[c]) for c in self.nets})
         if np.isscalar(other):
@@ -110,20 +141,6 @@ class GeneralizedFunction:
     def __neg__(self):
         return self * -1.0
 
-    def lie_derivative(self, xi: dict) -> "GeneralizedFunction":
-        """L_xi U, with xi given per chart as a list of component SmoothFns."""
-        dim = self.atlas.dim
-        nets = {}
-        for c in self.nets:
-            comps = xi[c]
-            if len(comps) != dim:
-                raise AtlasMismatch(f"vector field in chart {c!r} has {len(comps)} components")
-            acc = Net.zero(dim)
-            for i, comp in enumerate(comps):
-                acc = acc + Net.constant_in_eps(comp) * self.nets[c].partial(mi.unit(dim, i))
-            nets[c] = acc
-        return GeneralizedFunction(self.atlas, nets, label=f"L_xi {self.label}")
-
 
 def sigma_embed(space, fns: dict) -> GeneralizedFunction:
     """Constant-in-eps embedding of a chartwise smooth function.
@@ -145,8 +162,8 @@ def sigma_embed(space, fns: dict) -> GeneralizedFunction:
 # -- coherence -----------------------------------------------------------
 
 
-def _block_gaps(atlas: Atlas, comps: dict, valence, block: list, grid, n_samples: int,
-                rtol: float, grad_rtol: float) -> list:
+def _block_gaps(atlas: Atlas, comps: dict, valence, block: list, grid,
+                n_samples: int) -> list:
     """(pair, box count, {eps: clamped gap per box}) of each transition in ``block``."""
     dim = atlas.dim
     r, s = valence
@@ -201,9 +218,9 @@ def _block_gaps(atlas: Atlas, comps: dict, valence, block: list, grid, n_samples
                     pullback = pullback + w * v
                 gap = raise_to(gap, va - pullback)
                 s0 = raise_to(raise_to(s0, va), pullback)
-            # grad_rtol * s1 >= 0, so the derivative scale can only
+            # COHERENCE_GRAD_RTOL * s1 >= 0, so the derivative scale can only
             # decide the clamp of a box the value term alone does not clamp
-            if np.any(gap > rtol * s0):
+            if np.any(gap > COHERENCE_RTOL * s0):
                 if a not in grads:
                     grads[a] = [f._partial_fn(mi.unit(dim, i), lattice[a])
                                 for f in fns[a] for i in range(dim)]
@@ -211,8 +228,8 @@ def _block_gaps(atlas: Atlas, comps: dict, valence, block: list, grid, n_samples
                     s1 = raise_to(s1, g[xs])
             # a non-finite gap or scale must not clamp: it reads NaN
             finite = np.isfinite(gap) & np.isfinite(s0) & np.isfinite(s1)
-            out.append(np.where(finite, np.where(gap <= rtol * s0 + grad_rtol * s1, 0.0, gap),
-                                np.nan))
+            clamp = gap <= COHERENCE_RTOL * s0 + COHERENCE_GRAD_RTOL * s1
+            out.append(np.where(finite, np.where(clamp, 0.0, gap), np.nan))
         return out
 
     # clamped gaps are exact zeros: the fit counts them at its floor; the
@@ -223,8 +240,7 @@ def _block_gaps(atlas: Atlas, comps: dict, valence, block: list, grid, n_samples
             for j, (pair, starts, *_) in enumerate(jobs)]
 
 
-def overlap_residual(atlas: Atlas, comps: dict, valence, grid, n_samples: int,
-                     m_max: int, rtol: float, grad_rtol: float) -> dict:
+def overlap_residual(atlas: Atlas, comps: dict, valence, grid, n_samples: int) -> dict:
     """Classify the transformation-law residual of chartwise components.
 
     ``comps`` maps chart names to object arrays of nets of shape
@@ -234,13 +250,14 @@ def overlap_residual(atlas: Atlas, comps: dict, valence, grid, n_samples: int,
     pullback of the chart-b ones: inverse-J factors on upper slots, J
     factors on lower slots, chart-b components at the mapped points.
     Per eps and box the sup over components and lattice points is
-    clamped to zero below ``rtol`` times the value scale plus
-    ``grad_rtol`` times the chart-a first-derivative scale, then each
-    box is order-fitted.  The first-derivative scale is evaluated only
-    when the value term alone does not clamp some box.  A box whose gap
-    or scale is non-finite (NaN or infinite) at any eps is not clamped
-    at that eps: its row has verdict ``"non-finite"``, NaN slope and
-    max_gap, and is not negligible.
+    clamped to zero below ``COHERENCE_RTOL`` times the value scale plus
+    ``COHERENCE_GRAD_RTOL`` times the chart-a first-derivative scale,
+    then each box is order-fitted at ``DEFAULT_M_MAX``.  The
+    first-derivative scale is evaluated only when the value term alone
+    does not clamp some box.  A box whose gap or scale is non-finite
+    (NaN or infinite) at any eps is not clamped at that eps: its row has
+    verdict ``"non-finite"``, NaN slope and max_gap, and is not
+    negligible.
 
     The sorted transitions are swept in blocks of at most
     ``SWEEP_POINTS`` points, each transition's overlap-box lattice x and
@@ -270,7 +287,7 @@ def overlap_residual(atlas: Atlas, comps: dict, valence, grid, n_samples: int,
     rows = []
     for block in blocks:
         for pair, n_boxes, sweep in _block_gaps(atlas, comps, valence, block, grid,
-                                                n_samples, rtol, grad_rtol):
+                                                n_samples):
             for k in range(n_boxes):
                 gaps = [sweep[e][k] for e in grid]
                 if not np.all(np.isfinite(gaps)):
@@ -278,27 +295,24 @@ def overlap_residual(atlas: Atlas, comps: dict, valence, grid, n_samples: int,
                                  "verdict": "non-finite", "negligible": False,
                                  "n_clamped": gaps.count(0.0), "max_gap": math.nan})
                     continue
-                fit = classify_scalar_net(lambda e: sweep[e][k], grid, m_max=m_max)
+                fit = classify_scalar_net(lambda e: sweep[e][k], grid)
                 rows.append({
                     "pair": list(pair), "box": k, "slope": fit.slope,
                     "verdict": fit.verdict, "negligible": fit.is_negligible,
                     "n_clamped": fit.n_clamped, "max_gap": float(max(fit.magnitudes)),
                 })
     return {"coherent": all(row["negligible"] for row in rows), "n_pairs": len(rows),
-            "m_max": m_max, "rows": rows}
+            "m_max": DEFAULT_M_MAX, "rows": rows}
 
 
-def coherence_check(U: GeneralizedFunction, grid=None, n_samples: int = 61,
-                    m_max: int = DEFAULT_M_MAX, rtol: float = COHERENCE_RTOL,
-                    grad_rtol: float = COHERENCE_GRAD_RTOL) -> dict:
+def coherence_check(U: GeneralizedFunction, grid=None, n_samples: int = 61) -> dict:
     """Classify the transformation-law residual on every overlap.
 
     The gap sup |U_a(x) - U_b(t_ab(x))| per eps is the rank-0 case of
     :func:`overlap_residual`; coherent means every fit is negligible.
     """
     comps = {c: np.array(net, dtype=object) for c, net in U.nets.items()}  # shape ()
-    return overlap_residual(U.atlas, comps, (0, 0), grid, n_samples, m_max,
-                            rtol, grad_rtol)
+    return overlap_residual(U.atlas, comps, (0, 0), grid, n_samples)
 
 
 # -- classification ------------------------------------------------------
@@ -797,40 +811,3 @@ def embed_manifold(specs: dict, manifold: Manifold, mol: Mollifier,
                 acc = acc + transport_net(term, tr)
         nets[i] = acc
     return GeneralizedFunction(atlas, nets, label=label)
-
-
-def lie_route_agreement(U: GeneralizedFunction, fields: list, depth: int,
-                        boxes: dict | None = None, grid=None,
-                        m_max: int = DEFAULT_M_MAX, n_samples=201) -> dict:
-    """Compare iterated-Lie-derivative verdicts with partial-derivative ones.
-
-    ``fields`` is a list of chartwise vector fields; all words in them up
-    to the given depth are classified at order 0 and the summary verdict
-    is matched against classify() at total orders 0..depth.
-    """
-    if grid is None:
-        grid = dyadic_grid()
-    rows = []
-    layer = [((), U)]
-    words = [((), U)]
-    for _ in range(depth):
-        layer = [(word + (idx,), gf.lie_derivative(fields[idx]))
-                 for word, gf in layer for idx in range(len(fields))]
-        words.extend(layer)
-    for word, gf in words:
-        rep = classify(gf, orders=(0,), boxes=boxes, grid=grid, m_max=m_max,
-                       n_samples=n_samples)
-        rows.append({"word": list(word), "summary": rep["summary"],
-                     "order": rep["order"]})
-    lie_neg = all(r["summary"] == "negligible" for r in rows)
-    lie_mod = all(r["summary"] in ("negligible", "moderate") for r in rows)
-    part = classify(U, orders=tuple(range(depth + 1)), boxes=boxes, grid=grid,
-                    m_max=m_max, n_samples=n_samples)
-    part_neg = part["summary"] == "negligible"
-    part_mod = part["summary"] in ("negligible", "moderate")
-    return {
-        "agree": (lie_neg == part_neg) and (lie_mod == part_mod),
-        "lie_rows": rows,
-        "partial_summary": part["summary"],
-        "depth": depth,
-    }

@@ -26,10 +26,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import sympy as sp
 
-from .errors import (AtlasMismatch, DimensionMismatch, InvalidSlots,
-                     NoImpact, StiffnessFailure)
+from . import _mindex as mi
+from .errors import DimensionMismatch, InvalidSlots, NoImpact, StiffnessFailure
 from .forms import GeneralizedKForm, exterior_d
-from .gfunc import GeneralizedFunction, _atlas_of
+from .gfunc import GeneralizedFunction, _atlas_of, _same_charts, _sum
 from .gnumber import GeneralizedNumber
 from .manifolds import euclidean
 from .nets import Net
@@ -233,29 +233,15 @@ def poisson(F: GeneralizedFunction, G: GeneralizedFunction,
             omega: SymplecticForm) -> GeneralizedFunction:
     """{F, G} = sum_i F_{q_i} G_{p_i} - F_{p_i} G_{q_i}, per eps."""
     atlas = F.atlas
-    if G.atlas is not atlas:
-        raise AtlasMismatch("bracket operands live on different atlases")
-    if set(F.nets) != set(G.nets):
-        raise AtlasMismatch("bracket operands carry different chart sets")
+    _same_charts(F, G)
     if atlas.dim != omega.dim:
         raise DimensionMismatch(
             f"functions on dim {atlas.dim}, symplectic form on dim {omega.dim}")
     n = omega.dofs
-    dim = omega.dim
-
-    def unit(i):
-        a = [0] * dim
-        a[i] = 1
-        return tuple(a)
-
-    nets = {}
-    for c in F.nets:
-        acc = None
-        for i in range(n):
-            term = (F.nets[c].partial(unit(i)) * G.nets[c].partial(unit(n + i))
-                    - F.nets[c].partial(unit(n + i)) * G.nets[c].partial(unit(i)))
-            acc = term if acc is None else acc + term
-        nets[c] = acc
+    d = lambda U, c, i: U.nets[c].partial(mi.unit(omega.dim, i))
+    nets = {c: _sum(d(F, c, i) * d(G, c, n + i) - d(F, c, n + i) * d(G, c, i)
+                    for i in range(n))
+            for c in F.nets}
     return GeneralizedFunction(atlas, nets,
                                label=f"{{{F.label or 'F'},{G.label or 'G'}}}")
 

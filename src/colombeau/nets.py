@@ -73,25 +73,25 @@ class Net:
             raise DimensionMismatch("nets on different dimensions")
 
     def __add__(self, other):
-        other = self._coerce(other)
+        other = _as_net(other, self.dim)
         self._check(other)
         return Net(self.dim, lambda eps: self.at(eps) + other.at(eps))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
+        other = _as_net(other, self.dim)
         self._check(other)
         return Net(self.dim, lambda eps: self.at(eps) - other.at(eps))
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        return _as_net(other, self.dim) - self
 
     def __mul__(self, other):
         if np.isscalar(other):
             c = float(other)
             return Net(self.dim, lambda eps: self.at(eps) * c)
-        other = self._coerce(other)
+        other = _as_net(other, self.dim)
         self._check(other)
         return Net(self.dim, lambda eps: self.at(eps) * other.at(eps))
 
@@ -99,15 +99,6 @@ class Net:
 
     def __neg__(self):
         return self * -1.0
-
-    def _coerce(self, other):
-        if isinstance(other, Net):
-            return other
-        if isinstance(other, SmoothFn):
-            return Net.constant_in_eps(other)
-        if np.isscalar(other):
-            return Net.constant_in_eps(constant(float(other), self.dim))
-        raise TypeError(f"cannot combine net with {other!r}")
 
     def partial(self, alpha) -> "Net":
         """The net of partial derivatives d^alpha u_eps."""
@@ -128,6 +119,17 @@ class Net:
     def scale_by_eps(self, power: float) -> "Net":
         """The net eps^power * u_eps."""
         return Net(self.dim, lambda eps: self.at(eps) * (eps ** power))
+
+
+def _as_net(value, dim: int) -> Net:
+    """A Net as it is; a SmoothFn or a number as a net constant in eps on R^dim."""
+    if isinstance(value, Net):
+        return value
+    if isinstance(value, SmoothFn):
+        return Net.constant_in_eps(value)
+    if np.isscalar(value):
+        return Net.constant_in_eps(constant(float(value), dim))
+    raise TypeError(f"cannot use {value!r} as a net")
 
 
 AUTO_LATTICE_CAP = 262145

@@ -16,22 +16,12 @@ import numpy as np
 from . import _mindex as mi
 from .asymptotic import DEFAULT_M_MAX, classify_scalar_net
 from .errors import AtlasMismatch, InvalidSlots, NotADerivation
-from .gfunc import (COHERENCE_GRAD_RTOL, COHERENCE_RTOL, GeneralizedFunction,
-                    _atlas_of, overlap_residual)
+from .gfunc import (GeneralizedFunction, _atlas_of, _same_charts, _sum, _weight, classify,
+                    overlap_residual)
 from .grid import dyadic_grid
 from .manifolds import Manifold
-from .nets import Net
-from .smooth import SmoothFn, constant, from_sympy
-
-
-def _as_net(value, dim: int) -> Net:
-    if isinstance(value, Net):
-        return value
-    if isinstance(value, SmoothFn):
-        return Net.constant_in_eps(value)
-    if np.isscalar(value):
-        return Net.constant_in_eps(constant(float(value), dim))
-    raise TypeError(f"cannot use {value!r} as a tensor component")
+from .nets import Net, _as_net
+from .smooth import from_sympy
 
 
 def _object_array(shape, entry) -> np.ndarray:
@@ -82,14 +72,8 @@ class GeneralizedTensorField:
 
     # -- module algebra over generalized functions ----------------------
 
-    def _check_peer(self, other: "GeneralizedTensorField"):
-        if other.atlas is not self.atlas:
-            raise AtlasMismatch("operands live on different atlases")
-        if set(other.comps) != set(self.comps):
-            raise AtlasMismatch("operands carry different chart sets")
-
     def _zip(self, other, op):
-        self._check_peer(other)
+        _same_charts(self, other)
         if other.valence != self.valence:
             raise InvalidSlots(f"valence {other.valence} != {self.valence}")
         comps = {c: _object_array(arr.shape, lambda idx: op(arr[idx], other.comps[c][idx]))
@@ -110,15 +94,8 @@ class GeneralizedTensorField:
         return self * -1.0
 
     def __mul__(self, w):
-        if isinstance(w, GeneralizedFunction):
-            if w.atlas is not self.atlas:
-                raise AtlasMismatch("scalar weight lives on a different atlas")
-            if set(w.nets) != set(self.comps):
-                raise AtlasMismatch("scalar weight carries different charts")
-            weight = lambda c, net: w.nets[c] * net
-        elif np.isscalar(w):
-            weight = lambda c, net: net * float(w)
-        else:
+        weight = _weight(self, w)
+        if weight is None:
             return NotImplemented
         comps = {c: _object_array(arr.shape, lambda idx: weight(c, arr[idx]))
                  for c, arr in self.comps.items()}
@@ -141,25 +118,24 @@ class GeneralizedTensorField:
                 f"need {r} one-forms and {s} vector fields, "
                 f"got {len(one_forms)} and {len(vector_fields)}")
         for a in one_forms:
-            self._check_peer(a)
+            _same_charts(self, a)
             if a.valence != (0, 1):
                 raise InvalidSlots("upper slots take one-forms")
         for x in vector_fields:
-            self._check_peer(x)
+            _same_charts(self, x)
             if x.valence != (1, 0):
                 raise InvalidSlots("lower slots take vector fields")
-        dim = self.atlas.dim
-        nets = {}
-        for c, arr in self.comps.items():
-            acc = None
-            for idx in np.ndindex(arr.shape):
-                term = arr[idx]
-                for k in range(r):
-                    term = term * one_forms[k].comps[c][(idx[k],)]
-                for l in range(s):
-                    term = term * vector_fields[l].comps[c][(idx[r + l],)]
-                acc = term if acc is None else acc + term
-            nets[c] = acc if acc is not None else Net.zero(dim)
+
+        def term(c, idx):
+            out = self.comps[c][idx]
+            for k in range(r):
+                out = out * one_forms[k].comps[c][(idx[k],)]
+            for l in range(s):
+                out = out * vector_fields[l].comps[c][(idx[r + l],)]
+            return out
+
+        nets = {c: _sum(term(c, idx) for idx in np.ndindex(arr.shape))
+                for c, arr in self.comps.items()}
         return GeneralizedFunction(self.atlas, nets, label=f"eval {self.label}")
 
 
@@ -211,10 +187,7 @@ def tensor_product(S: GeneralizedTensorField,
     """S (x) T with upper slots of S first, then of T; same for lower."""
     if not isinstance(S, GeneralizedTensorField) or not isinstance(T, GeneralizedTensorField):
         raise TypeError("tensor_product takes two tensor fields")
-    if T.atlas is not S.atlas:
-        raise AtlasMismatch("factors live on different atlases")
-    if set(T.comps) != set(S.comps):
-        raise AtlasMismatch("factors carry different chart sets")
+    _same_charts(S, T)
     r1, s1 = S.valence
     r2, s2 = T.valence
     dim = S.atlas.dim
@@ -247,13 +220,8 @@ def contract(T: GeneralizedTensorField, up: int = 0, low: int = 0):
 
     def traced(c, rest):
         up_rest, low_rest = rest[:r - 1], rest[r - 1:]
-        acc = None
-        for k in range(dim):
-            full = (up_rest[:up] + (k,) + up_rest[up:]
-                    + low_rest[:low] + (k,) + low_rest[low:])
-            term = T.comps[c][full]
-            acc = term if acc is None else acc + term
-        return acc
+        return _sum(T.comps[c][up_rest[:up] + (k,) + up_rest[up:]
+                               + low_rest[:low] + (k,) + low_rest[low:]] for k in range(dim))
 
     if r + s == 2:
         nets = {c: traced(c, ()) for c in T.comps}
@@ -272,18 +240,10 @@ def field_apply(Xi: GeneralizedTensorField, U: GeneralizedFunction) -> Generaliz
         raise InvalidSlots("only vector fields act on scalars")
     if not isinstance(U, GeneralizedFunction):
         raise TypeError(f"expected a generalized function, got {U!r}")
-    if U.atlas is not Xi.atlas:
-        raise AtlasMismatch("field and scalar live on different atlases")
-    if set(U.nets) != set(Xi.comps):
-        raise AtlasMismatch("field and scalar carry different chart sets")
+    _same_charts(Xi, U)
     dim = Xi.atlas.dim
-    nets = {}
-    for c in Xi.comps:
-        acc = None
-        for m in range(dim):
-            term = Xi.comps[c][(m,)] * U.nets[c].partial(mi.unit(dim, m))
-            acc = term if acc is None else acc + term
-        nets[c] = acc
+    nets = {c: _sum(Xi.comps[c][(m,)] * U.nets[c].partial(mi.unit(dim, m)) for m in range(dim))
+            for c in Xi.comps}
     return GeneralizedFunction(Xi.atlas, nets, label=f"Xi({U.label})")
 
 
@@ -297,10 +257,7 @@ def gen_lie_derivative(T: GeneralizedTensorField,
     """
     if not isinstance(Xi, GeneralizedTensorField) or Xi.valence != (1, 0):
         raise InvalidSlots("Lie derivative needs a vector field")
-    if T.atlas is not Xi.atlas:
-        raise AtlasMismatch("tensor and field live on different atlases")
-    if set(T.comps) != set(Xi.comps):
-        raise AtlasMismatch("tensor and field carry different chart sets")
+    _same_charts(T, Xi)
     r, s = T.valence
     dim = T.atlas.dim
     comps = {}
@@ -311,10 +268,7 @@ def gen_lie_derivative(T: GeneralizedTensorField,
         out = np.empty(arr.shape, dtype=object)
         for idx in np.ndindex(arr.shape):
             upper, lower = idx[:r], idx[r:]
-            acc = None
-            for m in range(dim):
-                term = xs[m] * arr[idx].partial(mi.unit(dim, m))
-                acc = term if acc is None else acc + term
+            acc = _sum(xs[m] * arr[idx].partial(mi.unit(dim, m)) for m in range(dim))
             for a in range(r):
                 for m in range(dim):
                     jdx = upper[:a] + (m,) + upper[a + 1:] + lower
@@ -345,19 +299,55 @@ def bracket(X: GeneralizedTensorField, Y: GeneralizedTensorField) -> Generalized
     return gen_lie_derivative(Y, X)
 
 
+def lie_route_agreement(U: GeneralizedFunction, fields: list, depth: int,
+                        boxes: dict | None = None, grid=None,
+                        m_max: int = DEFAULT_M_MAX, n_samples=201) -> dict:
+    """Compare iterated-Lie-derivative verdicts with partial-derivative ones.
+
+    ``fields`` lists smooth vector fields, each given per chart as a list
+    of component SmoothFns; all words in them up to the given depth are
+    classified at order 0 and the summary verdict is matched against
+    classify() at total orders 0..depth.
+    """
+    if grid is None:
+        grid = dyadic_grid()
+    fields = [smooth_vector_field(U.atlas, xi) for xi in fields]
+    rows = []
+    layer = [((), U)]
+    words = [((), U)]
+    for _ in range(depth):
+        layer = [(word + (idx,), field_apply(Xi, gf))
+                 for word, gf in layer for idx, Xi in enumerate(fields)]
+        words.extend(layer)
+    for word, gf in words:
+        rep = classify(gf, orders=(0,), boxes=boxes, grid=grid, m_max=m_max,
+                       n_samples=n_samples)
+        rows.append({"word": list(word), "summary": rep["summary"],
+                     "order": rep["order"]})
+    lie_neg = all(r["summary"] == "negligible" for r in rows)
+    lie_mod = all(r["summary"] in ("negligible", "moderate") for r in rows)
+    part = classify(U, orders=tuple(range(depth + 1)), boxes=boxes, grid=grid,
+                    m_max=m_max, n_samples=n_samples)
+    part_neg = part["summary"] == "negligible"
+    part_mod = part["summary"] in ("negligible", "moderate")
+    return {
+        "agree": (lie_neg == part_neg) and (lie_mod == part_mod),
+        "lie_rows": rows,
+        "partial_summary": part["summary"],
+        "depth": depth,
+    }
+
+
 # -- coherence on overlaps -------------------------------------------------
 
 
-def coherence_check_tensor(T: GeneralizedTensorField, grid=None, n_samples: int = 31,
-                           m_max: int = DEFAULT_M_MAX, rtol: float = COHERENCE_RTOL,
-                           grad_rtol: float = COHERENCE_GRAD_RTOL) -> dict:
+def coherence_check_tensor(T: GeneralizedTensorField, grid=None, n_samples: int = 31) -> dict:
     """Classify the Jacobian-weighted transformation residual per overlap.
 
     The valence-(r, s) case of :func:`gfunc.overlap_residual`; coherent
     means every fit is negligible.
     """
-    return overlap_residual(T.atlas, T.comps, T.valence, grid, n_samples, m_max,
-                            rtol, grad_rtol)
+    return overlap_residual(T.atlas, T.comps, T.valence, grid, n_samples)
 
 
 # -- seeded coherent inputs -------------------------------------------------

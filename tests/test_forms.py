@@ -14,6 +14,7 @@ from colombeau.gfunc import GeneralizedFunction, sigma_embed
 from colombeau.grid import dyadic_grid
 from colombeau.manifold import Atlas, Chart
 from colombeau.manifolds import circle, euclidean, torus2
+from colombeau.mechanics import SymplecticForm, poisson
 from colombeau.mollifier import build_mollifier
 from colombeau.nets import Net, box_lattice
 from colombeau.smooth import constant, from_sympy
@@ -383,3 +384,48 @@ def test_circle_top_degree_d_is_empty(t2):
     assert dA.degree == 2 and dA.keys() == []
     with pytest.raises(DegreeOverflow):
         F.wedge(A, A)
+
+
+# -- the chart contract -------------------------------------------------------
+
+
+def _sections(space, charts):
+    """A zero function, vector field, one-form tensor and 1-form on ``charts``."""
+    dim = space.atlas.dim
+    return {"gf": GeneralizedFunction(space, {c: Net.zero(dim) for c in charts}),
+            "vf": T.GeneralizedVectorField(space, {c: [0.0] * dim for c in charts}),
+            "one": T.GeneralizedOneForm(space, {c: [0.0] * dim for c in charts}),
+            "form": F.GeneralizedKForm(space, 1, {c: {} for c in charts})}
+
+
+# operation on sections s of the full torus, and the kind of its odd operand
+CHART_CONTRACT = {
+    "function +": (lambda s, odd: s["gf"] + odd, "gf"),
+    "function *": (lambda s, odd: s["gf"] * odd, "gf"),
+    "tensor +": (lambda s, odd: s["vf"] + odd, "vf"),
+    "tensor * function": (lambda s, odd: s["vf"] * odd, "gf"),
+    "tensor_product": (lambda s, odd: T.tensor_product(s["vf"], odd), "one"),
+    "field_apply": (lambda s, odd: T.field_apply(s["vf"], odd), "gf"),
+    "gen_lie_derivative": (lambda s, odd: T.gen_lie_derivative(s["one"], odd), "vf"),
+    "evaluate upper slot": (lambda s, odd: s["vf"].evaluate(one_forms=(odd,)), "one"),
+    "evaluate lower slot": (lambda s, odd: s["one"].evaluate(vector_fields=(odd,)), "vf"),
+    "form +": (lambda s, odd: s["form"] + odd, "form"),
+    "form * function": (lambda s, odd: s["form"] * odd, "gf"),
+    "wedge": (lambda s, odd: F.wedge(s["form"], odd), "form"),
+    "insert": (lambda s, odd: F.insert(s["form"], odd), "vf"),
+    "lie_derivative_form": (lambda s, odd: F.lie_derivative_form(s["form"], odd), "vf"),
+    "poisson": (lambda s, odd: poisson(s["gf"], odd, SymplecticForm(1)), "gf"),
+}
+
+
+@pytest.mark.parametrize("mismatch", ["foreign atlas", "missing chart"])
+@pytest.mark.parametrize("op", sorted(CHART_CONTRACT))
+def test_chart_contract_rejects_mismatched_operands(t2, op, mismatch):
+    build, kind = CHART_CONTRACT[op]
+    charts = sorted(t2.atlas.charts)
+    full = _sections(t2, charts)
+    odd = (_sections(torus2(), charts) if mismatch == "foreign atlas"
+           else _sections(t2, charts[1:]))[kind]
+    with pytest.raises(AtlasMismatch):
+        build(full, odd)
+    build(full, full[kind])  # the matched operands are accepted

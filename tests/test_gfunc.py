@@ -11,7 +11,7 @@ from colombeau import _mindex as mi
 from colombeau import gfunc as G
 from colombeau import smooth
 from colombeau import tensor as T
-from colombeau.asymptotic import DEFAULT_M_MAX, classify_scalar_net
+from colombeau.asymptotic import classify_scalar_net
 from colombeau.embed import (
     DistributionSpec,
     dirac,
@@ -107,7 +107,7 @@ def test_atlas_mismatch_between_distinct_spaces(delta_fn):
 
 def test_lie_derivative_of_heaviside_is_delta_like(fourier, line):
     H = G.GeneralizedFunction(line, {"0": embed_rn(heaviside(), fourier)})
-    LH = H.lie_derivative({"0": [from_sympy(sp.Integer(1), [X])]})
+    LH = T.field_apply(T.smooth_vector_field(line, {"0": [from_sympy(sp.Integer(1), [X])]}), H)
     eps = 2.0 ** -6
     xs = np.array([-0.4, 0.0, 0.3])
     want = fourier.deriv(0, xs / eps) / eps - fourier.deriv(0, (xs - 10) / eps) / eps
@@ -360,8 +360,7 @@ def test_overlap_residual_rows_match_eager_reference(name, request):
     # derivative scale change no row: slopes and max gaps bitwise, clamp
     # counts and verdicts exactly
     atlas, comps, valence, grid, n = _residual_inputs(name, request)
-    rep = G.overlap_residual(atlas, comps, valence, grid, n, DEFAULT_M_MAX,
-                             G.COHERENCE_RTOL, G.COHERENCE_GRAD_RTOL)
+    rep = G.overlap_residual(atlas, comps, valence, grid, n)
     got = [_row_key(row["slope"], row["max_gap"], row["n_clamped"], row["verdict"])
            for row in rep["rows"]]
     assert got == _reference_rows(atlas, comps, valence, grid, n)
@@ -593,7 +592,7 @@ def test_square_scaled_delta_recovers_kernel_energy(delta_fn):
 
 def test_heaviside_derivative_associates_to_delta(fourier, line):
     H = G.GeneralizedFunction(line, {"0": embed_rn(heaviside(), fourier)})
-    LH = H.lie_derivative({"0": [from_sympy(sp.Integer(1), [X])]})
+    LH = T.field_apply(T.smooth_vector_field(line, {"0": [from_sympy(sp.Integer(1), [X])]}), H)
     v = G.associate(LH, dirac(0.0), grid=dyadic_grid(4, 11))
     assert v.status == "associated"
     assert max(r["residual"] for r in v.rows) < 1e-9
@@ -713,7 +712,7 @@ def test_transport_requires_affine_pieces():
 def test_lie_route_agreement_on_embedded_sine(fourier, line):
     sin_fn = from_sympy(sp.sin(X), [X])
     E = G.GeneralizedFunction(line, {"0": embed_rn(smooth_piece(sin_fn, -9.5, 9.5), fourier)})
-    rep = G.lie_route_agreement(E, [{"0": [sin_fn]}], depth=2,
+    rep = T.lie_route_agreement(E, [{"0": [sin_fn]}], depth=2,
                                 grid=dyadic_grid(4, 7), n_samples=41)
     assert rep["agree"] is True
     assert rep["partial_summary"] == "moderate"
