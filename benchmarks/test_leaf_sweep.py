@@ -28,8 +28,7 @@ def sweep():
     grid = dyadic_grid(4, 9)
 
     def run():
-        return G.overlap_residual(t2.atlas, F.comps, F.valence, grid, 9, G.DEFAULT_M_MAX,
-                                  G.COHERENCE_RTOL, G.COHERENCE_GRAD_RTOL)
+        return G.overlap_residual(t2.atlas, F.comps, F.valence, grid, 9)
 
     return run
 

@@ -4,10 +4,10 @@ The central primitive: given samples (eps_k, magnitude_k), fit
 log magnitude ~ slope * log eps + intercept by least squares and read
 off a growth verdict.  A net behaving like eps^p yields slope p:
 
-* slope >= m_max - slope_tolerance        -> negligible (at level m_max)
-* slope < -(divergence_order + tolerance) -> divergent
-* otherwise                               -> moderate of order
-  N = ceil(max(0, -slope - slope_tolerance))
+* slope >= m_max - SLOPE_TOLERANCE                 -> negligible (at level m_max)
+* slope < -(DIVERGENCE_ORDER + SLOPE_TOLERANCE)    -> divergent
+* otherwise                                        -> moderate of order
+  N = ceil(max(0, -slope - SLOPE_TOLERANCE))
 
 Exact zeros are the strongest possible negligibility evidence; zero
 magnitudes are clamped to a tiny floor so the fit stays defined, and a
@@ -91,8 +91,7 @@ def _validate(samples):
     return pairs
 
 
-def estimate_order(samples, m_max: int = DEFAULT_M_MAX,
-                   slope_tolerance: float = SLOPE_TOLERANCE) -> AsymptoticFit:
+def estimate_order(samples, m_max: int = DEFAULT_M_MAX) -> AsymptoticFit:
     """Fit the asymptotic order of a sampled net.
 
     ``samples`` is an iterable of (eps, magnitude) with at least four
@@ -124,13 +123,13 @@ def estimate_order(samples, m_max: int = DEFAULT_M_MAX,
     intercept = float(intercept)
 
     note = f"{n_clamped} magnitudes clamped to floor" if n_clamped else ""
-    if slope < -(DIVERGENCE_ORDER + slope_tolerance):
+    if slope < -(DIVERGENCE_ORDER + SLOPE_TOLERANCE):
         verdict, order = DIVERGENT, None
-    elif slope >= m_max - slope_tolerance:
+    elif slope >= m_max - SLOPE_TOLERANCE:
         verdict, order = NEGLIGIBLE, None
     else:
         verdict = MODERATE
-        order = math.ceil(max(0.0, -slope - slope_tolerance))
+        order = math.ceil(max(0.0, -slope - SLOPE_TOLERANCE))
     return AsymptoticFit(
         slope=slope, intercept=intercept, residual=residual,
         verdict=verdict, order=order, m_max=m_max,

@@ -18,7 +18,8 @@ import numpy as np
 from . import _mindex as mi
 from .errors import (AtlasMismatch, DegreeOverflow, DomainError,
                      InvalidDegree, InvalidSlots, QuadratureFailure)
-from .gfunc import GeneralizedFunction, _atlas_of, _same_charts, _sum, _weight, integrate_box
+from .gfunc import (GeneralizedFunction, _atlas_of, _same_charts, _sum, _weight,
+                    integrate_box)
 from .gnumber import GeneralizedNumber
 from .grid import dyadic_grid
 from .manifolds import Manifold
@@ -158,10 +159,15 @@ def exterior_d(omega):
         raise TypeError(f"cannot differentiate {omega!r}")
     dim = omega.atlas.dim
     k = omega.degree
-    comps = {c: {J: _sum(_signed(table[J[:t] + J[t + 1:]].partial(mi.unit(dim, J[t])), t % 2)
-                         for t in range(k + 1))
-                 for J in index_tuples(dim, k + 1)}
-             for c, table in omega.comps.items()}
+    comps = {}
+    for c, table in omega.comps.items():
+        comps[c] = {}
+        for J in index_tuples(dim, k + 1):
+            terms = []
+            for t in range(k + 1):
+                term = table[J[:t] + J[t + 1:]].partial(mi.unit(dim, J[t]))
+                terms.append(_signed(term, t % 2))
+            comps[c][J] = _sum(terms)
     return GeneralizedKForm(omega.atlas, k + 1, comps, label=f"d {omega.label}")
 
 
@@ -178,15 +184,17 @@ def wedge(a, b):
     k, l = a.degree, b.degree
     if k + l > dim:
         raise DegreeOverflow(f"degree {k}+{l} exceeds dimension {dim}")
-
-    def term(c, K, pos):
-        comp = tuple(p for p in range(k + l) if p not in pos)
-        return _signed(a.comps[c][tuple(K[p] for p in pos)]
-                       * b.comps[c][tuple(K[p] for p in comp)], _merge_sign(pos) < 0)
-
-    comps = {c: {K: _sum(term(c, K, pos) for pos in itertools.combinations(range(k + l), k))
-                 for K in index_tuples(dim, k + l)}
-             for c in a.comps}
+    comps = {}
+    for c in a.comps:
+        comps[c] = {}
+        for K in index_tuples(dim, k + l):
+            terms = []
+            for pos in itertools.combinations(range(k + l), k):
+                comp = tuple(p for p in range(k + l) if p not in pos)
+                term = a.comps[c][tuple(K[p] for p in pos)] \
+                    * b.comps[c][tuple(K[p] for p in comp)]
+                terms.append(_signed(term, _merge_sign(pos) < 0))
+            comps[c][K] = _sum(terms)
     return GeneralizedKForm(a.atlas, k + l, comps,
                             label=f"({a.label})^({b.label})")
 
@@ -211,7 +219,8 @@ def insert(omega: GeneralizedKForm, Xi: GeneralizedTensorField):
         terms = {J: [] for J in index_tuples(omega.atlas.dim, k - 1)}
         for K, net in table.items():
             for t in range(k):
-                terms[K[:t] + K[t + 1:]].append(_signed(Xi.comps[c][(K[t],)] * net, t % 2))
+                term = Xi.comps[c][(K[t],)] * net
+                terms[K[:t] + K[t + 1:]].append(_signed(term, t % 2))
         comps[c] = {J: _sum(ts, 0.0) for J, ts in terms.items()}
     return GeneralizedKForm(omega.atlas, k - 1, comps, label=f"i_Xi {omega.label}")
 

@@ -238,10 +238,13 @@ def poisson(F: GeneralizedFunction, G: GeneralizedFunction,
         raise DimensionMismatch(
             f"functions on dim {atlas.dim}, symplectic form on dim {omega.dim}")
     n = omega.dofs
-    d = lambda U, c, i: U.nets[c].partial(mi.unit(omega.dim, i))
-    nets = {c: _sum(d(F, c, i) * d(G, c, n + i) - d(F, c, n + i) * d(G, c, i)
-                    for i in range(n))
-            for c in F.nets}
+    dim = omega.dim
+    nets = {}
+    for c in F.nets:
+        f, g = F.nets[c], G.nets[c]
+        nets[c] = _sum(f.partial(mi.unit(dim, i)) * g.partial(mi.unit(dim, n + i))
+                       - f.partial(mi.unit(dim, n + i)) * g.partial(mi.unit(dim, i))
+                       for i in range(n))
     return GeneralizedFunction(atlas, nets,
                                label=f"{{{F.label or 'F'},{G.label or 'G'}}}")
 

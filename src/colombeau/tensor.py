@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _mindex as mi
-from .asymptotic import DEFAULT_M_MAX, classify_scalar_net
+from .asymptotic import classify_scalar_net
 from .errors import AtlasMismatch, InvalidSlots, NotADerivation
 from .gfunc import (GeneralizedFunction, _atlas_of, _same_charts, _sum, _weight, classify,
                     overlap_residual)
@@ -220,8 +220,9 @@ def contract(T: GeneralizedTensorField, up: int = 0, low: int = 0):
 
     def traced(c, rest):
         up_rest, low_rest = rest[:r - 1], rest[r - 1:]
-        return _sum(T.comps[c][up_rest[:up] + (k,) + up_rest[up:]
-                               + low_rest[:low] + (k,) + low_rest[low:]] for k in range(dim))
+        keys = (up_rest[:up] + (k,) + up_rest[up:]
+                + low_rest[:low] + (k,) + low_rest[low:] for k in range(dim))
+        return _sum(T.comps[c][key] for key in keys)
 
     if r + s == 2:
         nets = {c: traced(c, ()) for c in T.comps}
@@ -242,8 +243,10 @@ def field_apply(Xi: GeneralizedTensorField, U: GeneralizedFunction) -> Generaliz
         raise TypeError(f"expected a generalized function, got {U!r}")
     _same_charts(Xi, U)
     dim = Xi.atlas.dim
-    nets = {c: _sum(Xi.comps[c][(m,)] * U.nets[c].partial(mi.unit(dim, m)) for m in range(dim))
-            for c in Xi.comps}
+    nets = {}
+    for c in Xi.comps:
+        nets[c] = _sum(Xi.comps[c][(m,)] * U.nets[c].partial(mi.unit(dim, m))
+                       for m in range(dim))
     return GeneralizedFunction(Xi.atlas, nets, label=f"Xi({U.label})")
 
 
@@ -300,8 +303,7 @@ def bracket(X: GeneralizedTensorField, Y: GeneralizedTensorField) -> Generalized
 
 
 def lie_route_agreement(U: GeneralizedFunction, fields: list, depth: int,
-                        boxes: dict | None = None, grid=None,
-                        m_max: int = DEFAULT_M_MAX, n_samples=201) -> dict:
+                        grid=None, n_samples=201) -> dict:
     """Compare iterated-Lie-derivative verdicts with partial-derivative ones.
 
     ``fields`` lists smooth vector fields, each given per chart as a list
@@ -320,14 +322,12 @@ def lie_route_agreement(U: GeneralizedFunction, fields: list, depth: int,
                  for word, gf in layer for idx, Xi in enumerate(fields)]
         words.extend(layer)
     for word, gf in words:
-        rep = classify(gf, orders=(0,), boxes=boxes, grid=grid, m_max=m_max,
-                       n_samples=n_samples)
+        rep = classify(gf, orders=(0,), grid=grid, n_samples=n_samples)
         rows.append({"word": list(word), "summary": rep["summary"],
                      "order": rep["order"]})
     lie_neg = all(r["summary"] == "negligible" for r in rows)
     lie_mod = all(r["summary"] in ("negligible", "moderate") for r in rows)
-    part = classify(U, orders=tuple(range(depth + 1)), boxes=boxes, grid=grid,
-                    m_max=m_max, n_samples=n_samples)
+    part = classify(U, orders=tuple(range(depth + 1)), grid=grid, n_samples=n_samples)
     part_neg = part["summary"] == "negligible"
     part_mod = part["summary"] in ("negligible", "moderate")
     return {
@@ -341,7 +341,8 @@ def lie_route_agreement(U: GeneralizedFunction, fields: list, depth: int,
 # -- coherence on overlaps -------------------------------------------------
 
 
-def coherence_check_tensor(T: GeneralizedTensorField, grid=None, n_samples: int = 31) -> dict:
+def coherence_check_tensor(T: GeneralizedTensorField, grid=None,
+                           n_samples: int = 31) -> dict:
     """Classify the Jacobian-weighted transformation residual per overlap.
 
     The valence-(r, s) case of :func:`gfunc.overlap_residual`; coherent
