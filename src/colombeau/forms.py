@@ -16,18 +16,18 @@ import itertools
 import numpy as np
 
 from . import _mindex as mi
-from .errors import (AtlasMismatch, DegreeOverflow, DomainError,
-                     InvalidDegree, InvalidSlots, QuadratureFailure)
-from .gfunc import (GeneralizedFunction, _atlas_of, _same_charts, _sum, _weight,
+from .errors import (DegreeOverflow, DomainError, InvalidDegree, InvalidSlots,
+                     QuadratureFailure)
+from .gfunc import (GeneralizedFunction, GeneralizedSection, _same_charts, _sum, _weight,
                     integrate_box)
 from .gnumber import GeneralizedNumber
 from .grid import dyadic_grid
 from .manifolds import Manifold
-from .nets import Net, _as_net, box_lattice
+from .nets import Net, box_lattice
 from .quadrature import box_rule, interval_rule
 from .smooth import SmoothFn
 from .tensor import (GeneralizedTensorField, _object_array, coherence_check_tensor,
-                     random_coherent_functions)
+                     gen_lie_derivative, random_coherent_functions)
 
 HOMOTOPY_NODES = 32   # Gauss-Legendre nodes in t of the radial homotopy
 DISK_ANGLES = 256     # equispaced angles of the disk Stokes check
@@ -57,31 +57,24 @@ def _signed(net, negate):
     return net * -1.0 if negate else net
 
 
-class GeneralizedKForm:
+class GeneralizedKForm(GeneralizedSection):
     """Degree-k form with one net per chart and increasing index tuple."""
 
     def __init__(self, space, degree: int, comps: dict, label: str = ""):
-        self.atlas = _atlas_of(space)
         k = int(degree)
         if k < 1:
             raise InvalidDegree(f"degree {degree} forms are plain generalized functions")
         self.degree = k
-        dim = self.atlas.dim
-        keys = index_tuples(dim, k)
-        self.comps: dict[str, dict] = {}
-        for c, table in comps.items():
-            if c not in self.atlas.charts:
-                raise AtlasMismatch(f"no chart {c!r} in atlas {self.atlas.name}")
-            if not isinstance(table, dict):
-                table = dict(zip(keys, table))
-            extra = set(table) - set(keys)
-            if extra:
-                raise InvalidSlots(f"not increasing degree-{k} tuples: {sorted(extra)}")
-            self.comps[c] = {K: _as_net(table.get(K, 0.0), dim) for K in keys}
-        self.label = label
+        super().__init__(space, comps, label)
 
-    def chart_names(self):
-        return sorted(self.comps)
+    def _part(self, c, table) -> dict:
+        keys = self.keys()
+        if not isinstance(table, dict):
+            table = dict(zip(keys, table))
+        extra = set(table) - set(keys)
+        if extra:
+            raise InvalidSlots(f"not increasing degree-{self.degree} tuples: {sorted(extra)}")
+        return {K: self._net(c, table.get(K, 0.0)) for K in keys}
 
     def keys(self):
         return index_tuples(self.atlas.dim, self.degree)
@@ -110,15 +103,6 @@ class GeneralizedKForm:
             {c: {K: op(self.comps[c][K], other.comps[c][K]) for K in self.comps[c]}
              for c in self.comps})
 
-    def __add__(self, other):
-        return self._zip(other, lambda a, b: a + b)
-
-    def __sub__(self, other):
-        return self._zip(other, lambda a, b: a - b)
-
-    def __neg__(self):
-        return self * -1.0
-
     def __mul__(self, w):
         weight = _weight(self, w)
         if weight is None:
@@ -126,8 +110,6 @@ class GeneralizedKForm:
         return GeneralizedKForm(
             self.atlas, self.degree,
             {c: {K: weight(c, net) for K, net in self.comps[c].items()} for c in self.comps})
-
-    __rmul__ = __mul__
 
     # -- views -----------------------------------------------------------
 
@@ -227,32 +209,13 @@ def insert(omega: GeneralizedKForm, Xi: GeneralizedTensorField):
 
 def lie_derivative_form(omega: GeneralizedKForm,
                         Xi: GeneralizedTensorField) -> GeneralizedKForm:
-    """L_Xi omega by the chartwise classical formula, canonicalized."""
+    """L_Xi omega: the tensor Lie derivative of ``omega.to_tensor()`` along
+    Xi, read at the increasing index tuples."""
     if not isinstance(omega, GeneralizedKForm):
         raise InvalidDegree("need a form of degree >= 1")
-    if not isinstance(Xi, GeneralizedTensorField) or Xi.valence != (1, 0):
-        raise InvalidSlots("Lie derivative needs a vector field")
-    _same_charts(omega, Xi)
-    dim = omega.atlas.dim
-    k = omega.degree
-    comps = {}
-    for c, table in omega.comps.items():
-        xs = [Xi.comps[c][(m,)] for m in range(dim)]
-        dxs = [[xs[i].partial(mi.unit(dim, m)) for m in range(dim)]
-               for i in range(dim)]
-
-        def terms(K):
-            # the transport term Xi^m d_m w_K, then one correction per slot
-            for m in range(dim):
-                yield xs[m] * table[K].partial(mi.unit(dim, m))
-            for b in range(k):
-                for m in range(dim):
-                    sign, key = canonical_index(K[:b] + (m,) + K[b + 1:])
-                    if sign != 0:
-                        yield _signed(dxs[m][K[b]] * table[key], sign < 0)
-
-        comps[c] = {K: _sum(terms(K)) for K in index_tuples(dim, k)}
-    return GeneralizedKForm(omega.atlas, k, comps, label=f"L_Xi {omega.label}")
+    lie = gen_lie_derivative(omega.to_tensor(), Xi)
+    comps = {c: {K: arr[K] for K in omega.keys()} for c, arr in lie.comps.items()}
+    return GeneralizedKForm(omega.atlas, omega.degree, comps, label=f"L_Xi {omega.label}")
 
 
 # -- homotopy inverse of d ---------------------------------------------------
@@ -380,7 +343,7 @@ def integrate_nform(omega: GeneralizedKForm, box=None, grid=None) -> Generalized
     if not isinstance(omega, GeneralizedKForm):
         raise InvalidDegree("integration needs a form")
     atlas = omega.atlas
-    names = sorted(omega.comps)
+    names = omega.chart_names()
     if len(names) != 1:
         raise DomainError("top-degree integration works on a single chart")
     c = names[0]
@@ -428,7 +391,7 @@ def stokes_check(omega, domain, grid=None, tol: float = 1e-6) -> dict:
         else None
     if atlas is None:
         raise TypeError("stokes_check needs a form or generalized function")
-    names = sorted(omega.comps if isinstance(omega, GeneralizedKForm) else omega.nets)
+    names = omega.chart_names()
     if len(names) != 1:
         raise DomainError("the boundary theorem report works on a single chart")
     c = names[0]

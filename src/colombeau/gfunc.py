@@ -27,7 +27,7 @@ from .grid import dyadic_grid
 from .manifold import Atlas, GeneralizedPoint, Transition
 from .manifolds import Manifold
 from .mollifier import Mollifier
-from .nets import Net, box_lattice, classify_net, sup_norm_on_box
+from .nets import Net, _as_net, box_lattice, classify_net, sup_norm_on_box
 from .quadrature import adaptive, box_rule
 from .smooth import SmoothFn, constant, from_sympy, leaf_memo, smoothstep_expr
 
@@ -87,22 +87,58 @@ def _sum(terms, empty=None):
     return empty if first is None else functools.reduce(operator.add, terms, first)
 
 
-class GeneralizedFunction:
-    """Per-chart nets subject to the overlap transformation law."""
+class GeneralizedSection:
+    """Chartwise component nets on one atlas: a generalized section.
 
-    def __init__(self, atlas, nets: dict, label: str = ""):
-        self.atlas = _atlas_of(atlas)
-        self.nets: dict[str, Net] = dict(nets)
+    ``comps`` maps each chart carrying the section to its part there,
+    built by :meth:`_part` from the given one: the net itself for a
+    scalar, an array or table of component nets for a subclass.  Every
+    net is coerced by ``nets._as_net`` and must live on R^dim of the
+    atlas.  ``+`` and ``-`` go to the subclass's ``_zip``, which checks
+    the other operand; ``-s`` and ``w * s`` are ``s * -1.0`` and ``s * w``.
+    """
+
+    def __init__(self, space, parts: dict, label: str = ""):
+        self.atlas = _atlas_of(space)
         self.label = label
-        for name, net in self.nets.items():
-            if name not in self.atlas.charts:
-                raise AtlasMismatch(f"no chart {name!r} in atlas {self.atlas.name}")
-            if net.dim != self.atlas.dim:
-                raise AtlasMismatch(
-                    f"net for chart {name!r} has dim {net.dim}, atlas has {self.atlas.dim}")
+        self.comps = {}
+        for c, part in parts.items():
+            if c not in self.atlas.charts:
+                raise AtlasMismatch(f"no chart {c!r} in atlas {self.atlas.name}")
+            self.comps[c] = self._part(c, part)
+
+    def _net(self, c, value) -> Net:
+        net = _as_net(value, self.atlas.dim)
+        if net.dim != self.atlas.dim:
+            raise AtlasMismatch(
+                f"net for chart {c!r} has dim {net.dim}, atlas has {self.atlas.dim}")
+        return net
+
+    _part = _net
 
     def chart_names(self):
-        return sorted(self.nets)
+        return sorted(self.comps)
+
+    def __add__(self, other):
+        return self._zip(other, operator.add)
+
+    def __sub__(self, other):
+        return self._zip(other, operator.sub)
+
+    def __neg__(self):
+        return self * -1.0
+
+    def __rmul__(self, w):
+        return self.__mul__(w)
+
+
+class GeneralizedFunction(GeneralizedSection):
+    """Per-chart nets subject to the overlap transformation law."""
+
+    @property
+    def nets(self) -> dict[str, Net]:
+        """The net of each chart: a scalar section's part is its net."""
+        return self.comps
 
     def net(self, chart: str) -> Net:
         try:
@@ -112,7 +148,7 @@ class GeneralizedFunction:
 
     # -- algebra (chartwise, eps-wise) ----------------------------------
 
-    def _combine(self, other, op):
+    def _zip(self, other, op):
         if isinstance(other, GeneralizedFunction):
             _same_charts(self, other)
             return GeneralizedFunction(
@@ -122,24 +158,13 @@ class GeneralizedFunction:
                 self.atlas, {c: op(self.nets[c], float(other)) for c in self.nets})
         return NotImplemented
 
-    def __add__(self, other):
-        return self._combine(other, lambda a, b: a + b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._combine(other, lambda a, b: a - b)
+    __radd__ = GeneralizedSection.__add__
 
     def __rsub__(self, other):
-        return self._combine(other, lambda a, b: b - a)
+        return self._zip(other, lambda a, b: b - a)
 
     def __mul__(self, other):
-        return self._combine(other, lambda a, b: a * b)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * -1.0
+        return self._zip(other, operator.mul)
 
 
 def sigma_embed(space, fns: dict) -> GeneralizedFunction:
@@ -425,8 +450,6 @@ def zero_test_by_points(U: GeneralizedFunction, count: int = 24, seed: int = 0,
     for i in range(count):
         c = charts[i % len(charts)]
         box = U.atlas.charts[c].sample_box
-        if not isinstance(box[0], tuple):
-            box = (box,)
         lo = np.array([b[0] for b in box])
         hi = np.array([b[1] for b in box])
         pad = 0.15 * (hi - lo)
@@ -488,8 +511,6 @@ def default_densities(space, per_chart: int = 5, seed: int = 7,
     out = []
     for c in sorted(atlas.charts):
         box = atlas.charts[c].sample_box
-        if not isinstance(box[0], tuple):
-            box = (box,)
         lo = np.array([b[0] for b in box])
         hi = np.array([b[1] for b in box])
         for k in range(per_chart):

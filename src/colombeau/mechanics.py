@@ -161,33 +161,14 @@ class SymplecticForm:
         return GeneralizedKForm(space, 2, comps, label="omega")
 
 
-def _vector_nets(Xi, omega: SymplecticForm) -> tuple:
-    if not isinstance(Xi, GeneralizedTensorField) or Xi.valence != (1, 0):
-        raise InvalidSlots("flat expects a vector field")
-    if Xi.atlas.dim != omega.dim:
+def _columns(T, valence, omega: SymplecticForm, error: str) -> tuple:
+    """The atlas and per-chart component nets of a valence (1, 0) or (0, 1) field."""
+    if not isinstance(T, GeneralizedTensorField) or T.valence != valence:
+        raise InvalidSlots(error)
+    if T.atlas.dim != omega.dim:
         raise DimensionMismatch(
-            f"field lives on dim {Xi.atlas.dim}, form on dim {omega.dim}")
-    return Xi.atlas, {c: [Xi.comps[c][(i,)] for i in range(omega.dim)]
-                      for c in Xi.comps}
-
-
-def _covector_nets(A, omega: SymplecticForm) -> tuple:
-    dim = omega.dim
-    if isinstance(A, GeneralizedKForm):
-        if A.degree != 1:
-            raise InvalidSlots("sharp expects a one-form")
-        if A.atlas.dim != dim:
-            raise DimensionMismatch(
-                f"form lives on dim {A.atlas.dim}, symplectic form on dim {dim}")
-        return A.atlas, {c: [A.component(c, (i,)) for i in range(dim)]
-                         for c in A.comps}
-    if isinstance(A, GeneralizedTensorField) and A.valence == (0, 1):
-        if A.atlas.dim != dim:
-            raise DimensionMismatch(
-                f"field lives on dim {A.atlas.dim}, form on dim {dim}")
-        return A.atlas, {c: [A.comps[c][(i,)] for i in range(dim)]
-                         for c in A.comps}
-    raise InvalidSlots("sharp expects a one-form")
+            f"field lives on dim {T.atlas.dim}, form on dim {omega.dim}")
+    return T.atlas, {c: [T.comps[c][(i,)] for i in range(omega.dim)] for c in T.comps}
 
 
 def flat(Xi, omega: SymplecticForm):
@@ -196,7 +177,7 @@ def flat(Xi, omega: SymplecticForm):
     Componentwise this is the transposed-matrix application
     (dq_j part) = -Xi^{p_j}, (dp_j part) = +Xi^{q_j}, so it is exact.
     """
-    atlas, vecs = _vector_nets(Xi, omega)
+    atlas, vecs = _columns(Xi, (1, 0), omega, "flat expects a vector field")
     n = omega.dofs
     comps = {}
     for c, v in vecs.items():
@@ -210,7 +191,9 @@ def flat(Xi, omega: SymplecticForm):
 
 def sharp(A, omega: SymplecticForm) -> GeneralizedVectorField:
     """Inverse of :func:`flat`: (q_j part) = +A_{dp_j}, (p_j part) = -A_{dq_j}."""
-    atlas, covs = _covector_nets(A, omega)
+    if isinstance(A, GeneralizedKForm) and A.degree == 1:
+        A = A.to_tensor()
+    atlas, covs = _columns(A, (0, 1), omega, "sharp expects a one-form")
     n = omega.dofs
     comps = {}
     for c, a in covs.items():

@@ -16,11 +16,11 @@ import numpy as np
 from . import _mindex as mi
 from .asymptotic import classify_scalar_net
 from .errors import AtlasMismatch, InvalidSlots, NotADerivation
-from .gfunc import (GeneralizedFunction, _atlas_of, _same_charts, _sum, _weight, classify,
-                    overlap_residual)
+from .gfunc import (GeneralizedFunction, GeneralizedSection, _atlas_of, _same_charts, _sum,
+                    _weight, classify, overlap_residual)
 from .grid import dyadic_grid
 from .manifolds import Manifold
-from .nets import Net, _as_net
+from .nets import Net
 from .smooth import from_sympy
 
 
@@ -32,34 +32,27 @@ def _object_array(shape, entry) -> np.ndarray:
     return out
 
 
-class GeneralizedTensorField:
+class GeneralizedTensorField(GeneralizedSection):
     """Valence-(r, s) tensor field with one component net per chart."""
 
     def __init__(self, space, valence, comps: dict, label: str = ""):
-        self.atlas = _atlas_of(space)
         r, s = int(valence[0]), int(valence[1])
         if r < 0 or s < 0 or r + s == 0:
             raise InvalidSlots(f"valence {valence} must be nonnegative with rank >= 1")
         self.valence = (r, s)
-        dim = self.atlas.dim
-        shape = (dim,) * (r + s)
-        self.comps: dict[str, np.ndarray] = {}
-        for c, arr in comps.items():
-            if c not in self.atlas.charts:
-                raise AtlasMismatch(f"no chart {c!r} in atlas {self.atlas.name}")
-            src = np.asarray(arr, dtype=object)
-            if src.shape != shape:
-                raise AtlasMismatch(
-                    f"components for chart {c!r} have shape {src.shape}, want {shape}")
-            self.comps[c] = _object_array(shape, lambda idx: _as_net(src[idx], dim))
-        self.label = label
+        super().__init__(space, comps, label)
+
+    def _part(self, c, arr) -> np.ndarray:
+        shape = (self.atlas.dim,) * self.rank
+        src = np.asarray(arr, dtype=object)
+        if src.shape != shape:
+            raise AtlasMismatch(
+                f"components for chart {c!r} have shape {src.shape}, want {shape}")
+        return _object_array(shape, lambda idx: self._net(c, src[idx]))
 
     @property
     def rank(self) -> int:
         return self.valence[0] + self.valence[1]
-
-    def chart_names(self):
-        return sorted(self.comps)
 
     def component(self, chart: str, idx) -> Net:
         idx = (idx,) if np.isscalar(idx) else tuple(idx)
@@ -73,25 +66,14 @@ class GeneralizedTensorField:
     # -- module algebra over generalized functions ----------------------
 
     def _zip(self, other, op):
+        if not isinstance(other, GeneralizedTensorField):
+            return NotImplemented
         _same_charts(self, other)
         if other.valence != self.valence:
             raise InvalidSlots(f"valence {other.valence} != {self.valence}")
         comps = {c: _object_array(arr.shape, lambda idx: op(arr[idx], other.comps[c][idx]))
                  for c, arr in self.comps.items()}
         return _make(self.atlas, self.valence, comps)
-
-    def __add__(self, other):
-        if not isinstance(other, GeneralizedTensorField):
-            return NotImplemented
-        return self._zip(other, lambda a, b: a + b)
-
-    def __sub__(self, other):
-        if not isinstance(other, GeneralizedTensorField):
-            return NotImplemented
-        return self._zip(other, lambda a, b: a - b)
-
-    def __neg__(self):
-        return self * -1.0
 
     def __mul__(self, w):
         weight = _weight(self, w)
@@ -100,8 +82,6 @@ class GeneralizedTensorField:
         comps = {c: _object_array(arr.shape, lambda idx: weight(c, arr[idx]))
                  for c, arr in self.comps.items()}
         return _make(self.atlas, self.valence, comps)
-
-    __rmul__ = __mul__
 
     # -- evaluation ------------------------------------------------------
 
