@@ -75,7 +75,7 @@ def _weight(section, w):
     if isinstance(w, GeneralizedFunction):
         _same_charts(section, w)
         return lambda c, net: w.nets[c] * net
-    if np.isscalar(w):
+    if np.isscalar(w) and not isinstance(w, (str, bytes)):
         return lambda c, net: net * float(w)
     return None
 
@@ -153,7 +153,7 @@ class GeneralizedFunction(GeneralizedSection):
             _same_charts(self, other)
             return GeneralizedFunction(
                 self.atlas, {c: op(self.nets[c], other.nets[c]) for c in self.nets})
-        if np.isscalar(other):
+        if np.isscalar(other) and not isinstance(other, (str, bytes)):
             return GeneralizedFunction(
                 self.atlas, {c: op(self.nets[c], float(other)) for c in self.nets})
         return NotImplemented

@@ -69,7 +69,7 @@ class GeneralizedNumber:
     def _coerce(self, other):
         if isinstance(other, GeneralizedNumber):
             return other
-        if np.isscalar(other):
+        if np.isscalar(other) and not isinstance(other, (str, bytes)):
             return GeneralizedNumber(self.grid, np.full_like(self.grid, float(other)))
         raise TypeError(f"cannot combine generalized number with {other!r}")
 

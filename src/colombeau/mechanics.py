@@ -34,7 +34,7 @@ from .gnumber import GeneralizedNumber
 from .manifolds import euclidean
 from .nets import Net
 from .quadrature import adaptive, panel_rule
-from .smooth import SmoothFn, from_sympy, lift_axis
+from .smooth import SmoothFn, _per_point, from_sympy, lift_axis
 from .tensor import GeneralizedTensorField, GeneralizedVectorField, _make
 
 # Mass of the unnormalized bump exp(-1/(1-x^2)) on (-1, 1), frozen from a
@@ -179,13 +179,7 @@ def flat(Xi, omega: SymplecticForm):
     """
     atlas, vecs = _columns(Xi, (1, 0), omega, "flat expects a vector field")
     n = omega.dofs
-    comps = {}
-    for c, v in vecs.items():
-        alpha = [None] * (2 * n)
-        for i in range(n):
-            alpha[i] = -v[n + i]
-            alpha[n + i] = v[i]
-        comps[c] = np.array(alpha, dtype=object)
+    comps = {c: np.array([-x for x in v[n:]] + v[:n], dtype=object) for c, v in vecs.items()}
     return _make(atlas, (0, 1), comps, label=f"flat {getattr(Xi, 'label', '')}")
 
 
@@ -195,13 +189,7 @@ def sharp(A, omega: SymplecticForm) -> GeneralizedVectorField:
         A = A.to_tensor()
     atlas, covs = _columns(A, (0, 1), omega, "sharp expects a one-form")
     n = omega.dofs
-    comps = {}
-    for c, a in covs.items():
-        v = [None] * (2 * n)
-        for i in range(n):
-            v[i] = a[n + i]
-            v[n + i] = -a[i]
-        comps[c] = np.array(v, dtype=object)
+    comps = {c: np.array(a[n:] + [-x for x in a[:n]], dtype=object) for c, a in covs.items()}
     return _make(atlas, (1, 0), comps, label=f"sharp {getattr(A, 'label', '')}")
 
 
@@ -233,6 +221,15 @@ def poisson(F: GeneralizedFunction, G: GeneralizedFunction,
 
 
 _KINETIC = from_sympy(sp.Symbol("s") ** 2 / 2, (sp.Symbol("s"),), label="p^2/2")
+
+
+def _slope(rho: SmoothFn):
+    """rho' on a (1, 1) lattice: a sympy leaf's lambdified derivative, else rho's partial."""
+    lam = getattr(rho, "_lambdified", None)
+    if lam is None:
+        return lambda pts: rho._partial_fn((1,), pts)
+    d1 = lam((1,))
+    return lambda pts: _per_point(d1(pts[:, 0]), 1)
 
 
 def _resolve_initial(value, eps: float) -> float:
@@ -292,16 +289,15 @@ class HamiltonianSystem:
         """-dV/dq - d(delta_eps)/dq as a fast scalar callable."""
         terms = []
         if self.potential is not None:
-            vp = self.potential
-            terms.append(lambda q: vp._partial_fn((1,), np.array([[q]]))[0])
+            terms.append(lambda q, vp=self.potential: vp._partial_fn((1,), np.array([[q]]))[0])
         if self.delta is not None:
-            dfn = self.delta.at(eps)
-            terms.append(lambda q: dfn._partial_fn((1,), np.array([[q]]))[0])
+            # delta_eps' = a * (a * rho'(q*a + 0.0)), a = 1/eps: its closures' operations
+            a, slope = 1.0 / float(eps), _slope(self.delta.generator)
+            terms.append(lambda q: (a * (a * slope(np.array([[q * a + 0.0]]))))[0])
         if not terms:
             return lambda q: 0.0
         if len(terms) == 1:
-            t0 = terms[0]
-            return lambda q: -float(t0(q))
+            return lambda q, t0=terms[0]: -float(t0(q))
         return lambda q: -float(sum(t(q) for t in terms))
 
     def energy_values(self, eps: float, q: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -330,78 +326,171 @@ class Trajectory:
     meta: dict = field(default_factory=dict)
 
     def summary(self) -> dict:
-        return {
-            "eps": self.eps,
-            "energy_drift": self.energy_drift,
-            "ode_tol": self.ode_tol,
-            "n_steps": self.n_steps,
-            "nfev": self.nfev,
-            "n_segments": self.n_segments,
-        }
+        keys = ("eps", "energy_drift", "ode_tol", "n_steps", "nfev", "n_segments")
+        return {k: getattr(self, k) for k in keys}
 
 
-def _boundary_event(level: float, direction: int):
-    def ev(t, y):
-        return y[0] - level
+# scipy's RK45 tableau (Dormand & Prince 1980), with Shampine's dense-output matrix P
+_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_A = np.array([[0, 0, 0, 0, 0], [1/5, 0, 0, 0, 0], [3/40, 9/40, 0, 0, 0],
+               [44/45, -56/15, 32/9, 0, 0], [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+               [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]])
+_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875/199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+_EPS = np.finfo(float).eps
 
-    ev.terminal = True
-    ev.direction = direction
-    return ev
+
+def _rms(x):
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _dense(step, t):
+    """The interpolant (t_old, h, y_old, Q) of one step at a time or an array of times."""
+    t_old, h, y_old, Q = step
+    x = (t - t_old) / h
+    if np.ndim(x) == 0:
+        return h * np.dot(Q, np.cumprod(np.tile(x, 4))) + y_old
+    return h * np.dot(Q, np.cumprod(np.tile(x, (4, 1)), axis=0)) + y_old[:, None]
+
+
+def _brentq(f, xpre, xcur):
+    """A root of ``f`` between ``xpre`` and ``xcur``: scipy's C brentq, solve_ivp's tolerances."""
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0 or fcur == 0:
+        return xpre if fpre == 0 else xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk, spre, scur = xpre, fpre, xcur - xpre, xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk, fpre, fcur, fblk = xcur, xblk, xcur, fcur, fblk, fcur
+        delta, sbis = (4 * _EPS + 4 * _EPS * abs(xcur)) / 2, (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = None
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre, dblk = (fpre - fcur) / (xpre - xcur), (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        if stry is not None and 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError("brentq did not converge in 100 iterations")
+
+
+def _rk45(fun, t, y, t_bound, rtol, atol, max_step, events):
+    """scipy's solve_ivp(fun, (t, t_bound), y, "RK45", dense_output=True) for t < t_bound,
+    operation for operation, with terminal ``events`` (level, rising) on y[0].
+
+    Returns the steps [(t0, y0, None), (t1, y1, interpolant), ...], cut at an
+    event root; the number of ``fun`` calls; and the status: 0 at t_bound,
+    1 at an event, -1 when the step falls below ten spacings of t.
+    """
+    rtol = max(rtol, 100 * _EPS)
+    f = fun(t, y)
+    span, scale = abs(t_bound - t), atol + np.abs(y) * rtol  # initial step: Hairer et al. II.4
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
+    d2 = _rms((fun(t + h0, y + h0 * f) - f) / scale) / h0
+    h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
+    h_abs = min(100 * h0, h1, span, max_step)
+    K, g = np.empty((7, len(y))), [y[0] - level for level, _ in events]
+    steps, nfev, status = [(t, y, None)], 2, None
+    while status is None:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs, rejected = max_step if h_abs > max_step else max(h_abs, min_step), False
+        while True:
+            if h_abs < min_step:
+                return steps, nfev, -1
+            t_new = min(t + h_abs, t_bound)
+            h = t_new - t
+            h_abs = np.abs(h)
+            K[0] = f
+            for s in range(1, 6):
+                K[s] = fun(t + _C[s] * h, y + np.dot(K[:s].T, _A[s, :s]) * h)
+            y_new = y + h * np.dot(K[:-1].T, _B)
+            K[-1] = f_new = fun(t + h, y_new)
+            nfev += 6
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err = _rms(np.dot(K.T, _E) * h / scale)
+            if err < 1:
+                factor = 10 if err == 0 else min(10, 0.9 * err ** -0.2)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * err ** -0.2)
+            rejected = True
+        step = (t, t_new - t, y, K.T.dot(_P))
+        t, y, f = t_new, y_new, f_new
+        status = 0 if t >= t_bound else None
+        g_new = [y[0] - level for level, _ in events]
+        roots = [_brentq(lambda s, c=level: _dense(step, s)[0] - c, step[0], t)
+                 for (level, rising), a, b in zip(events, g, g_new)
+                 if (a <= 0 <= b if rising else b <= 0 <= a)]
+        g, t_end, y_end = g_new, t, y
+        if roots:
+            t_end = min(roots)
+            y_end, status = _dense(step, t_end), 1
+        if len(steps) == 1 or steps[-1][0] != t_end:  # scipy drops a zero-length last step
+            steps.append((t_end, y_end, step))
+    return steps, nfev, status
 
 
 def _integrate_segments(rhs, y0, t_span, eps, radius, rtol, atol, max_nfev):
     """Event-split RK45 run; the step cap drops to eps^2 inside the barrier."""
-    from scipy.integrate import solve_ivp
-
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    t, y = t0, np.asarray(y0, dtype=float)
+    t, t1 = float(t_span[0]), float(t_span[1])
+    y = np.asarray(y0, dtype=float)
     segs, nfev, n_steps = [], 0, 0
     while t < t1:
+        events, max_step = [], np.inf
         if radius > 0.0:
             b = abs(y[0]) - radius
-            if b < -1e-12:
-                inside = True
-            elif b > 1e-12:
-                inside = False
+            if b < -1e-12 or (b <= 1e-12 and y[0] * y[1] < 0):  # on the edge: heading inward?
+                events, max_step = [(radius, True), (-radius, False)], eps * eps
             else:
-                inside = y[0] * y[1] < 0  # on the edge: heading inward?
-            if inside:
-                events = [_boundary_event(radius, +1), _boundary_event(-radius, -1)]
-                max_step = eps * eps
-            else:
-                events = [_boundary_event(radius, -1), _boundary_event(-radius, +1)]
-                max_step = np.inf
-        else:
-            events, max_step = None, np.inf
-        sol = solve_ivp(rhs, (t, t1), y, method="RK45", rtol=rtol, atol=atol,
-                        dense_output=True, events=events, max_step=max_step)
-        nfev += sol.nfev
-        n_steps += max(len(sol.t) - 1, 0)
-        if sol.status == -1:
-            raise StiffnessFailure(
-                f"integration stalled at t={sol.t[-1]:.6g} (eps={eps:g}): {sol.message}")
+                events = [(radius, False), (-radius, True)]
+        steps, n, status = _rk45(rhs, t, y, t1, rtol, atol, max_step, events)
+        nfev, n_steps = nfev + n, n_steps + len(steps) - 1
+        t_end, y_end, _ = steps[-1]
+        if status == -1:
+            raise StiffnessFailure(f"integration stalled at t={t_end:.6g} (eps={eps:g}): "
+                                   "the step fell below ten spacings of t")
         if nfev > max_nfev:
-            raise StiffnessFailure(
-                f"evaluation budget {max_nfev} exhausted at t={sol.t[-1]:.6g} "
-                f"(eps={eps:g}, {nfev} evaluations)")
-        if float(sol.t[-1]) <= t:
-            raise StiffnessFailure(
-                f"no progress past t={t:.6g} (eps={eps:g})")
-        segs.append(sol)
-        t, y = float(sol.t[-1]), sol.y[:, -1]
-        if sol.status == 0:
+            raise StiffnessFailure(f"evaluation budget {max_nfev} exhausted at t={t_end:.6g} "
+                                   f"(eps={eps:g}, {nfev} evaluations)")
+        if float(t_end) <= t:
+            raise StiffnessFailure(f"no progress past t={t:.6g} (eps={eps:g})")
+        segs.append(steps)
+        t, y = float(t_end), y_end
+        if status == 0:
             break
     return segs, nfev, n_steps
 
 
 def _sample_segments(segs, ts):
-    ends = np.array([float(s.t[-1]) for s in segs])
-    idx = np.clip(np.searchsorted(ends, ts, side="left"), 0, len(segs) - 1)
+    """Dense output at increasing ``ts``, each time on the first step ending at or
+    after it and one call per run of times on a step, as scipy's OdeSolution."""
+    steps = [s for seg in segs for s in seg[1:]]
+    idx = np.clip(np.searchsorted([s[0] for s in steps], ts, side="left"), 0, len(steps) - 1)
+    cuts = [0, *(np.flatnonzero(np.diff(idx)) + 1), len(ts)]
     out = np.empty((2, len(ts)))
-    for k, s in enumerate(segs):
-        mask = idx == k
-        if np.any(mask):
-            out[:, mask] = s.sol(ts[mask])
+    for lo, hi in zip(cuts, cuts[1:]):
+        out[:, lo:hi] = _dense(steps[idx[lo]][2], ts[lo:hi])
     return out[0], out[1]
 
 
@@ -411,9 +500,14 @@ def solve_singular_oscillator(sys: HamiltonianSystem, t_span=(0.0, 2.0),
                               max_nfev: int = 5_000_000) -> list[Trajectory]:
     """Integrate qdot = p, pdot = force(q) for each eps.
 
-    Outside the barrier support the force vanishes identically and RK45
-    coasts; inside, the maximum step is capped at eps^2 to resolve a
-    right-hand side of order eps^{-2}.  Step-size underflow or an
+    The stepper is an in-library Dormand-Prince 5(4) pair that repeats
+    scipy's ``solve_ivp(method="RK45", dense_output=True)`` operation for
+    operation: initial step, step control, dense output, and event roots
+    by Brent's method, so trajectories and counts are scipy's bit for bit.
+    The run is split into segments at the barrier edges |q| = radius.
+    Outside the barrier support the force vanishes identically and the
+    stepper coasts; inside, the maximum step is capped at eps^2 to resolve
+    a right-hand side of order eps^{-2}.  Step-size underflow or an
     exhausted evaluation budget raises StiffnessFailure.
     """
     eps_list = [float(e) for e in np.atleast_1d(eps_values)]
@@ -426,10 +520,12 @@ def solve_singular_oscillator(sys: HamiltonianSystem, t_span=(0.0, 2.0),
     for eps in eps_list:
         q0, p0 = sys.initial_state(eps)
         force = sys.force(eps)
-        rhs = lambda t, y: (y[1], force(y[0]))
-        segs, nfev, n_steps = _integrate_segments(
-            rhs, (q0, p0), t_span, eps, sys.barrier_radius(eps),
-            rtol, atol, max_nfev)
+        rhs = lambda t, y: np.array((y[1], force(y[0])))
+        # lambdified branches off their piece may overflow; their values are discarded
+        with np.errstate(all="ignore"):
+            segs, nfev, n_steps = _integrate_segments(
+                rhs, (q0, p0), t_span, eps, sys.barrier_radius(eps),
+                rtol, atol, max_nfev)
         q, p = _sample_segments(segs, ts)
         energy = sys.energy_values(eps, q, p)
         drift = float(np.max(np.abs(energy - energy[0])))

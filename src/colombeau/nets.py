@@ -88,7 +88,7 @@ class Net:
         return _as_net(other, self.dim) - self
 
     def __mul__(self, other):
-        if np.isscalar(other):
+        if np.isscalar(other) and not isinstance(other, (str, bytes)):
             c = float(other)
             return Net(self.dim, lambda eps: self.at(eps) * c)
         other = _as_net(other, self.dim)
@@ -127,7 +127,7 @@ def _as_net(value, dim: int) -> Net:
         return value
     if isinstance(value, SmoothFn):
         return Net.constant_in_eps(value)
-    if np.isscalar(value):
+    if np.isscalar(value) and not isinstance(value, (str, bytes)):
         return Net.constant_in_eps(constant(float(value), dim))
     raise TypeError(f"cannot use {value!r} as a net")
 

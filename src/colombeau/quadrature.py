@@ -3,8 +3,9 @@ a domain: ``gauss_legendre(n)`` is the n-point rule on [-1, 1], computed once
 per n and returned read-only; ``interval_rule``, ``box_rule`` and
 ``panel_rule`` map it onto an interval, the tensor product over a box, and
 each panel between edges; ``adaptive`` refines it on a 1-d SmoothFn from the
-eps scale; ``quad``, the one adaptive scalar integral, loads
-``scipy.integrate`` on its first call.
+eps scale; ``quad``, the one adaptive scalar integral and the library's only
+use of ``scipy.integrate``, loads it on its first call.  The action of a
+regular distribution piece calls it; no catalog run does.
 """
 
 from __future__ import annotations

@@ -194,7 +194,7 @@ class SmoothFn:
         return self * -1.0
 
     def __mul__(self, other):
-        if np.isscalar(other):
+        if np.isscalar(other) and not isinstance(other, (str, bytes)):
             c = float(other)
             f = self
 
@@ -267,7 +267,7 @@ def _min_order(f: SmoothFn, g: SmoothFn):
 def _coerce(obj, dim: int) -> SmoothFn:
     if isinstance(obj, SmoothFn):
         return obj
-    if np.isscalar(obj):
+    if np.isscalar(obj) and not isinstance(obj, (str, bytes)):
         return constant(float(obj), dim)
     raise TypeError(f"cannot interpret {obj!r} as a smooth function")
 
@@ -418,7 +418,9 @@ def from_sympy(expr, symbols: Sequence[sp.Symbol], label="") -> SmoothFn:
             values[(lam, alpha)] = out
         return out
 
-    return SmoothFn(dim, pfn, label=label or sp.srepr(expr)[:40])
+    fn = SmoothFn(dim, pfn, label=label or sp.srepr(expr)[:40])
+    fn._lambdified = lam  # alpha -> the raw callable on columns, for hot loops
+    return fn
 
 
 # -- smooth glue ------------------------------------------------------

@@ -105,18 +105,18 @@ import sys
 import colombeau.cli
 
 def scipy_loaded():
-    return [m for m in ("scipy.integrate", "scipy.special") if m in sys.modules]
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
 out = sys.argv[1]
 assert scipy_loaded() == [], ("after import", scipy_loaded())
 assert colombeau.cli.main(["run", "classify", "--out", out + "/classify"]) == 0
 assert scipy_loaded() == [], ("after classify", scipy_loaded())
-assert colombeau.cli.main(["run", "mechanics", "--eps", "1e-2", "--grid", "4..7",
-                           "--out", out + "/mechanics"]) == 0
+assert colombeau.cli.main(["run", "mechanics", "--out", out + "/mechanics"]) == 0
+assert scipy_loaded() == [], ("after mechanics", scipy_loaded())
 """
 
 
-def test_cold_run_loads_scipy_only_where_it_integrates(tmp_path):
+def test_cold_runs_load_no_scipy(tmp_path):
     src = str(Path(colombeau.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))

@@ -2,6 +2,7 @@
 values, coherence, association, products, and the atlas embedding."""
 
 import contextlib
+import operator
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from colombeau.errors import (
     PartitionMismatch,
     QuadratureFailure,
 )
+from colombeau.gnumber import GeneralizedNumber
 from colombeau.grid import dyadic_grid
 from colombeau.manifold import GeneralizedPoint, Transition
 from colombeau.manifolds import circle, euclidean, torus2
@@ -753,3 +755,22 @@ def test_integrate_box_of_a_constant_leaf():
     plane_three = from_sympy(sp.Integer(3), [Y0, Y1])
     assert G.integrate_box(plane_three, ((0.0, 1.0), (-1.0, 1.0)), eps_hint=0.1) \
         == pytest.approx(6.0, abs=1e-13)
+
+
+_LINE = euclidean(1)
+
+
+@pytest.mark.parametrize("operand", [
+    pytest.param(lambda: G.GeneralizedFunction(_LINE, {"0": Net.zero(1)}), id="function"),
+    pytest.param(lambda: T.GeneralizedVectorField(_LINE, {"0": [Net.zero(1)]}), id="field"),
+    pytest.param(lambda: smooth.constant(0.0, 1), id="smooth"),
+    pytest.param(lambda: Net.zero(1), id="net"),
+    pytest.param(lambda: GeneralizedNumber(np.array([0.5, 0.25]), np.zeros(2)), id="gnumber"),
+])
+@pytest.mark.parametrize("op", ["add", "sub", "mul"])
+def test_string_operands_raise_type_error(operand, op):
+    # np.isscalar holds for a str; "a" is not a number to weight by
+    x = operand()
+    for args in ((x, "a"), ("a", x)):
+        with pytest.raises(TypeError):
+            getattr(operator, op)(*args)

@@ -348,3 +348,155 @@ def test_stiffness_budget():
         solve_singular_oscillator(sys, (2.0, 0.0), [0.05])
     with pytest.raises(ValueError):
         solve_singular_oscillator(sys, (0.0, 2.0), [])
+
+
+# -- the in-library Dormand-Prince stepper against scipy's solve_ivp --------
+
+from colombeau import mechanics as M  # noqa: E402
+from colombeau.experiments import MECHANICS_EPS  # noqa: E402
+
+FP_EPS = np.finfo(float).eps
+
+
+def _scipy_force(sys, eps):
+    """The force through the SmoothFn closures of delta_eps, as scipy was fed it."""
+    terms = []
+    if sys.potential is not None:
+        terms.append(lambda q: sys.potential._partial_fn((1,), np.array([[q]]))[0])
+    if sys.delta is not None:
+        dfn = sys.delta.at(eps)
+        terms.append(lambda q: dfn._partial_fn((1,), np.array([[q]]))[0])
+    if not terms:
+        return lambda q: 0.0
+    if len(terms) == 1:
+        return lambda q: -float(terms[0](q))
+    return lambda q: -float(sum(t(q) for t in terms))
+
+
+def _scipy_segments(sys, eps, t_span=(0.0, 2.0), rtol=1e-10, atol=1e-12):
+    """The solve_ivp route the stepper replaces: one RK45 run per barrier segment."""
+    from scipy.integrate import solve_ivp
+
+    def edge(level, direction):
+        def ev(t, y):
+            return y[0] - level
+        ev.terminal, ev.direction = True, direction
+        return ev
+
+    force, radius = _scipy_force(sys, eps), sys.barrier_radius(eps)
+    rhs = lambda t, y: (y[1], force(y[0]))
+    t, t1 = float(t_span[0]), float(t_span[1])
+    y = np.asarray(sys.initial_state(eps), dtype=float)
+    segs = []
+    while t < t1:
+        events, max_step = None, np.inf
+        if radius > 0.0:
+            b = abs(y[0]) - radius
+            inside = b < -1e-12 or (b <= 1e-12 and y[0] * y[1] < 0)
+            if inside:
+                events, max_step = [edge(radius, +1), edge(-radius, -1)], eps * eps
+            else:
+                events = [edge(radius, -1), edge(-radius, +1)]
+        sol = solve_ivp(rhs, (t, t1), y, method="RK45", rtol=rtol, atol=atol,
+                        dense_output=True, events=events, max_step=max_step)
+        segs.append(sol)
+        if sol.status == -1:
+            break
+        t, y = float(sol.t[-1]), sol.y[:, -1]
+        if sol.status == 0:
+            break
+    return segs
+
+
+def _scipy_samples(segs, ts):
+    ends = np.array([float(s.t[-1]) for s in segs])
+    idx = np.clip(np.searchsorted(ends, ts, side="left"), 0, len(segs) - 1)
+    out = np.empty((2, len(ts)))
+    for k, s in enumerate(segs):
+        mask = idx == k
+        if np.any(mask):
+            out[:, mask] = s.sol(ts[mask])
+    return out
+
+
+def _hex(a):
+    return [float(v).hex() for v in np.ravel(a)]
+
+
+_BUMP_V = HamiltonianSystem(StrictDeltaNet(), 1.0, -1.0,
+                            potential=from_sympy(sp.Symbol("y") ** 2 / 2, (sp.Symbol("y"),)))
+_STEPPER_CASES = (
+    [pytest.param(HamiltonianSystem(StrictDeltaNet(), 1.0, -1.0), e, id=f"catalog-{e:g}")
+     for e in MECHANICS_EPS]
+    + [pytest.param(HamiltonianSystem(StrictDeltaNet(), 0.0, 1.5), 0.05, id="inside"),
+       pytest.param(_BUMP_V, 0.03, id="background-potential"),
+       pytest.param(HamiltonianSystem(None, 1.0, -1.0), 0.05, id="free")])
+
+
+@pytest.mark.parametrize("sys, eps", _STEPPER_CASES)
+def test_stepper_matches_solve_ivp_bitwise(sys, eps):
+    ref = _scipy_segments(sys, eps)
+    force = sys.force(eps)
+    with np.errstate(all="ignore"):
+        segs, nfev, n_steps = M._integrate_segments(
+            lambda t, y: np.array((y[1], force(y[0]))), sys.initial_state(eps),
+            (0.0, 2.0), eps, sys.barrier_radius(eps), 1e-10, 1e-12, 5_000_000)
+    assert [s.status for s in ref][-1] == 0
+    assert len(segs) == len(ref)
+    assert nfev == sum(s.nfev for s in ref)
+    assert n_steps == sum(len(s.t) - 1 for s in ref)
+    for steps, sol in zip(segs, ref):
+        assert _hex([s[0] for s in steps]) == _hex(sol.t)  # step ends, the segment end last
+        assert _hex(np.array([s[1] for s in steps]).T) == _hex(sol.y)
+    ts = np.linspace(0.0, 2.0, 2001)
+    q, p = M._sample_segments(segs, ts)
+    want = _scipy_samples(ref, ts)
+    assert q.tobytes() == want[0].tobytes() and p.tobytes() == want[1].tobytes()
+    # a time on a step end takes the step that ends there, as OdeSolution does
+    ends = np.unique([s[0] for steps in segs for s in steps])
+    assert np.array(M._sample_segments(segs, ends)).tobytes() == _scipy_samples(ref, ends).tobytes()
+    tr = solve_singular_oscillator(sys, (0.0, 2.0), [eps])[0]
+    assert (tr.nfev, tr.n_steps, tr.n_segments) == (nfev, n_steps, len(segs))
+    assert tr.q.tobytes() == q.tobytes() and tr.p.tobytes() == p.tobytes()
+
+
+def test_brent_port_matches_scipy_brentq_bitwise(monkeypatch):
+    from scipy.optimize import brentq
+
+    brackets, inner = [], M._brentq
+
+    def record(f, a, b, **kw):
+        brackets.append((f, a, b))
+        return inner(f, a, b, **kw)
+
+    monkeypatch.setattr(M, "_brentq", record)
+    for sys, eps in ((HamiltonianSystem(StrictDeltaNet(), 1.0, -1.0), 1e-2),
+                     (HamiltonianSystem(StrictDeltaNet(), 0.0, 1.5), 0.05)):
+        solve_singular_oscillator(sys, (0.0, 2.0), [eps], n_samples=11)
+    brackets += [(lambda x: x - 0.5, 0.5, 1.0), (lambda x: x - 0.5, 0.0, 0.5),  # exact roots
+                 (lambda x: x ** 3 - 2.0, 0.0, 3.0), (lambda x: np.cos(x) - x, 0.0, 1.0),
+                 (lambda x: np.exp(-1.0 / x) - 1e-3, 0.01, 2.0)]
+    assert len(brackets) == 8  # three edge crossings, then the synthetic brackets
+    for f, a, b in brackets:
+        got = inner(f, a, b)
+        assert float(got).hex() == float(brentq(f, a, b, xtol=4 * FP_EPS,
+                                                rtol=4 * FP_EPS)).hex()
+    with pytest.raises(ValueError):
+        inner(lambda x: x + 1.0, 0.0, 1.0)
+
+
+def test_stalled_step_raises_stiffness_failure():
+    # V = (q - 0.9)^(3/2) pushes the particle to q < 0.9, where the force is
+    # NaN; the step shrinks below ten spacings of t at the edge
+    y = sp.Symbol("y")
+    sys = HamiltonianSystem(None, 1.0, -1.0, potential=from_sympy((y - 0.9) ** 1.5, (y,)))
+    (ref,) = _scipy_segments(sys, 0.05)
+    assert ref.status == -1
+    force = sys.force(0.05)
+    with np.errstate(all="ignore"):
+        steps, nfev, status = M._rk45(lambda t, y: np.array((y[1], force(y[0]))), 0.0,
+                                      np.array([1.0, -1.0]), 2.0, 1e-10, 1e-12, np.inf, [])
+    assert (status, nfev) == (-1, ref.nfev)
+    assert _hex([s[0] for s in steps]) == _hex(ref.t)
+    with pytest.raises(StiffnessFailure, match="stalled"):
+        solve_singular_oscillator(sys, (0.0, 2.0), [0.05])
