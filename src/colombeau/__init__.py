@@ -13,7 +13,7 @@ Subpackage map:
 """
 
 from .asymptotic import AsymptoticFit, classify_scalar_net, estimate_order
-from .gnumber import GeneralizedNumber, gn_binary, gn_equal
+from .gnumber import GeneralizedNumber, gn_equal
 from .grid import dyadic_grid
 from .nets import Net, classify_net, sup_norm_on_box
 from .smooth import SmoothFn
@@ -23,7 +23,6 @@ __all__ = [
     "classify_scalar_net",
     "estimate_order",
     "GeneralizedNumber",
-    "gn_binary",
     "gn_equal",
     "dyadic_grid",
     "Net",

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -129,8 +130,6 @@ def smooth_piece(fn: SmoothFn, lo: float, hi: float, label: str = "") -> Distrib
 
 
 def _dirac_part_fn(entries, mol: Mollifier, dim: int, eps: float) -> SmoothFn:
-    ev = mol._evaluator
-
     def pfn(alpha, pts):
         acc = np.zeros(pts.shape[0])
         for e in entries:
@@ -138,13 +137,14 @@ def _dirac_part_fn(entries, mol: Mollifier, dim: int, eps: float) -> SmoothFn:
             sign = (-1.0) ** mi.order(e.beta)
             term = np.full(pts.shape[0], e.weight * sign * eps ** -(dim + mi.order(k)))
             for i, ki in enumerate(k):
-                term = term * ev.deriv(ki, (pts[:, i] - e.loc[i]) / eps)
+                term = term * mol.deriv(ki, (pts[:, i] - e.loc[i]) / eps)
             acc = acc + term
         return acc
 
     return SmoothFn(dim, pfn, label="dirac part")
 
 
+@cache
 def _kernel_rule(mol: Mollifier):
     """Panelled GL rule for the mollifier on its own scale, built once.
 
@@ -153,16 +153,11 @@ def _kernel_rule(mol: Mollifier):
     the kernel oscillation to machine precision (checked against the
     squared-norm value of the bandlimited kernel).
     """
-    ev = mol._evaluator
-    rule = getattr(ev, "_conv_rule", None)
-    if rule is None:
-        r = float(mol.support_radius_hint)
-        n_panels = max(16, int(math.ceil(r)))
-        edges = np.linspace(-r, r, n_panels + 1)
-        nodes, weights = panel_rule(edges, 16)
-        rule = (nodes, weights * ev.deriv(0, nodes), edges)
-        ev._conv_rule = rule
-    return rule
+    r = float(mol.support_radius_hint)
+    n_panels = max(16, int(math.ceil(r)))
+    edges = np.linspace(-r, r, n_panels + 1)
+    nodes, weights = panel_rule(edges, 16)
+    return nodes, weights * mol.deriv(0, nodes), edges
 
 
 def _regular_part_fn(pieces, mol: Mollifier, eps: float) -> SmoothFn:
@@ -177,7 +172,6 @@ def _regular_part_fn(pieces, mol: Mollifier, eps: float) -> SmoothFn:
     GL segment, so points near an edge stay accurate.
     """
     radius = float(mol.support_radius_hint)
-    ev = mol._evaluator
     nodes, kern_w, edges = _kernel_rule(mol)
     gl_nodes, gl_weights = gauss_legendre(16)
     n_panels = edges.size - 1
@@ -224,7 +218,7 @@ def _regular_part_fn(pieces, mol: Mollifier, eps: float) -> SmoothFn:
             seg_hi = np.minimum(edges[ipan + 1], bt[ipt])
             hw = np.maximum(seg_hi - seg_lo, 0.0) / 2.0
             u_ex = (seg_lo + seg_hi)[:, None] / 2.0 + hw[:, None] * gl_nodes[None, :]
-            k_ex = ev.deriv(0, u_ex.ravel()).reshape(u_ex.shape)
+            k_ex = mol.deriv(0, u_ex.ravel()).reshape(u_ex.shape)
             y_ex = np.clip(xt[ipt, None] - eps * u_ex, lo, hi)
             f_ex = fn._partial_fn((j,), y_ex.reshape(-1, 1))
             exact = ((k_ex * f_ex.reshape(u_ex.shape)) @ gl_weights) * hw
@@ -244,9 +238,9 @@ def _regular_part_fn(pieces, mol: Mollifier, eps: float) -> SmoothFn:
                 fhi = float(p.density._partial_fn((j,), np.array([[p.hi]]))[0])
                 sc = eps ** (-(1 + m))
                 if flo:
-                    res += flo * sc * ev.deriv(m, (x - p.lo) / eps)
+                    res += flo * sc * mol.deriv(m, (x - p.lo) / eps)
                 if fhi:
-                    res -= fhi * sc * ev.deriv(m, (x - p.hi) / eps)
+                    res -= fhi * sc * mol.deriv(m, (x - p.hi) / eps)
         return res
 
     return SmoothFn(1, pfn, label="regular part")
@@ -274,11 +268,6 @@ def embed_rn(spec: DistributionSpec, mol: Mollifier) -> Net:
         return total
 
     return Net(dim, factory, label=f"embed {spec.label}")
-
-
-def sigma_rn(f: SmoothFn) -> Net:
-    """The constant embedding of a smooth function (sigma map on R^n)."""
-    return Net.constant_in_eps(f, label="sigma")
 
 
 def pullback_affine(net: Net, a: float, b: float = 0.0) -> Net:

@@ -55,19 +55,23 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in CATALOG:
             raise ValueError(f"unknown experiment {self.experiment!r}")
+        for name in ("k_min", "k_max", "m_max", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.k_max - self.k_min < 3:
             raise ValueError("grid needs at least four eps values")
         if self.k_min < 1:
             raise ValueError("k_min must be positive")
         if self.m_max < 1:
             raise ValueError("m_max must be positive")
-        if self.tol is not None and not self.tol > 0:
-            raise ValueError("tolerance override must be positive")
+        if self.tol is not None and (isinstance(self.tol, bool) or not self.tol > 0):
+            raise ValueError("tolerance override must be a positive number")
         if self.eps is not None:
             if self.experiment != "mechanics":
                 raise ValueError("eps applies to the mechanics experiment only")
             self.eps = tuple(float(e) for e in self.eps)
-            if not self.eps or any(e <= 0 or e >= 1 for e in self.eps):
+            if not self.eps or not all(0 < e < 1 for e in self.eps):
                 raise ValueError("eps values must lie in (0, 1)")
         mollifier_spec(self.mollifier)  # raises on malformed spec
 

@@ -81,17 +81,6 @@ class GeneralizedNumber:
         return f"<GeneralizedNumber [{head}, ...] {self.label}>".replace("  ", " ")
 
 
-def gn_binary(op: str, a: GeneralizedNumber, b: GeneralizedNumber) -> GeneralizedNumber:
-    """Pointwise ring operation, op in {'add', 'sub', 'mul'}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}; expected add, sub or mul")
-
-
 def gn_equal(a: GeneralizedNumber, b: GeneralizedNumber,
              m_max: int = DEFAULT_M_MAX) -> tuple[bool, AsymptoticFit]:
     """Equality in the ring: the difference net is negligible."""

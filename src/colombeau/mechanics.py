@@ -400,7 +400,7 @@ def _rk45(fun, t, y, t_bound, rtol, atol, max_step, events):
 
     Returns the steps [(t0, y0, None), (t1, y1, interpolant), ...], cut at an
     event root; the number of ``fun`` calls; and the status: 0 at t_bound,
-    1 at an event, -1 when the step falls below ten spacings of t.
+    1 at an event, -1 when the step falls below ten spacings of t or is NaN.
     """
     rtol = max(rtol, 100 * _EPS)
     f = fun(t, y)
@@ -416,7 +416,7 @@ def _rk45(fun, t, y, t_bound, rtol, atol, max_step, events):
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
         h_abs, rejected = max_step if h_abs > max_step else max(h_abs, min_step), False
         while True:
-            if h_abs < min_step:
+            if not h_abs >= min_step:  # a NaN step stalls too
                 return steps, nfev, -1
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
@@ -513,6 +513,8 @@ def solve_singular_oscillator(sys: HamiltonianSystem, t_span=(0.0, 2.0),
     eps_list = [float(e) for e in np.atleast_1d(eps_values)]
     if not eps_list:
         raise ValueError("need at least one eps value")
+    if not all(0 < e < np.inf for e in eps_list):
+        raise ValueError(f"eps values must be finite and positive, got {eps_list}")
     if not (float(t_span[1]) > float(t_span[0])):
         raise ValueError("t_span must be increasing")
     out = []

@@ -39,9 +39,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from .errors import MomentSystemSingular, QuadratureFailure
-from .nets import Net
 from .quadrature import panel_rule
-from .smooth import SmoothFn
 
 INTEGRAL_TOL = 1e-8
 MOMENT_TOL = 1e-6
@@ -142,10 +140,12 @@ class _GaussPolyProfile:
 class Mollifier:
     """A 1-d mollifier profile with moment certificates.
 
+    ``deriv(k, x)`` evaluates the profile and its analytic derivatives of
+    every order; ``embed.embed_rn`` scales it to rho_eps.
+
     Attributes
     ----------
     kind : "fourier" or "gausspoly".
-    profile : SmoothFn on R with analytic derivatives of every order.
     support_radius_hint : radius beyond which the profile is numerically
         zero (these profiles decay like Gaussians rather than vanishing).
     moment_order : largest K such that moments 1..K are certified below
@@ -161,13 +161,6 @@ class Mollifier:
         self.params = dict(params)
         self.certificates: dict = {}
 
-        ev = evaluator
-
-        def pfn(alpha, pts):
-            return ev.deriv(alpha[0], pts[:, 0])
-
-        self.profile = SmoothFn(1, pfn, label=f"mollifier {kind}")
-
     def deriv(self, k: int, x):
         """Vectorized k-th derivative of the profile."""
         return self._evaluator.deriv(k, np.asarray(x, dtype=float))
@@ -178,57 +171,6 @@ class Mollifier:
             lambda x: self.deriv(0, x) ** 2, (0,), self.support_radius_hint
         )
         return float(values[0])
-
-    def scaled(self, dim: int = 1) -> "ScaledMollifier":
-        return ScaledMollifier(self, dim)
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "params": self.params,
-            "support_radius_hint": self.support_radius_hint,
-            "moment_order": self.moment_order,
-            "certificates": self.certificates,
-        }
-
-
-class ScaledMollifier:
-    """The net rho_eps(x) = eps^-dim * prod_i rho(x_i / eps)."""
-
-    def __init__(self, mollifier: Mollifier, dim: int = 1):
-        self.mollifier = mollifier
-        self.dim = int(dim)
-
-    def support_radius(self, eps: float) -> float:
-        return self.mollifier.support_radius_hint * float(eps)
-
-    def at(self, eps: float) -> SmoothFn:
-        eps = float(eps)
-        ev = self.mollifier._evaluator
-        dim = self.dim
-
-        def pfn(alpha, pts):
-            acc = np.full(pts.shape[0], eps ** -(dim + sum(alpha)))
-            for i, k in enumerate(alpha):
-                acc = acc * ev.deriv(k, pts[:, i] / eps)
-            return acc
-
-        return SmoothFn(dim, pfn, label=f"rho_eps({eps:g})")
-
-    def net(self) -> Net:
-        return Net(self.dim, self.at, label=f"rho_eps {self.mollifier.kind}")
-
-    def integral_check(self, eps: float) -> float:
-        """Measured |integral of rho_eps - 1| (1-d slices multiply out)."""
-        # panels of 2 eps are the certificate's 2 kernel units
-        values, _ = _panelled_moments(
-            lambda x: self.mollifier.deriv(0, x / eps) / eps,
-            (0,),
-            self.support_radius(eps),
-            panel=2.0 * eps,
-        )
-        err_1d = values[0] - 1.0
-        return abs((1.0 + err_1d) ** self.dim - 1.0)
 
 
 def _panelled_moments(fn, ks, radius: float, panel: float = 2.0):
@@ -361,7 +303,7 @@ def mollifier_spec(text: str) -> tuple[str, dict]:
     """
     if text == "fourier":
         return "fourier", {}
-    if text.startswith("gausspoly:"):
+    if isinstance(text, str) and text.startswith("gausspoly:"):
         try:
             order = int(text.split(":", 1)[1])
         except ValueError:

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import colombeau
 from colombeau.cli import main
 
@@ -35,6 +37,7 @@ def test_malformed_flags_exit_two(tmp_path):
     for spec in ("gausspoly:x", "fourier:3", "gausspoly:", "gausspoly:0"):
         assert main(["run", "classify", "--mollifier", spec, "--out", out]) == 2, spec
     assert main(["run", "mechanics", "--eps", "0.1,zap", "--out", out]) == 2
+    assert main(["run", "mechanics", "--eps", "nan", "--out", out]) == 2
     assert main(["run", "classify", "--eps", "0.1,0.2", "--out", out]) == 2  # mechanics only
     assert main(["run", "--out", out]) == 2  # no experiment named anywhere
     assert not (tmp_path / "never").exists()
@@ -45,6 +48,16 @@ def test_config_rejects_unknown_keys(tmp_path):
     cfg.write_text('{"experiment": "classify", "bogus": 1}')
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     cfg.write_text("[1, 2]")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("knob", ['"seed": "abc"', '"seed": 1.5', '"seed": true',
+                                  '"k_min": 4.5', '"k_max": 9.0', '"m_max": 2.5',
+                                  '"mollifier": 3', '"tol": true'])
+def test_config_rejects_mistyped_knobs(tmp_path, knob):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"experiment": "classify", ' + knob + "}")
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert not (tmp_path / "o").exists()
 

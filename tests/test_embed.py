@@ -16,12 +16,11 @@ from colombeau.embed import (
     heaviside,
     pullback_commutator_demo,
     pullback_spec_affine,
-    sigma_rn,
     smooth_piece,
 )
 from colombeau.errors import UnsupportedDistribution
-from colombeau.mollifier import build_mollifier
-from colombeau.nets import classify_net, sup_norm_on_box
+from colombeau.mollifier import Mollifier, build_mollifier
+from colombeau.nets import Net, classify_net, sup_norm_on_box
 from colombeau.quadrature import quad
 from colombeau.smooth import from_sympy, smoothstep_expr
 
@@ -46,6 +45,32 @@ def test_embedded_delta_is_scaled_profile(fourier, delta_net):
     # derivative of the embedded net is the scaled derivative, exactly
     want1 = fourier.deriv(1, xs / eps) / eps ** 2
     assert np.array_equal(delta_net.at(eps).partial((1,), xs), want1)
+
+
+def test_kernel_has_one_evaluator(fourier, monkeypatch):
+    """Embedding reaches the kernel through ``Mollifier.deriv`` only."""
+    calls = {}
+
+    def count(cls):
+        inner = cls.deriv
+        calls[cls] = 0
+
+        def deriv(self, k, x):
+            calls[cls] += 1
+            return inner(self, k, x)
+
+        monkeypatch.setattr(cls, "deriv", deriv)
+
+    count(Mollifier)
+    count(type(fourier._evaluator))
+    xs = np.linspace(-1.0, 1.0, 9)
+    for spec in (dirac(), dirac_prime(), heaviside()):
+        net = embed_rn(spec, fourier)
+        for eps in (2.0 ** -4, 2.0 ** -6):
+            for k in range(3):
+                net.at(eps).partial((k,), xs)
+    assert calls[Mollifier] > 0
+    assert calls[Mollifier] == calls[type(fourier._evaluator)]
 
 
 def test_embedded_delta_order_slopes(delta_net):
@@ -173,7 +198,7 @@ def test_smoothing_consistency_fourier(fourier):
     # windowed sine agrees with sin on [-1, 1]; the embedding residual
     # decays faster than any power readable on this grid
     wind = from_sympy(sp.sin(X) * _window_expr(1.2, 2.0), [X])
-    target = sigma_rn(from_sympy(sp.sin(X), [X]))
+    target = Net.constant_in_eps(from_sympy(sp.sin(X), [X]))
     resid = embed_rn(smooth_piece(wind, -2.0, 2.0), fourier) - target
     samples = []
     for k in range(4, 9):
@@ -188,7 +213,7 @@ def test_smoothing_consistency_fourier(fourier):
 def test_smoothing_consistency_gausspoly():
     mol = build_mollifier("gausspoly", order=2)
     wind = from_sympy(sp.sin(X) * _window_expr(1.2, 2.0), [X])
-    target = sigma_rn(from_sympy(sp.sin(X), [X]))
+    target = Net.constant_in_eps(from_sympy(sp.sin(X), [X]))
     resid = embed_rn(smooth_piece(wind, -2.0, 2.0), mol) - target
     samples = []
     for k in range(4, 8):

@@ -6,33 +6,27 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from colombeau.errors import DimensionMismatch
-from colombeau.gnumber import GeneralizedNumber, gn_binary, gn_equal
+from colombeau.gnumber import GeneralizedNumber, gn_equal
 from colombeau.grid import dyadic_grid
 
 
 def test_construction_and_ops():
     a = GeneralizedNumber.from_fn(lambda e: e)
     b = GeneralizedNumber.from_fn(lambda e: 1.0 / e)
-    prod = gn_binary("mul", a, b)
+    prod = a * b
     assert np.allclose(prod.values, 1.0)
-    s = gn_binary("add", a, b)
+    s = a + b
     assert np.allclose(s.values, a.values + b.values)
-    d = gn_binary("sub", s, b)
+    d = s - b
     eq, fit = gn_equal(d, a)
     assert eq and fit.is_negligible
-
-
-def test_unknown_op_rejected():
-    a = GeneralizedNumber.const(1.0)
-    with pytest.raises(ValueError):
-        gn_binary("div", a, a)
 
 
 def test_grid_mismatch_rejected():
     a = GeneralizedNumber.from_fn(lambda e: e, grid=dyadic_grid(4, 10))
     b = GeneralizedNumber.from_fn(lambda e: e, grid=dyadic_grid(4, 14))
     with pytest.raises(DimensionMismatch):
-        gn_binary("add", a, b)
+        a + b
 
 
 def test_eps_and_exp_floor_are_nonzero_and_zero_respectively():

@@ -500,3 +500,15 @@ def test_stalled_step_raises_stiffness_failure():
     assert _hex([s[0] for s in steps]) == _hex(ref.t)
     with pytest.raises(StiffnessFailure, match="stalled"):
         solve_singular_oscillator(sys, (0.0, 2.0), [0.05])
+
+
+def test_nan_at_start_raises_instead_of_looping():
+    # V = sqrt(q) at q0 = -1 gives a NaN force, hence a NaN first step,
+    # which no comparison with the minimum step would stop
+    y = sp.Symbol("y")
+    sys = HamiltonianSystem(None, -1.0, 1.0, potential=from_sympy(sp.sqrt(y), (y,)))
+    with pytest.raises(StiffnessFailure, match="stalled"):
+        solve_singular_oscillator(sys, (0.0, 2.0), [0.05])
+    for eps in (float("nan"), float("inf"), 0.0, -0.1):
+        with pytest.raises(ValueError, match="finite and positive"):
+            solve_singular_oscillator(HamiltonianSystem(StrictDeltaNet()), (0.0, 2.0), [eps])

@@ -5,6 +5,7 @@ arithmetic (profile values, high-order derivatives) and an exact
 Gamma-matrix solve (gausspoly leading coefficients).
 """
 
+import functools
 import math
 import warnings
 
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
 
+from colombeau.embed import dirac, embed_rn
 from colombeau.errors import MomentSystemSingular, QuadratureFailure
 from colombeau.mollifier import (
     FOURIER_C,
@@ -42,11 +44,11 @@ def test_fourier_value_at_one_against_closed_form(fourier):
     # rho(1) = sin(C)/pi * exp(-S^2/2), recomputed at 40 digits
     with mp.workdps(40):
         want = mp.sin(FOURIER_C) / mp.pi * mp.exp(-mp.mpf(FOURIER_S) ** 2 / 2)
-    assert fourier.profile(1.0) == pytest.approx(float(want), rel=1e-14)
+    assert fourier.deriv(0, 1.0) == pytest.approx(float(want), rel=1e-14)
 
 
 def test_fourier_profile_values(fourier):
-    p = fourier.profile
+    p = functools.partial(fourier.deriv, 0)
     assert p(0.0) == pytest.approx(0.47746482927568601, rel=1e-14)
     assert p(1.0) == pytest.approx(0.31523463575021287, rel=1e-14)
     assert p(0.25) == pytest.approx(0.46614285669295942, rel=1e-14)
@@ -77,7 +79,7 @@ def test_fourier_derivatives_match_mpmath(fourier):
         (8, 4.0): 1.1292397886850417,
     }
     for (k, x), want in cases.items():
-        got = fourier.profile.partial((k,), x)
+        got = fourier.deriv(k, x)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-13), (k, x)
 
 
@@ -160,16 +162,16 @@ def test_gausspoly_leading_values():
     }
     for order, val in want.items():
         mol = build_mollifier("gausspoly", order=order)
-        assert mol.profile(0.0) == pytest.approx(val, rel=1e-12)
+        assert mol.deriv(0, 0.0) == pytest.approx(val, rel=1e-12)
 
 
 def test_gausspoly_is_gaussian_at_order_zero():
     mol = build_mollifier("gausspoly", order=0)
     xs = np.linspace(-3, 3, 25)
     ref = np.exp(-xs ** 2) / math.sqrt(math.pi)
-    assert np.allclose(mol.profile(xs), ref, rtol=1e-13)
+    assert np.allclose(mol.deriv(0, xs), ref, rtol=1e-13)
     # exact closed-form second derivative of the Gaussian
-    d2 = mol.profile.partial((2,), xs)
+    d2 = mol.deriv(2, xs)
     assert np.allclose(d2, (4 * xs ** 2 - 2) * ref, rtol=1e-12, atol=1e-15)
 
 
@@ -205,15 +207,17 @@ def test_parse_mollifier(fourier):
     assert gp.kind == "gausspoly" and gp.params["order"] == 1
 
 
-# -- scaled nets -------------------------------------------------------
+# -- scaled nets: rho_eps is the embedded Dirac ------------------------
 
 def test_scaled_integral_and_peak(fourier):
-    sm = fourier.scaled()
+    net = embed_rn(dirac(), fourier)
     for eps in (2.0 ** -4, 2.0 ** -8, 2.0 ** -14):
-        assert sm.integral_check(eps) < 1e-8
-        f = sm.at(eps)
+        f = net.at(eps)
+        # panels of 2 eps are the certificate's 2 kernel units
+        values, _ = _panelled_moments(
+            f, (0,), fourier.support_radius_hint * eps, panel=2.0 * eps)
+        assert abs(values[0] - 1.0) < 1e-8
         assert f(0.0) == pytest.approx(0.47746482927568601 / eps, rel=1e-13)
-    assert sm.support_radius(0.25) == pytest.approx(25.0)
 
 
 def test_unresolved_panels_raise(fourier):
@@ -226,11 +230,10 @@ def test_unresolved_panels_raise(fourier):
 
 
 def test_scaled_lift_2d(fourier):
-    sm = fourier.scaled(dim=2)
     eps = 0.125
-    f = sm.at(eps)
+    f = embed_rn(dirac((0.0, 0.0), dim=2), fourier).at(eps)
     pts = np.array([[0.0, 0.0], [0.3, 0.7]])
-    prof = fourier.profile
+    prof = functools.partial(fourier.deriv, 0)
     want0 = prof(0.0) ** 2 / eps ** 2
     want1 = prof(0.3 / eps) * prof(0.7 / eps) / eps ** 2
     assert np.allclose(f(pts), [want0, want1], rtol=1e-13)
@@ -243,7 +246,7 @@ def test_scaled_lift_2d(fourier):
 
 def test_scaling_law_slopes(fourier):
     # sup |d^alpha rho_eps| ~ eps^-(1+|alpha|) on a box containing 0
-    net = fourier.scaled().net()
+    net = embed_rn(dirac(), fourier)
     box = ((-1.0, 1.0),)
     for k in range(4):
         fit = classify_net(net, (k,), box, n_samples="auto")
@@ -253,6 +256,6 @@ def test_scaling_law_slopes(fourier):
 
 def test_support_localization(fourier):
     # away from the concentration point the net dies faster than any power
-    net = fourier.scaled().net()
+    net = embed_rn(dirac(), fourier)
     fit = classify_net(net, (0,), ((2.0, 3.0),), n_samples=51)
     assert fit.verdict == "negligible"

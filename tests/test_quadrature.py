@@ -97,7 +97,7 @@ def test_panel_rule_is_the_kernel_rule(spec):
     centers = (edges[:-1] + edges[1:]) / 2.0
     gl_nodes, gl_weights = gauss_legendre(16)
     ref_nodes = (centers[:, None] + half * gl_nodes[None, :]).ravel()
-    ref_kern_w = np.tile(half * gl_weights, n_panels) * mol._evaluator.deriv(0, ref_nodes)
+    ref_kern_w = np.tile(half * gl_weights, n_panels) * mol.deriv(0, ref_nodes)
     nodes, kern_w, rule_edges = _kernel_rule(mol)
     assert nodes.tobytes() == ref_nodes.tobytes()
     assert kern_w.tobytes() == ref_kern_w.tobytes()

@@ -165,7 +165,7 @@ _PRODUCERS = {
     "embed_rn-dirac": lambda: _embedded(embed.dirac()),
     "embed_rn-smooth_piece": lambda: _embedded(
         embed.smooth_piece(from_sympy(sp.sin(X0), [X0]), -0.5, 0.5)),
-    "ScaledMollifier.at": lambda: build_mollifier("fourier").scaled(2).at(0.1),
+    "embed_rn-dirac-2d": lambda: _embedded(embed.dirac((0.0, 0.0), dim=2)),
     "StrictDeltaNet.at": lambda: mechanics.StrictDeltaNet().at(0.1),
     "homotopy_H": _homotopy_component,
 }
