@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientSamples, InvalidSample
-from .grid import dyadic_grid
+from .grid import DEFAULT_GRID
 
 MIN_SAMPLES = 4
 SLOPE_TOLERANCE = 0.25
@@ -138,9 +138,7 @@ def estimate_order(samples, m_max: int = DEFAULT_M_MAX) -> AsymptoticFit:
     )
 
 
-def classify_scalar_net(f, grid=None, m_max: int = DEFAULT_M_MAX) -> AsymptoticFit:
+def classify_scalar_net(f, grid=DEFAULT_GRID, m_max: int = DEFAULT_M_MAX) -> AsymptoticFit:
     """Classify a scalar net given as a callable eps -> value."""
-    if grid is None:
-        grid = dyadic_grid()
     samples = [(float(e), abs(float(f(float(e))))) for e in grid]
     return estimate_order(samples, m_max=m_max)

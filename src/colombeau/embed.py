@@ -28,8 +28,9 @@ import numpy as np
 
 from . import _mindex as mi
 from .errors import UnsupportedDistribution
+from .grid import DEFAULT_GRID
 from .mollifier import Mollifier
-from .nets import Net
+from .nets import Net, classify_net
 from .quadrature import gauss_legendre, panel_rule, quad
 from .smooth import SmoothFn
 
@@ -61,7 +62,8 @@ class DistributionSpec:
     label: str = ""
 
     def dirac(self, loc, beta=None, weight: float = 1.0) -> "DistributionSpec":
-        loc = tuple(float(v) for v in np.atleast_1d(np.asarray(loc, dtype=float)))
+        loc = np.asarray(loc, dtype=float)  # a scalar stands at that value on every axis
+        loc = tuple(float(v) for v in (np.full(self.dim, loc) if loc.ndim == 0 else loc))
         if len(loc) != self.dim:
             raise UnsupportedDistribution(f"loc {loc} not in R^{self.dim}")
         beta = mi.check(beta if beta is not None else (0,) * self.dim, self.dim)
@@ -299,15 +301,13 @@ def pullback_spec_affine(spec: DistributionSpec, a: float, b: float = 0.0) -> Di
 
 
 def pullback_commutator_demo(a: float, b: float, spec: DistributionSpec,
-                             mol: Mollifier, grid=None, box=((-1.0, 1.0),)):
+                             mol: Mollifier, grid=DEFAULT_GRID, box=((-1.0, 1.0),)):
     """Net and report for iota(mu^* u) - mu^*(iota u), mu(x) = a x + b.
 
     Embedding and pullback do not commute in general; the difference is
     a nonzero moderate net that is nevertheless associated to zero.  For
     mu = identity the commutator vanishes identically.
     """
-    from .nets import classify_net
-
     emb_then_pull = pullback_affine(embed_rn(spec, mol), a, b)
     pull_then_emb = embed_rn(pullback_spec_affine(spec, a, b), mol)
     commutator = pull_then_emb - emb_then_pull

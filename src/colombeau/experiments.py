@@ -28,7 +28,7 @@ from .manifolds import euclidean, circle
 from .mechanics import (HamiltonianSystem, StrictDeltaNet, hamiltonian_vf, poisson,
                         reflection_limit_check, solve_singular_oscillator)
 from .mollifier import mollifier_spec, parse_mollifier
-from .nets import Net, box_lattice, classify_net, sup_norm_on_box
+from .nets import Net, box_lattice, sup_norms
 from .smooth import constant, coordinate, from_sympy, smoothstep_expr
 from .tensor import bracket, field_apply
 
@@ -142,10 +142,12 @@ def run_classify(cfg: ExperimentConfig):
     rep_delta = classify(delta_gf, orders=(0, 1), grid=grid, m_max=cfg.m_max)
 
     fading = Net(1, lambda e: sin_fn * float(e) ** (cfg.m_max + 1))
-    fit_fading = classify_net(fading, (0,), box, grid=grid, m_max=cfg.m_max)
-
     blowup = Net(1, lambda e: constant((1.0 / float(e)) ** 21, 1))
-    fit_blowup = classify_net(blowup, (0,), box, grid=grid, m_max=cfg.m_max)
+    sups = {name: sup_norms(net, (0,), box, grid)
+            for name, net in (("embedded_delta", delta_gf.nets["0"]),
+                              ("fading", fading), ("blowup", blowup))}
+    fit_fading = estimate_order(zip(grid, sups["fading"]), m_max=cfg.m_max)
+    fit_blowup = estimate_order(zip(grid, sups["blowup"]), m_max=cfg.m_max)
 
     checks = [
         {"name": "embedded_delta_moderate",
@@ -158,12 +160,8 @@ def run_classify(cfg: ExperimentConfig):
          "ok": fit_blowup.verdict == "divergent",
          "slope": fit_blowup.slope},
     ]
-    rows = []
-    for name, net in (("embedded_delta", delta_gf.nets["0"]),
-                      ("fading", fading), ("blowup", blowup)):
-        for e in grid:
-            rows.append({"net": name, "eps": float(e),
-                         "sup": sup_norm_on_box(net.at(e), (0,), box, 201)})
+    rows = [{"net": name, "eps": float(e), "sup": s}
+            for name, series in sups.items() for e, s in zip(grid, series)]
     return _report(cfg, checks), {"classification": _csv(("net", "eps", "sup"), rows)}
 
 
@@ -202,8 +200,8 @@ def run_embed_check(cfg: ExperimentConfig):
     target = sigma_embed(line, {"0": from_sympy(sp.sin(X), [X])})
     emb = GeneralizedFunction(line, {"0": embed_rn(smooth_piece(wind, -2.0, 2.0), mol)})
     resid = emb - target
-    samples = [(float(e), sup_norm_on_box(resid.nets["0"].at(e), (0,),
-                                          ((-1.0, 1.0),), 21)) for e in grid]
+    samples = list(zip(map(float, grid),
+                       sup_norms(resid.nets["0"], (0,), ((-1.0, 1.0),), grid, 21)))
     slope_line, n_floor = _floor_fit(samples, cfg.m_max)
     checks.append({"name": "line_sin_decay", "ok": slope_line >= need,
                    "slope": slope_line, "threshold": need,
@@ -221,8 +219,8 @@ def run_embed_check(cfg: ExperimentConfig):
     worst = float("inf")
     for c in sorted(resid_c.nets):
         box = s1.atlas.charts[c].sample_box
-        samples_c = [(float(e), sup_norm_on_box(resid_c.nets[c].at(e), (0,),
-                                                box, 41)) for e in grid]
+        samples_c = list(zip(map(float, grid),
+                             sup_norms(resid_c.nets[c], (0,), box, grid, 41)))
         slope_c, nf = _floor_fit(samples_c, cfg.m_max)
         worst = min(worst, slope_c)
         slope_rows.append({"space": "circle", "chart": c, "slope": slope_c})
@@ -259,9 +257,8 @@ def run_pullback_demo(cfg: ExperimentConfig):
          "ok": verdict.status == "associated_to_zero" and worst < tol,
          "status": verdict.status, "max_residual": worst, "tol": tol},
     ]
-    sup_rows = [{"eps": float(e),
-                 "sup": sup_norm_on_box(net.at(e), (0,), ((-1.0, 1.0),), 201)}
-                for e in grid]
+    sup_rows = [{"eps": float(e), "sup": s}
+                for e, s in zip(grid, sup_norms(net, (0,), ((-1.0, 1.0),), grid))]
     series = {"commutator_sup": _csv(("eps", "sup"), sup_rows),
               "commutator_pairings": verdict.to_csv()}
     return _report(cfg, checks), series

@@ -21,7 +21,7 @@ from .errors import (DegreeOverflow, DomainError, InvalidDegree, InvalidSlots,
 from .gfunc import (GeneralizedFunction, GeneralizedSection, _same_charts, _sum, _weight,
                     integrate_box)
 from .gnumber import GeneralizedNumber
-from .grid import dyadic_grid
+from .grid import DEFAULT_GRID
 from .manifolds import Manifold
 from .nets import Net, box_lattice
 from .quadrature import box_rule, interval_rule
@@ -303,15 +303,13 @@ def homotopy_H(omega: GeneralizedKForm):
     return GeneralizedKForm(atlas, k - 1, comps, label=f"H {omega.label}")
 
 
-def poincare_check(omega: GeneralizedKForm, grid=None, n_samples: int = 21,
+def poincare_check(omega: GeneralizedKForm, grid=DEFAULT_GRID, n_samples: int = 21,
                    box=None, tol: float = 1e-7) -> dict:
     """Lattice residual of d(H w) + H(dw) = w, per eps.
 
     On the top degree the second term is the homotopy of the empty
     (n+1)-form, identically zero.
     """
-    if grid is None:
-        grid = dyadic_grid()
     atlas = omega.atlas
     c = _single_star_chart(atlas)
     dim = atlas.dim
@@ -338,7 +336,7 @@ def poincare_check(omega: GeneralizedKForm, grid=None, n_samples: int = 21,
 # -- integration and Stokes --------------------------------------------------
 
 
-def integrate_nform(omega: GeneralizedKForm, box=None, grid=None) -> GeneralizedNumber:
+def integrate_nform(omega: GeneralizedKForm, box=None, grid=DEFAULT_GRID) -> GeneralizedNumber:
     """Integral of a top-degree form over a chart box, per eps."""
     if not isinstance(omega, GeneralizedKForm):
         raise InvalidDegree("integration needs a form")
@@ -350,8 +348,6 @@ def integrate_nform(omega: GeneralizedKForm, box=None, grid=None) -> Generalized
     dim = atlas.dim
     if omega.degree != dim:
         raise DomainError(f"degree {omega.degree} is not the dimension {dim}")
-    if grid is None:
-        grid = dyadic_grid()
     if box is None:
         box = atlas.charts[c].sample_box
     net = omega.comps[c][tuple(range(dim))]
@@ -375,7 +371,7 @@ def _face_integral(fn: SmoothFn, box, axis: int, value: float) -> float:
     return out
 
 
-def stokes_check(omega, domain, grid=None, tol: float = 1e-6) -> dict:
+def stokes_check(omega, domain, grid=DEFAULT_GRID, tol: float = 1e-6) -> dict:
     """Residual of the boundary theorem on a supported domain, per eps.
 
     Domains: ("interval", (a, b)) for 0-forms on a line chart,
@@ -384,8 +380,6 @@ def stokes_check(omega, domain, grid=None, tol: float = 1e-6) -> dict:
     DomainError.  The report carries lhs (integral of d omega), rhs
     (boundary integral), and their gap for every eps.
     """
-    if grid is None:
-        grid = dyadic_grid()
     kind = domain[0] if isinstance(domain, (tuple, list)) and domain else None
     atlas = omega.atlas if isinstance(omega, (GeneralizedFunction, GeneralizedKForm)) \
         else None

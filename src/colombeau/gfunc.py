@@ -18,16 +18,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _mindex as mi
-from .asymptotic import DEFAULT_M_MAX, classify_scalar_net
+from .asymptotic import DEFAULT_M_MAX, estimate_order
 from .embed import DistributionSpec, embed_rn
 from .errors import (AtlasMismatch, CoherenceFailure, NotComparable,
                      PartitionMismatch, QuadratureFailure)
 from .gnumber import GeneralizedNumber
-from .grid import dyadic_grid
+from .grid import DEFAULT_GRID
 from .manifold import Atlas, GeneralizedPoint, Transition
 from .manifolds import Manifold
 from .mollifier import Mollifier
-from .nets import Net, _as_net, box_lattice, classify_net, sup_norm_on_box
+from .nets import Net, _as_net, box_lattice, classify_net, sup_norm_on_box, sup_norms
 from .quadrature import adaptive, box_rule
 from .smooth import SmoothFn, constant, from_sympy, leaf_memo, smoothstep_expr
 
@@ -41,6 +41,8 @@ COHERENCE_RTOL = 5e-13
 COHERENCE_GRAD_RTOL = 1e-13
 
 PAIRING_TOL = 1e-3
+# the sup every C^k-association residual must end below
+CK_TOL = 1e-6
 
 # An overlap sweep evaluates its transitions in blocks of at most this
 # many lattice points, chart-a points and their images counted together
@@ -298,7 +300,7 @@ def overlap_residual(atlas: Atlas, comps: dict, valence, grid, n_samples: int) -
     is bounded by the larger of ``SWEEP_POINTS`` and one transition's
     points.  The family is coherent when every fit is negligible.
     """
-    grid = tuple(float(e) for e in (dyadic_grid() if grid is None else grid))
+    grid = tuple(float(e) for e in grid)
     blocks, used = [], 0
     for (a, b), tr in sorted(atlas.transitions.items()):
         if a not in comps or b not in comps or not atlas.overlap_boxes[(a, b)]:
@@ -320,7 +322,7 @@ def overlap_residual(atlas: Atlas, comps: dict, valence, grid, n_samples: int) -
                                  "verdict": "non-finite", "negligible": False,
                                  "n_clamped": gaps.count(0.0), "max_gap": math.nan})
                     continue
-                fit = classify_scalar_net(lambda e: sweep[e][k], grid)
+                fit = estimate_order(zip(grid, gaps))
                 rows.append({
                     "pair": list(pair), "box": k, "slope": fit.slope,
                     "verdict": fit.verdict, "negligible": fit.is_negligible,
@@ -330,7 +332,7 @@ def overlap_residual(atlas: Atlas, comps: dict, valence, grid, n_samples: int) -
             "m_max": DEFAULT_M_MAX, "rows": rows}
 
 
-def coherence_check(U: GeneralizedFunction, grid=None, n_samples: int = 61) -> dict:
+def coherence_check(U: GeneralizedFunction, grid=DEFAULT_GRID, n_samples: int = 61) -> dict:
     """Classify the transformation-law residual on every overlap.
 
     The gap sup |U_a(x) - U_b(t_ab(x))| per eps is the rank-0 case of
@@ -360,7 +362,7 @@ def _expand_orders(orders, dim: int):
 
 
 def classify(U: GeneralizedFunction, orders=(0, 1), boxes: dict | None = None,
-             grid=None, m_max: int = DEFAULT_M_MAX, n_samples=201) -> dict:
+             grid=DEFAULT_GRID, m_max: int = DEFAULT_M_MAX, n_samples=201) -> dict:
     """Sup-norm order fits per chart and derivative multi-index.
 
     ``orders`` lists total derivative orders (ints) or explicit
@@ -406,12 +408,10 @@ def classify(U: GeneralizedFunction, orders=(0, 1), boxes: dict | None = None,
 
 
 def point_value(U: GeneralizedFunction, p: GeneralizedPoint,
-                grid=None) -> GeneralizedNumber:
+                grid=DEFAULT_GRID) -> GeneralizedNumber:
     """The net eps -> u_eps(p_eps), evaluated in a chart carrying U."""
     if p.atlas is not U.atlas:
         raise NotComparable("point and function live on different atlases")
-    if grid is None:
-        grid = dyadic_grid()
     chart = p.chart
     mapper = None
     if chart in U.nets:
@@ -433,15 +433,13 @@ def point_value(U: GeneralizedFunction, p: GeneralizedPoint,
 
 
 def zero_test_by_points(U: GeneralizedFunction, count: int = 24, seed: int = 0,
-                        grid=None, m_max: int = DEFAULT_M_MAX) -> dict:
+                        grid=DEFAULT_GRID, m_max: int = DEFAULT_M_MAX) -> dict:
     """One-sided zero test: sample generalized points, look for witnesses.
 
     Draws classical points, eps-drifting points and bounded wobbling
     point nets from the chart sample boxes.  Any non-negligible point
     value witnesses U != 0; finding none is evidence, not proof.
     """
-    if grid is None:
-        grid = dyadic_grid()
     rng = np.random.default_rng(seed)
     charts = U.chart_names()
     dim = U.atlas.dim
@@ -499,9 +497,11 @@ def _bump_expr(u):
     return smoothstep_expr(2 + 2 * u) * smoothstep_expr(2 - 2 * u)
 
 
-def default_densities(space, per_chart: int = 5, seed: int = 7,
-                      width_range=(0.15, 0.45)) -> list[TestDensity]:
-    """Seeded bump suite: ``per_chart`` random centers/widths per chart."""
+def default_densities(space, per_chart: int = 5, seed: int = 7) -> list[TestDensity]:
+    """Seeded bump suite: ``per_chart`` random centers/widths per chart.
+
+    Each bump's half-width per axis is 0.15 to 0.45 of the box's.
+    """
     import sympy as sp
 
     atlas = _atlas_of(space)
@@ -514,7 +514,7 @@ def default_densities(space, per_chart: int = 5, seed: int = 7,
         lo = np.array([b[0] for b in box])
         hi = np.array([b[1] for b in box])
         for k in range(per_chart):
-            w = rng.uniform(*width_range, size=dim) * (hi - lo) / 2.0
+            w = rng.uniform(0.15, 0.45, size=dim) * (hi - lo) / 2.0
             ctr = rng.uniform(lo + w, hi - w)
             expr = sp.Integer(1)
             for i in range(dim):
@@ -547,10 +547,8 @@ def integrate_box(fn: SmoothFn, box, eps_hint: float) -> float:
 
 
 def integrate(U: GeneralizedFunction, density: SmoothFn | None = None,
-              box=None, chart: str | None = None, grid=None) -> GeneralizedNumber:
+              box=None, chart: str | None = None, grid=DEFAULT_GRID) -> GeneralizedNumber:
     """eps -> integral over a chart box of u_eps times a density factor."""
-    if grid is None:
-        grid = dyadic_grid()
     if chart is None:
         names = U.chart_names()
         if len(names) != 1:
@@ -634,7 +632,7 @@ def pair_density(U: GeneralizedFunction, density: TestDensity, eps: float) -> fl
     return integrate_box(f, density.box, eps_hint=float(eps))
 
 
-def associate(U: GeneralizedFunction, target=None, densities=None, grid=None,
+def associate(U: GeneralizedFunction, target=None, densities=None, grid=DEFAULT_GRID,
               tol: float = PAIRING_TOL, seed: int = 7) -> AssociationVerdict:
     """Association test: pairings against a density suite, extrapolated.
 
@@ -643,8 +641,6 @@ def associate(U: GeneralizedFunction, target=None, densities=None, grid=None,
     paired over the grid, Richardson-extrapolated to eps = 0, and
     compared with the target's action.
     """
-    if grid is None:
-        grid = dyadic_grid()
     if densities is None:
         densities = default_densities(U.atlas, seed=seed)
     densities = [d for d in densities if d.chart in U.nets]
@@ -677,49 +673,41 @@ def associate(U: GeneralizedFunction, target=None, densities=None, grid=None,
     })
 
 
-def ck_associate(U: GeneralizedFunction, fns: dict, k: int, boxes: dict | None = None,
-                 grid=None, tol: float = 1e-6, n_samples: int = 201,
-                 m_max: int = DEFAULT_M_MAX) -> dict:
+def ck_associate(U: GeneralizedFunction, fns: dict, k: int, grid=DEFAULT_GRID,
+                 n_samples: int = 201) -> dict:
     """C^k association: all coordinate partials of (u_eps - f) up to
-    order k decay uniformly on the chart boxes.
+    order k decay uniformly on the chart sample boxes.
 
     Coordinate partials stand in for iterated Lie derivatives; locally
     every iterated Lie derivative is a combination of them with smooth
     coefficients, so the verdicts agree.  Each sup sequence must end
-    below ``tol`` with a positive fitted slope, unless it already sits
+    below ``CK_TOL`` with a positive fitted slope, unless it already sits
     at the rounding floor of the comparison function (a difference a
     few ulps wide has no slope to measure).
     """
-    if grid is None:
-        grid = dyadic_grid()
     dim = U.atlas.dim
     rows = []
     ok_all = True
     for c in U.chart_names():
         f = fns[c]
-        box = (boxes or {}).get(c, U.atlas.charts[c].sample_box)
+        box = U.atlas.charts[c].sample_box
         diff = U.nets[c] - Net.constant_in_eps(f)
         for alpha in mi.up_to(dim, k):
-            sups = {}
-
-            def sup(e):
-                sups[e] = sup_norm_on_box(diff.at(e), alpha, box, n_samples)
-                return sups[e]
-
-            fit = classify_scalar_net(sup, grid, m_max=m_max)
-            final = sups[min(sups)]  # the raw sup, not the floor-clamped fit input
+            sups = sup_norms(diff, alpha, box, grid, n_samples)
+            fit = estimate_order(zip(grid, sups))
+            final = sups[int(np.argmin(grid))]  # the raw sup, not the floor-clamped fit input
             floor = COHERENCE_RTOL * (1.0 + sup_norm_on_box(f, alpha, box, n_samples))
-            row_ok = (final < tol) and (
+            row_ok = (final < CK_TOL) and (
                 fit.slope > 0.0 or fit.n_clamped == len(grid) or final <= floor)
             ok_all = ok_all and row_ok
             rows.append({"chart": c, "alpha": list(alpha), "slope": fit.slope,
                          "final_sup": final, "floor": floor, "ok": row_ok})
-    return {"k": k, "ok": ok_all, "tol": tol, "rows": rows}
+    return {"k": k, "ok": ok_all, "tol": CK_TOL, "rows": rows}
 
 
 def product_consistency_check(U: GeneralizedFunction, V: GeneralizedFunction,
                               f: dict, w, mode: str = "a", densities=None,
-                              grid=None, tol: float = PAIRING_TOL,
+                              grid=DEFAULT_GRID, tol: float = PAIRING_TOL,
                               k: int = 2) -> dict:
     """Does U*V associate to f*w, given the smooth-factor hypotheses?
 
@@ -729,8 +717,6 @@ def product_consistency_check(U: GeneralizedFunction, V: GeneralizedFunction,
     product pairing runs either way; failed hypotheses are reported, and
     explain a failed product verdict rather than invalidating the run.
     """
-    if grid is None:
-        grid = dyadic_grid()
     if mode not in ("a", "b"):
         raise ValueError("mode must be 'a' or 'b'")
     hyp = {"mode": mode}

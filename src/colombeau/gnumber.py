@@ -6,7 +6,7 @@ import numpy as np
 
 from .asymptotic import DEFAULT_M_MAX, AsymptoticFit, estimate_order
 from .errors import DimensionMismatch
-from .grid import dyadic_grid
+from .grid import DEFAULT_GRID
 
 
 class GeneralizedNumber:
@@ -24,16 +24,12 @@ class GeneralizedNumber:
         self.label = label
 
     @classmethod
-    def from_fn(cls, fn, grid=None, label: str = "") -> "GeneralizedNumber":
-        if grid is None:
-            grid = dyadic_grid()
+    def from_fn(cls, fn, grid=DEFAULT_GRID, label: str = "") -> "GeneralizedNumber":
         grid = np.asarray(grid, dtype=float)
         return cls(grid, [float(fn(float(e))) for e in grid], label)
 
     @classmethod
-    def const(cls, c: float, grid=None, label: str = "") -> "GeneralizedNumber":
-        if grid is None:
-            grid = dyadic_grid()
+    def const(cls, c: float, grid=DEFAULT_GRID, label: str = "") -> "GeneralizedNumber":
         grid = np.asarray(grid, dtype=float)
         return cls(grid, np.full_like(grid, float(c)), label)
 

@@ -15,3 +15,7 @@ def dyadic_grid(k_min: int = DEFAULT_K_MIN, k_max: int = DEFAULT_K_MAX) -> np.nd
     ks = np.arange(int(k_min), int(k_max) + 1)
     return np.ldexp(1.0, -ks)
 
+
+# the grid of every function that samples a net over eps; shared, so read-only
+DEFAULT_GRID = dyadic_grid()
+DEFAULT_GRID.flags.writeable = False

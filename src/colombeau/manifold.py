@@ -20,6 +20,7 @@ import numpy as np
 
 from .asymptotic import DEFAULT_M_MAX, AsymptoticFit, classify_scalar_net
 from .errors import CoherenceFailure, NotComparable, PartitionMismatch
+from .grid import DEFAULT_GRID
 from .nets import box_lattice
 
 ROUND_TRIP_TOL = 1e-12
@@ -64,15 +65,13 @@ class Transition:
 
 
 class Atlas:
-    def __init__(self, name: str, dim: int, charts, transitions, overlap_boxes,
-                 point_dist: Callable):
+    def __init__(self, name: str, dim: int, charts, transitions, overlap_boxes):
         self.name = name
         self.dim = int(dim)
         self.charts: dict[str, Chart] = dict(charts)
         self.transitions: dict[tuple[str, str], Transition] = dict(transitions)
         # (a, b) -> list of sample boxes in a-coordinates covering the overlap
         self.overlap_boxes: dict[tuple[str, str], list] = dict(overlap_boxes)
-        self.point_dist = point_dist
 
     def chart_names(self):
         return sorted(self.charts)
@@ -229,15 +228,14 @@ class PartitionOfUnity:
 class GeneralizedPoint:
     """A point net held in a witness chart.
 
-    ``coords_net`` maps eps to coordinates; for eps below ``threshold``
-    the coordinates are promised to stay inside ``box``.
+    ``coords_net`` maps eps to coordinates, promised to stay inside
+    ``box`` for small eps.
     """
 
     atlas: Atlas
     chart: str
     coords_net: Callable
     box: tuple
-    threshold: float = 1.0
     label: str = ""
 
     @classmethod
@@ -258,7 +256,7 @@ class GeneralizedPoint:
         return all(lo <= v <= hi for v, (lo, hi) in zip(c, self.box))
 
 
-def point_equiv(p: GeneralizedPoint, q: GeneralizedPoint, grid=None,
+def point_equiv(p: GeneralizedPoint, q: GeneralizedPoint, grid=DEFAULT_GRID,
                 m_max: int = DEFAULT_M_MAX) -> tuple[bool, AsymptoticFit]:
     """Equivalence of generalized points: coordinate gap is negligible.
 

@@ -62,7 +62,6 @@ class Manifold:
     atlas: Atlas
     pou: PartitionOfUnity
     surrogates: list = field(default_factory=list)
-    spec: dict = field(default_factory=dict)
     # per chart, the boxes standing for the chart's overlap with itself
     # when it is a factor of a product chart pair; the sample box if absent
     diagonal_boxes: dict = field(default_factory=dict)
@@ -85,11 +84,7 @@ def euclidean(dim: int, box_halfwidth: float = 3.0) -> Manifold:
         from_coords=lambda x: np.atleast_1d(np.asarray(x, dtype=float)),
         sample_box=box,
     )
-    atlas = Atlas(
-        f"euclidean{dim}", dim, {"0": chart}, {}, {},
-        point_dist=lambda p, q: float(np.linalg.norm(
-            np.atleast_1d(p) - np.atleast_1d(q))),
-    )
+    atlas = Atlas(f"euclidean{dim}", dim, {"0": chart}, {}, {})
     one = sp.Integer(1)
     syms = sp.symbols(f"x0:{dim}") if dim > 1 else (sp.Symbol("x0"),)
     chi = {"0": from_sympy(one, syms)}
@@ -103,8 +98,7 @@ def euclidean(dim: int, box_halfwidth: float = 3.0) -> Manifold:
         )
         for i in range(dim)
     ]
-    return Manifold(atlas.name, atlas, pou, surrogates,
-                    {"name": "euclidean", "dim": dim})
+    return Manifold(atlas.name, atlas, pou, surrogates)
 
 
 # -- circle ------------------------------------------------------------
@@ -155,12 +149,7 @@ def circle() -> Manifold:
         ("A", "B"): [((0.15, math.pi - 0.15),), ((-math.pi + 0.15, -0.15),)],
         ("B", "A"): [((0.15, math.pi - 0.15),), ((math.pi + 0.15, TWO_PI - 0.15),)],
     }
-
-    def dist(p, q):
-        return float(abs(wrap_pi(np.asarray(p) - np.asarray(q))))
-
-    atlas = Atlas("circle", 1, {"A": chart_a, "B": chart_b}, transitions,
-                  overlap, dist)
+    atlas = Atlas("circle", 1, {"A": chart_a, "B": chart_b}, transitions, overlap)
 
     th = sp.Symbol("theta")
     chi_a_expr = smoothstep_expr(
@@ -185,8 +174,7 @@ def circle() -> Manifold:
 
     surrogates = _circle_surrogates(th)
     diagonal = {"A": [((-2.9, 2.9),)], "B": [((0.25, TWO_PI - 0.25),)]}
-    return Manifold("circle", atlas, pou, surrogates, {"name": "circle"},
-                    diagonal_boxes=diagonal)
+    return Manifold("circle", atlas, pou, surrogates, diagonal_boxes=diagonal)
 
 
 def _circle_surrogates(th):
@@ -309,12 +297,7 @@ def product(M: Manifold, N: Manifold, name: str | None = None) -> Manifold:
                 continue
             transitions[(a, b)] = _product_transition(t1, t2, d1, N.dim)
             overlap[(a, b)] = [tuple(i1) + tuple(i2) for i1 in boxes1 for i2 in boxes2]
-
-    def dist(p, q):
-        return float(np.linalg.norm([M.atlas.point_dist(p[0], q[0]),
-                                     N.atlas.point_dist(p[1], q[1])]))
-
-    atlas = Atlas(name, dim, charts, transitions, overlap, dist)
+    atlas = Atlas(name, dim, charts, transitions, overlap)
     lifted = lambda f1, f2: {c: lift_axis(f1[c1], 0, dim) * lift_axis(f2[c2], d1, dim)
                              for c, (c1, c2) in pairs.items()}
     pou = PartitionOfUnity(atlas, lifted(M.pou.chi, N.pou.chi),
@@ -325,7 +308,7 @@ def product(M: Manifold, N: Manifold, name: str | None = None) -> Manifold:
     second = {c: c2 for c, (_, c2) in pairs.items()}
     surrogates = ([_lift_surrogate(s, first, 0, d1, dim) for s in M.surrogates]
                   + [_lift_surrogate(s, second, d1, dim, dim) for s in N.surrogates])
-    return Manifold(name, atlas, pou, surrogates, {"name": name})
+    return Manifold(name, atlas, pou, surrogates)
 
 
 def torus2() -> Manifold:

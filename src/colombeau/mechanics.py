@@ -47,6 +47,9 @@ _BUMP_GATE = 0.01
 
 # StrictDeltaNet.l1_norm: an L1_NODES-point rule on L1_PANELS equal panels
 L1_PANELS, L1_NODES = 8, 64
+# StrictDeltaNet.certify: the scaling is checked at SCALING_POINTS points of
+# the support, and each mass must lie within MASS_TOL of one
+SCALING_POINTS, MASS_TOL = 9, 1e-8
 
 
 def bump_profile() -> SmoothFn:
@@ -93,8 +96,7 @@ class StrictDeltaNet:
         xs, ws = panel_rule(np.linspace(-r, r, L1_PANELS + 1), L1_NODES)
         return float(np.sum(ws * np.abs(self.at(eps)(xs))))
 
-    def certify(self, eps_values, n_check: int = 9,
-                mass_tol: float = 1e-8) -> dict:
+    def certify(self, eps_values) -> dict:
         """Strict-delta-net certificates over the given eps values."""
         rows = []
         scaling_ok = True
@@ -105,7 +107,7 @@ class StrictDeltaNet:
             # the net is the literal expression rho(x * (1/eps)) * (1/eps);
             # recomputing it the same way must match bit for bit
             a = 1.0 / e
-            xs = np.linspace(-r, r, n_check)
+            xs = np.linspace(-r, r, SCALING_POINTS)
             ref = a * self.generator(xs * a)
             if not np.array_equal(self.at(e)(xs), ref):
                 scaling_ok = False
@@ -117,11 +119,11 @@ class StrictDeltaNet:
                 "l1": self.l1_norm(e),
             })
         l1_bound = max(r["l1"] for r in rows)
-        mass_ok = all(r["mass_err"] < mass_tol for r in rows)
+        mass_ok = all(r["mass_err"] < MASS_TOL for r in rows)
         return {
             "rows": rows,
             "mass_ok": mass_ok,
-            "mass_tol": mass_tol,
+            "mass_tol": MASS_TOL,
             "l1_bound": l1_bound,
             "scaling_exact": scaling_ok,
             "ok": mass_ok and scaling_ok,

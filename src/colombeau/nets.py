@@ -3,7 +3,7 @@
 A ``Net`` is a family eps -> SmoothFn on a fixed R^dim.  Algebra is
 pointwise in eps.  ``sup_norm_on_box`` realizes the seminorms used by
 the order classifier: max of |partial derivative| over a uniform
-lattice on a box.
+lattice on a box; ``sup_norms`` takes it at each eps of a grid.
 """
 
 from __future__ import annotations
@@ -13,8 +13,9 @@ import math
 import numpy as np
 
 from . import _mindex as mi
-from .asymptotic import DEFAULT_M_MAX, AsymptoticFit, classify_scalar_net
+from .asymptotic import DEFAULT_M_MAX, AsymptoticFit, estimate_order
 from .errors import DimensionMismatch
+from .grid import DEFAULT_GRID
 from .smooth import SmoothFn, constant
 
 
@@ -135,34 +136,38 @@ def _as_net(value, dim: int) -> Net:
 AUTO_LATTICE_CAP = 262145
 
 
-def _auto_samples(box, eps: float, base: int = 201, cap: int = AUTO_LATTICE_CAP) -> int:
+def _auto_samples(box, eps: float) -> int:
     """Per-axis lattice size resolving features of width eps inside the box.
 
     Nets that concentrate on an eps-scale (mollifier derivatives, say)
     have sup-norm peaks a fixed 201-point lattice never sees; aim for a
     spacing of eps/8.  The count is odd, so the midpoint of a symmetric
     box stays on the lattice, and at most the largest odd n with
-    n**dim <= cap, so the whole lattice stays bounded in any dimension.
+    n**dim <= AUTO_LATTICE_CAP, so the whole lattice stays bounded in
+    any dimension.
     """
     dim = len(box)
-    n_max = round(cap ** (1.0 / dim))  # never below the integer root
-    while n_max ** dim > cap or n_max % 2 == 0:
+    n_max = round(AUTO_LATTICE_CAP ** (1.0 / dim))  # never below the integer root
+    while n_max ** dim > AUTO_LATTICE_CAP or n_max % 2 == 0:
         n_max -= 1
     width = max(float(hi) - float(lo) for lo, hi in box)
-    n = int(min(n_max, max(base, math.ceil(8.0 * width / eps) + 1)))
+    n = int(min(n_max, max(201, math.ceil(8.0 * width / eps) + 1)))
     return n | 1
 
 
-def classify_net(net: Net, alpha, box, grid=None, m_max: int = DEFAULT_M_MAX,
-                 n_samples=201) -> AsymptoticFit:
-    """Order fit of eps -> sup-norm of d^alpha u_eps over a box.
+def sup_norms(net: Net, alpha, box, grid, n_samples=201) -> list[float]:
+    """Lattice sup of |d^alpha u_eps| over ``box`` at each eps of ``grid``.
 
     ``n_samples`` is a per-axis lattice count, or "auto" to refine the
     lattice with eps (needed when the net concentrates on small scales).
     """
+    return [sup_norm_on_box(net.at(e), alpha, box,
+                            _auto_samples(box, e) if n_samples == "auto" else int(n_samples))
+            for e in grid]
 
-    def sup(eps):
-        n = _auto_samples(box, eps) if n_samples == "auto" else int(n_samples)
-        return sup_norm_on_box(net.at(eps), alpha, box, n)
 
-    return classify_scalar_net(sup, grid, m_max=m_max)
+def classify_net(net: Net, alpha, box, grid=DEFAULT_GRID, m_max: int = DEFAULT_M_MAX,
+                 n_samples=201) -> AsymptoticFit:
+    """Order fit of eps -> sup-norm of d^alpha u_eps over a box (see ``sup_norms``)."""
+    return estimate_order(zip(grid, sup_norms(net, alpha, box, grid, n_samples)),
+                          m_max=m_max)

@@ -18,7 +18,7 @@ from .asymptotic import classify_scalar_net
 from .errors import AtlasMismatch, InvalidSlots, NotADerivation
 from .gfunc import (GeneralizedFunction, GeneralizedSection, _atlas_of, _same_charts, _sum,
                     _weight, classify, overlap_residual)
-from .grid import dyadic_grid
+from .grid import DEFAULT_GRID
 from .manifolds import Manifold
 from .nets import Net
 from .smooth import from_sympy
@@ -283,7 +283,7 @@ def bracket(X: GeneralizedTensorField, Y: GeneralizedTensorField) -> Generalized
 
 
 def lie_route_agreement(U: GeneralizedFunction, fields: list, depth: int,
-                        grid=None, n_samples=201) -> dict:
+                        grid=DEFAULT_GRID, n_samples=201) -> dict:
     """Compare iterated-Lie-derivative verdicts with partial-derivative ones.
 
     ``fields`` lists smooth vector fields, each given per chart as a list
@@ -291,8 +291,6 @@ def lie_route_agreement(U: GeneralizedFunction, fields: list, depth: int,
     classified at order 0 and the summary verdict is matched against
     classify() at total orders 0..depth.
     """
-    if grid is None:
-        grid = dyadic_grid()
     fields = [smooth_vector_field(U.atlas, xi) for xi in fields]
     rows = []
     layer = [((), U)]
@@ -321,7 +319,7 @@ def lie_route_agreement(U: GeneralizedFunction, fields: list, depth: int,
 # -- coherence on overlaps -------------------------------------------------
 
 
-def coherence_check_tensor(T: GeneralizedTensorField, grid=None,
+def coherence_check_tensor(T: GeneralizedTensorField, grid=DEFAULT_GRID,
                            n_samples: int = 31) -> dict:
     """Classify the Jacobian-weighted transformation residual per overlap.
 
@@ -417,22 +415,20 @@ def _theta_output(theta, U, atlas, charts):
 
 
 def derivation_to_vector_field(theta, manifold: Manifold, seed: int = 0,
-                               grid=None, tol: float = DERIVATION_TOL,
-                               n_points: int = DERIVATION_POINTS) -> GeneralizedVectorField:
+                               grid=DEFAULT_GRID) -> GeneralizedVectorField:
     """Recover the vector field Xi with theta = Xi(.) from a derivation.
 
     The candidate components are theta applied to the manifold's
     coordinate surrogates, stitched across each surrogate's core region
     where the surrogate is an exact coordinate.  Before trusting theta
     it is probed for linearity and the Leibniz rule on the surrogates,
-    their squares, and five seeded coherent functions, at ``n_points``
-    random points per chart; failure raises NotADerivation, as does a
-    non-negligible residual theta(U) - Xi(U) on the probe suite.
+    their squares, and five seeded coherent functions, at
+    ``DERIVATION_POINTS`` random points per chart to ``DERIVATION_TOL``;
+    failure raises NotADerivation, as does a non-negligible residual
+    theta(U) - Xi(U) on the probe suite.
     """
     if not isinstance(manifold, Manifold) or not manifold.surrogates:
         raise TypeError("need a Manifold carrying coordinate surrogates")
-    if grid is None:
-        grid = dyadic_grid()
     atlas = manifold.atlas
     dim = atlas.dim
     charts = set(atlas.charts)
@@ -440,7 +436,7 @@ def derivation_to_vector_field(theta, manifold: Manifold, seed: int = 0,
     pts = {}
     for c, ch in atlas.charts.items():
         box = ch.sample_box
-        pts[c] = np.stack([rng.uniform(lo, hi, size=n_points)
+        pts[c] = np.stack([rng.uniform(lo, hi, size=DERIVATION_POINTS)
                            for lo, hi in box], axis=-1)
     eps_probe = [grid[0], grid[len(grid) // 2], grid[-1]]
     zero = (0,) * dim
@@ -463,7 +459,7 @@ def derivation_to_vector_field(theta, manifold: Manifold, seed: int = 0,
         for c in sorted(charts):
             for e in eps_probe:
                 bad = max(sup_at(lin, c, e), sup_at(lei, c, e))
-                if not bad <= tol:
+                if not bad <= DERIVATION_TOL:
                     raise NotADerivation(
                         f"probe {i} fails linearity/Leibniz in chart {c!r} "
                         f"at eps {e:.3g}: residual {bad:.3g}")

@@ -71,8 +71,7 @@ def build_cubic_line() -> Manifold:
         ("U", "V"): [((-1.8, 1.8),)],
         ("V", "U"): [((-7.6, 7.6),)],
     }
-    atlas = Atlas("cubic_line", 1, {"U": chart_u, "V": chart_v}, transitions,
-                  overlap, point_dist=lambda p, q: abs(float(p) - float(q)))
+    atlas = Atlas("cubic_line", 1, {"U": chart_u, "V": chart_v}, transitions, overlap)
 
     x, y = sp.symbols("x y")
     x_of_y = 2 / sp.sqrt(3) * sp.sinh(sp.asinh(sp.Rational(3, 2) * sp.sqrt(3) * y) / 3)
@@ -93,7 +92,7 @@ def build_cubic_line() -> Manifold:
         "V": ((-9.0, 9.0),),
     }
     pou = PartitionOfUnity(atlas, chi, zeta, supp)
-    return Manifold("cubic_line", atlas, pou, [], {"name": "cubic_line"})
+    return Manifold("cubic_line", atlas, pou, [])
 
 
 @pytest.fixture(scope="session")
@@ -118,5 +117,4 @@ def scaled_line() -> Atlas:
             jac=lambda x: np.full((len(x), 1, 1), 0.5)),
     }
     boxes = {("L", "S"): [((-1.0, 1.0),)], ("S", "L"): [((-2.0, 2.0),)]}
-    return Atlas("scaled-line", 1, charts, transitions, boxes,
-                 point_dist=lambda p, q: abs(float(np.ravel(p)[0]) - float(np.ravel(q)[0])))
+    return Atlas("scaled-line", 1, charts, transitions, boxes)

@@ -15,7 +15,7 @@ from colombeau.asymptotic import (
     estimate_order,
 )
 from colombeau.errors import InsufficientSamples, InvalidSample
-from colombeau.grid import dyadic_grid
+from colombeau.grid import DEFAULT_GRID, dyadic_grid
 
 
 def test_default_grid_is_dyadic_4_to_14():
@@ -24,6 +24,12 @@ def test_default_grid_is_dyadic_4_to_14():
     assert g[0] == 2.0 ** -4
     assert g[-1] == 2.0 ** -14
     assert np.all(np.diff(g) < 0)
+
+
+def test_shared_default_grid_is_read_only():
+    assert np.array_equal(DEFAULT_GRID, dyadic_grid())
+    with pytest.raises(ValueError):
+        DEFAULT_GRID[0] = 1.0
 
 
 @settings(max_examples=60, deadline=None)

@@ -20,7 +20,7 @@ from colombeau.embed import (
 )
 from colombeau.errors import UnsupportedDistribution
 from colombeau.mollifier import Mollifier, build_mollifier
-from colombeau.nets import Net, classify_net, sup_norm_on_box
+from colombeau.nets import Net, box_lattice, classify_net, sup_norm_on_box
 from colombeau.quadrature import quad
 from colombeau.smooth import from_sympy, smoothstep_expr
 
@@ -158,6 +158,18 @@ def test_unsupported_specs():
         DistributionSpec(2).piece(from_sympy(X, [X]), 0.0, 1.0)
     with pytest.raises(UnsupportedDistribution):
         dirac((0.0, 0.0), dim=1)
+    with pytest.raises(UnsupportedDistribution):
+        dirac((0.0,), dim=2)
+
+
+def test_scalar_dirac_location_repeats_on_every_axis(fourier):
+    pts = box_lattice(((-0.3, 0.3), (-0.2, 0.4)), 7)
+    default = embed_rn(dirac(dim=2), fourier)
+    explicit = embed_rn(dirac((0.0, 0.0), dim=2), fourier)
+    for e in (2.0 ** -2, 2.0 ** -5):
+        for alpha in ((0, 0), (1, 0)):
+            assert np.array_equal(default.at(e).partial(alpha, pts),
+                                  explicit.at(e).partial(alpha, pts))
 
 
 def test_pullback_commutator_identity_map_is_zero(fourier):

@@ -311,8 +311,7 @@ def test_homotopy_domain_guard(t2, line):
                   to_coords=lambda p: np.atleast_1d(np.asarray(p, dtype=float)),
                   from_coords=lambda x: np.atleast_1d(np.asarray(x, dtype=float)),
                   sample_box=((1.0, 2.0),))
-    off = Atlas("offset-line", 1, {"0": chart}, {}, {},
-                point_dist=lambda p, q: abs(float(np.ravel(p)[0]) - float(np.ravel(q)[0])))
+    off = Atlas("offset-line", 1, {"0": chart}, {}, {})
     shifted = F.GeneralizedKForm(off, 1, {"0": {(0,): constant(1.0, 1)}})
     with pytest.raises(DomainError):
         F.homotopy_H(shifted)

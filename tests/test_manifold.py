@@ -129,8 +129,7 @@ def test_validation_catches_bad_jacobian():
                            lambda y: np.full((len(y), 1, 1), 0.5))
     atlas = Atlas("bad", 1, {"0": chart, "1": chart2},
                   {("0", "1"): bad, ("1", "0"): good_back},
-                  {("0", "1"): [((-0.9, 0.9),)]},
-                  lambda p, q: abs(p - q))
+                  {("0", "1"): [((-0.9, 0.9),)]})
     with pytest.raises(CoherenceFailure):
         atlas.validate(n_samples=9)
 
@@ -212,7 +211,7 @@ def test_point_equiv_not_comparable():
 
 def test_generalized_point_box(s1):
     p = GeneralizedPoint(s1.atlas, "A", lambda eps: np.array([0.5 + eps]),
-                         ((0.4, 0.6),), threshold=0.05)
+                         ((0.4, 0.6),))
     assert p.in_box(0.01)
     assert not p.in_box(0.2)
     assert wrap_pi(7.0) == pytest.approx(7.0 - TWO_PI)

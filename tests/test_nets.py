@@ -1,10 +1,13 @@
 """Nets and lattice sup-norms."""
 
+import sys
+
 import numpy as np
 import pytest
 import sympy as sp
 
 from colombeau.errors import DerivativeUnavailable, DimensionMismatch
+from colombeau.experiments import ExperimentConfig, run_experiment
 from colombeau.nets import (AUTO_LATTICE_CAP, Net, _auto_samples, classify_net,
                             sup_norm_on_box)
 from colombeau.smooth import constant, from_sympy
@@ -89,3 +92,20 @@ def test_auto_lattice_is_bounded_in_total(dim):
     assert n ** dim <= AUTO_LATTICE_CAP < (n + 2) ** dim
     if dim == 1:
         assert n == 262145
+
+
+def test_classify_samples_each_reference_net_once(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return sup_norm_on_box(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("colombeau") and \
+                getattr(mod, "sup_norm_on_box", None) is sup_norm_on_box:
+            monkeypatch.setattr(mod, "sup_norm_on_box", counted)
+    run_experiment(ExperimentConfig("classify"))
+    # six eps: iota(delta) at orders 0 and 1 on the chart box (12), then
+    # iota(delta), the fading and the blow-up net once each on (-1, 1) (18)
+    assert len(calls) == 30
