@@ -36,6 +36,8 @@ from .smooth import SmoothFn
 
 QUAD_EPSREL = 1e-11
 QUAD_EPSABS = 1e-13
+# (point, kernel node) pairs per convolution block: 2 MiB per float64 array
+CONV_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -168,7 +170,10 @@ def _regular_part_fn(pieces, mol: Mollifier, eps: float) -> SmoothFn:
     Evaluated in kernel coordinates: conv(x) = int f(x - eps u) rho(u) du
     over the window where x - eps u stays inside the piece.  Kernel
     weights sit on a fixed grid shared by all eps, so each point costs
-    one density sweep plus a dot product.  Derivatives fall on the
+    one density sweep plus a dot product.  Points go through in blocks
+    of at most ``CONV_BLOCK`` (point, node) pairs, and each point's row
+    is summed by its own ``np.vecdot``, so a value depends only on
+    (x, eps), never on the other points of the call.  Derivatives fall on the
     density, with closed-form kernel boundary terms at the piece edges.
     Windows cutting a panel mid-way get that panel replaced by an exact
     GL segment, so points near an edge stay accurate.
@@ -193,24 +198,25 @@ def _regular_part_fn(pieces, mol: Mollifier, eps: float) -> SmoothFn:
         at = a[touched]
         bt = b[touched]
         acc = np.zeros(xt.size)
-        step = max(1, 2_000_000 // nodes.size)
+        step = max(1, CONV_BLOCK // nodes.size)
         for s in range(0, xt.size, step):
             xx = xt[s:s + step]
             yy = np.clip(xx[:, None] - eps * nodes[None, :], lo, hi)
             ff = fn._partial_fn((j,), yy.reshape(-1, 1))
             mask = (nodes[None, :] >= at[s:s + step, None]) & (
                 nodes[None, :] <= bt[s:s + step, None])
-            acc[s:s + step] = (ff.reshape(yy.shape) * mask) @ kern_w
+            acc[s:s + step] = np.vecdot(ff.reshape(yy.shape) * mask, kern_w)
         # replace panels split by a window cut with exact GL segments
         keys = []
         for cut in (at, bt):
             hit = np.nonzero((cut > -radius) & (cut < radius))[0]
             pan = np.clip(((cut[hit] + radius) // w_pan).astype(int), 0, n_panels - 1)
             keys.append(hit * n_panels + pan)
-        keys = np.unique(np.concatenate(keys)) if keys else np.array([], int)
-        if keys.size:
-            ipt = keys // n_panels
-            ipan = keys % n_panels
+        keys = np.unique(np.concatenate(keys))
+        step = CONV_BLOCK // gl_nodes.size
+        for s in range(0, keys.size, step):  # sorted keys: np.add.at adds in one order
+            ipt = keys[s:s + step] // n_panels
+            ipan = keys[s:s + step] % n_panels
             u_sub = pan_nodes[ipan]
             y_sub = np.clip(xt[ipt, None] - eps * u_sub, lo, hi)
             f_sub = fn._partial_fn((j,), y_sub.reshape(-1, 1))
@@ -223,7 +229,7 @@ def _regular_part_fn(pieces, mol: Mollifier, eps: float) -> SmoothFn:
             k_ex = mol.deriv(0, u_ex.ravel()).reshape(u_ex.shape)
             y_ex = np.clip(xt[ipt, None] - eps * u_ex, lo, hi)
             f_ex = fn._partial_fn((j,), y_ex.reshape(-1, 1))
-            exact = ((k_ex * f_ex.reshape(u_ex.shape)) @ gl_weights) * hw
+            exact = np.vecdot(k_ex * f_ex.reshape(u_ex.shape), gl_weights) * hw
             np.add.at(acc, ipt, exact - crude)
         out[touched] = acc
         return out

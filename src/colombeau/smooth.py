@@ -27,8 +27,11 @@ nor an undefined function) as ``_atom(key, lambda: <its usual source>)``.
 The key is the text that runs: the module set, the parameter names in
 order and the atom's source, so one key is one computation on the same
 columns.  Everything around the atoms is printed as lambdify prints it,
-so every sum and product runs in the same order and the values are
-bitwise those of plain ``lambdify``.
+except that a Piecewise is printed as nested ``numpy.where`` calls
+rather than one ``numpy.select``: ``where`` picks the element ``select``
+picks, at a few microseconds a call on a small array where ``select``
+costs tens.  So every sum and product runs in the same order and the
+values are bitwise those of plain ``lambdify``.
 
 A ``leaf_memo(*lattices)`` block names the lattice arrays it sweeps.
 Inside it each ``from_sympy`` leaf evaluates a given multi-index on a
@@ -60,6 +63,7 @@ from typing import Callable, Sequence
 import numpy as np
 import sympy as sp
 from sympy.core.function import AppliedUndef
+from sympy.logic.boolalg import ITE, simplify_logic
 from sympy.printing.numpy import NumPyPrinter, SciPyPrinter
 
 from . import _mindex as mi
@@ -321,7 +325,25 @@ _NUMPY_FUNCTIONS = {name for name, path in NumPyPrinter._kf.items()
 _ATOM_NAMESPACE = {"_atom": _atom}
 
 
-class _AtomPrinting:
+class _WherePiecewise:
+    """Print a Piecewise as nested ``where`` calls instead of one ``select``.
+
+    ``where(c1, e1, where(c2, e2, ... where(cn, en, nan)))`` picks the
+    element ``select([c1, ..., cn], [e1, ..., en], default=nan)`` picks,
+    and the innermost ``nan`` gives it ``select``'s float dtype.  The
+    conditions are printed as ``NumPyPrinter`` prints them.
+    """
+
+    def _print_Piecewise(self, expr):
+        where = self._module_format(self._module + ".where")
+        out = self._print(sp.nan)
+        for arg in reversed(expr.args):
+            cond = simplify_logic(arg.cond) if arg.cond.has(ITE) else arg.cond
+            out = f"{where}({self._print(cond)}, {self._print(arg.expr)}, {out})"
+        return out
+
+
+class _AtomPrinting(_WherePiecewise):
     """Print each elementary-function call with free symbols as a shared atom."""
 
     def __init__(self, params: str):
@@ -390,7 +412,7 @@ def from_sympy(expr, symbols: Sequence[sp.Symbol], label="") -> SmoothFn:
 
     def evaluate(alpha, pts):
         cols = [pts[:, i] for i in range(dim)]
-        # Piecewise lowers to np.select, which evaluates every branch;
+        # Piecewise lowers to np.where, which evaluates every branch;
         # guarded branches may divide by zero or overflow off their piece
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             with warnings.catch_warnings():

@@ -350,25 +350,24 @@ def random_coherent_functions(manifold: Manifold, count: int = 5, seed: int = 0)
     for j in range(count):
         if name.startswith("euclidean"):
             syms = tuple(sp.symbols(f"x0:{atlas.dim}"))
-            expr = sp.Integer(0)
             coef = rng.normal(size=3 * atlas.dim + 1)
-            expr = expr + round(float(coef[-1]), 6)
+            terms = [round(float(coef[-1]), 6)]
             t = 0
             for i, v in enumerate(syms):
                 for p in range(1, 4):
-                    expr = expr + round(float(coef[t]) / (p * p), 6) * v ** p
+                    terms.append(round(float(coef[t]) / (p * p), 6) * v ** p)
                     t += 1
         elif name in ("circle", "torus2"):
             syms = tuple(sp.symbols(f"y0:{atlas.dim}"))
             coef = rng.normal(size=(len(syms), 2, 2))
-            expr = round(float(rng.normal()), 6)
+            terms = [round(float(rng.normal()), 6)]
             for i, v in enumerate(syms):
                 for kf in (1, 2):
-                    expr = expr + round(float(coef[i, kf - 1, 0]) / kf, 6) * sp.sin(kf * v)
-                    expr = expr + round(float(coef[i, kf - 1, 1]) / kf, 6) * sp.cos(kf * v)
+                    terms.append(round(float(coef[i, kf - 1, 0]) / kf, 6) * sp.sin(kf * v))
+                    terms.append(round(float(coef[i, kf - 1, 1]) / kf, 6) * sp.cos(kf * v))
         else:
             raise ValueError(f"no coherent probe family for manifold {name!r}")
-        f = from_sympy(expr, syms, label=f"probe{j}")
+        f = from_sympy(sp.Add(*terms), syms, label=f"probe{j}")  # one flatten, not one per term
         a = round(float(rng.uniform(0.5, 2.0)), 6)
         nets = {c: Net(atlas.dim, lambda e, f=f, a=a: f * (1.0 + a * e))
                 for c in atlas.charts}

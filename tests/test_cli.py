@@ -137,3 +137,29 @@ def test_cold_runs_load_no_scipy(tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert json.loads((tmp_path / "mechanics" / "report.json").read_text())["pass"] is True
+
+
+# runs its arguments as its one child and prints that child's peak RSS in KiB;
+# one wrapper per measurement, since RUSAGE_CHILDREN is a maximum over children
+_PEAK_RSS = """
+import resource, subprocess, sys
+subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+def test_stokes_run_peak_rss_stays_near_the_import_floor(tmp_path):
+    """Embedding convolves in bounded blocks, so a run holds no large temporaries."""
+    src = str(Path(colombeau.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+
+    def peak_mb(*argv):
+        proc = subprocess.run([sys.executable, "-c", _PEAK_RSS, sys.executable, *argv],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        return int(proc.stdout) / 1024.0
+
+    floor = peak_mb("-c", "import colombeau.cli")
+    run = peak_mb("-m", "colombeau.cli", "run", "stokes", "--out", str(tmp_path / "stokes"))
+    assert run - floor <= 24.0, (run, floor)

@@ -6,6 +6,7 @@ import pytest
 import sympy as sp
 
 from colombeau.asymptotic import estimate_order
+from colombeau import embed
 from colombeau.embed import (
     QUAD_EPSABS,
     QUAD_EPSREL,
@@ -22,7 +23,7 @@ from colombeau.errors import UnsupportedDistribution
 from colombeau.mollifier import Mollifier, build_mollifier
 from colombeau.nets import Net, box_lattice, classify_net, sup_norm_on_box
 from colombeau.quadrature import quad
-from colombeau.smooth import from_sympy, smoothstep_expr
+from colombeau.smooth import SmoothFn, from_sympy, smoothstep_expr
 
 X = sp.Symbol("x")
 
@@ -149,6 +150,71 @@ def test_heaviside_embedding_and_derivative(fourier):
     want = fourier.deriv(0, xs / eps) / eps
     got = f.partial((1,), xs)
     assert np.allclose(got, want, rtol=1e-8, atol=1e-10)
+
+
+_BATCH_EPS = (2.0 ** -3, 2.0 ** -6, 2.0 ** -9)
+
+
+def _batch_specs():
+    return {"heaviside": heaviside(),
+            "sin_exp": smooth_piece(from_sympy(sp.sin(3 * X) * sp.exp(X), [X]), -0.7, 0.9)}
+
+
+def _batch_mollifier(kind):
+    return build_mollifier("gausspoly", order=3) if kind == "gausspoly3" else build_mollifier(kind)
+
+
+@pytest.mark.parametrize("spec", ["heaviside", "sin_exp"])
+@pytest.mark.parametrize("kind", ["fourier", "gausspoly3"])
+def test_embedded_values_do_not_depend_on_the_batch(kind, spec):
+    """A point's value is the same bits alone, in slices of 7 and among 2000
+    (alone for every fifth point, which keeps the test to a few seconds)."""
+    net = embed_rn(_batch_specs()[spec], _batch_mollifier(kind))
+    pts = np.linspace(-1.2, 1.3, 2000).reshape(-1, 1)
+    for eps in _BATCH_EPS:
+        f = net.at(eps)
+        for k in range(3):
+            full = f._partial_fn((k,), pts)
+            sliced = np.concatenate([f._partial_fn((k,), pts[i:i + 7])
+                                     for i in range(0, len(pts), 7)])
+            assert sliced.tobytes() == full.tobytes(), (eps, k)
+            for i in range(0, len(pts), 5):
+                alone = f._partial_fn((k,), pts[i:i + 1])
+                assert alone.tobytes() == full[i:i + 1].tobytes(), (eps, k, i)
+
+
+@pytest.mark.parametrize("kind", ["fourier", "gausspoly3"])
+def test_convolution_block_size_moves_no_bit(kind, monkeypatch):
+    mol = _batch_mollifier(kind)
+    pts = np.linspace(-1.2, 1.3, 2000).reshape(-1, 1)
+
+    def values():
+        out = []
+        for spec in _batch_specs().values():
+            net = embed_rn(spec, mol)
+            for eps in _BATCH_EPS:
+                out += [net.at(eps)._partial_fn((k,), pts).tobytes() for k in range(3)]
+        return out
+
+    runs = []
+    for block in (1 << 14, 1 << 18, 1 << 30):
+        monkeypatch.setattr(embed, "CONV_BLOCK", block)
+        runs.append(values())
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_convolution_density_calls_stay_within_the_block(fourier):
+    seen = []
+
+    def pfn(alpha, pts):
+        seen.append(len(pts))
+        return np.full(len(pts), 1.0 if alpha == (0,) else 0.0)
+
+    spy = SmoothFn(1, pfn, label="spy")
+    f = embed_rn(smooth_piece(spy, -1.0, 1.0), fourier).at(2.0 ** -6)
+    f._partial_fn((0,), np.linspace(-2.0, 2.0, 10 ** 4).reshape(-1, 1))
+    assert sum(seen) > 10 ** 4 * 1600  # the main sweep and the edge panels both ran
+    assert max(seen) <= embed.CONV_BLOCK
 
 
 def test_unsupported_specs():

@@ -8,6 +8,7 @@ import conftest
 import numpy as np
 import pytest
 import sympy as sp
+from sympy.printing.numpy import NumPyPrinter
 
 from colombeau import _mindex as mi
 from colombeau import embed, experiments, forms, gfunc, manifolds, mechanics, smooth
@@ -474,6 +475,15 @@ def _smoothstep_by_subs(u):
     return step.subs(t, u)
 
 
+class _WherePrinter(smooth._WherePiecewise, NumPyPrinter):
+    """Plain ``NumPyPrinter`` but for the library's Piecewise printing."""
+
+
+# the settings lambdify gives the printer it picks itself
+_LAMBDIFY_SETTINGS = {"fully_qualified_modules": False, "inline": True,
+                      "allow_unknown_functions": True, "user_functions": {}}
+
+
 def _unwrap_atoms(src):
     """``src`` with each ``_atom(key, lambda: X)`` replaced by the text X,
     after checking that the key ends with that text."""
@@ -540,10 +550,12 @@ def test_derivatives_from_the_parent_match_from_scratch(build, sympy_calls):
         assert d == _diff_from_scratch(expr, symbols, alpha), alpha
         assert modules == [smooth._ATOM_NAMESPACE, np]
         # lambdify skips only printing the docstring, and each atom wraps the
-        # default's text: unwrapped, the code is the default's
+        # default's text: unwrapped, the code is the default's but for the
+        # Piecewise, printed as nested where (the values below stay bitwise)
         assert "EXPRESSION REDACTED" in fn.__doc__
         assert (_unwrap_atoms(inspect.getsource(fn))
-                == inspect.getsource(_LAMBDIFY(symbols, d, modules=[np])))
+                == inspect.getsource(_LAMBDIFY(symbols, d, modules=[np],
+                                               printer=_WherePrinter(_LAMBDIFY_SETTINGS))))
         want = _reference_values(expr, symbols, alpha, pts)
         assert got.tobytes() == want.tobytes(), alpha
     assert len(lambdified) == len(alphas)

@@ -166,6 +166,50 @@ def test_bracket_antisymmetry_torus(t2):
         assert np.max(np.abs(field_values(Z, chart, eps, pts))) < 1e-12
 
 
+def _incremental_probes(manifold, count, seed):
+    """Reference: the probe expressions summed one term at a time."""
+    rng = np.random.default_rng(seed)
+    dim = manifold.atlas.dim
+    out = []
+    for _ in range(count):
+        if manifold.name.startswith("euclidean"):
+            syms = sp.symbols(f"x0:{dim}")
+            coef = rng.normal(size=3 * dim + 1)
+            expr = sp.Integer(0) + round(float(coef[-1]), 6)
+            t = 0
+            for v in syms:
+                for p in range(1, 4):
+                    expr = expr + round(float(coef[t]) / (p * p), 6) * v ** p
+                    t += 1
+        else:
+            syms = sp.symbols(f"y0:{dim}")
+            coef = rng.normal(size=(dim, 2, 2))
+            expr = round(float(rng.normal()), 6)
+            for i, v in enumerate(syms):
+                for kf in (1, 2):
+                    expr = expr + round(float(coef[i, kf - 1, 0]) / kf, 6) * sp.sin(kf * v)
+                    expr = expr + round(float(coef[i, kf - 1, 1]) / kf, 6) * sp.cos(kf * v)
+        rng.uniform(0.5, 2.0)  # the eps factor's draw
+        out.append(sp.srepr(expr))
+    return out
+
+
+@pytest.mark.parametrize("manifold", [euclidean(1), euclidean(2), euclidean(3), circle(),
+                                      torus2()], ids=lambda m: m.name)
+def test_probe_leaves_equal_the_term_by_term_sum(manifold, monkeypatch):
+    seen = []
+
+    def recording(expr, syms, label=""):
+        seen.append(sp.srepr(expr))
+        return from_sympy(expr, syms, label=label)
+
+    monkeypatch.setattr(T, "from_sympy", recording)
+    for seed in range(10):
+        seen.clear()
+        T.random_coherent_functions(manifold, count=4, seed=seed)
+        assert seen == _incremental_probes(manifold, 4, seed), seed
+
+
 def test_module_bracket_identity(s1):
     # [U Xi, H] = U [Xi, H] - H(U) Xi, up to roundoff from reassociation
     U = T.random_coherent_functions(s1, count=1, seed=5)[0]
