@@ -15,6 +15,7 @@ written report is byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import re
 import sys
@@ -22,8 +23,7 @@ from pathlib import Path
 
 from .experiments import ExperimentConfig, catalog_text, run_experiment
 
-CONFIG_KEYS = {"experiment", "k_min", "k_max", "mollifier", "m_max",
-               "seed", "eps", "tol"}
+CONFIG_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 
 
 def build_parser() -> argparse.ArgumentParser:

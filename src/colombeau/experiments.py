@@ -144,8 +144,7 @@ def run_classify(cfg: ExperimentConfig):
     fading = Net(1, lambda e: sin_fn * float(e) ** (cfg.m_max + 1))
     blowup = Net(1, lambda e: constant((1.0 / float(e)) ** 21, 1))
     sups = {name: sup_norms(net, (0,), box, grid)
-            for name, net in (("embedded_delta", delta_gf.nets["0"]),
-                              ("fading", fading), ("blowup", blowup))}
+            for name, net in (("fading", fading), ("blowup", blowup))}
     fit_fading = estimate_order(zip(grid, sups["fading"]), m_max=cfg.m_max)
     fit_blowup = estimate_order(zip(grid, sups["blowup"]), m_max=cfg.m_max)
 
@@ -160,8 +159,11 @@ def run_classify(cfg: ExperimentConfig):
          "ok": fit_blowup.verdict == "divergent",
          "slope": fit_blowup.slope},
     ]
-    rows = [{"net": name, "eps": float(e), "sup": s}
-            for name, series in sups.items() for e, s in zip(grid, series)]
+    # iota(delta)'s rows are the chart-box sups behind its verdict, per order
+    rows = [{"net": f"embedded_delta_d{sum(r['alpha'])}", "eps": e, "sup": m}
+            for r in rep_delta["rows"] for e, m in zip(r["grid"], r["magnitudes"])]
+    rows += [{"net": name, "eps": float(e), "sup": s}
+             for name, series in sups.items() for e, s in zip(grid, series)]
     return _report(cfg, checks), {"classification": _csv(("net", "eps", "sup"), rows)}
 
 

@@ -18,16 +18,15 @@ import numpy as np
 from . import _mindex as mi
 from .errors import (DegreeOverflow, DomainError, InvalidDegree, InvalidSlots,
                      QuadratureFailure)
-from .gfunc import (GeneralizedFunction, GeneralizedSection, _same_charts, _sum, _weight,
-                    integrate_box)
+from .gfunc import GeneralizedFunction, GeneralizedSection, _same_charts, _sum, integrate_box
 from .gnumber import GeneralizedNumber
 from .grid import DEFAULT_GRID
 from .manifolds import Manifold
 from .nets import Net, box_lattice
 from .quadrature import box_rule, interval_rule
 from .smooth import SmoothFn
-from .tensor import (GeneralizedTensorField, _object_array, coherence_check_tensor,
-                     gen_lie_derivative, random_coherent_functions)
+from .tensor import (GeneralizedTensorField, _keys, _lie_parts, coherence_check_tensor,
+                     random_coherent_functions)
 
 HOMOTOPY_NODES = 32   # Gauss-Legendre nodes in t of the radial homotopy
 DISK_ANGLES = 256     # equispaced angles of the disk Stokes check
@@ -92,33 +91,23 @@ class GeneralizedKForm(GeneralizedSection):
 
     # -- module algebra --------------------------------------------------
 
+    def _like(self, comps, label: str = "") -> "GeneralizedKForm":
+        return GeneralizedKForm(self.atlas, self.degree, comps, label)
+
     def _zip(self, other, op):
         if not isinstance(other, GeneralizedKForm):
             raise TypeError(f"cannot combine a form with {other!r}")
         _same_charts(self, other)
         if other.degree != self.degree:
             raise InvalidDegree(f"degree {other.degree} != {self.degree}")
-        return GeneralizedKForm(
-            self.atlas, self.degree,
-            {c: {K: op(self.comps[c][K], other.comps[c][K]) for K in self.comps[c]}
-             for c in self.comps})
-
-    def __mul__(self, w):
-        weight = _weight(self, w)
-        if weight is None:
-            return NotImplemented
-        return GeneralizedKForm(
-            self.atlas, self.degree,
-            {c: {K: weight(c, net) for K, net in self.comps[c].items()} for c in self.comps})
+        return self._map(lambda c, K, net: op(net, other.comps[c][K]))
 
     # -- views -----------------------------------------------------------
 
     def to_tensor(self) -> GeneralizedTensorField:
         """The (0, k) tensor with fully antisymmetrized components."""
-        dim = self.atlas.dim
-        shape = (dim,) * self.degree
-        comps = {c: _object_array(shape, lambda idx: self.component(c, idx))
-                 for c in self.comps}
+        keys = _keys(self.atlas.dim, self.degree)
+        comps = {c: {idx: self.component(c, idx) for idx in keys} for c in self.comps}
         return GeneralizedTensorField(self.atlas, (0, self.degree), comps,
                                       label=self.label)
 
@@ -210,12 +199,11 @@ def insert(omega: GeneralizedKForm, Xi: GeneralizedTensorField):
 def lie_derivative_form(omega: GeneralizedKForm,
                         Xi: GeneralizedTensorField) -> GeneralizedKForm:
     """L_Xi omega: the tensor Lie derivative of ``omega.to_tensor()`` along
-    Xi, read at the increasing index tuples."""
+    Xi, built at the increasing index tuples only."""
     if not isinstance(omega, GeneralizedKForm):
         raise InvalidDegree("need a form of degree >= 1")
-    lie = gen_lie_derivative(omega.to_tensor(), Xi)
-    comps = {c: {K: arr[K] for K in omega.keys()} for c, arr in lie.comps.items()}
-    return GeneralizedKForm(omega.atlas, omega.degree, comps, label=f"L_Xi {omega.label}")
+    comps = _lie_parts(omega.to_tensor(), Xi, omega.keys())
+    return omega._like(comps, label=f"L_Xi {omega.label}")
 
 
 # -- homotopy inverse of d ---------------------------------------------------

@@ -93,11 +93,12 @@ class GeneralizedSection:
     """Chartwise component nets on one atlas: a generalized section.
 
     ``comps`` maps each chart carrying the section to its part there,
-    built by :meth:`_part` from the given one: the net itself for a
-    scalar, an array or table of component nets for a subclass.  Every
-    net is coerced by ``nets._as_net`` and must live on R^dim of the
-    atlas.  ``+`` and ``-`` go to the subclass's ``_zip``, which checks
-    the other operand; ``-s`` and ``w * s`` are ``s * -1.0`` and ``s * w``.
+    built by :meth:`_part`: the net itself for a scalar, else a dict from
+    index tuple to net in ``keys()`` order.  Every net is coerced by
+    ``nets._as_net`` and must live on R^dim of the atlas.  ``+`` and
+    ``-`` go to the subclass's ``_zip``, which checks the other operand;
+    ``-s`` and ``w * s`` are ``s * -1.0`` and ``s * w``.  Indexed
+    sections combine entrywise through :meth:`_map` and ``_like(comps)``.
     """
 
     def __init__(self, space, parts: dict, label: str = ""):
@@ -120,6 +121,15 @@ class GeneralizedSection:
 
     def chart_names(self):
         return sorted(self.comps)
+
+    def _map(self, entry):
+        """The section of this kind with ``entry(c, K, net)`` for each chart c's net at key K."""
+        return self._like({c: {K: entry(c, K, net) for K, net in part.items()}
+                           for c, part in self.comps.items()})
+
+    def __mul__(self, w):
+        weight = _weight(self, w)
+        return NotImplemented if weight is None else self._map(lambda c, K, net: weight(c, net))
 
     def __add__(self, other):
         return self._zip(other, operator.add)
@@ -176,8 +186,7 @@ def sigma_embed(space, fns: dict) -> GeneralizedFunction:
     ``CoherenceFailure`` exactly when :func:`coherence_check` finds the
     constant nets incoherent, naming the first failing overlap and its gap.
     """
-    U = GeneralizedFunction(space, {c: Net.constant_in_eps(f) for c, f in fns.items()},
-                            label="sigma")
+    U = GeneralizedFunction(space, fns, label="sigma")  # each SmoothFn as a constant net
     for row in coherence_check(U)["rows"]:
         if not row["negligible"]:
             a, b = row["pair"]
@@ -209,9 +218,9 @@ def _block_gaps(atlas: Atlas, comps: dict, valence, block: list, grid,
         jac = np.asarray(tr.jac(x), dtype=float) if r + s else None
         jinv = np.linalg.inv(jac) if r else None
         weights = []  # per chart-a component, one array per chart-b component
-        for idx in np.ndindex(comps[a].shape):
+        for idx in comps[a]:
             weights.append([])
-            for kdx in np.ndindex(comps[b].shape):
+            for kdx in comps[b]:
                 w = np.ones(len(x))
                 for ai in range(r):
                     w = w * jinv[:, idx[ai], kdx[ai]]
@@ -225,7 +234,7 @@ def _block_gaps(atlas: Atlas, comps: dict, valence, block: list, grid,
         pts.flags.writeable = False
 
     def gaps_at(e):
-        fns = {c: [net.at(e) for net in comps[c].flat] for c in lattice}  # C order
+        fns = {c: [net.at(e) for net in comps[c].values()] for c in lattice}  # C order
         vals = {c: [f._partial_fn(zero, lattice[c]) for f in fns[c]] for c in lattice}
         grads = {}  # chart -> its components' first derivatives, once a box needs them
         out = []
@@ -270,8 +279,9 @@ def _block_gaps(atlas: Atlas, comps: dict, valence, block: list, grid,
 def overlap_residual(atlas: Atlas, comps: dict, valence, grid, n_samples: int) -> dict:
     """Classify the transformation-law residual of chartwise components.
 
-    ``comps`` maps chart names to object arrays of nets of shape
-    (dim,) * (r + s) for ``valence`` (r, s); shape () is a scalar.  For
+    ``comps`` maps chart names to tensor parts for ``valence`` (r, s):
+    dicts from every index tuple of (dim,) * (r + s), in C order, to
+    nets; a scalar's part is ``{(): net}``.  For
     each transition a -> b with Jacobian J carried by both charts, the
     chart-a components are compared on the overlap boxes against the
     pullback of the chart-b ones: inverse-J factors on upper slots, J
@@ -338,7 +348,7 @@ def coherence_check(U: GeneralizedFunction, grid=DEFAULT_GRID, n_samples: int = 
     The gap sup |U_a(x) - U_b(t_ab(x))| per eps is the rank-0 case of
     :func:`overlap_residual`; coherent means every fit is negligible.
     """
-    comps = {c: np.array(net, dtype=object) for c, net in U.nets.items()}  # shape ()
+    comps = {c: {(): net} for c, net in U.nets.items()}
     return overlap_residual(U.atlas, comps, (0, 0), grid, n_samples)
 
 

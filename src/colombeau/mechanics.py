@@ -181,7 +181,7 @@ def flat(Xi, omega: SymplecticForm):
     """
     atlas, vecs = _columns(Xi, (1, 0), omega, "flat expects a vector field")
     n = omega.dofs
-    comps = {c: np.array([-x for x in v[n:]] + v[:n], dtype=object) for c, v in vecs.items()}
+    comps = {c: [-x for x in v[n:]] + v[:n] for c, v in vecs.items()}
     return _make(atlas, (0, 1), comps, label=f"flat {getattr(Xi, 'label', '')}")
 
 
@@ -191,7 +191,7 @@ def sharp(A, omega: SymplecticForm) -> GeneralizedVectorField:
         A = A.to_tensor()
     atlas, covs = _columns(A, (0, 1), omega, "sharp expects a one-form")
     n = omega.dofs
-    comps = {c: np.array(a[n:] + [-x for x in a[:n]], dtype=object) for c, a in covs.items()}
+    comps = {c: a[n:] + [-x for x in a[:n]] for c, a in covs.items()}
     return _make(atlas, (1, 0), comps, label=f"sharp {getattr(A, 'label', '')}")
 
 
@@ -253,8 +253,7 @@ class HamiltonianSystem:
     """
 
     def __init__(self, delta: StrictDeltaNet | None = None,
-                 q0=1.0, qdot0=-1.0, potential: SmoothFn | None = None,
-                 box_halfwidth: float = 3.0):
+                 q0=1.0, qdot0=-1.0, potential: SmoothFn | None = None):
         if potential is not None and potential.dim != 1:
             raise DimensionMismatch("background potential must be one-dimensional")
         self.delta = delta
@@ -262,7 +261,7 @@ class HamiltonianSystem:
         self.q0 = q0
         self.qdot0 = qdot0
         self.omega = SymplecticForm(1)
-        self.space = euclidean(2, box_halfwidth)
+        self.space = euclidean(2)
 
     def initial_state(self, eps: float) -> tuple[float, float]:
         # qdot = H_p = p, so the initial momentum is qdot0 itself

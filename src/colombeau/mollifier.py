@@ -264,19 +264,16 @@ def gausspoly_coefficients(order: int) -> np.ndarray:
 def build_mollifier(kind: str = "fourier", **params) -> Mollifier:
     """Build a certified mollifier.
 
-    kind = "fourier": optional params c, s, radius.
+    kind = "fourier": no params; FOURIER_C, FOURIER_S and FOURIER_RADIUS.
     kind = "gausspoly": required param order (the M above).
     Raises MomentSystemSingular or QuadratureFailure on failure.
     """
     if kind == "fourier":
-        c = float(params.pop("c", FOURIER_C))
-        s = float(params.pop("s", FOURIER_S))
-        radius = float(params.pop("radius", FOURIER_RADIUS))
         if params:
             raise ValueError(f"unknown fourier params {sorted(params)}")
         mol = Mollifier(
-            "fourier", _FourierProfile(c, s), radius, FOURIER_MOMENT_ORDER,
-            {"c": c, "s": s, "radius": radius},
+            "fourier", _FourierProfile(FOURIER_C, FOURIER_S), FOURIER_RADIUS,
+            FOURIER_MOMENT_ORDER, {"c": FOURIER_C, "s": FOURIER_S, "radius": FOURIER_RADIUS},
         )
         _certify(mol, FOURIER_MOMENT_ORDER)
         return mol

@@ -1,15 +1,17 @@
 """Generalized tensor fields: chartwise component nets.
 
-A valence-(r, s) field stores one net per chart and index tuple.  On
-overlaps the components must satisfy the Jacobian-weighted
-transformation law up to a negligible residual; ``coherence_check_tensor``
-measures that.  On top sit the module algebra over generalized
-functions, tensor products, contractions, Lie derivatives along smooth
-and generalized vector fields, and reconstruction of a vector field
-from an algebraic derivation.
+A valence-(r, s) field stores one net per chart and index tuple of
+(dim,) * (r + s), in C order.  On overlaps the components must satisfy
+the Jacobian-weighted transformation law up to a negligible residual;
+``coherence_check_tensor`` measures that.  On top sit the module
+algebra over generalized functions, tensor products, contractions, Lie
+derivatives along smooth and generalized vector fields, and
+reconstruction of a vector field from an algebraic derivation.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -17,19 +19,16 @@ from . import _mindex as mi
 from .asymptotic import classify_scalar_net
 from .errors import AtlasMismatch, InvalidSlots, NotADerivation
 from .gfunc import (GeneralizedFunction, GeneralizedSection, _atlas_of, _same_charts, _sum,
-                    _weight, classify, overlap_residual)
+                    classify, overlap_residual)
 from .grid import DEFAULT_GRID
 from .manifolds import Manifold
 from .nets import Net
 from .smooth import from_sympy
 
 
-def _object_array(shape, entry) -> np.ndarray:
-    """Object array holding ``entry(idx)`` at every index, in C order."""
-    out = np.empty(shape, dtype=object)
-    for idx in np.ndindex(shape):
-        out[idx] = entry(idx)
-    return out
+def _keys(dim: int, rank: int) -> list:
+    """Every index tuple of (dim,) * rank, in C order."""
+    return list(itertools.product(range(dim), repeat=rank))
 
 
 class GeneralizedTensorField(GeneralizedSection):
@@ -42,28 +41,41 @@ class GeneralizedTensorField(GeneralizedSection):
         self.valence = (r, s)
         super().__init__(space, comps, label)
 
-    def _part(self, c, arr) -> np.ndarray:
-        shape = (self.atlas.dim,) * self.rank
-        src = np.asarray(arr, dtype=object)
-        if src.shape != shape:
-            raise AtlasMismatch(
-                f"components for chart {c!r} have shape {src.shape}, want {shape}")
-        return _object_array(shape, lambda idx: self._net(c, src[idx]))
+    def _part(self, c, src) -> dict:
+        """{index: net} from a dict with every index, or from nested sequences or arrays."""
+        keys, shape = self.keys(), (self.atlas.dim,) * self.rank
+        if not isinstance(src, dict):
+            flat = [src.tolist() if isinstance(src, np.ndarray) else src]
+            for _ in shape:  # one nesting level per slot, so C order
+                if not all(isinstance(row, (list, tuple, np.ndarray)) and len(row) == shape[0]
+                           for row in flat):
+                    raise AtlasMismatch(f"components for chart {c!r} do not nest as {shape}")
+                flat = [x for row in flat for x in row]
+            src = dict(zip(keys, flat))
+        if set(src) != set(keys):
+            raise AtlasMismatch(f"components for chart {c!r} have keys {list(src)}, "
+                                f"want every index of shape {shape}")
+        return {K: self._net(c, src[K]) for K in keys}
 
     @property
     def rank(self) -> int:
         return self.valence[0] + self.valence[1]
 
+    def keys(self):
+        return _keys(self.atlas.dim, self.rank)
+
     def component(self, chart: str, idx) -> Net:
         idx = (idx,) if np.isscalar(idx) else tuple(idx)
-        if len(idx) != self.rank:
-            raise InvalidSlots(f"index {idx} has {len(idx)} slots, rank is {self.rank}")
-        try:
-            return self.comps[chart][idx]
-        except KeyError:
+        if chart not in self.comps:
             raise AtlasMismatch(f"chart {chart!r} carries no components")
+        if idx not in self.comps[chart]:
+            raise InvalidSlots(f"no index {idx} in shape {(self.atlas.dim,) * self.rank}")
+        return self.comps[chart][idx]
 
     # -- module algebra over generalized functions ----------------------
+
+    def _like(self, comps, label: str = "") -> "GeneralizedTensorField":
+        return _make(self.atlas, self.valence, comps, label)
 
     def _zip(self, other, op):
         if not isinstance(other, GeneralizedTensorField):
@@ -71,17 +83,7 @@ class GeneralizedTensorField(GeneralizedSection):
         _same_charts(self, other)
         if other.valence != self.valence:
             raise InvalidSlots(f"valence {other.valence} != {self.valence}")
-        comps = {c: _object_array(arr.shape, lambda idx: op(arr[idx], other.comps[c][idx]))
-                 for c, arr in self.comps.items()}
-        return _make(self.atlas, self.valence, comps)
-
-    def __mul__(self, w):
-        weight = _weight(self, w)
-        if weight is None:
-            return NotImplemented
-        comps = {c: _object_array(arr.shape, lambda idx: weight(c, arr[idx]))
-                 for c, arr in self.comps.items()}
-        return _make(self.atlas, self.valence, comps)
+        return self._map(lambda c, K, net: op(net, other.comps[c][K]))
 
     # -- evaluation ------------------------------------------------------
 
@@ -114,8 +116,7 @@ class GeneralizedTensorField(GeneralizedSection):
                 out = out * vector_fields[l].comps[c][(idx[r + l],)]
             return out
 
-        nets = {c: _sum(term(c, idx) for idx in np.ndindex(arr.shape))
-                for c, arr in self.comps.items()}
+        nets = {c: _sum(term(c, idx) for idx in part) for c, part in self.comps.items()}
         return GeneralizedFunction(self.atlas, nets, label=f"eval {self.label}")
 
 
@@ -170,18 +171,11 @@ def tensor_product(S: GeneralizedTensorField,
     _same_charts(S, T)
     r1, s1 = S.valence
     r2, s2 = T.valence
-    dim = S.atlas.dim
-    shape = (dim,) * (r1 + r2 + s1 + s2)
-    comps = {}
-    for c in S.comps:
-        out = np.empty(shape, dtype=object)
-        for idx in np.ndindex(shape):
-            up1 = idx[:r1]
-            up2 = idx[r1:r1 + r2]
-            low1 = idx[r1 + r2:r1 + r2 + s1]
-            low2 = idx[r1 + r2 + s1:]
-            out[idx] = S.comps[c][up1 + low1] * T.comps[c][up2 + low2]
-        comps[c] = out
+    keys = _keys(S.atlas.dim, r1 + r2 + s1 + s2)
+    # an index of the product reads (upper of S, upper of T, lower of S, lower of T)
+    comps = {c: {idx: S.comps[c][idx[:r1] + idx[r1 + r2:r1 + r2 + s1]]
+                 * T.comps[c][idx[r1:r1 + r2] + idx[r1 + r2 + s1:]] for idx in keys}
+             for c in S.comps}
     return _make(S.atlas, (r1 + r2, s1 + s2), comps,
                  label=f"({S.label})x({T.label})")
 
@@ -207,8 +201,7 @@ def contract(T: GeneralizedTensorField, up: int = 0, low: int = 0):
     if r + s == 2:
         nets = {c: traced(c, ()) for c in T.comps}
         return GeneralizedFunction(T.atlas, nets, label=f"tr {T.label}")
-    shape = (dim,) * (r - 1 + s - 1)
-    comps = {c: _object_array(shape, lambda rest: traced(c, rest)) for c in T.comps}
+    comps = {c: {rest: traced(c, rest) for rest in _keys(dim, r + s - 2)} for c in T.comps}
     return _make(T.atlas, (r - 1, s - 1), comps, label=f"tr {T.label}")
 
 
@@ -230,6 +223,34 @@ def field_apply(Xi: GeneralizedTensorField, U: GeneralizedFunction) -> Generaliz
     return GeneralizedFunction(Xi.atlas, nets, label=f"Xi({U.label})")
 
 
+def _lie_parts(T: GeneralizedTensorField, Xi: GeneralizedTensorField, keys) -> dict:
+    """The chart parts of :func:`gen_lie_derivative` ``(T, Xi)``, built at ``keys`` only."""
+    if not isinstance(Xi, GeneralizedTensorField) or Xi.valence != (1, 0):
+        raise InvalidSlots("Lie derivative needs a vector field")
+    _same_charts(T, Xi)
+    r, s = T.valence
+    dim = T.atlas.dim
+    comps = {}
+    for c, part in T.comps.items():
+        xs = [Xi.comps[c][(m,)] for m in range(dim)]
+        dxs = [[xs[i].partial(mi.unit(dim, m)) for m in range(dim)]
+               for i in range(dim)]
+        comps[c] = {}
+        for idx in keys:
+            upper, lower = idx[:r], idx[r:]
+            acc = _sum(xs[m] * part[idx].partial(mi.unit(dim, m)) for m in range(dim))
+            for a in range(r):
+                for m in range(dim):
+                    jdx = upper[:a] + (m,) + upper[a + 1:] + lower
+                    acc = acc - dxs[upper[a]][m] * part[jdx]
+            for b in range(s):
+                for m in range(dim):
+                    jdx = upper + lower[:b] + (m,) + lower[b + 1:]
+                    acc = acc + dxs[m][lower[b]] * part[jdx]
+            comps[c][idx] = acc
+    return comps
+
+
 def gen_lie_derivative(T: GeneralizedTensorField,
                        Xi: GeneralizedTensorField) -> GeneralizedTensorField:
     """Lie derivative of T along a generalized vector field Xi.
@@ -238,31 +259,7 @@ def gen_lie_derivative(T: GeneralizedTensorField,
     d_m Xi^i correction for every upper slot, plus a d_j Xi^m correction
     for every lower slot.
     """
-    if not isinstance(Xi, GeneralizedTensorField) or Xi.valence != (1, 0):
-        raise InvalidSlots("Lie derivative needs a vector field")
-    _same_charts(T, Xi)
-    r, s = T.valence
-    dim = T.atlas.dim
-    comps = {}
-    for c, arr in T.comps.items():
-        xs = [Xi.comps[c][(m,)] for m in range(dim)]
-        dxs = [[xs[i].partial(mi.unit(dim, m)) for m in range(dim)]
-               for i in range(dim)]
-        out = np.empty(arr.shape, dtype=object)
-        for idx in np.ndindex(arr.shape):
-            upper, lower = idx[:r], idx[r:]
-            acc = _sum(xs[m] * arr[idx].partial(mi.unit(dim, m)) for m in range(dim))
-            for a in range(r):
-                for m in range(dim):
-                    jdx = upper[:a] + (m,) + upper[a + 1:] + lower
-                    acc = acc - dxs[upper[a]][m] * arr[jdx]
-            for b in range(s):
-                for m in range(dim):
-                    jdx = upper + lower[:b] + (m,) + lower[b + 1:]
-                    acc = acc + dxs[m][lower[b]] * arr[jdx]
-            out[idx] = acc
-        comps[c] = out
-    return _make(T.atlas, T.valence, comps, label=f"L_Xi {T.label}")
+    return T._like(_lie_parts(T, Xi, T.keys()), label=f"L_Xi {T.label}")
 
 
 def lie_derivative_tensor(T: GeneralizedTensorField, xi: dict) -> GeneralizedTensorField:
@@ -384,11 +381,9 @@ def random_tensor_field(manifold: Manifold, valence, seed: int = 0) -> Generaliz
     """
     r, s = int(valence[0]), int(valence[1])
     atlas = manifold.atlas
-    dim = atlas.dim
-    shape = (dim,) * (r + s)
-    fns = random_coherent_functions(manifold, count=int(np.prod(shape)), seed=seed)
-    comps = {c: _object_array(shape, lambda idx: fns[np.ravel_multi_index(idx, shape)].nets[c])
-             for c in atlas.charts}
+    keys = _keys(atlas.dim, r + s)
+    fns = random_coherent_functions(manifold, count=len(keys), seed=seed)
+    comps = {c: {K: fns[t].nets[c] for t, K in enumerate(keys)} for c in atlas.charts}
     return _make(manifold, (r, s), comps, label=f"seeded {valence}")
 
 
@@ -400,8 +395,7 @@ DERIVATION_POINTS = 50
 
 
 def _surrogate_function(manifold: Manifold, surrogate) -> GeneralizedFunction:
-    nets = {c: Net.constant_in_eps(f) for c, f in surrogate.exprs.items()}
-    return GeneralizedFunction(manifold.atlas, nets, label=f"W{surrogate.axis}")
+    return GeneralizedFunction(manifold.atlas, surrogate.exprs, label=f"W{surrogate.axis}")
 
 
 def _theta_output(theta, U, atlas, charts):
@@ -469,7 +463,7 @@ def derivation_to_vector_field(theta, manifold: Manifold, seed: int = 0,
                        thetas[:len(manifold.surrogates)]))
     comps = {}
     for c in sorted(charts):
-        col = np.empty((dim,), dtype=object)
+        col = {}
         for axis in range(dim):
             cands = [s for s in manifold.surrogates if s.axis == axis]
             if not cands:
@@ -487,7 +481,7 @@ def derivation_to_vector_field(theta, manifold: Manifold, seed: int = 0,
                     fn = theta_s[id(s)].nets[c].at(e).where(s.core_mask[c], fn)
                 return fn
 
-            col[axis] = Net(dim, factory)
+            col[(axis,)] = Net(dim, factory)
         comps[c] = col
     Xi = GeneralizedVectorField(atlas, comps, label="recovered")
 

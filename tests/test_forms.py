@@ -2,6 +2,8 @@
 radial homotopy, top-degree integration, and boundary-theorem reports."""
 
 import functools
+import itertools
+import math
 import operator
 
 import numpy as np
@@ -243,6 +245,20 @@ def test_form_lie_matches_tensor_lie():
                                 assert _bits(new) == _bits(want), (M.name, seed)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_form_lie_builds_only_increasing_entries(monkeypatch, k):
+    # the transport term of each built entry takes dim partials, and Xi's
+    # dim^2 first partials are taken once per chart; no other entry is built
+    M = euclidean(3, 1.0)
+    omega = F.random_kform(M, k, seed=k)
+    Xi = seeded_field(M, 50)
+    taken, partial = [], Net.partial
+    monkeypatch.setattr(Net, "partial", lambda net, alpha: taken.append(alpha)
+                        or partial(net, alpha))
+    F.lie_derivative_form(omega, Xi)
+    assert len(taken) == 3 * 3 + 3 * math.comb(3, k)
+
+
 # -- homotopy -----------------------------------------------------------------
 
 
@@ -433,6 +449,51 @@ def test_circle_top_degree_d_is_empty(t2):
     assert dA.degree == 2 and dA.keys() == []
     with pytest.raises(DegreeOverflow):
         F.wedge(A, A)
+
+
+# -- the component store -----------------------------------------------------
+
+
+def _store_case(case):
+    """(section, expected keys of each chart part) of one indexed kind."""
+    t2, s3 = torus2(), euclidean(3)
+    Xi, Al = seeded_field(t2, 50), T.random_tensor_field(t2, (0, 1), seed=100)
+    A1 = F.random_kform(t2, 1, seed=125)
+    c_order = lambda dim, rank: list(itertools.product(range(dim), repeat=rank))
+    reversed_dict = {idx: 1.0 for idx in reversed(c_order(2, 2))}
+    cases = {
+        "vector field": lambda: (Xi, c_order(2, 1)),
+        "tensor from a dict": lambda: (T.GeneralizedTensorField(
+            t2, (1, 1), {c: reversed_dict for c in t2.atlas.charts}), c_order(2, 2)),
+        "tensor_product": lambda: (T.tensor_product(Xi, Al), c_order(2, 2)),
+        "tensor sum": lambda: (Al + Al * 2.0, c_order(2, 1)),
+        "gen_lie_derivative": lambda: (T.gen_lie_derivative(T.tensor_product(Al, Al), Xi),
+                                       c_order(2, 2)),
+        "3-form view": lambda: (F.random_kform(s3, 3, seed=1).to_tensor(), c_order(3, 3)),
+        "2-form": lambda: (F.random_kform(s3, 2, seed=1), [(0, 1), (0, 2), (1, 2)]),
+        "wedge": lambda: (F.wedge(A1, A1 * 2.0), [(0, 1)]),
+        "form from a sequence": lambda: (
+            F.GeneralizedKForm(s3, 2, {"0": [1.0, 2.0, 3.0]}), [(0, 1), (0, 2), (1, 2)]),
+    }
+    return cases[case]()
+
+
+@pytest.mark.parametrize("case", ["vector field", "tensor from a dict", "tensor_product",
+                                  "tensor sum", "gen_lie_derivative", "3-form view",
+                                  "2-form", "wedge", "form from a sequence"])
+def test_section_parts_are_index_dicts_in_key_order(case):
+    section, keys = _store_case(case)
+    assert section.keys() == keys
+    for part in section.comps.values():
+        assert type(part) is dict and list(part) == keys
+        assert all(isinstance(net, Net) for net in part.values())
+
+
+def test_function_part_is_its_net(t2):
+    (U,) = T.random_coherent_functions(t2, count=1, seed=0)
+    V = U * U
+    for c in V.chart_names():
+        assert isinstance(V.comps[c], Net) and V.nets[c] is V.comps[c]
 
 
 # -- the chart contract -------------------------------------------------------

@@ -277,13 +277,12 @@ def _reference_rows(atlas, comps, valence, grid, n_samples):
 
             def gap_at(e):
                 gap, s0, s1 = 0.0, 0.0, 0.0
-                vb = {kdx: np.asarray(cb[kdx].at(e)._partial_fn(zero, y))
-                      for kdx in np.ndindex(cb.shape)}
-                for idx in np.ndindex(ca.shape):
+                vb = {kdx: np.asarray(cb[kdx].at(e)._partial_fn(zero, y)) for kdx in cb}
+                for idx in ca:
                     fa = ca[idx].at(e)
                     va = np.asarray(fa._partial_fn(zero, x))
                     pullback = np.zeros(len(x))
-                    for kdx in np.ndindex(cb.shape):
+                    for kdx in cb:
                         w = np.ones(len(x))
                         for ai in range(r):
                             w = w * jinv[:, idx[ai], kdx[ai]]
@@ -312,7 +311,7 @@ def _row_key(slope, max_gap, n_clamped, verdict):
 def _residual_inputs(name, request):
     """(atlas, comps, valence, grid, n_samples) of one overlap-residual input."""
     s1, y = circle(), sp.Symbol("y0")
-    scalar = lambda U: {c: np.array(net, dtype=object) for c, net in U.nets.items()}
+    scalar = lambda U: {c: {(): net} for c, net in U.nets.items()}
     if name == "circle-product":
         U, V = T.random_coherent_functions(s1, count=2, seed=0)
         return s1.atlas, scalar(U * V), (0, 0), dyadic_grid(4, 9), 61

@@ -193,8 +193,10 @@ def test_gausspoly_singular_system_raises():
 def test_build_rejects_unknown():
     with pytest.raises(ValueError):
         build_mollifier("box")
-    with pytest.raises(ValueError):
-        build_mollifier("fourier", width=3)
+    # the Fourier kernel's shape and radius are constants, not parameters
+    for param in ({"width": 3}, {"c": 1.5}, {"s": 0.12}, {"radius": 100.0}):
+        with pytest.raises(ValueError):
+            build_mollifier("fourier", **param)
     # the grammar the command line accepts: no default order, no suffix
     for spec in ("spline:2", "fourier:3", "gausspoly:", "gausspoly:0"):
         with pytest.raises(ValueError):

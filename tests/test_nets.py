@@ -107,5 +107,5 @@ def test_classify_samples_each_reference_net_once(monkeypatch):
             monkeypatch.setattr(mod, "sup_norm_on_box", counted)
     run_experiment(ExperimentConfig("classify"))
     # six eps: iota(delta) at orders 0 and 1 on the chart box (12), then
-    # iota(delta), the fading and the blow-up net once each on (-1, 1) (18)
-    assert len(calls) == 30
+    # the fading and the blow-up net once each on (-1, 1) (12)
+    assert len(calls) == 24

@@ -50,8 +50,7 @@ def values(net, eps, pts):
 
 
 def field_values(F, chart, eps, pts):
-    return np.stack([values(F.comps[chart][idx], eps, pts)
-                     for idx in np.ndindex(F.comps[chart].shape)])
+    return np.stack([values(net, eps, pts) for net in F.comps[chart].values()])
 
 
 # -- construction and algebra -----------------------------------------------
@@ -65,6 +64,37 @@ def test_component_shape_guard(line):
         T.GeneralizedTensorField(line, (0, 0), {"0": coordinate(0, 1)})
     with pytest.raises(AtlasMismatch):
         T.GeneralizedVectorField(line, {"Q": [coordinate(0, 1)]})
+
+
+def test_tensor_dict_part_needs_exactly_every_index():
+    plane = euclidean(2)
+    full = {idx: 1.0 for idx in [(0, 0), (0, 1), (1, 0), (1, 1)]}
+    T.GeneralizedTensorField(plane, (1, 1), {"0": full})
+    missing = {idx: v for idx, v in full.items() if idx != (1, 0)}
+    with pytest.raises(AtlasMismatch):
+        T.GeneralizedTensorField(plane, (1, 1), {"0": missing})
+    with pytest.raises(AtlasMismatch):
+        T.GeneralizedTensorField(plane, (1, 1), {"0": {**full, (2, 0): 1.0}})
+    with pytest.raises(AtlasMismatch):
+        T.GeneralizedVectorField(plane, {"0": full})  # rank-2 keys on a rank-1 field
+    with pytest.raises(AtlasMismatch):
+        T.GeneralizedVectorField(plane, {"0": [1.0, 2.0, 3.0]})
+    with pytest.raises(AtlasMismatch):
+        T.GeneralizedTensorField(plane, (1, 1), {"0": [[1.0, 2.0], [3.0]]})
+
+
+def test_component_index_out_of_range_is_invalid_slots():
+    plane = euclidean(2)
+    F = T.GeneralizedTensorField(plane, (1, 1), {"0": [[1.0, 2.0], [3.0, 4.0]]})
+    assert F.component("0", (1, 0)) is F.comps["0"][(1, 0)]
+    assert values(F.component("0", (1, 0)), 0.5, np.zeros((1, 2))) == 3.0  # C order
+    for idx in [(2, 0), (0, -1), (0,), (0, 0, 0)]:
+        with pytest.raises(InvalidSlots):
+            F.component("0", idx)
+    with pytest.raises(InvalidSlots):
+        T.GeneralizedVectorField(plane, {"0": [1.0, 2.0]}).component("0", 2)
+    with pytest.raises(AtlasMismatch):
+        F.component("Q", (0, 0))
 
 
 def test_module_algebra(line):
