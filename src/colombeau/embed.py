@@ -31,11 +31,9 @@ from .errors import UnsupportedDistribution
 from .grid import DEFAULT_GRID
 from .mollifier import Mollifier
 from .nets import Net, classify_net
-from .quadrature import gauss_legendre, panel_rule, quad
+from .quadrature import adaptive, gauss_legendre, panel_rule
 from .smooth import SmoothFn
 
-QUAD_EPSREL = 1e-11
-QUAD_EPSABS = 1e-13
 # (point, kernel node) pairs per convolution block: 2 MiB per float64 array
 CONV_BLOCK = 1 << 18
 
@@ -89,9 +87,7 @@ class DistributionSpec:
         for e in self.singular:
             total += e.weight * phi.partial(e.beta, np.array(e.loc))
         for p in self.regular:
-            val, _ = quad(lambda y: p.density(y) * phi(y), p.lo, p.hi,
-                          epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL, limit=200)
-            total += val
+            total += adaptive(p.density * phi, p.lo, p.hi, p.hi - p.lo)
         return total
 
     def mul_smooth(self, f: SmoothFn) -> "DistributionSpec":

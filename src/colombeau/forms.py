@@ -64,6 +64,7 @@ class GeneralizedKForm(GeneralizedSection):
         if k < 1:
             raise InvalidDegree(f"degree {degree} forms are plain generalized functions")
         self.degree = k
+        self.valence = (0, k)
         super().__init__(space, comps, label)
 
     def _part(self, c, table) -> dict:
@@ -78,16 +79,7 @@ class GeneralizedKForm(GeneralizedSection):
     def keys(self):
         return index_tuples(self.atlas.dim, self.degree)
 
-    def component(self, chart: str, idx) -> Net:
-        """Component at any index tuple, with the antisymmetry sign."""
-        idx = tuple(idx)
-        if len(idx) != self.degree:
-            raise InvalidSlots(f"index {idx} has {len(idx)} slots, degree is {self.degree}")
-        sign, key = canonical_index(idx)
-        if sign == 0:
-            return Net.zero(self.atlas.dim)
-        net = self.comps[chart][key]
-        return net if sign == 1 else net * -1.0
+    _canonical = staticmethod(canonical_index)
 
     # -- module algebra --------------------------------------------------
 
@@ -198,11 +190,11 @@ def insert(omega: GeneralizedKForm, Xi: GeneralizedTensorField):
 
 def lie_derivative_form(omega: GeneralizedKForm,
                         Xi: GeneralizedTensorField) -> GeneralizedKForm:
-    """L_Xi omega: the tensor Lie derivative of ``omega.to_tensor()`` along
+    """L_Xi omega: the tensor Lie derivative of omega, a (0, k) tensor, along
     Xi, built at the increasing index tuples only."""
     if not isinstance(omega, GeneralizedKForm):
         raise InvalidDegree("need a form of degree >= 1")
-    comps = _lie_parts(omega.to_tensor(), Xi, omega.keys())
+    comps = _lie_parts(omega, Xi, omega.keys())
     return omega._like(comps, label=f"L_Xi {omega.label}")
 
 

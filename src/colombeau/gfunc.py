@@ -20,7 +20,7 @@ import numpy as np
 from . import _mindex as mi
 from .asymptotic import DEFAULT_M_MAX, estimate_order
 from .embed import DistributionSpec, embed_rn
-from .errors import (AtlasMismatch, CoherenceFailure, NotComparable,
+from .errors import (AtlasMismatch, CoherenceFailure, InvalidSlots, NotComparable,
                      PartitionMismatch, QuadratureFailure)
 from .gnumber import GeneralizedNumber
 from .grid import DEFAULT_GRID
@@ -121,6 +121,27 @@ class GeneralizedSection:
 
     def chart_names(self):
         return sorted(self.comps)
+
+    @property
+    def rank(self) -> int:
+        return self.valence[0] + self.valence[1]
+
+    _canonical = staticmethod(lambda idx: (1, idx))  # (sign, stored key) of an index
+
+    def component(self, chart: str, idx) -> Net:
+        """The net at any index tuple of an indexed section; a form's carries the
+        antisymmetry sign of its index, and is zero on a repeated one."""
+        idx = tuple(idx) if np.iterable(idx) else (idx,)
+        if chart not in self.comps:
+            raise AtlasMismatch(f"chart {chart!r} carries no components")
+        shape = (self.atlas.dim,) * self.rank
+        if len(idx) != len(shape) or not set(idx) <= set(range(self.atlas.dim)):
+            raise InvalidSlots(f"no index {idx} in shape {shape}")
+        sign, key = self._canonical(idx)
+        if sign == 0:
+            return Net.zero(self.atlas.dim)
+        net = self.comps[chart][key]
+        return net if sign == 1 else net * -1.0
 
     def _map(self, entry):
         """The section of this kind with ``entry(c, K, net)`` for each chart c's net at key K."""

@@ -2,17 +2,14 @@
 a domain: ``gauss_legendre(n)`` is the n-point rule on [-1, 1], computed once
 per n and returned read-only; ``interval_rule``, ``box_rule`` and
 ``panel_rule`` map it onto an interval, the tensor product over a box, and
-each panel between edges; ``adaptive`` refines it on a 1-d SmoothFn from the
-eps scale; ``quad``, the one adaptive scalar integral and the library's only
-use of ``scipy.integrate``, loads it on its first call.  The action of a
-regular distribution piece calls it; no catalog run does.
+each panel between edges; ``adaptive``, the library's one adaptive
+integral, refines it on a 1-d SmoothFn from the eps scale.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import warnings
 
 import numpy as np
 
@@ -100,14 +97,3 @@ def adaptive(fn, lo: float, hi: float, eps_hint: float) -> float:
         raise QuadratureFailure("adaptive quadrature returned non-finite value")
     return accepted
 
-
-def quad(fn, lo, hi, *, epsabs, epsrel, limit) -> tuple[float, float]:
-    """``scipy.integrate.quad`` at the caller's tolerances: (value, error estimate)."""
-    from scipy import integrate
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, err = integrate.quad(fn, lo, hi, epsabs=epsabs, epsrel=epsrel, limit=limit)
-    if not math.isfinite(val):
-        raise QuadratureFailure(f"integral over [{lo}, {hi}] returned {val}")
-    return val, err

@@ -15,9 +15,10 @@ scratch axis by axis, so the expressions are unchanged.  A derivative is
 lambdified against the numpy module, whose namespace spares the ``from
 numpy import *`` that loads every numpy submodule, unless it names a
 function numpy lacks (``erf``, ``gamma``, ``besselj``); only then is
-``scipy.special`` loaded.  ``lambdify`` runs with ``docstring_limit=0``:
-the expression is not printed a second time only to fill the callable's
-docstring.
+``scipy.special`` loaded.  scipy is the optional ``colombeau[scipy]``
+extra: without it such a derivative raises ``ImportError`` naming the
+extra.  ``lambdify`` runs with ``docstring_limit=0``: the expression is
+not printed a second time only to fill the callable's docstring.
 
 The derivative is printed by a subclass of the printer lambdify would
 pick (``NumPyPrinter``, or ``SciPyPrinter`` with scipy) that prints each
@@ -406,8 +407,12 @@ def from_sympy(expr, symbols: Sequence[sp.Symbol], label="") -> SmoothFn:
         if fn is None:
             d = derivative(alpha)
             printer = _modules(d)
-            fn = cache[alpha] = sp.lambdify(symbols, d, modules=printer.modules,
-                                            printer=printer(params), docstring_limit=0)
+            try:
+                fn = cache[alpha] = sp.lambdify(symbols, d, modules=printer.modules,
+                                                printer=printer(params), docstring_limit=0)
+            except ImportError as err:  # only the scipy modules can be missing
+                raise ImportError(f"{d} needs scipy.special: "
+                                  "pip install 'colombeau[scipy]'") from err
         return fn
 
     def evaluate(alpha, pts):

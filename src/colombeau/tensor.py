@@ -11,6 +11,7 @@ reconstruction of a vector field from an algebraic derivation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -57,20 +58,8 @@ class GeneralizedTensorField(GeneralizedSection):
                                 f"want every index of shape {shape}")
         return {K: self._net(c, src[K]) for K in keys}
 
-    @property
-    def rank(self) -> int:
-        return self.valence[0] + self.valence[1]
-
     def keys(self):
         return _keys(self.atlas.dim, self.rank)
-
-    def component(self, chart: str, idx) -> Net:
-        idx = (idx,) if np.isscalar(idx) else tuple(idx)
-        if chart not in self.comps:
-            raise AtlasMismatch(f"chart {chart!r} carries no components")
-        if idx not in self.comps[chart]:
-            raise InvalidSlots(f"no index {idx} in shape {(self.atlas.dim,) * self.rank}")
-        return self.comps[chart][idx]
 
     # -- module algebra over generalized functions ----------------------
 
@@ -224,29 +213,31 @@ def field_apply(Xi: GeneralizedTensorField, U: GeneralizedFunction) -> Generaliz
 
 
 def _lie_parts(T: GeneralizedTensorField, Xi: GeneralizedTensorField, keys) -> dict:
-    """The chart parts of :func:`gen_lie_derivative` ``(T, Xi)``, built at ``keys`` only."""
+    """The chart parts of :func:`gen_lie_derivative` ``(T, Xi)``, built at ``keys`` only,
+    each entry of T read once through ``T.component`` (so a (0, k) form passes itself)."""
     if not isinstance(Xi, GeneralizedTensorField) or Xi.valence != (1, 0):
         raise InvalidSlots("Lie derivative needs a vector field")
     _same_charts(T, Xi)
     r, s = T.valence
     dim = T.atlas.dim
     comps = {}
-    for c, part in T.comps.items():
+    for c in T.comps:
         xs = [Xi.comps[c][(m,)] for m in range(dim)]
         dxs = [[xs[i].partial(mi.unit(dim, m)) for m in range(dim)]
                for i in range(dim)]
+        entry = functools.cache(functools.partial(T.component, c))
         comps[c] = {}
         for idx in keys:
             upper, lower = idx[:r], idx[r:]
-            acc = _sum(xs[m] * part[idx].partial(mi.unit(dim, m)) for m in range(dim))
+            acc = _sum(xs[m] * entry(idx).partial(mi.unit(dim, m)) for m in range(dim))
             for a in range(r):
                 for m in range(dim):
                     jdx = upper[:a] + (m,) + upper[a + 1:] + lower
-                    acc = acc - dxs[upper[a]][m] * part[jdx]
+                    acc = acc - dxs[upper[a]][m] * entry(jdx)
             for b in range(s):
                 for m in range(dim):
                     jdx = upper + lower[:b] + (m,) + lower[b + 1:]
-                    acc = acc + dxs[m][lower[b]] * part[jdx]
+                    acc = acc + dxs[m][lower[b]] * entry(jdx)
             comps[c][idx] = acc
     return comps
 

@@ -4,12 +4,11 @@ pullback commutator, smoothing consistency."""
 import numpy as np
 import pytest
 import sympy as sp
+from scipy.integrate import quad
 
 from colombeau.asymptotic import estimate_order
 from colombeau import embed
 from colombeau.embed import (
-    QUAD_EPSABS,
-    QUAD_EPSREL,
     DistributionSpec,
     dirac,
     dirac_prime,
@@ -20,9 +19,10 @@ from colombeau.embed import (
     smooth_piece,
 )
 from colombeau.errors import UnsupportedDistribution
+from colombeau.gfunc import default_densities
+from colombeau.manifolds import euclidean
 from colombeau.mollifier import Mollifier, build_mollifier
 from colombeau.nets import Net, box_lattice, classify_net, sup_norm_on_box
-from colombeau.quadrature import quad
 from colombeau.smooth import SmoothFn, from_sympy, smoothstep_expr
 
 X = sp.Symbol("x")
@@ -105,6 +105,16 @@ def test_dirac_action_and_smooth_multiplication():
     prod = dirac_prime().mul_smooth(xfn)
     for test in (phi, from_sympy(sp.cos(X), [X])):
         assert prod.action(test) == pytest.approx(-dirac().action(test), abs=1e-14)
+
+
+@pytest.mark.parametrize("spec", [heaviside(), smooth_piece(
+    from_sympy(sp.sin(X) * sp.exp(X / 3), [X]), -2.0, 1.5)], ids=["heaviside", "sin-exp"])
+def test_regular_piece_action_against_scipy_quad(spec):
+    (p,) = spec.regular
+    for rho in default_densities(euclidean(1)):
+        want, _ = quad(lambda y: p.density(y) * rho.fn(y), p.lo, p.hi,
+                       epsabs=1e-13, epsrel=1e-11, limit=200)
+        assert spec.action(rho.fn) == pytest.approx(want, abs=1e-13, rel=1e-11), rho.label
 
 
 def test_regular_piece_against_trapezoid_oracle(fourier):
@@ -260,7 +270,7 @@ def test_pullback_commutator_doubling_map(fourier):
     # association tolerance of 1e-3
     dens = from_sympy(sp.exp(-X ** 2) * (1 + X), [X])
     vals = [abs(quad(lambda y: net.at(eps)(y) * dens(y), -4.0, 4.0,
-                     epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL, limit=200)[0])
+                     epsabs=1e-13, epsrel=1e-11, limit=200)[0])
             for eps in (2.0 ** -4, 2.0 ** -6, 2.0 ** -8)]
     assert all(v < 1e-6 for v in vals)
     assert vals[-1] < 1e-10

@@ -1,5 +1,6 @@
 """The shared quadrature module: one cached Gauss-Legendre rule, the rules it
-maps onto intervals, boxes and panels, the adaptive rule, one quad wrapper."""
+maps onto intervals, boxes and panels, and the adaptive rule, with
+``scipy.integrate.quad`` as its reference."""
 
 import math
 
@@ -11,9 +12,8 @@ from scipy.integrate import quad as scipy_quad
 from colombeau.embed import _kernel_rule
 from colombeau.errors import QuadratureFailure
 from colombeau.mollifier import build_mollifier, mollifier_spec
-from colombeau.quadrature import (adaptive, box_rule, gauss_legendre, interval_rule,
-                                  panel_rule, quad)
-from colombeau.smooth import from_sympy
+from colombeau.quadrature import adaptive, box_rule, gauss_legendre, interval_rule, panel_rule
+from colombeau.smooth import SmoothFn, from_sympy
 
 
 @pytest.mark.parametrize("n", [16, 48, 96])
@@ -30,16 +30,10 @@ def test_gauss_legendre_is_the_cached_read_only_leggauss_rule(n):
         weights *= 2.0
 
 
-def test_quad_passes_the_callers_tolerances_through():
-    fn = lambda x: np.exp(-x * x) * np.cos(3 * x)
-    for tol in (dict(epsabs=1e-13, epsrel=1e-11, limit=200),
-                dict(epsabs=1e-12, epsrel=1e-10, limit=400)):
-        assert quad(fn, -4.0, 4.0, **tol) == scipy_quad(fn, -4.0, 4.0, **tol)
-
-
-def test_quad_raises_on_a_non_finite_value():
+def test_adaptive_raises_on_a_non_finite_value():
+    nan = SmoothFn(1, lambda alpha, pts: np.full(len(pts), np.nan))
     with pytest.raises(QuadratureFailure):
-        quad(lambda x: np.nan, 0.0, 1.0, epsabs=1e-12, epsrel=1e-10, limit=50)
+        adaptive(nan, 0.0, 1.0, 1.0)
 
 
 # -- the mapped rules, against the inline formulas they replaced ---------------

@@ -8,6 +8,7 @@ import sympy as sp
 from colombeau import tensor as T
 from colombeau.embed import dirac, dirac_prime, embed_rn
 from colombeau.errors import AtlasMismatch, InvalidSlots, NotADerivation
+from colombeau.forms import random_kform
 from colombeau.gfunc import (GeneralizedFunction, associate, coherence_check,
                              embed_manifold, sigma_embed)
 from colombeau.grid import dyadic_grid
@@ -95,6 +96,12 @@ def test_component_index_out_of_range_is_invalid_slots():
         T.GeneralizedVectorField(plane, {"0": [1.0, 2.0]}).component("0", 2)
     with pytest.raises(AtlasMismatch):
         F.component("Q", (0, 0))
+    # a form reads its entries through the same method
+    omega = random_kform(torus2(), 1)
+    with pytest.raises(AtlasMismatch):
+        omega.component("Q", (0,))
+    with pytest.raises(InvalidSlots):
+        omega.component("AA", (5,))
 
 
 def test_module_algebra(line):
