@@ -12,7 +12,7 @@ Subpackage map:
 * cli, experiments: reproducible experiment driver.
 """
 
-from .asymptotic import AsymptoticFit, classify_scalar_net, estimate_order
+from .asymptotic import AsymptoticFit, estimate_order
 from .gnumber import GeneralizedNumber, gn_equal
 from .grid import dyadic_grid
 from .nets import Net, classify_net, sup_norm_on_box
@@ -20,7 +20,6 @@ from .smooth import SmoothFn
 
 __all__ = [
     "AsymptoticFit",
-    "classify_scalar_net",
     "estimate_order",
     "GeneralizedNumber",
     "gn_equal",

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientSamples, InvalidSample
-from .grid import DEFAULT_GRID
 
 MIN_SAMPLES = 4
 SLOPE_TOLERANCE = 0.25
@@ -136,9 +135,3 @@ def estimate_order(samples, m_max: int = DEFAULT_M_MAX) -> AsymptoticFit:
         grid=tuple(eps), magnitudes=tuple(mag),
         n_clamped=n_clamped, note=note,
     )
-
-
-def classify_scalar_net(f, grid=DEFAULT_GRID, m_max: int = DEFAULT_M_MAX) -> AsymptoticFit:
-    """Classify a scalar net given as a callable eps -> value."""
-    samples = [(float(e), abs(float(f(float(e))))) for e in grid]
-    return estimate_order(samples, m_max=m_max)

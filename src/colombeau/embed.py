@@ -112,21 +112,21 @@ def dirac(loc=0.0, beta=None, weight: float = 1.0, dim: int = 1) -> Distribution
     return DistributionSpec(dim, label="dirac").dirac(loc, beta, weight)
 
 
-def dirac_prime(loc: float = 0.0) -> DistributionSpec:
-    """The classical delta': phi -> -phi'(loc)."""
-    return DistributionSpec(1, label="dirac'").dirac(loc, (1,), -1.0)
+def dirac_prime() -> DistributionSpec:
+    """The classical delta': phi -> -phi'(0)."""
+    return DistributionSpec(1, label="dirac'").dirac(0.0, (1,), -1.0)
 
 
-def heaviside(box: float = 10.0) -> DistributionSpec:
-    """Heaviside step modeled on the working box [-box, box]."""
+def heaviside() -> DistributionSpec:
+    """Heaviside step modeled on the working box [-10, 10]."""
     from .smooth import constant
 
     spec = DistributionSpec(1, label="heaviside")
-    return spec.piece(constant(1.0, 1), 0.0, box)
+    return spec.piece(constant(1.0, 1), 0.0, 10.0)
 
 
-def smooth_piece(fn: SmoothFn, lo: float, hi: float, label: str = "") -> DistributionSpec:
-    return DistributionSpec(1, label=label or "regular").piece(fn, lo, hi)
+def smooth_piece(fn: SmoothFn, lo: float, hi: float) -> DistributionSpec:
+    return DistributionSpec(1, label="regular").piece(fn, lo, hi)
 
 
 def _dirac_part_fn(entries, mol: Mollifier, dim: int, eps: float) -> SmoothFn:
@@ -303,7 +303,7 @@ def pullback_spec_affine(spec: DistributionSpec, a: float, b: float = 0.0) -> Di
 
 
 def pullback_commutator_demo(a: float, b: float, spec: DistributionSpec,
-                             mol: Mollifier, grid=DEFAULT_GRID, box=((-1.0, 1.0),)):
+                             mol: Mollifier, grid=DEFAULT_GRID):
     """Net and report for iota(mu^* u) - mu^*(iota u), mu(x) = a x + b.
 
     Embedding and pullback do not commute in general; the difference is
@@ -313,7 +313,7 @@ def pullback_commutator_demo(a: float, b: float, spec: DistributionSpec,
     emb_then_pull = pullback_affine(embed_rn(spec, mol), a, b)
     pull_then_emb = embed_rn(pullback_spec_affine(spec, a, b), mol)
     commutator = pull_then_emb - emb_then_pull
-    fit = classify_net(commutator, (0,), box, grid=grid, n_samples="auto")
+    fit = classify_net(commutator, (0,), ((-1.0, 1.0),), grid=grid, n_samples="auto")
     report = {
         "map": {"a": a, "b": b},
         "identity_map": a == 1.0 and b == 0.0,

@@ -284,7 +284,7 @@ def homotopy_H(omega: GeneralizedKForm):
 
 
 def poincare_check(omega: GeneralizedKForm, grid=DEFAULT_GRID, n_samples: int = 21,
-                   box=None, tol: float = 1e-7) -> dict:
+                   tol: float = 1e-7) -> dict:
     """Lattice residual of d(H w) + H(dw) = w, per eps.
 
     On the top degree the second term is the homotopy of the empty
@@ -293,9 +293,7 @@ def poincare_check(omega: GeneralizedKForm, grid=DEFAULT_GRID, n_samples: int = 
     atlas = omega.atlas
     c = _single_star_chart(atlas)
     dim = atlas.dim
-    if box is None:
-        box = atlas.charts[c].sample_box
-    pts = box_lattice(box, n_samples)
+    pts = box_lattice(atlas.charts[c].sample_box, n_samples)
     recon = exterior_d(homotopy_H(omega))
     if omega.degree < dim:
         recon = recon + homotopy_H(exterior_d(omega))

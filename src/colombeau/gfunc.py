@@ -463,15 +463,14 @@ def point_value(U: GeneralizedFunction, p: GeneralizedPoint,
     return GeneralizedNumber(grid, values, label=f"{U.label}({p.label})")
 
 
-def zero_test_by_points(U: GeneralizedFunction, count: int = 24, seed: int = 0,
-                        grid=DEFAULT_GRID, m_max: int = DEFAULT_M_MAX) -> dict:
+def zero_test_by_points(U: GeneralizedFunction, count: int = 24, grid=DEFAULT_GRID) -> dict:
     """One-sided zero test: sample generalized points, look for witnesses.
 
     Draws classical points, eps-drifting points and bounded wobbling
     point nets from the chart sample boxes.  Any non-negligible point
     value witnesses U != 0; finding none is evidence, not proof.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     charts = U.chart_names()
     dim = U.atlas.dim
     witnesses = []
@@ -501,7 +500,7 @@ def zero_test_by_points(U: GeneralizedFunction, count: int = 24, seed: int = 0,
             coords = (lambda x0, a, w: lambda e: x0 + a * e * np.cos(w * e))(x0, a, w)
         p = GeneralizedPoint(U.atlas, c, coords,
                              tuple((l, h) for l, h in zip(lo, hi)), label=kind)
-        fit = point_value(U, p, grid).classify(m_max)
+        fit = point_value(U, p, grid).classify()
         samples.append({"chart": c, "kind": kind, "x0": x0.tolist(),
                         "slope": fit.slope, "verdict": fit.verdict})
         if not fit.is_negligible:
@@ -664,7 +663,7 @@ def pair_density(U: GeneralizedFunction, density: TestDensity, eps: float) -> fl
 
 
 def associate(U: GeneralizedFunction, target=None, densities=None, grid=DEFAULT_GRID,
-              tol: float = PAIRING_TOL, seed: int = 7) -> AssociationVerdict:
+              tol: float = PAIRING_TOL) -> AssociationVerdict:
     """Association test: pairings against a density suite, extrapolated.
 
     ``target`` is None/0, a DistributionSpec (applied in the density's
@@ -673,7 +672,7 @@ def associate(U: GeneralizedFunction, target=None, densities=None, grid=DEFAULT_
     compared with the target's action.
     """
     if densities is None:
-        densities = default_densities(U.atlas, seed=seed)
+        densities = default_densities(U.atlas, seed=7)
     densities = [d for d in densities if d.chart in U.nets]
     if not densities:
         raise NotComparable("no test density lands in a chart carried by U")
@@ -737,8 +736,7 @@ def ck_associate(U: GeneralizedFunction, fns: dict, k: int, grid=DEFAULT_GRID,
 
 
 def product_consistency_check(U: GeneralizedFunction, V: GeneralizedFunction,
-                              f: dict, w, mode: str = "a", densities=None,
-                              grid=DEFAULT_GRID, tol: float = PAIRING_TOL,
+                              f: dict, w, mode: str = "a", grid=DEFAULT_GRID,
                               k: int = 2) -> dict:
     """Does U*V associate to f*w, given the smooth-factor hypotheses?
 
@@ -767,7 +765,7 @@ def product_consistency_check(U: GeneralizedFunction, V: GeneralizedFunction,
         hyp["ck"] = {"k": k, "ok": ck["ok"]}
         hyp["ok"] = ck["ok"]
 
-    v_verdict = associate(V, w, densities=densities, grid=grid, tol=tol)
+    v_verdict = associate(V, w, grid=grid)
     hyp["v_associated"] = v_verdict.associated
 
     if isinstance(w, DistributionSpec):
@@ -776,7 +774,7 @@ def product_consistency_check(U: GeneralizedFunction, V: GeneralizedFunction,
         target = {c: spec.mul_smooth(f[c]) for c, spec in w.items()}
     else:
         target = 0.0
-    prod_verdict = associate(U * V, target, densities=densities, grid=grid, tol=tol)
+    prod_verdict = associate(U * V, target, grid=grid)
     consistent = hyp["ok"] and hyp["v_associated"] and prod_verdict.associated
     return {
         "hypotheses": hyp,
@@ -810,8 +808,7 @@ def transport_net(net: Net, tr: Transition) -> Net:
     return Net(dim, factory, label=f"transported {net.label}")
 
 
-def embed_manifold(specs: dict, manifold: Manifold, mol: Mollifier,
-                   label: str = "iota_A") -> GeneralizedFunction:
+def embed_manifold(specs: dict, manifold: Manifold, mol: Mollifier) -> GeneralizedFunction:
     """Atlas embedding of a chartwise distribution family.
 
     Each chart j contributes zeta_j * ((chi_j u_j) * rho_eps) in its own
@@ -848,4 +845,4 @@ def embed_manifold(specs: dict, manifold: Manifold, mol: Mollifier,
                     raise CoherenceFailure(f"no transition {i} -> {j} to transport term")
                 acc = acc + transport_net(term, tr)
         nets[i] = acc
-    return GeneralizedFunction(atlas, nets, label=label)
+    return GeneralizedFunction(atlas, nets, label="iota_A")

@@ -24,14 +24,13 @@ class GeneralizedNumber:
         self.label = label
 
     @classmethod
-    def from_fn(cls, fn, grid=DEFAULT_GRID, label: str = "") -> "GeneralizedNumber":
+    def from_fn(cls, fn, grid=DEFAULT_GRID) -> "GeneralizedNumber":
         grid = np.asarray(grid, dtype=float)
-        return cls(grid, [float(fn(float(e))) for e in grid], label)
+        return cls(grid, [float(fn(float(e))) for e in grid])
 
     @classmethod
-    def const(cls, c: float, grid=DEFAULT_GRID, label: str = "") -> "GeneralizedNumber":
-        grid = np.asarray(grid, dtype=float)
-        return cls(grid, np.full_like(grid, float(c)), label)
+    def const(cls, c: float) -> "GeneralizedNumber":
+        return cls(DEFAULT_GRID, np.full_like(DEFAULT_GRID, float(c)))
 
     def _check_grid(self, other: "GeneralizedNumber"):
         if self.grid.shape != other.grid.shape or not np.array_equal(self.grid, other.grid):
@@ -77,8 +76,7 @@ class GeneralizedNumber:
         return f"<GeneralizedNumber [{head}, ...] {self.label}>".replace("  ", " ")
 
 
-def gn_equal(a: GeneralizedNumber, b: GeneralizedNumber,
-             m_max: int = DEFAULT_M_MAX) -> tuple[bool, AsymptoticFit]:
+def gn_equal(a: GeneralizedNumber, b: GeneralizedNumber) -> tuple[bool, AsymptoticFit]:
     """Equality in the ring: the difference net is negligible."""
-    fit = (a - b).classify(m_max=m_max)
+    fit = (a - b).classify()
     return fit.is_negligible, fit

@@ -18,9 +18,9 @@ from typing import Callable
 
 import numpy as np
 
-from .asymptotic import DEFAULT_M_MAX, AsymptoticFit, classify_scalar_net
+from .asymptotic import AsymptoticFit
 from .errors import CoherenceFailure, NotComparable, PartitionMismatch
-from .grid import DEFAULT_GRID
+from .gnumber import GeneralizedNumber
 from .nets import box_lattice
 
 ROUND_TRIP_TOL = 1e-12
@@ -143,7 +143,8 @@ class Atlas:
         return report
 
 
-def _jac_fd_residual(t: Transition, x: np.ndarray, h: float = 1e-6) -> float:
+def _jac_fd_residual(t: Transition, x: np.ndarray) -> float:
+    h = 1e-6
     jac = t.jac(x)
     dim = x.shape[1]
     worst = 0.0
@@ -239,11 +240,10 @@ class GeneralizedPoint:
     label: str = ""
 
     @classmethod
-    def classical(cls, atlas: Atlas, chart: str, coords, pad: float = 0.1,
-                  label: str = "") -> "GeneralizedPoint":
+    def classical(cls, atlas: Atlas, chart: str, coords) -> "GeneralizedPoint":
         coords = np.atleast_1d(np.asarray(coords, dtype=float))
-        box = tuple((c - pad, c + pad) for c in coords)
-        return cls(atlas, chart, lambda eps: coords, box, label=label or "classical")
+        box = tuple((c - 0.1, c + 0.1) for c in coords)
+        return cls(atlas, chart, lambda eps: coords, box, label="classical")
 
     def coords_at(self, eps: float) -> np.ndarray:
         c = np.atleast_1d(np.asarray(self.coords_net(float(eps)), dtype=float))
@@ -256,8 +256,7 @@ class GeneralizedPoint:
         return all(lo <= v <= hi for v, (lo, hi) in zip(c, self.box))
 
 
-def point_equiv(p: GeneralizedPoint, q: GeneralizedPoint, grid=DEFAULT_GRID,
-                m_max: int = DEFAULT_M_MAX) -> tuple[bool, AsymptoticFit]:
+def point_equiv(p: GeneralizedPoint, q: GeneralizedPoint) -> tuple[bool, AsymptoticFit]:
     """Equivalence of generalized points: coordinate gap is negligible.
 
     Requires a common witness chart, or q transportable into p's chart
@@ -272,6 +271,6 @@ def point_equiv(p: GeneralizedPoint, q: GeneralizedPoint, grid=DEFAULT_GRID,
         q_coords = lambda eps: t.fn(q.coords_at(eps)[None, :])[0]
     else:
         raise NotComparable(f"no common chart between {p.chart} and {q.chart}")
-    fit = classify_scalar_net(
-        lambda eps: np.linalg.norm(p.coords_at(eps) - q_coords(eps)), grid, m_max=m_max)
+    fit = GeneralizedNumber.from_fn(
+        lambda eps: np.linalg.norm(p.coords_at(eps) - q_coords(eps))).classify()
     return fit.is_negligible, fit

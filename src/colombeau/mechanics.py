@@ -35,7 +35,7 @@ from .manifolds import euclidean
 from .nets import Net
 from .quadrature import adaptive, panel_rule
 from .smooth import SmoothFn, _per_point, from_sympy, lift_axis
-from .tensor import GeneralizedTensorField, GeneralizedVectorField, _make
+from .tensor import GeneralizedTensorField
 
 # Mass of the unnormalized bump exp(-1/(1-x^2)) on (-1, 1), frozen from a
 # high-precision quadrature; the normalized profile divides by it.
@@ -50,6 +50,8 @@ L1_PANELS, L1_NODES = 8, 64
 # StrictDeltaNet.certify: the scaling is checked at SCALING_POINTS points of
 # the support, and each mass must lie within MASS_TOL of one
 SCALING_POINTS, MASS_TOL = 9, 1e-8
+# solve_singular_oscillator: the RK45 tolerances, reported in each Trajectory.meta
+ODE_RTOL, ODE_ATOL = 1e-10, 1e-12
 
 
 def bump_profile() -> SmoothFn:
@@ -182,20 +184,20 @@ def flat(Xi, omega: SymplecticForm):
     atlas, vecs = _columns(Xi, (1, 0), omega, "flat expects a vector field")
     n = omega.dofs
     comps = {c: [-x for x in v[n:]] + v[:n] for c, v in vecs.items()}
-    return _make(atlas, (0, 1), comps, label=f"flat {getattr(Xi, 'label', '')}")
+    return GeneralizedTensorField(atlas, (0, 1), comps, label=f"flat {getattr(Xi, 'label', '')}")
 
 
-def sharp(A, omega: SymplecticForm) -> GeneralizedVectorField:
+def sharp(A, omega: SymplecticForm) -> GeneralizedTensorField:
     """Inverse of :func:`flat`: (q_j part) = +A_{dp_j}, (p_j part) = -A_{dq_j}."""
     if isinstance(A, GeneralizedKForm) and A.degree == 1:
         A = A.to_tensor()
     atlas, covs = _columns(A, (0, 1), omega, "sharp expects a one-form")
     n = omega.dofs
     comps = {c: a[n:] + [-x for x in a[:n]] for c, a in covs.items()}
-    return _make(atlas, (1, 0), comps, label=f"sharp {getattr(A, 'label', '')}")
+    return GeneralizedTensorField(atlas, (1, 0), comps, label=f"sharp {getattr(A, 'label', '')}")
 
 
-def hamiltonian_vf(H: GeneralizedFunction, omega: SymplecticForm) -> GeneralizedVectorField:
+def hamiltonian_vf(H: GeneralizedFunction, omega: SymplecticForm) -> GeneralizedTensorField:
     """The field Xi_H = sharp(dH), components (H_p, -H_q)."""
     Xi = sharp(exterior_d(H), omega)
     Xi.label = f"Xi_{H.label or 'H'}"
@@ -280,7 +282,7 @@ class HamiltonianSystem:
 
         return GeneralizedFunction(self.space, {"0": Net(2, factory)}, label="H")
 
-    def vector_field(self) -> GeneralizedVectorField:
+    def vector_field(self) -> GeneralizedTensorField:
         return hamiltonian_vf(self.hamiltonian(), self.omega)
 
     def barrier_radius(self, eps: float) -> float:
@@ -496,8 +498,7 @@ def _sample_segments(segs, ts):
 
 
 def solve_singular_oscillator(sys: HamiltonianSystem, t_span=(0.0, 2.0),
-                              eps_values=(1e-1, 1e-2, 1e-3), rtol: float = 1e-10,
-                              atol: float = 1e-12, n_samples: int = 2001,
+                              eps_values=(1e-1, 1e-2, 1e-3), n_samples: int = 2001,
                               max_nfev: int = 5_000_000) -> list[Trajectory]:
     """Integrate qdot = p, pdot = force(q) for each eps.
 
@@ -528,16 +529,16 @@ def solve_singular_oscillator(sys: HamiltonianSystem, t_span=(0.0, 2.0),
         with np.errstate(all="ignore"):
             segs, nfev, n_steps = _integrate_segments(
                 rhs, (q0, p0), t_span, eps, sys.barrier_radius(eps),
-                rtol, atol, max_nfev)
+                ODE_RTOL, ODE_ATOL, max_nfev)
         q, p = _sample_segments(segs, ts)
         energy = sys.energy_values(eps, q, p)
         drift = float(np.max(np.abs(energy - energy[0])))
-        ode_tol = rtol * float(np.max(np.abs(energy))) + atol
+        ode_tol = ODE_RTOL * float(np.max(np.abs(energy))) + ODE_ATOL
         out.append(Trajectory(
             eps=eps, t=ts.copy(), q=q, p=p, energy=energy,
             energy_drift=drift, ode_tol=ode_tol, n_steps=n_steps,
             nfev=nfev, n_segments=len(segs),
-            meta={"q0": q0, "p0": p0, "rtol": rtol, "atol": atol}))
+            meta={"q0": q0, "p0": p0, "rtol": ODE_RTOL, "atol": ODE_ATOL}))
     return out
 
 

@@ -1,12 +1,15 @@
 """Generalized tensor fields: chartwise component nets.
 
-A valence-(r, s) field stores one net per chart and index tuple of
-(dim,) * (r + s), in C order.  On overlaps the components must satisfy
-the Jacobian-weighted transformation law up to a negligible residual;
-``coherence_check_tensor`` measures that.  On top sit the module
-algebra over generalized functions, tensor products, contractions, Lie
-derivatives along smooth and generalized vector fields, and
-reconstruction of a vector field from an algebraic derivation.
+One class serves every valence (r, s): a field stores one net per chart
+and index tuple of (dim,) * (r + s), in C order.  Called on one
+argument, a (1, 0) field acts on a generalized function as a
+derivation and a (0, 1) field pairs with a vector field.  On overlaps
+the components must satisfy the Jacobian-weighted transformation law up
+to a negligible residual; ``coherence_check_tensor`` measures that.  On
+top sit the module algebra over generalized functions, tensor products,
+contractions, Lie derivatives along smooth and generalized vector
+fields, and reconstruction of a vector field from an algebraic
+derivation.
 """
 
 from __future__ import annotations
@@ -17,10 +20,10 @@ import itertools
 import numpy as np
 
 from . import _mindex as mi
-from .asymptotic import classify_scalar_net
 from .errors import AtlasMismatch, InvalidSlots, NotADerivation
 from .gfunc import (GeneralizedFunction, GeneralizedSection, _atlas_of, _same_charts, _sum,
                     classify, overlap_residual)
+from .gnumber import GeneralizedNumber
 from .grid import DEFAULT_GRID
 from .manifolds import Manifold
 from .nets import Net
@@ -43,7 +46,7 @@ class GeneralizedTensorField(GeneralizedSection):
         super().__init__(space, comps, label)
 
     def _part(self, c, src) -> dict:
-        """{index: net} from a dict with every index, or from nested sequences or arrays."""
+        """{index: net} from a dict of exactly the indices, or from nested sequences or arrays."""
         keys, shape = self.keys(), (self.atlas.dim,) * self.rank
         if not isinstance(src, dict):
             flat = [src.tolist() if isinstance(src, np.ndarray) else src]
@@ -53,7 +56,10 @@ class GeneralizedTensorField(GeneralizedSection):
                     raise AtlasMismatch(f"components for chart {c!r} do not nest as {shape}")
                 flat = [x for row in flat for x in row]
             src = dict(zip(keys, flat))
-        if set(src) != set(keys):
+        extra = [K for K in src if K not in keys]
+        if extra:
+            raise InvalidSlots(f"components for chart {c!r}: no index {extra[0]} in shape {shape}")
+        if len(src) != len(keys):
             raise AtlasMismatch(f"components for chart {c!r} have keys {list(src)}, "
                                 f"want every index of shape {shape}")
         return {K: self._net(c, src[K]) for K in keys}
@@ -64,7 +70,7 @@ class GeneralizedTensorField(GeneralizedSection):
     # -- module algebra over generalized functions ----------------------
 
     def _like(self, comps, label: str = "") -> "GeneralizedTensorField":
-        return _make(self.atlas, self.valence, comps, label)
+        return GeneralizedTensorField(self.atlas, self.valence, comps, label)
 
     def _zip(self, other, op):
         if not isinstance(other, GeneralizedTensorField):
@@ -89,13 +95,13 @@ class GeneralizedTensorField(GeneralizedSection):
                 f"need {r} one-forms and {s} vector fields, "
                 f"got {len(one_forms)} and {len(vector_fields)}")
         for a in one_forms:
-            _same_charts(self, a)
-            if a.valence != (0, 1):
+            if getattr(a, "valence", None) != (0, 1):
                 raise InvalidSlots("upper slots take one-forms")
+            _same_charts(self, a)
         for x in vector_fields:
-            _same_charts(self, x)
-            if x.valence != (1, 0):
+            if getattr(x, "valence", None) != (1, 0):
                 raise InvalidSlots("lower slots take vector fields")
+            _same_charts(self, x)
 
         def term(c, idx):
             out = self.comps[c][idx]
@@ -108,45 +114,20 @@ class GeneralizedTensorField(GeneralizedSection):
         nets = {c: _sum(term(c, idx) for idx in part) for c, part in self.comps.items()}
         return GeneralizedFunction(self.atlas, nets, label=f"eval {self.label}")
 
-
-class GeneralizedVectorField(GeneralizedTensorField):
-    """Valence (1, 0); acts on generalized functions as a derivation."""
-
-    def __init__(self, space, components: dict, label: str = ""):
-        super().__init__(space, (1, 0), components, label)
-
-    def __call__(self, U: GeneralizedFunction) -> GeneralizedFunction:
-        return field_apply(self, U)
+    def __call__(self, arg) -> GeneralizedFunction:
+        """A vector field acts on a generalized function; a one-form pairs with a vector field."""
+        if self.valence == (1, 0):
+            return field_apply(self, arg)
+        if self.valence == (0, 1):
+            return self.evaluate(vector_fields=(arg,))
+        raise InvalidSlots(f"a valence-{self.valence} field takes no single argument")
 
 
-class GeneralizedOneForm(GeneralizedTensorField):
-    """Valence (0, 1); pairs with vector fields."""
-
-    def __init__(self, space, components: dict, label: str = ""):
-        super().__init__(space, (0, 1), components, label)
-
-    def __call__(self, Xi: GeneralizedTensorField) -> GeneralizedFunction:
-        if not isinstance(Xi, GeneralizedTensorField) or Xi.valence != (1, 0):
-            raise InvalidSlots("one-forms pair with vector fields")
-        return self.evaluate(vector_fields=(Xi,))
-
-
-def _make(space, valence, comps, label: str = "") -> GeneralizedTensorField:
-    if tuple(valence) == (1, 0):
-        out = GeneralizedVectorField.__new__(GeneralizedVectorField)
-    elif tuple(valence) == (0, 1):
-        out = GeneralizedOneForm.__new__(GeneralizedOneForm)
-    else:
-        out = GeneralizedTensorField.__new__(GeneralizedTensorField)
-    GeneralizedTensorField.__init__(out, space, valence, comps, label)
-    return out
-
-
-def smooth_vector_field(space, fns: dict, label: str = "") -> GeneralizedVectorField:
+def smooth_vector_field(space, fns: dict, label: str = "") -> GeneralizedTensorField:
     """Wrap chartwise component SmoothFn lists as a constant-in-eps field."""
     atlas = _atlas_of(space)
     comps = {c: [Net.constant_in_eps(f) for f in fs] for c, fs in fns.items()}
-    return GeneralizedVectorField(atlas, comps, label=label)
+    return GeneralizedTensorField(atlas, (1, 0), comps, label=label)
 
 
 # -- products and contractions --------------------------------------------
@@ -165,8 +146,8 @@ def tensor_product(S: GeneralizedTensorField,
     comps = {c: {idx: S.comps[c][idx[:r1] + idx[r1 + r2:r1 + r2 + s1]]
                  * T.comps[c][idx[r1:r1 + r2] + idx[r1 + r2 + s1:]] for idx in keys}
              for c in S.comps}
-    return _make(S.atlas, (r1 + r2, s1 + s2), comps,
-                 label=f"({S.label})x({T.label})")
+    return GeneralizedTensorField(S.atlas, (r1 + r2, s1 + s2), comps,
+                                  label=f"({S.label})x({T.label})")
 
 
 def contract(T: GeneralizedTensorField, up: int = 0, low: int = 0):
@@ -191,7 +172,7 @@ def contract(T: GeneralizedTensorField, up: int = 0, low: int = 0):
         nets = {c: traced(c, ()) for c in T.comps}
         return GeneralizedFunction(T.atlas, nets, label=f"tr {T.label}")
     comps = {c: {rest: traced(c, rest) for rest in _keys(dim, r + s - 2)} for c in T.comps}
-    return _make(T.atlas, (r - 1, s - 1), comps, label=f"tr {T.label}")
+    return GeneralizedTensorField(T.atlas, (r - 1, s - 1), comps, label=f"tr {T.label}")
 
 
 # -- Lie derivatives -------------------------------------------------------
@@ -263,7 +244,7 @@ def lie_derivative_tensor(T: GeneralizedTensorField, xi: dict) -> GeneralizedTen
     return gen_lie_derivative(T, smooth_vector_field(T.atlas, xi, label="smooth xi"))
 
 
-def bracket(X: GeneralizedTensorField, Y: GeneralizedTensorField) -> GeneralizedVectorField:
+def bracket(X: GeneralizedTensorField, Y: GeneralizedTensorField) -> GeneralizedTensorField:
     """Lie bracket [X, Y] of two generalized vector fields."""
     if not isinstance(X, GeneralizedTensorField) or X.valence != (1, 0):
         raise InvalidSlots("bracket takes vector fields")
@@ -375,7 +356,7 @@ def random_tensor_field(manifold: Manifold, valence, seed: int = 0) -> Generaliz
     keys = _keys(atlas.dim, r + s)
     fns = random_coherent_functions(manifold, count=len(keys), seed=seed)
     comps = {c: {K: fns[t].nets[c] for t, K in enumerate(keys)} for c in atlas.charts}
-    return _make(manifold, (r, s), comps, label=f"seeded {valence}")
+    return GeneralizedTensorField(manifold, (r, s), comps, label=f"seeded {valence}")
 
 
 # -- derivations ------------------------------------------------------------
@@ -398,8 +379,8 @@ def _theta_output(theta, U, atlas, charts):
     return V
 
 
-def derivation_to_vector_field(theta, manifold: Manifold, seed: int = 0,
-                               grid=DEFAULT_GRID) -> GeneralizedVectorField:
+def derivation_to_vector_field(theta, manifold: Manifold,
+                               grid=DEFAULT_GRID) -> GeneralizedTensorField:
     """Recover the vector field Xi with theta = Xi(.) from a derivation.
 
     The candidate components are theta applied to the manifold's
@@ -416,7 +397,7 @@ def derivation_to_vector_field(theta, manifold: Manifold, seed: int = 0,
     atlas = manifold.atlas
     dim = atlas.dim
     charts = set(atlas.charts)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     pts = {}
     for c, ch in atlas.charts.items():
         box = ch.sample_box
@@ -428,7 +409,7 @@ def derivation_to_vector_field(theta, manifold: Manifold, seed: int = 0,
     surrogate_fns = [_surrogate_function(manifold, s) for s in manifold.surrogates]
     probes = list(surrogate_fns)
     probes += [S * S for S in surrogate_fns]
-    probes += random_coherent_functions(manifold, count=5, seed=seed)
+    probes += random_coherent_functions(manifold, count=5)
 
     def sup_at(V, c, e):
         return float(np.max(np.abs(V.nets[c].at(e)._partial_fn(zero, pts[c]))))
@@ -474,12 +455,12 @@ def derivation_to_vector_field(theta, manifold: Manifold, seed: int = 0,
 
             col[(axis,)] = Net(dim, factory)
         comps[c] = col
-    Xi = GeneralizedVectorField(atlas, comps, label="recovered")
+    Xi = GeneralizedTensorField(atlas, (1, 0), comps, label="recovered")
 
     for i, U in enumerate(probes):
         resid = thetas[i] - field_apply(Xi, U)
         for c in sorted(charts):
-            fit = classify_scalar_net(lambda e: sup_at(resid, c, e), grid)
+            fit = GeneralizedNumber.from_fn(lambda e: sup_at(resid, c, e), grid).classify()
             if not fit.is_negligible:
                 raise NotADerivation(
                     f"probe {i} residual in chart {c!r} is {fit.verdict} "

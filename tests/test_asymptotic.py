@@ -11,10 +11,10 @@ from colombeau.asymptotic import (
     DIVERGENT,
     MODERATE,
     NEGLIGIBLE,
-    classify_scalar_net,
     estimate_order,
 )
 from colombeau.errors import InsufficientSamples, InvalidSample
+from colombeau.gnumber import GeneralizedNumber
 from colombeau.grid import DEFAULT_GRID, dyadic_grid
 
 
@@ -40,28 +40,28 @@ def test_shared_default_grid_is_read_only():
 def test_exact_power_law_recovery(p, logc):
     # for c * eps^p the fitted slope must be p to near machine accuracy
     c = math.exp(logc)
-    fit = classify_scalar_net(lambda e: c * e ** p)
+    fit = GeneralizedNumber.from_fn(lambda e: c * e ** p).classify()
     assert abs(fit.slope - p) < 1e-9
     assert fit.residual < 1e-9
 
 
 def test_eps_squared_moderate_at_default_level_negligible_at_low_level():
-    fit = classify_scalar_net(lambda e: e ** 2)
+    fit = GeneralizedNumber.from_fn(lambda e: e ** 2).classify()
     assert abs(fit.slope - 2.0) < 1e-9
     # slope 2 < m_max - 0.25 = 5.75: not negligible at level 6
     assert fit.verdict == MODERATE and fit.order == 0
-    fit2 = classify_scalar_net(lambda e: e ** 2, m_max=2)
+    fit2 = GeneralizedNumber.from_fn(lambda e: e ** 2).classify(m_max=2)
     assert fit2.verdict == NEGLIGIBLE
 
 
 def test_one_over_eps_is_moderate_order_one():
-    fit = classify_scalar_net(lambda e: 1.0 / e)
+    fit = GeneralizedNumber.from_fn(lambda e: 1.0 / e).classify()
     assert abs(fit.slope + 1.0) < 1e-9
     assert fit.verdict == MODERATE and fit.order == 1
 
 
 def test_exp_minus_inverse_eps_is_negligible():
-    fit = classify_scalar_net(lambda e: math.exp(-1.0 / e))
+    fit = GeneralizedNumber.from_fn(lambda e: math.exp(-1.0 / e)).classify()
     # frozen oracle: exp(-1/eps) underflows to 0.0 for eps <= 2^-10, so the
     # five smallest grid points sit at the clamp floor
     assert fit.n_clamped == 5
@@ -72,20 +72,20 @@ def test_exp_minus_inverse_eps_is_negligible():
 
 
 def test_constant_net_is_moderate_order_zero():
-    fit = classify_scalar_net(lambda e: 7.0)
+    fit = GeneralizedNumber.from_fn(lambda e: 7.0).classify()
     assert abs(fit.slope) < 1e-9
     assert fit.verdict == MODERATE and fit.order == 0
 
 
 def test_inverse_cube_plus_one():
-    fit = classify_scalar_net(lambda e: e ** -3 + 1.0)
+    fit = GeneralizedNumber.from_fn(lambda e: e ** -3 + 1.0).classify()
     # frozen oracle: the +1 bends the line slightly at the largest eps
     assert fit.slope == pytest.approx(-2.999982228, abs=1e-6)
     assert fit.verdict == MODERATE and fit.order == 3
 
 
 def test_identically_zero_net_is_negligible_via_floor():
-    fit = classify_scalar_net(lambda e: 0.0)
+    fit = GeneralizedNumber.from_fn(lambda e: 0.0).classify()
     assert fit.verdict == NEGLIGIBLE
     assert fit.slope == math.inf
     assert fit.n_clamped == len(dyadic_grid())
@@ -95,7 +95,7 @@ def test_identically_zero_net_is_negligible_via_floor():
 def test_partial_zero_magnitudes_are_clamped_not_fatal():
     g = dyadic_grid()
     vals = {float(e): (0.0 if i % 2 else float(e)) for i, e in enumerate(g)}
-    fit = classify_scalar_net(lambda e: vals[e])
+    fit = GeneralizedNumber.from_fn(lambda e: vals[e]).classify()
     assert fit.n_clamped == len(g) // 2
     assert "clamped" in fit.note
     # frozen oracle: mix of a slope-1 line and the flat floor
@@ -104,9 +104,9 @@ def test_partial_zero_magnitudes_are_clamped_not_fatal():
 
 
 def test_divergent_verdict():
-    fit = classify_scalar_net(lambda e: e ** -25)
+    fit = GeneralizedNumber.from_fn(lambda e: e ** -25).classify()
     assert fit.verdict == DIVERGENT
-    fit2 = classify_scalar_net(lambda e: e ** -20)
+    fit2 = GeneralizedNumber.from_fn(lambda e: e ** -20).classify()
     # still within the moderate scale window
     assert fit2.verdict == MODERATE and fit2.order == 20
 
@@ -114,7 +114,7 @@ def test_divergent_verdict():
 def test_verdict_invariants_against_slope():
     # negligible verdict implies slope >= m_max - tol; moderate implies slope >= -N - tol
     for f in (lambda e: e ** 7, lambda e: 3.0 / e ** 2, lambda e: e ** 0.5):
-        fit = classify_scalar_net(f)
+        fit = GeneralizedNumber.from_fn(f).classify()
         if fit.verdict == NEGLIGIBLE and fit.slope != math.inf:
             assert fit.slope >= fit.m_max - 0.25
         if fit.verdict == MODERATE:
@@ -135,7 +135,7 @@ def test_sample_validation_errors():
 
 
 def test_json_round_trip_fields():
-    fit = classify_scalar_net(lambda e: 1.0 / e)
+    fit = GeneralizedNumber.from_fn(lambda e: 1.0 / e).classify()
     d = fit.to_json()
     for key in ("slope", "intercept", "residual", "verdict", "grid"):
         assert key in d

@@ -503,8 +503,8 @@ def _sections(space, charts):
     """A zero function, vector field, one-form tensor and 1-form on ``charts``."""
     dim = space.atlas.dim
     return {"gf": GeneralizedFunction(space, {c: Net.zero(dim) for c in charts}),
-            "vf": T.GeneralizedVectorField(space, {c: [0.0] * dim for c in charts}),
-            "one": T.GeneralizedOneForm(space, {c: [0.0] * dim for c in charts}),
+            "vf": T.GeneralizedTensorField(space, (1, 0), {c: [0.0] * dim for c in charts}),
+            "one": T.GeneralizedTensorField(space, (0, 1), {c: [0.0] * dim for c in charts}),
             "form": F.GeneralizedKForm(space, 1, {c: {} for c in charts})}
 
 
@@ -531,7 +531,7 @@ CHART_CONTRACT = {
 # each section built on the plane with one given entry per component
 SECTION_BUILDERS = {
     "function": lambda space, f: GeneralizedFunction(space, {"0": f}),
-    "vector field": lambda space, f: T.GeneralizedVectorField(space, {"0": [f, f]}),
+    "vector field": lambda space, f: T.GeneralizedTensorField(space, (1, 0), {"0": [f, f]}),
     "1-form": lambda space, f: F.GeneralizedKForm(space, 1, {"0": {(0,): f}}),
 }
 

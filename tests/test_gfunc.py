@@ -12,7 +12,6 @@ from colombeau import _mindex as mi
 from colombeau import gfunc as G
 from colombeau import smooth
 from colombeau import tensor as T
-from colombeau.asymptotic import classify_scalar_net
 from colombeau.embed import (
     DistributionSpec,
     dirac,
@@ -298,7 +297,7 @@ def _reference_rows(atlas, comps, valence, grid, n_samples):
                 return (0.0 if gap <= G.COHERENCE_RTOL * s0 + G.COHERENCE_GRAD_RTOL * s1
                         else gap)
 
-            fit = classify_scalar_net(gap_at, grid)
+            fit = GeneralizedNumber.from_fn(gap_at, grid).classify()
             rows.append(_row_key(fit.slope, float(max(fit.magnitudes)),
                                  fit.n_clamped, fit.verdict))
     return rows
@@ -327,8 +326,8 @@ def _residual_inputs(name, request):
                       T.random_tensor_field(t2, (1, 0), seed=75))
         return t2.atlas, F.comps, F.valence, dyadic_grid(4, 9), 9
     if name == "incoherent-field":
-        F = T.GeneralizedVectorField(s1, {"A": [from_sympy(sp.sin(y), [y])],
-                                          "B": [from_sympy(sp.cos(y), [y])]})
+        F = T.GeneralizedTensorField(s1, (1, 0), {"A": [from_sympy(sp.sin(y), [y])],
+                                                  "B": [from_sympy(sp.cos(y), [y])]})
         return s1.atlas, F.comps, F.valence, dyadic_grid(4, 9), 21
     if name == "embedded-dirac":
         iota = G.embed_manifold({"A": dirac(np.pi / 2), "B": dirac(np.pi / 2)}, s1,
@@ -345,11 +344,11 @@ def _residual_inputs(name, request):
         return atlas, scalar(U), (0, 0), dyadic_grid(4, 14), 41
     atlas, x0 = request.getfixturevalue("scaled_line"), sp.Symbol("x0")
     if name == "jacobian-field":
-        F = T.GeneralizedVectorField(atlas, {"L": [from_sympy(sp.sin(x0), [x0])],
-                                             "S": [from_sympy(2 * sp.sin(x0 / 2), [x0])]})
+        F = T.GeneralizedTensorField(atlas, (1, 0), {
+            "L": [from_sympy(sp.sin(x0), [x0])], "S": [from_sympy(2 * sp.sin(x0 / 2), [x0])]})
     else:  # jacobian-one-form
-        F = T.GeneralizedOneForm(atlas, {"L": [from_sympy(sp.sin(x0), [x0])],
-                                         "S": [from_sympy(sp.sin(x0 / 2) / 2, [x0])]})
+        F = T.GeneralizedTensorField(atlas, (0, 1), {
+            "L": [from_sympy(sp.sin(x0), [x0])], "S": [from_sympy(sp.sin(x0 / 2) / 2, [x0])]})
     return atlas, F.comps, F.valence, dyadic_grid(4, 9), 17
 
 
@@ -761,7 +760,8 @@ _LINE = euclidean(1)
 
 @pytest.mark.parametrize("operand", [
     pytest.param(lambda: G.GeneralizedFunction(_LINE, {"0": Net.zero(1)}), id="function"),
-    pytest.param(lambda: T.GeneralizedVectorField(_LINE, {"0": [Net.zero(1)]}), id="field"),
+    pytest.param(lambda: T.GeneralizedTensorField(_LINE, (1, 0), {"0": [Net.zero(1)]}),
+                 id="field"),
     pytest.param(lambda: smooth.constant(0.0, 1), id="smooth"),
     pytest.param(lambda: Net.zero(1), id="net"),
     pytest.param(lambda: GeneralizedNumber(np.array([0.5, 0.25]), np.zeros(2)), id="gnumber"),

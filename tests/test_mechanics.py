@@ -19,7 +19,7 @@ from colombeau.mechanics import (BUMP_NORMALIZATION, HamiltonianSystem,
                                  solve_singular_oscillator)
 from colombeau.nets import Net, box_lattice
 from colombeau.smooth import constant, coordinate, from_sympy
-from colombeau.tensor import bracket, field_apply, smooth_vector_field
+from colombeau.tensor import GeneralizedTensorField, bracket, field_apply, smooth_vector_field
 
 X0, X1 = sp.symbols("x0 x1")
 
@@ -154,8 +154,7 @@ def test_flat_pairing_limit(phase, sf):
     Xi_nets = {"0": np.array(
         [Net(2, lambda e: from_sympy(X1, (X0, X1)) * (1.0 + e)),
          Net(2, lambda e: from_sympy(-X0, (X0, X1)))], dtype=object)}
-    from colombeau.tensor import _make
-    Xi = _make(phase, (1, 0), Xi_nets)
+    Xi = GeneralizedTensorField(phase, (1, 0), Xi_nets)
     V = smooth_vector_field(phase, {"0": [constant(1.0, 2), constant(2.0, 2)]})
     pairing = flat(Xi, sf)(V)
     target = from_sympy(X0 + 2 * X1, (X0, X1))

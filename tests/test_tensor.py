@@ -8,7 +8,7 @@ import sympy as sp
 from colombeau import tensor as T
 from colombeau.embed import dirac, dirac_prime, embed_rn
 from colombeau.errors import AtlasMismatch, InvalidSlots, NotADerivation
-from colombeau.forms import random_kform
+from colombeau.forms import GeneralizedKForm, random_kform
 from colombeau.gfunc import (GeneralizedFunction, associate, coherence_check,
                              embed_manifold, sigma_embed)
 from colombeau.grid import dyadic_grid
@@ -42,7 +42,7 @@ def t2():
 
 def vf(space, *fns):
     chart = sorted(T._atlas_of(space).charts)[0]
-    return T.GeneralizedVectorField(space, {chart: list(fns)})
+    return T.GeneralizedTensorField(space, (1, 0), {chart: list(fns)})
 
 
 def values(net, eps, pts):
@@ -60,11 +60,11 @@ def field_values(F, chart, eps, pts):
 def test_component_shape_guard(line):
     plane = euclidean(2)
     with pytest.raises(AtlasMismatch):
-        T.GeneralizedVectorField(plane, {"0": [coordinate(0, 2)]})
+        T.GeneralizedTensorField(plane, (1, 0), {"0": [coordinate(0, 2)]})
     with pytest.raises(InvalidSlots):
         T.GeneralizedTensorField(line, (0, 0), {"0": coordinate(0, 1)})
     with pytest.raises(AtlasMismatch):
-        T.GeneralizedVectorField(line, {"Q": [coordinate(0, 1)]})
+        T.GeneralizedTensorField(line, (1, 0), {"Q": [coordinate(0, 1)]})
 
 
 def test_tensor_dict_part_needs_exactly_every_index():
@@ -74,12 +74,16 @@ def test_tensor_dict_part_needs_exactly_every_index():
     missing = {idx: v for idx, v in full.items() if idx != (1, 0)}
     with pytest.raises(AtlasMismatch):
         T.GeneralizedTensorField(plane, (1, 1), {"0": missing})
+    # a key that is no index of the shape is a slot error, as in a form
+    for valence, part in [((1, 1), {**full, (2, 0): 1.0}),
+                          ((1, 0), full),  # rank-2 keys on a rank-1 field
+                          ((0, 1), {(0,): 1.0, (1,): 1.0, (5,): 1.0})]:
+        with pytest.raises(InvalidSlots):
+            T.GeneralizedTensorField(plane, valence, {"0": part})
+    with pytest.raises(InvalidSlots):
+        GeneralizedKForm(plane, 1, {"0": {(0,): 1.0, (5,): 1.0}})
     with pytest.raises(AtlasMismatch):
-        T.GeneralizedTensorField(plane, (1, 1), {"0": {**full, (2, 0): 1.0}})
-    with pytest.raises(AtlasMismatch):
-        T.GeneralizedVectorField(plane, {"0": full})  # rank-2 keys on a rank-1 field
-    with pytest.raises(AtlasMismatch):
-        T.GeneralizedVectorField(plane, {"0": [1.0, 2.0, 3.0]})
+        T.GeneralizedTensorField(plane, (1, 0), {"0": [1.0, 2.0, 3.0]})
     with pytest.raises(AtlasMismatch):
         T.GeneralizedTensorField(plane, (1, 1), {"0": [[1.0, 2.0], [3.0]]})
 
@@ -93,7 +97,7 @@ def test_component_index_out_of_range_is_invalid_slots():
         with pytest.raises(InvalidSlots):
             F.component("0", idx)
     with pytest.raises(InvalidSlots):
-        T.GeneralizedVectorField(plane, {"0": [1.0, 2.0]}).component("0", 2)
+        T.GeneralizedTensorField(plane, (1, 0), {"0": [1.0, 2.0]}).component("0", 2)
     with pytest.raises(AtlasMismatch):
         F.component("Q", (0, 0))
     # a form reads its entries through the same method
@@ -117,7 +121,7 @@ def test_module_algebra(line):
     doubled = field_values(2.0 * A, "0", 0.125, pts)
     assert np.array_equal(doubled, 2.0 * field_values(A, "0", 0.125, pts))
     with pytest.raises(InvalidSlots):
-        A + T.GeneralizedOneForm(line, {"0": [sin]})
+        A + T.GeneralizedTensorField(line, (0, 1), {"0": [sin]})
     other = euclidean(1)
     with pytest.raises(AtlasMismatch):
         A + vf(other, sin)
@@ -126,7 +130,7 @@ def test_module_algebra(line):
 def test_tensor_product_components(line):
     sin = from_sympy(sp.sin(X), [X])
     cos = from_sympy(sp.cos(X), [X])
-    P = T.tensor_product(vf(line, sin), T.GeneralizedOneForm(line, {"0": [cos]}))
+    P = T.tensor_product(vf(line, sin), T.GeneralizedTensorField(line, (0, 1), {"0": [cos]}))
     assert P.valence == (1, 1)
     pts = box_lattice(line.atlas.charts["0"].sample_box, 41)
     got = values(P.component("0", (0, 0)), 0.25, pts)
@@ -137,7 +141,7 @@ def test_tensor_product_components(line):
 
 def test_contract_dual_pairing(line):
     one = constant(1.0, 1)
-    P = T.tensor_product(vf(line, one), T.GeneralizedOneForm(line, {"0": [one]}))
+    P = T.tensor_product(vf(line, one), T.GeneralizedTensorField(line, (0, 1), {"0": [one]}))
     tr = T.contract(P)
     assert isinstance(tr, GeneralizedFunction)
     pts = box_lattice(line.atlas.charts["0"].sample_box, 21)
@@ -156,7 +160,7 @@ def test_contract_slot_guard(line):
     sin = from_sympy(sp.sin(X), [X])
     with pytest.raises(InvalidSlots):
         T.contract(vf(line, sin))
-    P = T.tensor_product(vf(line, sin), T.GeneralizedOneForm(line, {"0": [sin]}))
+    P = T.tensor_product(vf(line, sin), T.GeneralizedTensorField(line, (0, 1), {"0": [sin]}))
     with pytest.raises(InvalidSlots):
         T.contract(P, up=1, low=0)
 
@@ -177,16 +181,38 @@ def test_evaluate_multilinear(s1):
         assert np.allclose(la, ra, rtol=0, atol=1e-13 * (1 + np.max(np.abs(la))))
 
 
+def test_call_goes_by_valence(s1):
+    # a computed vector field acts on functions as field_apply does, a
+    # one-form pairs with a vector field as evaluate does, and no other
+    # valence takes a single argument
+    Xi, Yi = (T.random_tensor_field(s1, (1, 0), seed=s) for s in (6, 7))
+    field = T.bracket(Xi, Yi)
+    A = T.random_tensor_field(s1, (0, 1), seed=4)
+    (U,) = T.random_coherent_functions(s1, count=1, seed=8)
+    pairs = [(field(U), T.field_apply(field, U)), (A(Xi), A.evaluate(vector_fields=(Xi,)))]
+    for c in ("A", "B"):
+        pts = box_lattice(s1.atlas.charts[c].sample_box, 31)
+        for eps in (0.25, 2.0 ** -10):
+            for got, want in pairs:
+                assert np.array_equal(values(got.nets[c], eps, pts),
+                                      values(want.nets[c], eps, pts))
+    with pytest.raises(InvalidSlots):
+        T.random_tensor_field(s1, (1, 1), seed=3)(U)
+    for arg in (U, 2.0):  # a one-form pairs with vector fields only
+        with pytest.raises(InvalidSlots):
+            A(arg)
+
+
 # -- Lie derivatives ---------------------------------------------------------
 
 
 def test_bracket_antisymmetry_exact_on_line(line):
     sin = from_sympy(sp.sin(X) + X ** 2 / 7, [X])
     gexp = from_sympy(sp.exp(-X ** 2) + X, [X])
-    A = T.GeneralizedVectorField(
-        line, {"0": [Net(1, lambda e: sin * (1.0 + e))]})
-    B = T.GeneralizedVectorField(
-        line, {"0": [Net(1, lambda e: gexp * (1.0 - 0.5 * e))]})
+    A = T.GeneralizedTensorField(
+        line, (1, 0), {"0": [Net(1, lambda e: sin * (1.0 + e))]})
+    B = T.GeneralizedTensorField(
+        line, (1, 0), {"0": [Net(1, lambda e: gexp * (1.0 - 0.5 * e))]})
     Z = T.bracket(A, B) + T.bracket(B, A)
     pts = box_lattice(line.atlas.charts["0"].sample_box, 201)
     for eps in dyadic_grid(4, 9):
@@ -286,7 +312,7 @@ def test_smooth_route_matches_generalized(s1):
 def test_lie_of_spike_field_is_spike_derivative(line, fourier):
     # L_{d/dx} (iota(delta) d/dx) has coefficient iota(delta)', which
     # pairs like the derivative-of-point-mass functional
-    S = T.GeneralizedVectorField(line, {"0": [embed_rn(dirac(), fourier)]})
+    S = T.GeneralizedTensorField(line, (1, 0), {"0": [embed_rn(dirac(), fourier)]})
     L = T.gen_lie_derivative(S, vf(line, constant(1.0, 1)))
     coeff = GeneralizedFunction(line.atlas, {"0": L.comps["0"][(0,)]})
     verdict = associate(coeff, dirac_prime(), grid=dyadic_grid(4, 11))
@@ -296,7 +322,7 @@ def test_lie_of_spike_field_is_spike_derivative(line, fourier):
 
 def test_tensor_product_spike_with_smooth(line, fourier):
     # (iota(delta) d/dx) (x) (g d/dx) pairs like g(0) times a point mass
-    S = T.GeneralizedVectorField(line, {"0": [embed_rn(dirac(), fourier)]})
+    S = T.GeneralizedTensorField(line, (1, 0), {"0": [embed_rn(dirac(), fourier)]})
     g = from_sympy(2 + sp.cos(X), [X])
     P = T.tensor_product(S, vf(line, g))
     coeff = GeneralizedFunction(line.atlas, {"0": P.comps["0"][(0, 0)]})
@@ -320,7 +346,7 @@ def test_incoherent_components_flagged(s1):
     y = sp.Symbol("y0")
     comps = {"A": [from_sympy(sp.sin(y), [y])],
              "B": [from_sympy(sp.cos(y), [y])]}
-    F = T.GeneralizedVectorField(s1, comps)
+    F = T.GeneralizedTensorField(s1, (1, 0), comps)
     rep = T.coherence_check_tensor(F, grid=dyadic_grid(4, 9), n_samples=21)
     assert not rep["coherent"]
 
@@ -330,19 +356,19 @@ def test_jacobian_weights_in_coherence(scaled_line):
     y = sp.Symbol("x0")
     # vector components scale with the Jacobian, one-form components
     # against it
-    V = T.GeneralizedVectorField(
-        atlas, {"L": [from_sympy(sp.sin(y), [y])],
-                "S": [from_sympy(2 * sp.sin(y / 2), [y])]})
-    A = T.GeneralizedOneForm(
-        atlas, {"L": [from_sympy(sp.sin(y), [y])],
-                "S": [from_sympy(sp.sin(y / 2) / 2, [y])]})
+    V = T.GeneralizedTensorField(
+        atlas, (1, 0), {"L": [from_sympy(sp.sin(y), [y])],
+                        "S": [from_sympy(2 * sp.sin(y / 2), [y])]})
+    A = T.GeneralizedTensorField(
+        atlas, (0, 1), {"L": [from_sympy(sp.sin(y), [y])],
+                        "S": [from_sympy(sp.sin(y / 2) / 2, [y])]})
     grid = dyadic_grid(4, 9)
     assert T.coherence_check_tensor(V, grid=grid, n_samples=17)["coherent"]
     assert T.coherence_check_tensor(A, grid=grid, n_samples=17)["coherent"]
     # dropping the weight breaks the law
-    W = T.GeneralizedVectorField(
-        atlas, {"L": [from_sympy(sp.sin(y), [y])],
-                "S": [from_sympy(sp.sin(y / 2), [y])]})
+    W = T.GeneralizedTensorField(
+        atlas, (1, 0), {"L": [from_sympy(sp.sin(y), [y])],
+                        "S": [from_sympy(sp.sin(y / 2), [y])]})
     assert not T.coherence_check_tensor(W, grid=grid, n_samples=17)["coherent"]
 
 
@@ -358,10 +384,10 @@ def test_contraction_commutes_with_transitions(s1):
 
 def test_derivation_roundtrip_on_line(line):
     comp = Net(1, lambda e: from_sympy(sp.sin(X) + X / 3, [X]) * (1.0 + e))
-    Xi0 = T.GeneralizedVectorField(line, {"0": [comp]})
+    Xi0 = T.GeneralizedTensorField(line, (1, 0), {"0": [comp]})
     Xi = T.derivation_to_vector_field(lambda U: T.field_apply(Xi0, U), line,
                                       grid=dyadic_grid(4, 9))
-    assert isinstance(Xi, T.GeneralizedVectorField)
+    assert isinstance(Xi, T.GeneralizedTensorField) and Xi.valence == (1, 0)
     pts = box_lattice(line.atlas.charts["0"].sample_box, 101)
     for eps in dyadic_grid(4, 9):
         assert np.array_equal(values(Xi.comps["0"][(0,)], eps, pts),
