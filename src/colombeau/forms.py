@@ -5,8 +5,9 @@ increasing index tuple; components at permuted indices carry the parity
 sign and repeated indices vanish, so antisymmetry holds by storage.
 Provides the exterior derivative, wedge products, interior products,
 Lie derivatives, the star-shaped homotopy inverse of d, top-degree
-integration, and Stokes residual reports on intervals, disks, and
-boxes.
+integration, and Stokes residual reports on nonempty coordinate boxes
+(an interval is the 1-box) and on disks.  Box integrals go through
+``gfunc.integrate`` and box sups through ``nets.sup_norms``.
 """
 
 from __future__ import annotations
@@ -18,11 +19,11 @@ import numpy as np
 from . import _mindex as mi
 from .errors import (DegreeOverflow, DomainError, InvalidDegree, InvalidSlots,
                      QuadratureFailure)
-from .gfunc import GeneralizedFunction, GeneralizedSection, _same_charts, _sum, integrate_box
+from .gfunc import GeneralizedFunction, GeneralizedSection, _same_charts, _sum, integrate
 from .gnumber import GeneralizedNumber
 from .grid import DEFAULT_GRID
 from .manifolds import Manifold
-from .nets import Net, box_lattice
+from .nets import Net, sup_norms
 from .quadrature import box_rule, interval_rule
 from .smooth import SmoothFn
 from .tensor import (GeneralizedTensorField, _keys, _lie_parts, coherence_check_tensor,
@@ -285,7 +286,9 @@ def homotopy_H(omega: GeneralizedKForm):
 
 def poincare_check(omega: GeneralizedKForm, grid=DEFAULT_GRID, n_samples: int = 21,
                    tol: float = 1e-7) -> dict:
-    """Lattice residual of d(H w) + H(dw) = w, per eps.
+    """Lattice residual of d(H w) + H(dw) = w, per eps: the largest
+    ``nets.sup_norms`` of any component's gap.  A NaN gap gives a NaN
+    residual and ``ok`` False.
 
     On the top degree the second term is the homotopy of the empty
     (n+1)-form, identically zero.
@@ -293,21 +296,14 @@ def poincare_check(omega: GeneralizedKForm, grid=DEFAULT_GRID, n_samples: int = 
     atlas = omega.atlas
     c = _single_star_chart(atlas)
     dim = atlas.dim
-    pts = box_lattice(atlas.charts[c].sample_box, n_samples)
     recon = exterior_d(homotopy_H(omega))
     if omega.degree < dim:
         recon = recon + homotopy_H(exterior_d(omega))
-    rows = []
-    worst = 0.0
-    zero = (0,) * dim
-    for e in grid:
-        sup = 0.0
-        for K in omega.keys():
-            have = recon.comps[c][K].at(e)._partial_fn(zero, pts)
-            want = omega.comps[c][K].at(e)._partial_fn(zero, pts)
-            sup = max(sup, float(np.max(np.abs(have - want))))
-        worst = max(worst, sup)
-        rows.append({"eps": float(e), "sup_residual": sup})
+    gap = recon - omega
+    sups = np.max([sup_norms(net, (0,) * dim, atlas.charts[c].sample_box, grid, n_samples)
+                   for net in gap.comps[c].values()], axis=0)
+    worst = float(np.max(sups))
+    rows = [{"eps": float(e), "sup_residual": float(s)} for e, s in zip(grid, sups)]
     return {"ok": worst < tol, "max_residual": worst, "tol": tol, "rows": rows}
 
 
@@ -315,23 +311,18 @@ def poincare_check(omega: GeneralizedKForm, grid=DEFAULT_GRID, n_samples: int = 
 
 
 def integrate_nform(omega: GeneralizedKForm, box=None, grid=DEFAULT_GRID) -> GeneralizedNumber:
-    """Integral of a top-degree form over a chart box, per eps."""
+    """Integral of a top-degree form over a chart box, per eps: ``gfunc.integrate``
+    of its one component."""
     if not isinstance(omega, GeneralizedKForm):
         raise InvalidDegree("integration needs a form")
-    atlas = omega.atlas
     names = omega.chart_names()
     if len(names) != 1:
         raise DomainError("top-degree integration works on a single chart")
-    c = names[0]
-    dim = atlas.dim
+    dim = omega.atlas.dim
     if omega.degree != dim:
         raise DomainError(f"degree {omega.degree} is not the dimension {dim}")
-    if box is None:
-        box = atlas.charts[c].sample_box
-    net = omega.comps[c][tuple(range(dim))]
-    values = [integrate_box(net.at(float(e)), box, eps_hint=float(e))
-              for e in grid]
-    return GeneralizedNumber(grid, values, label=f"int {omega.label}")
+    top = {names[0]: omega.comps[names[0]][tuple(range(dim))]}
+    return integrate(GeneralizedFunction(omega.atlas, top, label=omega.label), box=box, grid=grid)
 
 
 def _face_integral(fn: SmoothFn, box, axis: int, value: float) -> float:
@@ -352,38 +343,24 @@ def _face_integral(fn: SmoothFn, box, axis: int, value: float) -> float:
 def stokes_check(omega, domain, grid=DEFAULT_GRID, tol: float = 1e-6) -> dict:
     """Residual of the boundary theorem on a supported domain, per eps.
 
-    Domains: ("interval", (a, b)) for 0-forms on a line chart,
-    ("disk", radius) for 1-forms in the plane, ("box", box) for
-    codimension-one forms on a coordinate box.  Anything else raises
+    Domains: ("box", box) for forms of degree dim - 1 on a coordinate
+    box with lo < hi on every axis of the chart, a generalized function
+    on a line chart counting as the 0-form on a 1-box (an interval), and
+    ("disk", radius) for 1-forms in the plane.  Anything else raises
     DomainError.  The report carries lhs (integral of d omega), rhs
     (boundary integral), and their gap for every eps.
     """
     kind = domain[0] if isinstance(domain, (tuple, list)) and domain else None
-    atlas = omega.atlas if isinstance(omega, (GeneralizedFunction, GeneralizedKForm)) \
-        else None
-    if atlas is None:
+    if not isinstance(omega, (GeneralizedFunction, GeneralizedKForm)):
         raise TypeError("stokes_check needs a form or generalized function")
     names = omega.chart_names()
     if len(names) != 1:
         raise DomainError("the boundary theorem report works on a single chart")
     c = names[0]
-    dim = atlas.dim
+    dim = omega.atlas.dim
 
     rows = []
-    if kind == "interval":
-        if dim != 1 or not isinstance(omega, GeneralizedFunction):
-            raise DomainError("interval domains take 0-forms on a line chart")
-        a, b = float(domain[1][0]), float(domain[1][1])
-        if not a < b:
-            raise DomainError(f"empty interval ({a}, {b})")
-        dnet = exterior_d(omega).comps[c][(0,)]
-        unet = omega.nets[c]
-        for e in grid:
-            lhs = integrate_box(dnet.at(float(e)), ((a, b),), eps_hint=float(e))
-            fe = unet.at(float(e))
-            rhs = float(fe(b)) - float(fe(a))
-            rows.append((lhs, rhs))
-    elif kind == "disk":
+    if kind == "disk":
         if dim != 2 or not isinstance(omega, GeneralizedKForm) or omega.degree != 1:
             raise DomainError("disk domains take 1-forms in the plane")
         radius = float(domain[1]) if len(domain) > 1 else 1.0
@@ -408,18 +385,18 @@ def stokes_check(omega, domain, grid=DEFAULT_GRID, tol: float = 1e-6) -> dict:
             rhs = float(np.mean(v0 * tangent[:, 0] + v1 * tangent[:, 1])) * 2.0 * np.pi
             rows.append((lhs, rhs))
     elif kind == "box":
-        if not isinstance(omega, GeneralizedKForm) or omega.degree != dim - 1:
+        is_form = isinstance(omega, GeneralizedKForm)
+        if (omega.degree if is_form else 0) != dim - 1:
             raise DomainError("box domains take forms of degree dim - 1")
         box = tuple((float(lo), float(hi)) for lo, hi in domain[1])
-        if len(box) != dim:
-            raise DomainError(f"box has {len(box)} axes, chart has {dim}")
-        top = exterior_d(omega).comps[c][tuple(range(dim))]
-        for e in grid:
-            lhs = integrate_box(top.at(float(e)), box, eps_hint=float(e))
+        if len(box) != dim or not all(lo < hi for lo, hi in box):
+            raise DomainError(f"box {box} needs {dim} axes, each with lo < hi")
+        parts = omega.comps[c] if is_form else {(): omega.nets[c]}
+        bulk = integrate_nform(exterior_d(omega), box, grid).values.tolist()
+        for e, lhs in zip(grid, bulk):
             rhs = 0.0
             for i in range(dim):
-                key = tuple(j for j in range(dim) if j != i)
-                f = omega.comps[c][key].at(float(e))
+                f = parts[tuple(j for j in range(dim) if j != i)].at(float(e))
                 flux = _face_integral(f, box, i, box[i][1]) \
                     - _face_integral(f, box, i, box[i][0])
                 rhs += (-1.0) ** i * flux

@@ -757,7 +757,7 @@ def product_consistency_check(U: GeneralizedFunction, V: GeneralizedFunction,
             for e in (grid[0], grid[len(grid) // 2], grid[-1]):
                 gu = U.nets[c].at(float(e))._partial_fn((0,) * U.atlas.dim, x)
                 gf = f[c]._partial_fn((0,) * U.atlas.dim, x)
-                worst = max(worst, float(np.max(np.abs(gu - gf))))
+                worst = float(np.maximum(worst, np.max(np.abs(gu - gf))))
         hyp["sigma_gap"] = worst
         hyp["ok"] = worst == 0.0
     else:

@@ -90,14 +90,15 @@ class Atlas:
     def validate(self, n_samples: int = 25) -> dict:
         report = {"atlas": self.name, "round_trip": {}, "transition": {},
                   "cocycle": {}, "jacobian": {}}
+        # np.maximum and `not r <= tol` keep a NaN residual from reading as a pass
         for name, ch in self.charts.items():
             pts = box_lattice(ch.sample_box, n_samples)
             worst = 0.0
             for x in pts:
                 y = np.atleast_1d(np.asarray(ch.to_coords(ch.from_coords(x)), dtype=float))
-                worst = max(worst, float(np.max(np.abs(y - x))))
+                worst = float(np.maximum(worst, np.max(np.abs(y - x))))
             report["round_trip"][name] = worst
-            if worst > ROUND_TRIP_TOL:
+            if not worst <= ROUND_TRIP_TOL:
                 raise CoherenceFailure(
                     f"chart {name} round trip off by {worst:.3e} (tol {ROUND_TRIP_TOL})")
 
@@ -113,21 +114,21 @@ class Atlas:
                 for xi, yi in zip(x[:: max(1, len(x) // 10)], y[:: max(1, len(x) // 10)]):
                     yc = np.atleast_1d(np.asarray(
                         chb.to_coords(cha.from_coords(xi)), dtype=float))
-                    worst_t = max(worst_t, float(np.max(np.abs(yc - yi))))
+                    worst_t = float(np.maximum(worst_t, np.max(np.abs(yc - yi))))
                 back = t_ba.fn(y)
-                worst_inv = max(worst_inv, float(np.max(np.abs(back - x))))
+                worst_inv = float(np.maximum(worst_inv, np.max(np.abs(back - x))))
                 jac = t_ab.jac(x)
-                min_det = min(min_det, float(np.min(np.abs(np.linalg.det(jac)))))
-                worst_jac = max(worst_jac, _jac_fd_residual(t_ab, x))
+                min_det = float(np.minimum(min_det, np.min(np.abs(np.linalg.det(jac)))))
+                worst_jac = float(np.maximum(worst_jac, _jac_fd_residual(t_ab, x)))
             report["transition"][f"{a}->{b}"] = {
                 "chart_consistency": worst_t, "inverse": worst_inv,
                 "jac_fd": worst_jac, "min_abs_det": min_det,
             }
-            if worst_t > TRANSITION_TOL or worst_inv > TRANSITION_TOL:
+            if not (worst_t <= TRANSITION_TOL and worst_inv <= TRANSITION_TOL):
                 raise CoherenceFailure(f"transition {a}->{b} inconsistent: {report['transition'][f'{a}->{b}']}")
-            if min_det < 1e-8:
+            if not min_det >= 1e-8:
                 raise CoherenceFailure(f"transition {a}->{b} has near-singular Jacobian")
-            if worst_jac > JAC_FD_TOL:
+            if not worst_jac <= JAC_FD_TOL:
                 raise CoherenceFailure(f"transition {a}->{b} Jacobian disagrees with finite differences")
 
         for (a, b) in self.overlap_boxes:
@@ -137,7 +138,7 @@ class Atlas:
                 worst = _cocycle_residual(self, a, b, c, n_samples)
                 if worst is not None:
                     report["cocycle"][f"{a}->{b}->{c}"] = worst
-                    if worst > COCYCLE_TOL:
+                    if not worst <= COCYCLE_TOL:
                         raise CoherenceFailure(
                             f"cocycle {a}->{b}->{c} off by {worst:.3e}")
         return report
@@ -152,7 +153,7 @@ def _jac_fd_residual(t: Transition, x: np.ndarray) -> float:
         e = np.zeros(dim)
         e[k] = h
         col = (t.fn(x + e) - t.fn(x - e)) / (2 * h)
-        worst = max(worst, float(np.max(np.abs(col - jac[:, :, k]))))
+        worst = float(np.maximum(worst, np.max(np.abs(col - jac[:, :, k]))))
     return worst
 
 
@@ -171,7 +172,7 @@ def _cocycle_residual(atlas: Atlas, a: str, b: str, c: str, n_samples: int):
         via_b = t_bc.fn(t_ab.fn(x))
         direct = t_ac.fn(x)
         r = float(np.max(np.abs(via_b - direct)))
-        worst = r if worst is None else max(worst, r)
+        worst = r if worst is None else float(np.maximum(worst, r))
     return worst
 
 
@@ -206,9 +207,9 @@ class PartitionOfUnity:
             for x in box_lattice(ch.sample_box, n_samples):
                 p = ch.from_coords(x)
                 s = sum(self.value(j, p) for j in self.atlas.charts)
-                worst_sum = max(worst_sum, abs(s - 1.0))
+                worst_sum = float(np.maximum(worst_sum, abs(s - 1.0)))
         report["sum_minus_one"] = worst_sum
-        if worst_sum > POU_SUM_TOL:
+        if not worst_sum <= POU_SUM_TOL:
             raise PartitionMismatch(f"partition sums to 1 off by {worst_sum:.3e}")
         worst_plateau = 0.0
         for name in self.atlas.charts:
@@ -218,9 +219,9 @@ class PartitionOfUnity:
             zetav = self.zeta[name](pts)
             mask = np.abs(chiv) > 1e-30
             if mask.any():
-                worst_plateau = max(worst_plateau, float(np.max(np.abs(zetav[mask] - 1.0))))
+                worst_plateau = float(np.maximum(worst_plateau, np.max(np.abs(zetav[mask] - 1.0))))
         report["zeta_plateau"] = worst_plateau
-        if worst_plateau > 1e-12:
+        if not worst_plateau <= 1e-12:
             raise PartitionMismatch(f"zeta not flat on supp chi: {worst_plateau:.3e}")
         return report
 

@@ -1,6 +1,8 @@
 """Mollifier construction with measured moment certificates.
 
-Two families:
+A mollifier is named by one grammar, the one the command line accepts:
+``"fourier"`` or ``"gausspoly:M"`` with an integer M >= 1
+(:func:`mollifier_spec`).  Two families:
 
 * ``fourier``: rho(x) = sin(Cx)/(pi x) * exp(-S^2 x^2 / 2).  This is the
   inverse transform of a smoothed frequency window (an indicator on
@@ -153,12 +155,11 @@ class Mollifier:
     certificates : measured integral error and moments.
     """
 
-    def __init__(self, kind, evaluator, support_radius_hint, moment_order, params):
+    def __init__(self, kind, evaluator, support_radius_hint, moment_order):
         self.kind = kind
         self._evaluator = evaluator
         self.support_radius_hint = float(support_radius_hint)
         self.moment_order = int(moment_order)
-        self.params = dict(params)
         self.certificates: dict = {}
 
     def deriv(self, k: int, x):
@@ -210,7 +211,9 @@ def _panelled_moments(fn, ks, radius: float, panel: float = 2.0):
     return values, floors
 
 
-def _certify(mol: Mollifier, n_moments: int):
+def _certify(mol: Mollifier):
+    """Measure the integral and moments 1..moment_order; raise on any out of tolerance."""
+    n_moments = mol.moment_order
     values, floors = _panelled_moments(
         lambda x: mol.deriv(0, x), range(n_moments + 1), mol.support_radius_hint
     )
@@ -227,7 +230,7 @@ def _certify(mol: Mollifier, n_moments: int):
         raise QuadratureFailure(
             f"mollifier integral off by {abs(integral - 1.0):.3e} (tol {INTEGRAL_TOL})"
         )
-    bad = {k: v for k, v in moments.items() if k <= mol.moment_order and abs(v) > MOMENT_TOL}
+    bad = {k: v for k, v in moments.items() if abs(v) > MOMENT_TOL}
     if bad:
         raise QuadratureFailure(f"moment certificate out of tolerance: {bad}")
 
@@ -261,45 +264,14 @@ def gausspoly_coefficients(order: int) -> np.ndarray:
     return coeffs
 
 
-def build_mollifier(kind: str = "fourier", **params) -> Mollifier:
-    """Build a certified mollifier.
+def mollifier_spec(text: str) -> int | None:
+    """The gausspoly order M that a mollifier name stands for, None for 'fourier'.
 
-    kind = "fourier": no params; FOURIER_C, FOURIER_S and FOURIER_RADIUS.
-    kind = "gausspoly": required param order (the M above).
-    Raises MomentSystemSingular or QuadratureFailure on failure.
-    """
-    if kind == "fourier":
-        if params:
-            raise ValueError(f"unknown fourier params {sorted(params)}")
-        mol = Mollifier(
-            "fourier", _FourierProfile(FOURIER_C, FOURIER_S), FOURIER_RADIUS,
-            FOURIER_MOMENT_ORDER, {"c": FOURIER_C, "s": FOURIER_S, "radius": FOURIER_RADIUS},
-        )
-        _certify(mol, FOURIER_MOMENT_ORDER)
-        return mol
-    if kind == "gausspoly":
-        order = int(params.pop("order", 2))
-        if params:
-            raise ValueError(f"unknown gausspoly params {sorted(params)}")
-        coeffs = gausspoly_coefficients(order)
-        # exp(-x^2) * poly is below 1e-33 past x ~ 9.5 for small orders
-        mol = Mollifier(
-            "gausspoly", _GaussPolyProfile(coeffs), 9.5, 2 * order + 1,
-            {"order": order, "coefficients": list(coeffs)},
-        )
-        _certify(mol, 2 * order + 1)
-        return mol
-    raise ValueError(f"unknown mollifier kind {kind!r}")
-
-
-def mollifier_spec(text: str) -> tuple[str, dict]:
-    """Validate a mollifier name: 'fourier' or 'gausspoly:M' with M >= 1.
-
-    Returns ``(kind, params)`` for :func:`build_mollifier` without
-    building anything; raises ValueError on any other text.
+    The names are 'fourier' and 'gausspoly:M' with an integer M >= 1;
+    any other text raises ValueError.  Nothing is built.
     """
     if text == "fourier":
-        return "fourier", {}
+        return None
     if isinstance(text, str) and text.startswith("gausspoly:"):
         try:
             order = int(text.split(":", 1)[1])
@@ -307,11 +279,24 @@ def mollifier_spec(text: str) -> tuple[str, dict]:
             raise ValueError(f"malformed mollifier spec {text!r}")
         if order < 1:
             raise ValueError("gausspoly order must be >= 1")
-        return "gausspoly", {"order": order}
+        return order
     raise ValueError(f"unknown mollifier {text!r}")
 
 
-def parse_mollifier(text: str) -> Mollifier:
-    """Build the mollifier a 'fourier' or 'gausspoly:M' name stands for."""
-    kind, params = mollifier_spec(text)
-    return build_mollifier(kind, **params)
+def build_mollifier(spec: str = "fourier") -> Mollifier:
+    """Build and certify the mollifier named ``spec`` (see :func:`mollifier_spec`).
+
+    "fourier" uses FOURIER_C, FOURIER_S and FOURIER_RADIUS; "gausspoly:M"
+    has moments 1..2M+1 certified.  Raises ValueError on any other name,
+    MomentSystemSingular or QuadratureFailure on a failed build.
+    """
+    order = mollifier_spec(spec)
+    if order is None:
+        mol = Mollifier("fourier", _FourierProfile(FOURIER_C, FOURIER_S), FOURIER_RADIUS,
+                        FOURIER_MOMENT_ORDER)
+    else:
+        # exp(-x^2) * poly is below 1e-33 past x ~ 9.5 for small orders
+        mol = Mollifier("gausspoly", _GaussPolyProfile(gausspoly_coefficients(order)), 9.5,
+                        2 * order + 1)
+    _certify(mol)
+    return mol

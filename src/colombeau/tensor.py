@@ -423,7 +423,7 @@ def derivation_to_vector_field(theta, manifold: Manifold,
             - U * thetas[(i + 1) % len(probes)]
         for c in sorted(charts):
             for e in eps_probe:
-                bad = max(sup_at(lin, c, e), sup_at(lei, c, e))
+                bad = np.maximum(sup_at(lin, c, e), sup_at(lei, c, e))
                 if not bad <= DERIVATION_TOL:
                     raise NotADerivation(
                         f"probe {i} fails linearity/Leibniz in chart {c!r} "

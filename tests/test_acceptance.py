@@ -35,7 +35,7 @@ def _run(name, **kw):
 def test_criterion_01_mollifier_certificates():
     t0 = time.monotonic()
     certs = []
-    for mol in (build_mollifier("fourier"), build_mollifier("gausspoly", order=4)):
+    for mol in (build_mollifier("fourier"), build_mollifier("gausspoly:4")):
         c = mol.certificates
         moments = [abs(c["moments"][k]) for k in range(1, mol.moment_order + 1)]
         certs.append((c["integral_error"], max(moments)))

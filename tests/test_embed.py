@@ -171,7 +171,7 @@ def _batch_specs():
 
 
 def _batch_mollifier(kind):
-    return build_mollifier("gausspoly", order=3) if kind == "gausspoly3" else build_mollifier(kind)
+    return build_mollifier("gausspoly:3" if kind == "gausspoly3" else kind)
 
 
 @pytest.mark.parametrize("spec", ["heaviside", "sin_exp"])
@@ -299,7 +299,7 @@ def test_smoothing_consistency_fourier(fourier):
 
 @pytest.mark.slow
 def test_smoothing_consistency_gausspoly():
-    mol = build_mollifier("gausspoly", order=2)
+    mol = build_mollifier("gausspoly:2")
     wind = from_sympy(sp.sin(X) * _window_expr(1.2, 2.0), [X])
     target = Net.constant_in_eps(from_sympy(sp.sin(X), [X]))
     resid = embed_rn(smooth_piece(wind, -2.0, 2.0), mol) - target

@@ -271,6 +271,17 @@ def test_poincare_identity_all_degrees(space3):
         assert rep["max_residual"] < 1e-7
 
 
+def test_poincare_nan_residual_fails():
+    """sqrt(x0 - 2) is NaN on the unit ball: the residual must not read as 0."""
+    ball = euclidean(3, 1.0)
+    w = F.GeneralizedKForm(ball, 1, {"0": {(0,): smooth3(sp.sqrt(X0 - 2)),
+                                           (1,): 0.0, (2,): 0.0}})
+    rep = F.poincare_check(w, grid=dyadic_grid(4, 7), n_samples=5)
+    assert rep["ok"] is False
+    assert math.isnan(rep["max_residual"])
+    assert all(math.isnan(r["sup_residual"]) for r in rep["rows"])
+
+
 def _homotopy_per_node(omega, J, eps, alpha, pts, n_t=32):
     """Reference: the homotopy component J of ``omega`` at ``eps``, evaluated
     node by node in t, each source leaf called once per node."""
@@ -365,12 +376,14 @@ def test_integrate_nform(line, plane, fourier):
 
 def test_stokes_interval_with_jump(line, fourier):
     H = GeneralizedFunction(line.atlas, {"0": embed_rn(heaviside(), fourier)})
-    rep = F.stokes_check(H, ("interval", (-1.0, 1.0)), grid=dyadic_grid(4, 11))
+    rep = F.stokes_check(H, ("box", ((-1.0, 1.0),)), grid=dyadic_grid(4, 11))
     assert rep["ok"]
     assert rep["max_rel_residual"] < 1e-6
     assert {"eps", "lhs", "rhs", "residual"} <= set(rep["rows"][0])
-    with pytest.raises(DomainError):
-        F.stokes_check(H, ("interval", (1.0, -1.0)))
+    # an interval is the 1-box: reversed, empty or two-axis boxes are refused
+    for box in (((1.0, -1.0),), ((0.5, 0.5),), ((-1.0, 1.0), (-1.0, 1.0))):
+        with pytest.raises(DomainError):
+            F.stokes_check(H, ("box", box))
 
 
 def test_stokes_disk(plane):
@@ -384,7 +397,7 @@ def test_stokes_disk(plane):
     with pytest.raises(DomainError):
         F.stokes_check(w, ("disk", -1.0))
     with pytest.raises(DomainError):
-        F.stokes_check(w, ("interval", (0.0, 1.0)))
+        F.stokes_check(w, ("box", ((0.0, 1.0),)))
 
 
 def test_quadrature_of_constant_components(line, plane):
@@ -398,7 +411,7 @@ def test_quadrature_of_constant_components(line, plane):
     for row in rep["rows"]:
         assert abs(row["lhs"] - 2.0 * np.pi) < 1e-12 and abs(row["rhs"] - 2.0 * np.pi) < 1e-12
     u = sigma_embed(line, {"0": from_sympy(2 * X0, [X0])})
-    rep = F.stokes_check(u, ("interval", (-1.0, 1.0)), grid=grid)
+    rep = F.stokes_check(u, ("box", ((-1.0, 1.0),)), grid=grid)
     assert rep["ok"]
     for row in rep["rows"]:
         assert abs(row["lhs"] - 4.0) < 1e-14 and row["rhs"] == 4.0
@@ -426,8 +439,13 @@ def test_stokes_box_r3(space3):
     rep = F.stokes_check(w, ("box", box), grid=dyadic_grid(4, 8))
     assert rep["ok"] and rep["max_rel_residual"] < 1e-9
     assert abs(rep["rows"][0]["lhs"] - 16.0) < 1e-10
-    with pytest.raises(DomainError):
-        F.stokes_check(w, ("triangle", box))
+    # a zero-width box would compare 0 with 0
+    for domain in (("triangle", box),
+                   ("box", ((0.5, 0.5), (-0.5, 1.5), (0.0, 2.0))),
+                   ("box", ((1.0, -1.0), (-0.5, 1.5), (0.0, 2.0))),
+                   ("box", box[:2])):
+        with pytest.raises(DomainError):
+            F.stokes_check(w, domain)
 
 
 # -- coherence on overlaps ----------------------------------------------------

@@ -599,7 +599,7 @@ def test_heaviside_derivative_associates_to_delta(fourier, line):
 
 
 def test_gausspoly_embedding_associates_too(line):
-    gp = build_mollifier("gausspoly", order=2)
+    gp = build_mollifier("gausspoly:2")
     Dg = G.GeneralizedFunction(line, {"0": embed_rn(dirac(), gp)})
     v = G.associate(Dg, dirac(0.0), grid=dyadic_grid(4, 11))
     assert v.status == "associated"

@@ -134,6 +134,23 @@ def test_validation_catches_bad_jacobian():
         atlas.validate(n_samples=9)
 
 
+def test_validation_raises_on_nan_transition():
+    """A transition that maps every point to NaN must fail, not read as 0.0."""
+    charts = {name: Chart(name, 1, lambda p: True,
+                          lambda p: np.atleast_1d(float(p)),
+                          lambda x: float(np.asarray(x).reshape(-1)[0]),
+                          ((-1.0, 1.0),))
+              for name in ("0", "1")}
+    nan = Transition(lambda x: np.full(np.shape(x), np.nan),
+                     lambda x: np.ones((len(x), 1, 1)))
+    same = Transition(lambda y: np.asarray(y, dtype=float),
+                      lambda y: np.ones((len(y), 1, 1)))
+    atlas = Atlas("nan-line", 1, charts, {("0", "1"): nan, ("1", "0"): same},
+                  {("0", "1"): [((-0.9, 0.9),)]})
+    with pytest.raises(CoherenceFailure):
+        atlas.validate(n_samples=9)
+
+
 def test_pou_membership_must_match_charts(s1):
     with pytest.raises(PartitionMismatch):
         PartitionOfUnity(s1.atlas, {"A": s1.pou.chi["A"]}, s1.pou.zeta,

@@ -23,7 +23,7 @@ from colombeau.mollifier import (
     _panelled_moments,
     build_mollifier,
     gausspoly_coefficients,
-    parse_mollifier,
+    mollifier_spec,
 )
 from colombeau.nets import classify_net
 
@@ -35,7 +35,7 @@ def fourier():
 
 @pytest.fixture(scope="module")
 def gp2():
-    return build_mollifier("gausspoly", order=2)
+    return build_mollifier("gausspoly:2")
 
 
 # -- frozen profile values (mpmath, 40 digits) -------------------------
@@ -138,11 +138,11 @@ def _quad_moment(fn, k: int, radius: float) -> float:
     return total
 
 
-@pytest.mark.parametrize("kind, params", [("fourier", {}), ("gausspoly", {"order": 4})])
-def test_certificates_agree_with_scalar_quad(kind, params):
+@pytest.mark.parametrize("spec", ["fourier", "gausspoly:4"])
+def test_certificates_agree_with_scalar_quad(spec):
     # gausspoly's polynomial factor loses tens of floors to cancellation,
     # so the bar is the multiple at which the rule itself gives up
-    mol = build_mollifier(kind, **params)
+    mol = build_mollifier(spec)
     cert = mol.certificates
     bar = {k: ROUNDOFF_MULTIPLE * r for k, r in cert["roundoff"].items()}
     ref = [_quad_moment(lambda x: mol.deriv(0, x), k, mol.support_radius_hint)
@@ -160,19 +160,23 @@ def test_gausspoly_leading_values():
         2: 1.057855469152043,
         3: 1.2341647140107169,
     }
-    for order, val in want.items():
-        mol = build_mollifier("gausspoly", order=order)
-        assert mol.deriv(0, 0.0) == pytest.approx(val, rel=1e-12)
+    # order 0 is the plain Gaussian, which no mollifier name builds
+    assert gausspoly_coefficients(0)[0] == pytest.approx(want[0], rel=1e-12)
+    for order in (1, 2, 3):
+        mol = build_mollifier(f"gausspoly:{order}")
+        assert mol.deriv(0, 0.0) == pytest.approx(want[order], rel=1e-12)
 
 
 def test_gausspoly_is_gaussian_at_order_zero():
-    mol = build_mollifier("gausspoly", order=0)
+    assert gausspoly_coefficients(0) == pytest.approx([1.0 / math.sqrt(math.pi)], rel=1e-15)
+    # exact closed-form second derivative at M = 1:
+    # (p e^{-x^2})'' = (p'' - 4x p' + (4x^2 - 2) p) e^{-x^2}
+    mol = build_mollifier("gausspoly:1")
+    c0, _, c2 = gausspoly_coefficients(1)
     xs = np.linspace(-3, 3, 25)
-    ref = np.exp(-xs ** 2) / math.sqrt(math.pi)
-    assert np.allclose(mol.deriv(0, xs), ref, rtol=1e-13)
-    # exact closed-form second derivative of the Gaussian
-    d2 = mol.deriv(2, xs)
-    assert np.allclose(d2, (4 * xs ** 2 - 2) * ref, rtol=1e-12, atol=1e-15)
+    p, dp, d2p = c0 + c2 * xs ** 2, 2 * c2 * xs, 2 * c2
+    ref = (d2p - 4 * xs * dp + (4 * xs ** 2 - 2) * p) * np.exp(-xs ** 2)
+    assert np.allclose(mol.deriv(2, xs), ref, rtol=1e-12, atol=1e-15)
 
 
 def test_gausspoly_certificates(gp2):
@@ -187,26 +191,25 @@ def test_gausspoly_singular_system_raises():
     with pytest.raises(MomentSystemSingular):
         gausspoly_coefficients(7)
     with pytest.raises(MomentSystemSingular):
-        build_mollifier("gausspoly", order=8)
+        build_mollifier("gausspoly:8")
 
 
 def test_build_rejects_unknown():
-    with pytest.raises(ValueError):
-        build_mollifier("box")
-    # the Fourier kernel's shape and radius are constants, not parameters
-    for param in ({"width": 3}, {"c": 1.5}, {"s": 0.12}, {"radius": 100.0}):
+    # the grammar the command line accepts: no default order, no suffix,
+    # no fractional order
+    for spec in ("box", "spline:2", "fourier:3", "gausspoly", "gausspoly:",
+                 "gausspoly:0", "gausspoly:2.7"):
         with pytest.raises(ValueError):
-            build_mollifier("fourier", **param)
-    # the grammar the command line accepts: no default order, no suffix
-    for spec in ("spline:2", "fourier:3", "gausspoly:", "gausspoly:0"):
+            mollifier_spec(spec)
         with pytest.raises(ValueError):
-            parse_mollifier(spec)
+            build_mollifier(spec)
 
 
-def test_parse_mollifier(fourier):
-    assert parse_mollifier("fourier").kind == "fourier"
-    gp = parse_mollifier("gausspoly:1")
-    assert gp.kind == "gausspoly" and gp.params["order"] == 1
+def test_mollifier_spec(fourier):
+    assert mollifier_spec("fourier") is None and fourier.kind == "fourier"
+    assert mollifier_spec("gausspoly:1") == 1
+    gp = build_mollifier("gausspoly:1")
+    assert gp.kind == "gausspoly" and gp.moment_order == 3
 
 
 # -- scaled nets: rho_eps is the embedded Dirac ------------------------

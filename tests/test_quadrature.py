@@ -11,7 +11,7 @@ from scipy.integrate import quad as scipy_quad
 
 from colombeau.embed import _kernel_rule
 from colombeau.errors import QuadratureFailure
-from colombeau.mollifier import build_mollifier, mollifier_spec
+from colombeau.mollifier import build_mollifier
 from colombeau.quadrature import adaptive, box_rule, gauss_legendre, interval_rule, panel_rule
 from colombeau.smooth import SmoothFn, from_sympy
 
@@ -82,8 +82,7 @@ def test_box_rule_is_the_meshgrid_tensor_rule(box):
 @pytest.mark.parametrize("spec", ["fourier", "gausspoly:2", "gausspoly:3", "gausspoly:5"])
 def test_panel_rule_is_the_kernel_rule(spec):
     """``_kernel_rule`` used one scalar half-width for every panel."""
-    kind, params = mollifier_spec(spec)
-    mol = build_mollifier(kind, **params)
+    mol = build_mollifier(spec)
     r = float(mol.support_radius_hint)
     n_panels = max(16, int(math.ceil(r)))
     edges = np.linspace(-r, r, n_panels + 1)
