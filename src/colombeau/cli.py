@@ -21,7 +21,7 @@ import re
 import sys
 from pathlib import Path
 
-from .experiments import ExperimentConfig, catalog_text, run_experiment
+from .experiments import MAX_K, ExperimentConfig, catalog_text, run_experiment
 
 CONFIG_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 
@@ -35,12 +35,10 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run one experiment; write report.json and series/")
     run.add_argument("experiment", nargs="?", default=None,
                      help="experiment name (see `colombeau list`)")
-    run.add_argument("--experiment", dest="experiment_flag", default=None,
-                     help="experiment name (overrides the positional and config file)")
     run.add_argument("--config", default=None,
                      help="JSON file of config knobs; explicit flags override it")
     run.add_argument("--grid", default=None, metavar="KMIN..KMAX",
-                     help="dyadic eps grid exponents, e.g. 4..11")
+                     help=f"dyadic eps grid exponents, e.g. 4..11 (KMAX at most {MAX_K})")
     run.add_argument("--mollifier", default=None,
                      help="fourier (default) or gausspoly:M")
     run.add_argument("--mmax", type=int, default=None,
@@ -74,11 +72,10 @@ def _run(args) -> int:
         if unknown:
             return _usage_error(f"unknown config keys: {', '.join(unknown)}")
 
-    experiment = (args.experiment_flag or args.experiment
-                  or file_cfg.get("experiment"))
+    experiment = args.experiment or file_cfg.get("experiment")
     if experiment is None:
-        return _usage_error("no experiment named; pass a name, --experiment, "
-                            "or a config file with an 'experiment' key")
+        return _usage_error("no experiment named; pass a name or a config file "
+                            "with an 'experiment' key")
 
     kwargs = {k: v for k, v in file_cfg.items() if k != "experiment"}
     if args.grid is not None:

@@ -11,7 +11,7 @@ section of the package README that explains the underlying machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import sympy as sp
@@ -37,6 +37,9 @@ Y = sp.Symbol("y0")
 X0, X1 = sp.symbols("x0 x1")
 
 MECHANICS_EPS = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
+# finest grid exponent a run accepts: past it stokes and product-demo
+# report wrong verdicts, and from k = 49 classify's (1/eps)**21 overflows
+MAX_K = 20
 
 
 @dataclass
@@ -63,6 +66,8 @@ class ExperimentConfig:
             raise ValueError("grid needs at least four eps values")
         if self.k_min < 1:
             raise ValueError("k_min must be positive")
+        if self.k_max > MAX_K:
+            raise ValueError(f"k_max must be at most {MAX_K}, got {self.k_max}")
         if self.m_max < 1:
             raise ValueError("m_max must be positive")
         if self.tol is not None and (isinstance(self.tol, bool) or not self.tol > 0):
@@ -79,15 +84,8 @@ class ExperimentConfig:
         return dyadic_grid(self.k_min, self.k_max)
 
     def public(self) -> dict:
-        """The fields echoed into reports."""
-        d = {"experiment": self.experiment, "k_min": self.k_min,
-             "k_max": self.k_max, "mollifier": self.mollifier,
-             "m_max": self.m_max, "seed": self.seed}
-        if self.eps is not None:
-            d["eps"] = list(self.eps)
-        if self.tol is not None:
-            d["tol"] = self.tol
-        return d
+        """The fields echoed into reports: every one that is set."""
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 def _fmt(v) -> str:

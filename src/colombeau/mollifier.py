@@ -10,11 +10,19 @@ A mollifier is named by one grammar, the one the command line accepts:
   one and its moments of order >= 1 vanish up to the window's flatness
   at zero frequency.  With C = 1.5, S = 0.12 the first eight moments
   measure below 1e-6 and the profile is 1.2e-34 at the truncation
-  radius 100.  All derivatives are closed-form.
+  radius 100.
 
 * ``gausspoly``: rho(x) = p(x) exp(-x^2) with p an even polynomial of
   degree 2M chosen so moments 1..2M+1 vanish exactly; the moment system
   is a Gram matrix of Gamma values.
+
+Both are a polynomial r_0 times G = exp(-sigma x^2 / 2) (r_0 = p,
+sigma = 2 for ``gausspoly``; r_0 = 1, sigma = S^2 for the Gaussian
+factor of ``fourier``), and (d/dx)^j (r_0 G) = r_j G with
+r_j = r_{j-1}' - sigma x r_{j-1}.  Each r_j is a coefficient array built
+once by that recursion.  The sinc's derivatives are Leibniz on
+sin(Cx) / x for |x| >= 1/2 and, nearer zero, its degree-60 Taylor
+series differentiated by the same recursion with sigma = 0.
 
 Certificates (integral error, measured moments) are computed at build
 time by one vectorized Gauss-Legendre pass.  The moment integrands are
@@ -38,7 +46,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.polynomial import Polynomial
+from numpy.polynomial.polynomial import polyder, polymul, polysub, polyval
 
 from .errors import MomentSystemSingular, QuadratureFailure
 from .quadrature import panel_rule
@@ -59,91 +67,40 @@ _SERIES_SWITCH = 0.5
 _SERIES_DEG = 60
 
 
-class _FourierProfile:
-    """Evaluator for sin(cx)/(pi x) * exp(-s^2 x^2 / 2) and derivatives.
+def _chain(r: list, sigma: float, j: int) -> np.ndarray:
+    """r_j in (d/dx)^j (r_0 G) = r_j G for G = exp(-sigma x^2 / 2).
 
-    The sinc factor is differentiated in closed form away from zero and
-    through an exact Taylor polynomial near zero; the Gaussian factor
-    satisfies h^(j) = r_j(x) h(x) with a simple polynomial recursion.
+    ``r`` holds the coefficient arrays (low degree first) built so far,
+    from r_0 on; it grows by r_j = r_{j-1}' - sigma x r_{j-1}.
     """
-
-    def __init__(self, c: float, s: float):
-        self.c = float(c)
-        self.s = float(s)
-        coeffs = np.zeros(_SERIES_DEG + 1)
-        for m in range(_SERIES_DEG // 2 + 1):
-            coeffs[2 * m] = (-1.0) ** m * self.c ** (2 * m + 1) / (
-                math.factorial(2 * m + 1) * math.pi
-            )
-        self._g_series = {0: Polynomial(coeffs)}
-        self._r = {0: Polynomial([1.0])}
-
-    def _g_ser(self, j: int) -> Polynomial:
-        p = self._g_series.get(j)
-        if p is None:
-            p = self._g_ser(j - 1).deriv()
-            self._g_series[j] = p
-        return p
-
-    def _r_poly(self, j: int) -> Polynomial:
-        p = self._r.get(j)
-        if p is None:
-            q = self._r_poly(j - 1)
-            p = q.deriv() - Polynomial([0.0, self.s ** 2]) * q
-            self._r[j] = p
-        return p
-
-    def _g_closed(self, j: int, x: np.ndarray) -> np.ndarray:
-        c = self.c
-        acc = np.zeros_like(x)
-        for i in range(j + 1):
-            term = (
-                math.comb(j, i)
-                * c ** i
-                * np.sin(c * x + i * math.pi / 2)
-                * (-1.0) ** (j - i)
-                * math.factorial(j - i)
-                * x ** (-(j - i + 1))
-            )
-            acc = acc + term
-        return acc / math.pi
-
-    def deriv(self, k: int, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        hx = np.exp(-0.5 * (self.s * x) ** 2)
-        small = np.abs(x) < _SERIES_SWITCH
-        acc = np.zeros_like(x)
-        for j in range(k + 1):
-            with np.errstate(all="ignore"):
-                gj = np.where(small, self._g_ser(j)(x), self._g_closed(j, x))
-            acc = acc + math.comb(k, j) * gj * self._r_poly(k - j)(x) * hx
-        return acc
+    while len(r) <= j:
+        r.append(polysub(polyder(r[-1]), polymul([0.0, sigma], r[-1])))
+    return r[j]
 
 
-class _GaussPolyProfile:
-    """Evaluator for p(x) exp(-x^2) and derivatives via q' - 2x q."""
-
-    def __init__(self, poly_coeffs):
-        self._q = {0: Polynomial(np.asarray(poly_coeffs, dtype=float))}
-
-    def _q_poly(self, j: int) -> Polynomial:
-        p = self._q.get(j)
-        if p is None:
-            q = self._q_poly(j - 1)
-            p = q.deriv() - Polynomial([0.0, 2.0]) * q
-            self._q[j] = p
-        return p
-
-    def deriv(self, k: int, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return self._q_poly(k)(x) * np.exp(-(x ** 2))
+def _sinc_closed(j: int, x: np.ndarray) -> np.ndarray:
+    """j-th derivative of sin(Cx)/(pi x) at nonzero x, by Leibniz on sin(Cx) / x."""
+    c = FOURIER_C
+    acc = np.zeros_like(x)
+    for i in range(j + 1):
+        term = (
+            math.comb(j, i)
+            * c ** i
+            * np.sin(c * x + i * math.pi / 2)
+            * (-1.0) ** (j - i)
+            * math.factorial(j - i)
+            * x ** (-(j - i + 1))
+        )
+        acc = acc + term
+    return acc / math.pi
 
 
 class Mollifier:
     """A 1-d mollifier profile with moment certificates.
 
     ``deriv(k, x)`` evaluates the profile and its analytic derivatives of
-    every order; ``embed.embed_rn`` scales it to rho_eps.
+    every order; ``embed.embed_rn`` scales it to rho_eps.  Every
+    derivative polynomial comes from :func:`_chain` (module docstring).
 
     Attributes
     ----------
@@ -155,16 +112,42 @@ class Mollifier:
     certificates : measured integral error and moments.
     """
 
-    def __init__(self, kind, evaluator, support_radius_hint, moment_order):
+    def __init__(self, kind, r0, sigma, support_radius_hint, moment_order):
         self.kind = kind
-        self._evaluator = evaluator
+        self._r = [np.asarray(r0, dtype=float)]
+        self._sigma = float(sigma)
         self.support_radius_hint = float(support_radius_hint)
         self.moment_order = int(moment_order)
         self.certificates: dict = {}
+        if kind == "fourier":  # Taylor series of the sinc, degree _SERIES_DEG
+            series = np.zeros(_SERIES_DEG + 1)
+            for m in range(_SERIES_DEG // 2 + 1):
+                series[2 * m] = (-1.0) ** m * FOURIER_C ** (2 * m + 1) / (
+                    math.factorial(2 * m + 1) * math.pi
+                )
+            self._series = [series]
 
     def deriv(self, k: int, x):
         """Vectorized k-th derivative of the profile."""
-        return self._evaluator.deriv(k, np.asarray(x, dtype=float))
+        # -0.0 -> +0.0, so that odd derivatives keep the sign of their zero
+        x = np.asarray(x, dtype=float) + 0.0
+        if self.kind == "gausspoly":
+            return polyval(x, _chain(self._r, self._sigma, k)) * np.exp(-(x ** 2))
+        # fourier: Leibniz over the sinc and the Gaussian factor; the sinc's
+        # Taylor series near zero, its closed form elsewhere
+        hx = np.exp(-0.5 * (FOURIER_S * x) ** 2)
+        small = np.abs(x) < _SERIES_SWITCH
+        acc = np.zeros_like(x)
+        for j in range(k + 1):
+            if not small.any():
+                gj = _sinc_closed(j, x)
+            else:
+                gj = np.empty_like(x)
+                gj[small] = polyval(x[small], _chain(self._series, 0.0, j))
+                gj[~small] = _sinc_closed(j, x[~small])
+            rj = _chain(self._r, self._sigma, k - j)
+            acc = acc + math.comb(k, j) * gj * polyval(x, rj) * hx
+        return acc
 
     def energy(self) -> float:
         """Integral of rho^2 over the support radius, by the certificate rule."""
@@ -292,11 +275,11 @@ def build_mollifier(spec: str = "fourier") -> Mollifier:
     """
     order = mollifier_spec(spec)
     if order is None:
-        mol = Mollifier("fourier", _FourierProfile(FOURIER_C, FOURIER_S), FOURIER_RADIUS,
+        mol = Mollifier("fourier", [1.0], FOURIER_S ** 2, FOURIER_RADIUS,
                         FOURIER_MOMENT_ORDER)
     else:
         # exp(-x^2) * poly is below 1e-33 past x ~ 9.5 for small orders
-        mol = Mollifier("gausspoly", _GaussPolyProfile(gausspoly_coefficients(order)), 9.5,
+        mol = Mollifier("gausspoly", gausspoly_coefficients(order), 2.0, 9.5,
                         2 * order + 1)
     _certify(mol)
     return mol

@@ -43,6 +43,17 @@ def test_malformed_flags_exit_two(tmp_path):
     assert not (tmp_path / "never").exists()
 
 
+def test_grid_past_the_bound_exits_two(tmp_path, capsys):
+    out = tmp_path / "never"
+    assert main(["run", "classify", "--grid", "4..21", "--out", str(out)]) == 2
+    assert "at most 20" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"experiment": "classify", "k_max": 21}')
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert main(["run", "classify", "--grid", "4..20", "--out", str(tmp_path / "o")]) == 0
+
+
 def test_config_rejects_unknown_keys(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"experiment": "classify", "bogus": 1}')

@@ -7,7 +7,7 @@ import sympy as sp
 from scipy.integrate import quad
 
 from colombeau.asymptotic import estimate_order
-from colombeau import embed
+from colombeau import embed, mollifier
 from colombeau.embed import (
     DistributionSpec,
     dirac,
@@ -49,29 +49,46 @@ def test_embedded_delta_is_scaled_profile(fourier, delta_net):
 
 
 def test_kernel_has_one_evaluator(fourier, monkeypatch):
-    """Embedding reaches the kernel through ``Mollifier.deriv`` only."""
-    calls = {}
+    """Embedding reaches the kernel through ``Mollifier.deriv`` only.
 
-    def count(cls):
-        inner = cls.deriv
-        calls[cls] = 0
+    The kernel's pieces, the sinc's closed form and every polynomial
+    evaluation in ``mollifier``, run only inside a ``deriv`` call.
+    """
+    depth = [0]
+    calls = {"deriv": 0, "_sinc_closed": 0, "polyval": 0}
+    outside = []
+    inner_deriv = Mollifier.deriv
 
-        def deriv(self, k, x):
-            calls[cls] += 1
-            return inner(self, k, x)
+    def deriv(self, k, x):
+        calls["deriv"] += 1
+        depth[0] += 1
+        try:
+            return inner_deriv(self, k, x)
+        finally:
+            depth[0] -= 1
 
-        monkeypatch.setattr(cls, "deriv", deriv)
+    def watch(name):
+        inner = getattr(mollifier, name)
 
-    count(Mollifier)
-    count(type(fourier._evaluator))
+        def piece(*args):
+            calls[name] += 1
+            if not depth[0]:
+                outside.append(name)
+            return inner(*args)
+
+        monkeypatch.setattr(mollifier, name, piece)
+
+    monkeypatch.setattr(Mollifier, "deriv", deriv)
+    watch("_sinc_closed")
+    watch("polyval")
     xs = np.linspace(-1.0, 1.0, 9)
     for spec in (dirac(), dirac_prime(), heaviside()):
         net = embed_rn(spec, fourier)
         for eps in (2.0 ** -4, 2.0 ** -6):
             for k in range(3):
                 net.at(eps).partial((k,), xs)
-    assert calls[Mollifier] > 0
-    assert calls[Mollifier] == calls[type(fourier._evaluator)]
+    assert min(calls.values()) > 0
+    assert outside == []
 
 
 def test_embedded_delta_order_slopes(delta_net):

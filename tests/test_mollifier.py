@@ -12,6 +12,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 from scipy.integrate import IntegrationWarning, quad
 
 from colombeau.embed import dirac, embed_rn
@@ -20,6 +21,8 @@ from colombeau.mollifier import (
     FOURIER_C,
     FOURIER_S,
     ROUNDOFF_MULTIPLE,
+    _SERIES_DEG,
+    _SERIES_SWITCH,
     _panelled_moments,
     build_mollifier,
     gausspoly_coefficients,
@@ -39,6 +42,100 @@ def gp2():
 
 
 # -- frozen profile values (mpmath, 40 digits) -------------------------
+
+# -- reference evaluators ----------------------------------------------------
+# The same kernels through lazily grown caches of ``Polynomial`` objects,
+# with both sinc branches evaluated on every point and merged by np.where.
+
+
+class _FourierReference:
+    def __init__(self, c, s):
+        self.c, self.s = float(c), float(s)
+        coeffs = np.zeros(_SERIES_DEG + 1)
+        for m in range(_SERIES_DEG // 2 + 1):
+            coeffs[2 * m] = (-1.0) ** m * self.c ** (2 * m + 1) / (
+                math.factorial(2 * m + 1) * math.pi)
+        self._g_series = {0: Polynomial(coeffs)}
+        self._r = {0: Polynomial([1.0])}
+
+    def _g_ser(self, j):
+        if j not in self._g_series:
+            self._g_series[j] = self._g_ser(j - 1).deriv()
+        return self._g_series[j]
+
+    def _r_poly(self, j):
+        if j not in self._r:
+            q = self._r_poly(j - 1)
+            self._r[j] = q.deriv() - Polynomial([0.0, self.s ** 2]) * q
+        return self._r[j]
+
+    def _g_closed(self, j, x):
+        c = self.c
+        acc = np.zeros_like(x)
+        for i in range(j + 1):
+            acc = acc + (math.comb(j, i) * c ** i * np.sin(c * x + i * math.pi / 2)
+                         * (-1.0) ** (j - i) * math.factorial(j - i)
+                         * x ** (-(j - i + 1)))
+        return acc / math.pi
+
+    def deriv(self, k, x):
+        x = np.asarray(x, dtype=float)
+        hx = np.exp(-0.5 * (self.s * x) ** 2)
+        small = np.abs(x) < _SERIES_SWITCH
+        acc = np.zeros_like(x)
+        for j in range(k + 1):
+            with np.errstate(all="ignore"):
+                gj = np.where(small, self._g_ser(j)(x), self._g_closed(j, x))
+            acc = acc + math.comb(k, j) * gj * self._r_poly(k - j)(x) * hx
+        return acc
+
+
+class _GaussPolyReference:
+    def __init__(self, coeffs):
+        self._q = {0: Polynomial(np.asarray(coeffs, dtype=float))}
+
+    def _q_poly(self, j):
+        if j not in self._q:
+            q = self._q_poly(j - 1)
+            self._q[j] = q.deriv() - Polynomial([0.0, 2.0]) * q
+        return self._q[j]
+
+    def deriv(self, k, x):
+        x = np.asarray(x, dtype=float)
+        return self._q_poly(k)(x) * np.exp(-(x ** 2))
+
+
+def _reference(spec):
+    order = mollifier_spec(spec)
+    if order is None:
+        return _FourierReference(FOURIER_C, FOURIER_S)
+    return _GaussPolyReference(gausspoly_coefficients(order))
+
+
+def _bits(v):
+    return np.asarray(v, dtype=float).view(np.int64)
+
+
+_POINTS = np.concatenate([
+    np.linspace(-120.0, 120.0, 10000),
+    [0.0, -0.0, 0.5, -0.5, np.nextafter(0.5, 0.0), np.nextafter(-0.5, 0.0)],
+])
+
+
+@pytest.mark.parametrize("spec", ["fourier", "gausspoly:1", "gausspoly:2",
+                                  "gausspoly:3", "gausspoly:5"])
+def test_deriv_is_bitwise_the_polynomial_evaluators(spec):
+    """Every value, signed zeros included, equals the Polynomial-based one."""
+    mol, ref = build_mollifier(spec), _reference(spec)
+    inputs = [3.7, 0.25, -0.0, 0.0, np.float64(-0.3), np.array(0.2), np.array(-0.0),
+              [0.1, -0.0, 4.0, -0.5], _POINTS[4990:5002].reshape(3, 4)]
+    for k in range(7):
+        assert np.array_equal(_bits(mol.deriv(k, _POINTS)), _bits(ref.deriv(k, _POINTS))), k
+        for x in inputs:
+            got, want = mol.deriv(k, x), ref.deriv(k, x)
+            assert type(got) is type(want) and np.shape(got) == np.shape(want), (k, x)
+            assert np.array_equal(_bits(got), _bits(want)), (k, x)
+
 
 def test_fourier_value_at_one_against_closed_form(fourier):
     # rho(1) = sin(C)/pi * exp(-S^2/2), recomputed at 40 digits
