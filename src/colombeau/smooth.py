@@ -11,28 +11,32 @@ a shape (m,) array is also accepted.
 A ``from_sympy`` leaf differentiates once per multi-index, from its cached
 parent: alpha with its last nonzero axis zeroed, differentiated along that
 axis.  That is the chain of ``sp.diff`` calls of differentiating from
-scratch axis by axis, so the expressions are unchanged.  A derivative is
-lambdified against the numpy module, whose namespace spares the ``from
-numpy import *`` that loads every numpy submodule, unless it names a
-function numpy lacks (``erf``, ``gamma``, ``besselj``); only then is
-``scipy.special`` loaded.  scipy is the optional ``colombeau[scipy]``
-extra: without it such a derivative raises ``ImportError`` naming the
-extra.  ``lambdify`` runs with ``docstring_limit=0``: the expression is
-not printed a second time only to fill the callable's docstring.
+scratch axis by axis, and each step is ``sp.diff``'s own: ``_diff`` calls
+the expression's derivative rule and repeats only the checks of
+``Derivative.__new__`` that can change the result, with ``sp.diff`` as
+the fallback, so the expressions are unchanged.
 
-The derivative is printed by a subclass of the printer lambdify would
-pick (``NumPyPrinter``, or ``SciPyPrinter`` with scipy) that prints each
-elementary-function call with free symbols (an *atom*: ``sin(y0)``,
-``exp(-1/t)``; not a Piecewise, whose branches are printed as usual,
-nor an undefined function) as ``_atom(key, lambda: <its usual source>)``.
-The key is the text that runs: the module set, the parameter names in
-order and the atom's source, so one key is one computation on the same
-columns.  Everything around the atoms is printed as lambdify prints it,
-except that a Piecewise is printed as nested ``numpy.where`` calls
-rather than one ``numpy.select``: ``where`` picks the element ``select``
-picks, at a few microseconds a call on a small array where ``select``
-costs tens.  So every sum and product runs in the same order and the
-values are bitwise those of plain ``lambdify``.
+A derivative is printed by a subclass of the printer ``sp.lambdify``
+would pick (``NumPyPrinter``, or ``SciPyPrinter`` when it names a
+function numpy lacks: ``erf``, ``gamma``, ``besselj``) into the source
+``sp.lambdify`` writes, and compiled against one namespace per printer
+class, built on first use.  Only the scipy printer's namespace loads
+``scipy.special``; scipy is the optional ``colombeau[scipy]`` extra, and
+without it such a derivative raises ``ImportError`` naming the extra.
+An argument that is no Python identifier (``lambda``, ``x.1``) is
+printed under one fixed stand-in name per position.
+
+The printer prints each elementary-function call with free symbols (an
+*atom*: ``sin(y0)``, ``exp(-1/t)``; not a Piecewise, whose branches are
+printed as usual, nor an undefined function) as ``_atom(key, lambda:
+<its usual source>)``.  The key is the text that runs: the module set,
+the parameter names in order and the atom's source, so one key is one
+computation on the same columns.  Everything around the atoms is printed
+as lambdify prints it, except that a Piecewise is printed as nested
+``numpy.where`` calls rather than one ``numpy.select``: ``where`` picks
+the element ``select`` picks, at a few microseconds a call on a small
+array where ``select`` costs tens.  So every sum and product runs in the
+same order and the values are bitwise those of plain ``lambdify``.
 
 A ``leaf_memo(*lattices)`` block names the lattice arrays it sweeps.
 Inside it each ``from_sympy`` leaf evaluates a given multi-index on a
@@ -57,15 +61,23 @@ group's points in it and their images in it.
 
 from __future__ import annotations
 
+import builtins
 import contextlib
+import itertools
+import keyword
+import linecache
 import warnings
+import weakref
 from typing import Callable, Sequence
 
 import numpy as np
 import sympy as sp
+from sympy.core.exprtools import factor_terms
 from sympy.core.function import AppliedUndef
 from sympy.logic.boolalg import ITE, simplify_logic
 from sympy.printing.numpy import NumPyPrinter, SciPyPrinter
+from sympy.simplify.simplify import signsimp
+from sympy.utilities.lambdify import _get_namespace
 
 from . import _mindex as mi
 from .errors import DerivativeUnavailable, DimensionMismatch
@@ -322,8 +334,6 @@ def lift_axis(f: SmoothFn, axis: int, dim: int) -> SmoothFn:
 # functions the numpy printer lowers to numpy exactly as the scipy printer does
 _NUMPY_FUNCTIONS = {name for name, path in NumPyPrinter._kf.items()
                     if SciPyPrinter._kf.get(name) == path} | {"Piecewise"}
-# the namespace that gives generated code its atom lookup
-_ATOM_NAMESPACE = {"_atom": _atom}
 
 
 class _WherePiecewise:
@@ -363,35 +373,129 @@ class _AtomPrinting(_WherePiecewise):
 
 class _NumPyAtomPrinter(_AtomPrinting, NumPyPrinter):
     module_set = "numpy"
-    modules = [_ATOM_NAMESPACE, np]
+    modules = (np,)
 
 
 class _SciPyAtomPrinter(_AtomPrinting, SciPyPrinter):
     module_set = "numpy+scipy"
-    modules = [_ATOM_NAMESPACE, "numpy", "scipy"]
+    modules = ("numpy", "scipy")
 
 
 def _modules(expr):
-    """The atom printer class for ``expr``, with the modules it lambdifies against:
-    numpy alone unless ``expr`` names a function numpy lacks."""
+    """The atom printer class for ``expr``: numpy alone unless ``expr`` names a
+    function numpy lacks."""
     numpy_only = all(type(f).__name__ in _NUMPY_FUNCTIONS for f in expr.atoms(sp.Function))
     return _NumPyAtomPrinter if numpy_only else _SciPyAtomPrinter
+
+
+# printer class -> the globals of the code it prints
+_NAMESPACES: dict[type, dict] = {}
+
+
+def _namespace(printer: type) -> dict:
+    """The globals of ``printer``'s code, built on first use: its modules, the
+    first taking precedence, as lambdify merges them, and ``_atom``.  Only
+    the scipy printer's loads ``scipy.special``; without scipy it raises
+    ``ImportError`` and is tried afresh next time."""
+    ns = _NAMESPACES.get(printer)
+    if ns is None:
+        ns = {}
+        for m in reversed(printer.modules):
+            ns.update(_get_namespace(m))
+        ns.update(_atom=_atom, builtins=builtins, range=range)
+        _NAMESPACES[printer] = ns
+    return ns
+
+
+_sources = itertools.count()
+
+
+def lambdify(printer: _AtomPrinting, names: Sequence[str], expr) -> Callable:
+    """``expr`` printed by ``printer`` and compiled as a function of ``names``.
+
+    The source is the one ``sp.lambdify`` writes with this printer, and the
+    function runs in the printer class's one namespace.  The source is kept
+    in ``linecache`` while the function lives, for ``inspect`` and
+    tracebacks.  (``bench/tracer.py`` times this as the ``smooth.lambdify``
+    layer.)
+    """
+    body = printer.doprint(expr)
+    if "\n" in body:
+        body = f"({body})"
+    src = f"def _lambdifygenerated({', '.join(names)}):\n    return {body}\n"
+    ns = _namespace(type(printer))
+    for module, keys in printer.module_imports.items():
+        for key in keys - ns.keys():  # a name the module namespaces lack
+            exec(f"from {module} import {key}", {}, ns)
+    filename = f"<colombeau-leaf-{next(_sources)}>"
+    local: dict = {}
+    exec(compile(src, filename, "exec"), ns, local)
+    fn = local["_lambdifygenerated"]
+    linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
+    weakref.finalize(fn, linecache.cache.pop, filename, None)
+    return fn
+
+
+def _diff(expr, symbol, n: int):
+    """``sp.diff(expr, symbol, n)``, through ``expr``'s own rule where that is the same.
+
+    These are the steps of ``Derivative.__new__`` that can change the
+    result: zero when ``symbol`` is not free, the rule, and for n >= 2 the
+    ``is_zero`` test and then ``factor_terms(signsimp(.))``.  Its final
+    ``replace`` walk changes nothing without a ``Derivative`` in the
+    result, and its ``is_zero`` test returns a first derivative as it is.
+    An expression that is a ``Derivative`` or has no rule, and a rule that
+    gives ``None`` or a result holding a ``Derivative``, go to ``sp.diff``.
+    """
+    if symbol not in expr.free_symbols:
+        return sp.Integer(0)
+    out = None
+    if hasattr(expr, "_eval_derivative") and not isinstance(expr, sp.Derivative):
+        out = expr._eval_derivative_n_times(symbol, sp.Integer(n))
+    if out is None or out.has(sp.Derivative):
+        return sp.diff(expr, symbol, n)
+    if n > 1 and not out.is_zero:
+        out = factor_terms(signsimp(out))
+    return out
+
+
+def _stand_ins(symbols) -> dict:
+    """A stand-in symbol for each argument that is no Python identifier (for
+    every argument if one is a ``Dummy``), one fixed name per position.
+
+    lambdify prints such an argument as a fresh ``Dummy_N`` on every call,
+    so the atoms of two derivatives never shared a key.  The stand-ins are
+    named and numbered as lambdify's, in its order, so terms sort as they
+    did.
+    """
+    every = any(isinstance(x, sp.Dummy) for x in symbols)
+    unsafe = [x for x in symbols
+              if every or not str(x).isidentifier() or keyword.iskeyword(str(x))]
+    names, out = {str(x) for x in symbols}, {}
+    for x in reversed(list(sp.ordered(unsafe))):
+        name = f"Dummy_{len(out)}"
+        while name in names:
+            name = "_" + name
+        out[x] = sp.Symbol(name)
+    return out
 
 
 def from_sympy(expr, symbols: Sequence[sp.Symbol], label="") -> SmoothFn:
     """Build a SmoothFn from a sympy expression; derivatives are symbolic.
 
-    Derivatives and lambdified callables are cached per multi-index, on this
+    Derivatives and compiled callables are cached per multi-index, on this
     leaf only.  Inside a ``leaf_memo(*lattices)`` block values are also
     memoized, read-only, per multi-index and registered lattice, keyed by
     the array's identity; any other array is evaluated directly.  Each
-    derivative is lambdified with its ``sin``, ``cos``, ``exp``, ... calls
+    derivative is compiled with its ``sin``, ``cos``, ``exp``, ... calls
     printed as atoms: on a registered lattice every leaf and multi-index
     shares one evaluation of each atom, elsewhere an atom is just computed.
     """
     symbols = tuple(symbols)
     dim = len(symbols)
     params = ",".join(str(x) for x in symbols)
+    stand_ins = _stand_ins(symbols)
+    names = [str(stand_ins.get(x, x)) for x in symbols]
     expr = sp.sympify(expr)
     exprs = {(0,) * dim: expr}
     cache: dict[tuple, Callable] = {}
@@ -399,7 +503,7 @@ def from_sympy(expr, symbols: Sequence[sp.Symbol], label="") -> SmoothFn:
     def derivative(alpha):  # the parent zeroes alpha's last nonzero axis
         if alpha not in exprs:
             i = max(i for i, k in enumerate(alpha) if k)
-            exprs[alpha] = sp.diff(derivative(alpha[:i] + (0,) * (dim - i)), symbols[i], alpha[i])
+            exprs[alpha] = _diff(derivative(alpha[:i] + (0,) * (dim - i)), symbols[i], alpha[i])
         return exprs[alpha]
 
     def lam(alpha):
@@ -408,13 +512,12 @@ def from_sympy(expr, symbols: Sequence[sp.Symbol], label="") -> SmoothFn:
             d = derivative(alpha)
             printer = _modules(d)
             try:
-                fn = cache[alpha] = sp.lambdify(symbols, d, modules=printer.modules,
-                                                printer=printer(params), docstring_limit=0)
+                fn = cache[alpha] = lambdify(printer(params), names,
+                                             d.xreplace(stand_ins) if stand_ins else d)
             except ImportError as err:  # only the scipy modules can be missing
                 raise ImportError(f"{d} needs scipy.special: "
                                   "pip install 'colombeau[scipy]'") from err
         return fn
-
     def evaluate(alpha, pts):
         cols = [pts[:, i] for i in range(dim)]
         # Piecewise lowers to np.where, which evaluates every branch;

@@ -380,7 +380,7 @@ def test_overlap_residual_evaluates_one_lattice_per_transition(monkeypatch):
         x = np.concatenate([box_lattice(box, n) for box in t2.atlas.overlap_boxes[(a, b)]])
         lattices[x.tobytes()] = lattices[tr.fn(x).tobytes()] = (a, b)
     seen = []
-    lambdify = sp.lambdify
+    lambdify = smooth.lambdify
 
     def recording(*args, **kwargs):
         fn = lambdify(*args, **kwargs)
@@ -391,7 +391,7 @@ def test_overlap_residual_evaluates_one_lattice_per_transition(monkeypatch):
 
         return wrapped
 
-    monkeypatch.setattr(sp, "lambdify", recording)
+    monkeypatch.setattr(smooth, "lambdify", recording)
     rep = G.coherence_check(U * V, grid=dyadic_grid(4, 9), n_samples=n)
     assert rep["coherent"] and len(rep["rows"]) == 32
     assert max(m for m, _ in seen) <= 4 * n ** 2
@@ -415,7 +415,7 @@ def test_overlap_residual_evaluates_one_lattice_per_chart_and_block(monkeypatch)
         largest = max(largest, 2 * len(x))
     union = {c: np.unique(np.concatenate(p), axis=0) for c, p in union.items()}
     registered, seen = [], []
-    lambdify, leaf_memo = sp.lambdify, G.leaf_memo
+    lambdify, leaf_memo = smooth.lambdify, G.leaf_memo
 
     def recording(*args, **kwargs):
         fn = lambdify(*args, **kwargs)
@@ -432,7 +432,7 @@ def test_overlap_residual_evaluates_one_lattice_per_chart_and_block(monkeypatch)
         with leaf_memo(*lattices):
             yield
 
-    monkeypatch.setattr(sp, "lambdify", recording)
+    monkeypatch.setattr(smooth, "lambdify", recording)
     monkeypatch.setattr(G, "leaf_memo", registering)
     rep = G.coherence_check(U * V, grid=dyadic_grid(4, 9), n_samples=n)
     assert rep["coherent"] and len(rep["rows"]) == 32
@@ -444,7 +444,7 @@ def test_overlap_residual_evaluates_one_lattice_per_chart_and_block(monkeypatch)
 
 
 def _evaluations(monkeypatch, check):
-    """Counts during ``check()``: lambdified leaf evaluations; distinct (leaf,
+    """Counts during ``check()``: compiled leaf evaluations; distinct (leaf,
     multi-index, lattice) triples, lattices by content within one leaf-memo
     block, as a content-keyed memo would serve them; elementary-function
     (sin, cos, exp) array evaluations; atom lookups; and distinct (atom
@@ -452,7 +452,7 @@ def _evaluations(monkeypatch, check):
     functions."""
     calls, triples, block = [], set(), [0]
     elementary, lookups, pairs, names = [0], [0], set(), set()
-    lambdify, leaf_memo, atom = sp.lambdify, G.leaf_memo, smooth._atom
+    lambdify, leaf_memo, atom = smooth.lambdify, G.leaf_memo, smooth._atom
 
     def recording(*args, **kwargs):
         fn, serial = lambdify(*args, **kwargs), len(calls)  # one per leaf and alpha
@@ -486,18 +486,20 @@ def _evaluations(monkeypatch, check):
 
         return counted
 
-    monkeypatch.setattr(sp, "lambdify", recording)
+    monkeypatch.setattr(smooth, "lambdify", recording)
     monkeypatch.setattr(G, "leaf_memo", numbered)
-    monkeypatch.setitem(smooth._ATOM_NAMESPACE, "_atom", recording_atom)
-    for name in ("sin", "cos", "exp"):  # leaves lambdified from now on call these
-        monkeypatch.setattr(np, name, counting(getattr(np, name)))
+    for printer in (smooth._NumPyAtomPrinter, smooth._SciPyAtomPrinter):
+        ns = smooth._namespace(printer)  # the globals of every compiled leaf
+        monkeypatch.setitem(ns, "_atom", recording_atom)
+        for name in ("sin", "cos", "exp"):
+            monkeypatch.setitem(ns, name, counting(ns[name]))
     assert check()["coherent"]
     return {"calls": sum(calls), "distinct": len(triples), "elementary": elementary[0],
             "lookups": lookups[0], "pairs": len(pairs), "names": names}
 
 
 def _torus_check(name):
-    """A coherence check of a torus field_apply or bracket, and its lambdified
+    """A coherence check of a torus field_apply or bracket, and its compiled
     leaf evaluations (the counts of the former content-keyed memo too)."""
     t2 = torus2()
     (U,) = T.random_coherent_functions(t2, count=1, seed=3)

@@ -8,10 +8,10 @@ import conftest
 import numpy as np
 import pytest
 import sympy as sp
-from sympy.printing.numpy import NumPyPrinter
+from sympy.printing.numpy import NumPyPrinter, SciPyPrinter
 
 from colombeau import _mindex as mi
-from colombeau import embed, experiments, forms, gfunc, manifolds, mechanics, smooth
+from colombeau import embed, experiments, forms, gfunc, manifolds, mechanics, smooth, tensor
 from colombeau.errors import DerivativeUnavailable, DimensionMismatch
 from colombeau.mollifier import build_mollifier
 from colombeau.nets import Net
@@ -206,9 +206,9 @@ def test_smoothstep_profile():
 
 @pytest.fixture
 def counted_sin(monkeypatch):
-    """sin as a sympy leaf, and the list its lambdified callables append to."""
+    """sin as a sympy leaf, and the list its compiled callables append to."""
     calls = []
-    lambdify = sp.lambdify
+    lambdify = smooth.lambdify
 
     def counting(*args, **kwargs):
         fn = lambdify(*args, **kwargs)
@@ -219,7 +219,7 @@ def counted_sin(monkeypatch):
 
         return wrapped
 
-    monkeypatch.setattr(sp, "lambdify", counting)
+    monkeypatch.setattr(smooth, "lambdify", counting)
     x = sp.Symbol("x")
     return from_sympy(sp.sin(x), [x]), calls
 
@@ -336,7 +336,7 @@ def test_leaf_memo_keeps_its_lattices_alive(counted_sin):
 
 @pytest.fixture
 def atom_runs(monkeypatch):
-    """The runs of each atom's thunk by key, for leaves lambdified from now on;
+    """The runs of each atom's thunk by key, for leaves evaluated from now on;
     setting ``fail`` makes the next thunk raise."""
     runs, fail = {}, []
     atom = smooth._atom
@@ -350,7 +350,8 @@ def atom_runs(monkeypatch):
 
         return atom(key, counted)
 
-    monkeypatch.setitem(smooth._ATOM_NAMESPACE, "_atom", counting)
+    for printer in (smooth._NumPyAtomPrinter, smooth._SciPyAtomPrinter):
+        monkeypatch.setitem(smooth._namespace(printer), "_atom", counting)
     return runs, fail
 
 
@@ -456,10 +457,12 @@ def _diff_from_scratch(expr, symbols, alpha):
     return d
 
 
-def _reference_values(expr, symbols, alpha, pts):
-    """Reference: the from-scratch derivative lambdified against numpy and scipy."""
-    fn = _LAMBDIFY(symbols, _diff_from_scratch(expr, symbols, alpha),
-                   modules=["numpy", "scipy"])
+def _reference_values(expr, symbols, alpha, pts, d=None):
+    """Reference: the from-scratch derivative (``d`` if given) ``sp.lambdify``-ed
+    against numpy and scipy."""
+    if d is None:
+        d = _diff_from_scratch(expr, symbols, alpha)
+    fn = _LAMBDIFY(symbols, d, modules=["numpy", "scipy"])
     with np.errstate(all="ignore"):
         out = fn(*[pts[:, i] for i in range(len(symbols))])
     return np.broadcast_to(np.asarray(out, dtype=float), (pts.shape[0],))
@@ -479,6 +482,10 @@ class _WherePrinter(smooth._WherePiecewise, NumPyPrinter):
     """Plain ``NumPyPrinter`` but for the library's Piecewise printing."""
 
 
+class _SciPyWherePrinter(smooth._WherePiecewise, SciPyPrinter):
+    """Plain ``SciPyPrinter`` but for the library's Piecewise printing."""
+
+
 # the settings lambdify gives the printer it picks itself
 _LAMBDIFY_SETTINGS = {"fully_qualified_modules": False, "inline": True,
                       "allow_unknown_functions": True, "user_functions": {}}
@@ -487,38 +494,52 @@ _LAMBDIFY_SETTINGS = {"fully_qualified_modules": False, "inline": True,
 def _unwrap_atoms(src):
     """``src`` with each ``_atom(key, lambda: X)`` replaced by the text X,
     after checking that the key ends with that text."""
-    while True:
-        calls = [n for n in ast.walk(ast.parse(src))
-                 if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_atom"]
-        if not calls:
-            return src
-        call = calls[0]  # breadth first: no other atom encloses it
-        key, thunk = call.args
-        body = ast.get_source_segment(src, thunk.body)
-        assert isinstance(key.value, str) and key.value.endswith(") " + body)
-        lines = src.splitlines(keepends=True)
-        start = sum(map(len, lines[:call.lineno - 1])) + call.col_offset
-        end = sum(map(len, lines[:call.end_lineno - 1])) + call.end_col_offset
-        src = src[:start] + body + src[end:]
+    starts = [0]
+    for line in src.splitlines(keepends=True):
+        starts.append(starts[-1] + len(line))
+
+    def span(node):
+        return (starts[node.lineno - 1] + node.col_offset,
+                starts[node.end_lineno - 1] + node.end_col_offset)
+
+    calls = sorted((*span(n), n) for n in ast.walk(ast.parse(src))
+                   if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_atom")
+
+    def render(lo, hi):  # src[lo:hi] with the atoms in it unwrapped
+        out, pos = [], lo
+        for start, end, call in calls:
+            if start < pos or end > hi:  # inside an atom already rendered, or past hi
+                continue
+            key, thunk = call.args
+            b0, b1 = span(thunk.body)
+            assert isinstance(key.value, str) and key.value.endswith(") " + src[b0:b1])
+            out += [src[pos:start], render(b0, b1)]
+            pos = end
+        return "".join(out) + src[pos:hi]
+
+    return render(0, len(src))
 
 
 @pytest.fixture
 def sympy_calls(monkeypatch):
-    """Record each ``sp.diff`` call, and each expression handed to ``sp.lambdify``
-    with its modules and the callable it returned."""
+    """Record each derivative step ``smooth._diff`` takes as (symbol, order,
+    result), and each expression ``smooth.lambdify`` compiles with its
+    printer class and the callable."""
     diffs, lambdified = [], []
+    _diff, lambdify = smooth._diff, smooth.lambdify
 
-    def diff(*args, **kwargs):
-        diffs.append(args[1:])
-        return _DIFF(*args, **kwargs)
+    def diff(*args):
+        out = _diff(*args)
+        diffs.append((*args[1:], out))
+        return out
 
-    def lambdify(symbols, expr, modules=None, **kwargs):
-        fn = _LAMBDIFY(symbols, expr, modules=modules, **kwargs)
-        lambdified.append((expr, modules, fn))
+    def compiling(printer, names, expr):
+        fn = lambdify(printer, names, expr)
+        lambdified.append((expr, type(printer), fn))
         return fn
 
-    monkeypatch.setattr(sp, "diff", diff)
-    monkeypatch.setattr(sp, "lambdify", lambdify)
+    monkeypatch.setattr(smooth, "_diff", diff)
+    monkeypatch.setattr(smooth, "lambdify", compiling)
     return diffs, lambdified
 
 
@@ -545,14 +566,13 @@ def test_derivatives_from_the_parent_match_from_scratch(build, sympy_calls):
     for j in order:
         alpha = alphas[j]
         got = f._partial_fn(alpha, pts)
-        f._partial_fn(alpha, pts)  # a repeat lambdifies and differentiates nothing
-        d, modules, fn = lambdified[-1]
+        f._partial_fn(alpha, pts)  # a repeat compiles and differentiates nothing
+        d, printer, fn = lambdified[-1]
         assert d == _diff_from_scratch(expr, symbols, alpha), alpha
-        assert modules == [smooth._ATOM_NAMESPACE, np]
-        # lambdify skips only printing the docstring, and each atom wraps the
-        # default's text: unwrapped, the code is the default's but for the
-        # Piecewise, printed as nested where (the values below stay bitwise)
-        assert "EXPRESSION REDACTED" in fn.__doc__
+        assert printer is smooth._NumPyAtomPrinter
+        # each atom wraps lambdify's text: unwrapped, the code is lambdify's
+        # but for the Piecewise, printed as nested where (the values below
+        # stay bitwise)
         assert (_unwrap_atoms(inspect.getsource(fn))
                 == inspect.getsource(_LAMBDIFY(symbols, d, modules=[np],
                                                printer=_WherePrinter(_LAMBDIFY_SETTINGS))))
@@ -580,24 +600,125 @@ def test_functions_numpy_lacks_lambdify_against_scipy(make, sympy_calls):
     _, lambdified = sympy_calls
     x = sp.Symbol("x")
     expr = make(x)
-    assert smooth._modules(expr).modules == [smooth._ATOM_NAMESPACE, "numpy", "scipy"]
+    assert smooth._modules(expr) is smooth._SciPyAtomPrinter
+    assert smooth._SciPyAtomPrinter.modules == ("numpy", "scipy")
     f = from_sympy(expr, [x])
     pts = np.linspace(0.3, 4.0, 37).reshape(-1, 1)
     for k in range(3):
         want = _reference_values(expr, (x,), (k,), pts)
         assert f._partial_fn((k,), pts).tobytes() == want.tobytes(), k
         # a derivative may need numpy alone (erf' is a Gaussian)
-        d, modules, fn = lambdified[-1]
-        assert modules == smooth._modules(d).modules and modules[0] is smooth._ATOM_NAMESPACE
+        d, printer, fn = lambdified[-1]
+        assert printer is smooth._modules(d)
         assert (_unwrap_atoms(inspect.getsource(fn))
-                == inspect.getsource(_LAMBDIFY((x,), d, modules=modules[1:])))
+                == inspect.getsource(_LAMBDIFY((x,), d, modules=list(printer.modules))))
+
+
+def _leaves_built_by(module, build):
+    """The (expression, symbols) pairs ``module`` hands ``from_sympy`` in ``build()``."""
+    seen = []
+
+    def recording(expr, symbols, *args, **kwargs):
+        seen.append((expr, tuple(symbols)))
+        return from_sympy(expr, symbols, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "from_sympy", recording)
+        build()
+    return seen
+
+
+def _probes(manifold):
+    return _leaves_built_by(tensor, lambda: tensor.random_coherent_functions(
+        manifold, count=2, seed=4))
+
+
+_T = sp.Symbol("t", real=True)
+# every family of leaf the library builds, and one undefined function
+_LEAF_FAMILIES = {
+    "probes-euclidean3": lambda: _probes(manifolds.euclidean(3)),
+    "probes-circle": lambda: _probes(manifolds.circle()),
+    "probes-torus2": lambda: _probes(manifolds.torus2()),
+    "circle-partition": lambda: _leaves_built_by(manifolds, manifolds.circle)[:1],
+    "circle-wrap": lambda: [leaf for leaf in _leaves_built_by(manifolds, manifolds.circle)
+                            if leaf[0].has(sp.pi)][:1],
+    "smoothstep": lambda: [(smoothstep_expr((X0 + sp.Rational(3, 2)) / sp.Rational(3, 10)),
+                            (X0,))],
+    "glue-bump": lambda: [(smooth.glue_exprs()[1], (_T,))],
+    "glue-step": lambda: [(smooth.glue_exprs()[2], (_T,))],
+    "window": lambda: [(experiments._window_expr(1.2, 2.0), (experiments.X,))],
+    "mechanics-bump": lambda: _leaves_built_by(mechanics, mechanics.bump_profile),
+    # golden_ratio is imported from scipy.constants on first use
+    "erf": lambda: [(sp.erf(X0) * X1 * sp.GoldenRatio, (X0, X1))],
+    "gamma": lambda: [(sp.gamma(X0), (X0,))],
+    "besselj": lambda: [(sp.besselj(1, X0 * X1), (X0, X1))],
+    "undefined": lambda: [(sp.Function("f")(X0 ** 2) * sp.sin(X0), (X0,))],
+}
+
+
+def _outcome(run):
+    """What ``run()`` returns, or the type of what it raises."""
+    try:
+        return run()
+    except Exception as err:
+        return type(err)
+
+
+@pytest.mark.parametrize("family", sorted(_LEAF_FAMILIES))
+def test_compiled_leaves_are_sympys_own(family, sympy_calls):
+    """Derivatives are ``sp.diff``'s by ``srepr``, sources ``sp.lambdify``'s once the
+    atoms are unwrapped, and values bitwise, at orders 0-3; where sympy raises,
+    the leaf raises the same."""
+    diffs, _ = sympy_calls
+    leaves = _LEAF_FAMILIES[family]()
+    assert leaves
+    for expr, symbols in leaves:
+        f = from_sympy(expr, symbols)
+        pts = np.random.default_rng(5).uniform(-1.6, 1.6, size=(40, len(symbols)))
+        for alpha in mi.up_to(len(symbols), 3):  # parents first: one step each
+            before = len(diffs)
+            got = _outcome(lambda: f._partial_fn(alpha, pts))
+            d = diffs[-1][2] if any(alpha) else expr
+            assert len(diffs) == before + any(alpha)
+            d_ref = _diff_from_scratch(expr, symbols, alpha)
+            assert sp.srepr(d) == sp.srepr(d_ref), alpha
+            want = _outcome(lambda: _reference_values(expr, symbols, alpha, pts, d_ref))
+            printer = smooth._modules(d)
+            base = _WherePrinter if printer is smooth._NumPyAtomPrinter else _SciPyWherePrinter
+            src = _outcome(lambda: inspect.getsource(f._lambdified(alpha)))
+            ref = _outcome(lambda: inspect.getsource(_LAMBDIFY(
+                symbols, d, modules=list(printer.modules), printer=base(_LAMBDIFY_SETTINGS))))
+            assert (_unwrap_atoms(src) if isinstance(src, str) else src) == ref, alpha
+            if isinstance(want, np.ndarray):
+                assert np.array_equal(np.ascontiguousarray(got).view(np.int64),
+                                      np.ascontiguousarray(want).view(np.int64)), alpha
+            else:
+                assert got is want, alpha
+
+
+@pytest.mark.parametrize("name", ["lambda", "x.1"])
+def test_arguments_that_are_no_identifiers_share_their_atoms(name, atom_runs):
+    # lambdify printed such an argument as a fresh Dummy_N per derivative,
+    # so exp(Dummy_34) and exp(Dummy_35) were two atoms on one lattice
+    runs, _ = atom_runs
+    a, y = sp.Symbol(name), sp.Symbol("y")
+    expr = a ** 2 * sp.exp(a) * y + sp.sin(y)
+    f = from_sympy(expr, [a, y])
+    pts = _plane()
+    with smooth.leaf_memo(pts):
+        for alpha in [(1, 0), (2, 0), (1, 1)]:
+            want = _reference_values(expr, (a, y), alpha, pts)
+            assert f._partial_fn(alpha, pts).view(np.int64).tolist() \
+                == want.view(np.int64).tolist(), alpha
+    assert runs == {f"numpy({name},y) exp(Dummy_0)": 1}
 
 
 def test_library_functions_lambdify_against_numpy_alone():
     th = sp.Symbol("theta")
     for expr in (smoothstep_expr(sp.cos(th) / 2), sp.sin(th) * sp.exp(th),
                  sp.Piecewise((th, th < sp.pi), (th - 2 * sp.pi, True))):
-        assert smooth._modules(expr).modules == [smooth._ATOM_NAMESPACE, np]
+        assert smooth._modules(expr) is smooth._NumPyAtomPrinter
+    assert smooth._NumPyAtomPrinter.modules == (np,)
 
 
 def test_smoothstep_is_the_substituted_glue_step(monkeypatch):
