@@ -26,12 +26,8 @@ def order(alpha) -> int:
 
 def up_to(dim: int, max_order: int):
     """All multi-indices on ``dim`` axes with |alpha| <= max_order, graded order."""
-    out = []
-    for total in range(max_order + 1):
-        for c in itertools.product(range(total + 1), repeat=dim):
-            if sum(c) == total:
-                out.append(c)
-    return out
+    return [c for total in range(max_order + 1)
+            for c in itertools.product(range(total + 1), repeat=dim) if sum(c) == total]
 
 
 def sub_indices(alpha):
@@ -47,10 +43,7 @@ def leibniz_terms(alpha) -> tuple:
 
 def binom(alpha, beta) -> int:
     """Product of componentwise binomial coefficients C(alpha_i, beta_i)."""
-    out = 1
-    for a, b in zip(alpha, beta):
-        out *= math.comb(a, b)
-    return out
+    return math.prod(math.comb(a, b) for a, b in zip(alpha, beta))
 
 
 def add(alpha, beta):

@@ -18,7 +18,7 @@ outright with an infinite slope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -61,18 +61,7 @@ class AsymptoticFit:
         return self.verdict == NEGLIGIBLE
 
     def to_json(self) -> dict:
-        return {
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "residual": self.residual,
-            "verdict": self.verdict,
-            "order": self.order,
-            "m_max": self.m_max,
-            "grid": list(self.grid),
-            "magnitudes": list(self.magnitudes),
-            "n_clamped": self.n_clamped,
-            "note": self.note,
-        }
+        return {**asdict(self), "grid": list(self.grid), "magnitudes": list(self.magnitudes)}
 
 
 def _validate(samples):
@@ -106,20 +95,16 @@ def estimate_order(samples, m_max: int = DEFAULT_M_MAX) -> AsymptoticFit:
     n_clamped = int(clamped.sum())
     if n_clamped == len(pairs):
         # identically zero on the grid: negligible at every level
-        return AsymptoticFit(
-            slope=math.inf, intercept=-math.inf, residual=0.0,
-            verdict=NEGLIGIBLE, order=None, m_max=m_max,
-            grid=tuple(eps), magnitudes=tuple(mag),
-            n_clamped=n_clamped, note="all magnitudes at zero floor",
-        )
+        return AsymptoticFit(slope=math.inf, intercept=-math.inf, residual=0.0,
+                             verdict=NEGLIGIBLE, order=None, m_max=m_max, grid=tuple(eps),
+                             magnitudes=tuple(mag), n_clamped=n_clamped,
+                             note="all magnitudes at zero floor")
     mag = np.maximum(mag, ZERO_FLOOR)
 
     x = np.log(eps)
     y = np.log(mag)
-    slope, intercept = np.polyfit(x, y, 1)
+    slope, intercept = map(float, np.polyfit(x, y, 1))
     residual = float(np.max(np.abs(y - (slope * x + intercept))))
-    slope = float(slope)
-    intercept = float(intercept)
 
     note = f"{n_clamped} magnitudes clamped to floor" if n_clamped else ""
     if slope < -(DIVERGENCE_ORDER + SLOPE_TOLERANCE):
@@ -129,9 +114,6 @@ def estimate_order(samples, m_max: int = DEFAULT_M_MAX) -> AsymptoticFit:
     else:
         verdict = MODERATE
         order = math.ceil(max(0.0, -slope - SLOPE_TOLERANCE))
-    return AsymptoticFit(
-        slope=slope, intercept=intercept, residual=residual,
-        verdict=verdict, order=order, m_max=m_max,
-        grid=tuple(eps), magnitudes=tuple(mag),
-        n_clamped=n_clamped, note=note,
-    )
+    return AsymptoticFit(slope=slope, intercept=intercept, residual=residual, verdict=verdict,
+                         order=order, m_max=m_max, grid=tuple(eps), magnitudes=tuple(mag),
+                         n_clamped=n_clamped, note=note)

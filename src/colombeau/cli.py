@@ -83,12 +83,9 @@ def _run(args) -> int:
         if not m:
             return _usage_error(f"grid must look like 4..11, got {args.grid!r}")
         kwargs["k_min"], kwargs["k_max"] = int(m.group(1)), int(m.group(2))
-    if args.mollifier is not None:
-        kwargs["mollifier"] = args.mollifier
-    if args.mmax is not None:
-        kwargs["m_max"] = args.mmax
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
+    for key, flag in (("mollifier", args.mollifier), ("m_max", args.mmax), ("seed", args.seed)):
+        if flag is not None:
+            kwargs[key] = flag
     if args.eps is not None:
         try:
             kwargs["eps"] = [float(tok) for tok in args.eps.split(",") if tok]

@@ -31,7 +31,7 @@ from .errors import UnsupportedDistribution
 from .grid import DEFAULT_GRID
 from .mollifier import Mollifier
 from .nets import Net, classify_net
-from .quadrature import adaptive, gauss_legendre, panel_rule
+from .quadrature import cubature, gauss_legendre, panel_rule
 from .smooth import SmoothFn
 
 # (point, kernel node) pairs per convolution block: 2 MiB per float64 array
@@ -87,7 +87,7 @@ class DistributionSpec:
         for e in self.singular:
             total += e.weight * phi.partial(e.beta, np.array(e.loc))
         for p in self.regular:
-            total += adaptive(p.density * phi, p.lo, p.hi, p.hi - p.lo)
+            total += cubature(p.density * phi, ((p.lo, p.hi),), p.hi - p.lo)
         return total
 
     def mul_smooth(self, f: SmoothFn) -> "DistributionSpec":
@@ -266,10 +266,7 @@ def embed_rn(spec: DistributionSpec, mol: Mollifier) -> Net:
             from .smooth import constant
 
             return constant(0.0, dim)
-        total = parts[0]
-        for p in parts[1:]:
-            total = total + p
-        return total
+        return sum(parts[1:], parts[0])
 
     return Net(dim, factory, label=f"embed {spec.label}")
 

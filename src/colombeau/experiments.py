@@ -88,17 +88,11 @@ class ExperimentConfig:
         return {k: v for k, v in asdict(self).items() if v is not None}
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
-
-
 def _csv(header, rows) -> str:
-    lines = [",".join(header)]
-    for r in rows:
-        lines.append(",".join(_fmt(r[h]) for h in header))
-    return "\n".join(lines) + "\n"
+    """Rows of ``header``'s keys as CSV text, floats round-tripped at 17 digits."""
+    cells = [[f"{r[h]:.17g}" if isinstance(r[h], float) else str(r[h]) for h in header]
+             for r in rows]
+    return "\n".join(",".join(line) for line in [list(header)] + cells) + "\n"
 
 
 def _jsonable(obj):

@@ -28,7 +28,7 @@ from .manifold import Atlas, GeneralizedPoint, Transition
 from .manifolds import Manifold
 from .mollifier import Mollifier
 from .nets import Net, _as_net, box_lattice, classify_net, sup_norm_on_box, sup_norms
-from .quadrature import adaptive, box_rule
+from .quadrature import Sweep, cubature
 from .smooth import SmoothFn, constant, from_sympy, leaf_memo, smoothstep_expr
 
 # Relative clamp for overlap residuals: a gap this far below the net's
@@ -384,12 +384,7 @@ def _expand_orders(orders, dim: int):
             alphas.extend(a for a in mi.up_to(dim, total) if mi.order(a) == total)
         else:
             alphas.append(mi.check(item, dim))
-    seen, out = set(), []
-    for a in alphas:
-        if a not in seen:
-            seen.add(a)
-            out.append(a)
-    return out
+    return list(dict.fromkeys(alphas))  # first occurrences, in order
 
 
 def classify(U: GeneralizedFunction, orders=(0, 1), boxes: dict | None = None,
@@ -556,29 +551,22 @@ def default_densities(space, per_chart: int = 5, seed: int = 7) -> list[TestDens
     return out
 
 
-def integrate_box(fn: SmoothFn, box, eps_hint: float) -> float:
-    """Integral of a SmoothFn over a box.
-
-    The 1-d path uses adaptive Gauss-Legendre seeded at the scale
-    ``eps_hint``, so concentrated or oscillatory nets are resolved without
-    paying for it on smooth ones.  Higher dimensions use a fixed tensor
-    rule, which assumes the integrand is resolved at that scale.
+def integrate_box(fn: SmoothFn, box, eps_hint: float, sweep: Sweep | None = None) -> float:
+    """Integral of a SmoothFn over a box, by ``quadrature.cubature`` seeded at
+    the scale ``eps_hint``, so concentrated or oscillatory nets are resolved
+    without paying for it on smooth ones, in every dimension.  Alone it
+    raises QuadratureFailure when the integral is unresolved; in a ``sweep``
+    over eps it continues from the last eps and returns NaN there.
     """
     if not isinstance(box[0], tuple):
         box = (box,)
-    dim = len(box)
-    if dim == 1:
-        return adaptive(fn, float(box[0][0]), float(box[0][1]), float(eps_hint))
-    pts, weights = box_rule(box, 48)
-    out = float(np.dot(weights, fn._partial_fn((0,) * dim, pts)))
-    if not np.isfinite(out):
-        raise QuadratureFailure("tensor quadrature returned non-finite value")
-    return out
+    return cubature(fn, box, eps_hint, sweep)
 
 
 def integrate(U: GeneralizedFunction, density: SmoothFn | None = None,
               box=None, chart: str | None = None, grid=DEFAULT_GRID) -> GeneralizedNumber:
-    """eps -> integral over a chart box of u_eps times a density factor."""
+    """eps -> integral over a chart box of u_eps times a density factor; NaN at
+    an eps whose integral is unresolved (``quadrature`` module docstring)."""
     if chart is None:
         names = U.chart_names()
         if len(names) != 1:
@@ -587,12 +575,8 @@ def integrate(U: GeneralizedFunction, density: SmoothFn | None = None,
     if box is None:
         box = U.atlas.charts[chart].sample_box
     net = U.net(chart)
-    values = []
-    for e in grid:
-        f = net.at(float(e))
-        if density is not None:
-            f = f * density
-        values.append(integrate_box(f, box, eps_hint=float(e)))
+    sweep = Sweep(net.at if density is None else lambda e: net.at(e) * density)
+    values = [integrate_box(sweep.at(float(e)), box, float(e), sweep) for e in grid]
     return GeneralizedNumber(grid, values, label=f"int {U.label}")
 
 
@@ -656,12 +640,6 @@ def _target_action(target, density: TestDensity) -> float:
     raise TypeError(f"unsupported association target {target!r}")
 
 
-def pair_density(U: GeneralizedFunction, density: TestDensity, eps: float) -> float:
-    """One pairing: integral of u_eps against the density over its box."""
-    f = U.net(density.chart).at(float(eps)) * density.fn
-    return integrate_box(f, density.box, eps_hint=float(eps))
-
-
 def associate(U: GeneralizedFunction, target=None, densities=None, grid=DEFAULT_GRID,
               tol: float = PAIRING_TOL) -> AssociationVerdict:
     """Association test: pairings against a density suite, extrapolated.
@@ -669,7 +647,8 @@ def associate(U: GeneralizedFunction, target=None, densities=None, grid=DEFAULT_
     ``target`` is None/0, a DistributionSpec (applied in the density's
     chart coordinates), or a dict of specs per chart.  Each density is
     paired over the grid, Richardson-extrapolated to eps = 0, and
-    compared with the target's action.
+    compared with the target's action.  A pairing that is unresolved at
+    some eps makes the status "unresolved".
     """
     if densities is None:
         densities = default_densities(U.atlas, seed=7)
@@ -677,9 +656,11 @@ def associate(U: GeneralizedFunction, target=None, densities=None, grid=DEFAULT_
     if not densities:
         raise NotComparable("no test density lands in a chart carried by U")
     rows = []
-    all_ok = True
-    for d in densities:
-        pairings = [pair_density(U, d, e) for e in grid]
+    all_ok, resolved = True, True
+    for d in densities:  # a pairing: u_eps times the density over its box
+        sweep = Sweep(lambda e, d=d: U.net(d.chart).at(e) * d.fn)
+        pairings = [integrate_box(sweep.at(float(e)), d.box, float(e), sweep) for e in grid]
+        resolved = resolved and not sweep.unresolved
         limit, extrap_res = richardson_limit(grid, pairings)
         tgt = _target_action(target, d)
         residual = abs(limit - tgt)
@@ -692,7 +673,9 @@ def associate(U: GeneralizedFunction, target=None, densities=None, grid=DEFAULT_
             "target": tgt, "residual": residual, "ok": ok,
         })
     zero_target = target is None or (np.isscalar(target) and float(target) == 0.0)
-    if all_ok:
+    if not resolved:
+        status = "unresolved"
+    elif all_ok:
         status = "associated_to_zero" if zero_target else "associated"
     else:
         status = "not_associated"

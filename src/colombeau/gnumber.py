@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .asymptotic import DEFAULT_M_MAX, AsymptoticFit, estimate_order
@@ -25,38 +27,31 @@ class GeneralizedNumber:
 
     @classmethod
     def from_fn(cls, fn, grid=DEFAULT_GRID) -> "GeneralizedNumber":
-        grid = np.asarray(grid, dtype=float)
         return cls(grid, [float(fn(float(e))) for e in grid])
 
     @classmethod
     def const(cls, c: float) -> "GeneralizedNumber":
         return cls(DEFAULT_GRID, np.full_like(DEFAULT_GRID, float(c)))
 
-    def _check_grid(self, other: "GeneralizedNumber"):
+    def _zip(self, other, op):
+        other = self._coerce(other)
         if self.grid.shape != other.grid.shape or not np.array_equal(self.grid, other.grid):
             raise DimensionMismatch("generalized numbers live on different eps grids")
+        return GeneralizedNumber(self.grid, op(self.values, other.values))
 
     def __add__(self, other):
-        other = self._coerce(other)
-        self._check_grid(other)
-        return GeneralizedNumber(self.grid, self.values + other.values)
-
-    __radd__ = __add__
+        return self._zip(other, operator.add)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        self._check_grid(other)
-        return GeneralizedNumber(self.grid, self.values - other.values)
+        return self._zip(other, operator.sub)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        self._check_grid(other)
-        return GeneralizedNumber(self.grid, self.values * other.values)
+        return self._zip(other, operator.mul)
 
-    __rmul__ = __mul__
+    __radd__, __rmul__ = __add__, __mul__
 
     def __neg__(self):
         return GeneralizedNumber(self.grid, -self.values)

@@ -83,15 +83,8 @@ def _sinc_closed(j: int, x: np.ndarray) -> np.ndarray:
     c = FOURIER_C
     acc = np.zeros_like(x)
     for i in range(j + 1):
-        term = (
-            math.comb(j, i)
-            * c ** i
-            * np.sin(c * x + i * math.pi / 2)
-            * (-1.0) ** (j - i)
-            * math.factorial(j - i)
-            * x ** (-(j - i + 1))
-        )
-        acc = acc + term
+        acc = acc + (math.comb(j, i) * c ** i * np.sin(c * x + i * math.pi / 2)
+                     * (-1.0) ** (j - i) * math.factorial(j - i) * x ** (-(j - i + 1)))
     return acc / math.pi
 
 
@@ -151,9 +144,8 @@ class Mollifier:
 
     def energy(self) -> float:
         """Integral of rho^2 over the support radius, by the certificate rule."""
-        values, _ = _panelled_moments(
-            lambda x: self.deriv(0, x) ** 2, (0,), self.support_radius_hint
-        )
+        values, _ = _panelled_moments(lambda x: self.deriv(0, x) ** 2, (0,),
+                                      self.support_radius_hint)
         return float(values[0])
 
 
@@ -228,10 +220,7 @@ def gausspoly_coefficients(order: int) -> np.ndarray:
     m = int(order)
     if m < 0:
         raise ValueError("order must be >= 0")
-    a = np.empty((m + 1, m + 1))
-    for j in range(m + 1):
-        for i in range(m + 1):
-            a[j, i] = math.gamma(i + j + 0.5)
+    a = np.array([[math.gamma(i + j + 0.5) for i in range(m + 1)] for j in range(m + 1)])
     if np.linalg.cond(a) > 1e12:
         raise MomentSystemSingular(
             f"moment system for order {m} has condition number {np.linalg.cond(a):.2e}"

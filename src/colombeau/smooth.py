@@ -383,8 +383,10 @@ class _SciPyAtomPrinter(_AtomPrinting, SciPyPrinter):
 
 def _modules(expr):
     """The atom printer class for ``expr``: numpy alone unless ``expr`` names a
-    function numpy lacks."""
-    numpy_only = all(type(f).__name__ in _NUMPY_FUNCTIONS for f in expr.atoms(sp.Function))
+    function numpy lacks; an undefined function (``sp.Function("f")``) is in no
+    module, so it asks for none, and evaluating it raises NameError naming it."""
+    numpy_only = all(type(f).__name__ in _NUMPY_FUNCTIONS or isinstance(f, AppliedUndef)
+                     for f in expr.atoms(sp.Function))
     return _NumPyAtomPrinter if numpy_only else _SciPyAtomPrinter
 
 

@@ -114,6 +114,15 @@ def test_failing_check_exits_one_with_report(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_stokes_passes_on_a_grid_whose_first_box_grid_exceeds_the_budget(tmp_path):
+    """At 2^-6 the 8*eps grid of the 3-d bulk, 16^3 boxes, exceeds the point
+    budget: that sweep starts at 2^-5 and halves down."""
+    out = tmp_path / "stokes"
+    assert main(["run", "stokes", "--grid", "6..9", "--out", str(out)]) == 0
+    checks = json.loads((out / "report.json").read_text())["checks"]
+    assert all(c["ok"] for c in checks), checks
+
+
 def test_mechanics_quick_run(tmp_path):
     out = tmp_path / "mech"
     assert main(["run", "mechanics", "--eps", "1e-2", "--grid", "4..7",
@@ -161,12 +170,19 @@ except ImportError as err:
     assert "colombeau[scipy]" in str(err), err
 else:
     raise AssertionError("an erf leaf evaluated without scipy")
+try:
+    from_sympy(sp.Function("f")(x), [x])(0.5)
+except NameError as err:
+    assert err.name == "f" and "scipy" not in str(err), err
+else:
+    raise AssertionError("an undefined function evaluated")
 """
 
 
 def test_cold_runs_load_no_scipy(tmp_path):
     """Every catalog experiment, and the regular-piece action, run where scipy cannot be
-    imported; only a leaf naming a function numpy lacks asks for the scipy extra."""
+    imported; only a leaf naming a function numpy lacks asks for the scipy extra, and
+    a leaf calling an undefined function names it instead."""
     src = str(Path(colombeau.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))

@@ -12,6 +12,7 @@ import sympy as sp
 
 from colombeau import _mindex as mi
 from colombeau import forms as F
+from colombeau import quadrature
 from colombeau import tensor as T
 from colombeau.embed import dirac, embed_rn, heaviside
 from colombeau.errors import (AtlasMismatch, DegreeOverflow, DomainError,
@@ -23,7 +24,7 @@ from colombeau.manifolds import circle, euclidean, torus2
 from colombeau.mechanics import SymplecticForm, poisson
 from colombeau.mollifier import build_mollifier
 from colombeau.nets import Net, box_lattice
-from colombeau.smooth import constant, coordinate, from_sympy
+from colombeau.smooth import SmoothFn, constant, coordinate, from_sympy
 
 X0, X1, X2 = sp.symbols("x0 x1 x2")
 
@@ -427,6 +428,35 @@ def test_stokes_disk_rejects_non_finite_sides(plane):
                                             (1,): from_sympy(sp.sqrt(X0 + 0.5), xy)}})
     with pytest.raises(QuadratureFailure):
         F.stokes_check(w, ("disk", 1.0), grid=dyadic_grid(4, 6))
+
+
+def test_stokes_box_starts_coarser_or_reports_unresolved_eps(plane, monkeypatch):
+    """At 2^-12 the 8*eps grid of the 2-d bulk exceeds the point budget: its
+    sweep starts at 2^-9, the coarsest eps whose grid fits, and halves down.
+    Under a budget no first level fits, the report lists every eps and fails."""
+    xy = [X0, X1]
+    w = F.GeneralizedKForm(plane, 1, {"0": {(0,): from_sympy(-X1, xy),
+                                            (1,): from_sympy(X0, xy)}})
+    grid, box = dyadic_grid(12, 15), ("box", ((-1.0, 1.0), (-1.0, 1.0)))
+    rep = F.stokes_check(w, box, grid=grid)
+    assert rep["ok"] and "unresolved" not in rep
+    assert all(abs(row["lhs"] - 8.0) < 1e-12 and abs(row["rhs"] - 8.0) < 1e-12
+               for row in rep["rows"])
+    monkeypatch.setattr(quadrature, "POINT_BUDGET", 100)
+    rep = F.stokes_check(w, box, grid=grid)
+    assert rep["unresolved"] == grid.tolist() and not rep["ok"]
+    assert all(np.isnan(row["lhs"]) and np.isnan(row["rhs"]) for row in rep["rows"])
+
+
+def test_stokes_interval_rejects_a_non_finite_boundary_value(line):
+    """The bulk of x on [-1, 1] is 2, but the value at 1 is NaN: no residual."""
+    def fn(alpha, pts):
+        x = pts[:, 0]
+        return np.where(x < 1.0, x, np.nan) if alpha == (0,) else np.ones(len(x))
+
+    u = GeneralizedFunction(line, {"0": SmoothFn(1, fn)})
+    with pytest.raises(QuadratureFailure, match="boundary value at 1.0"):
+        F.stokes_check(u, ("box", ((-1.0, 1.0),)), grid=dyadic_grid(4, 6))
 
 
 def test_stokes_box_r3(space3):

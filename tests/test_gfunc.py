@@ -10,7 +10,7 @@ import sympy as sp
 
 from colombeau import _mindex as mi
 from colombeau import gfunc as G
-from colombeau import smooth
+from colombeau import quadrature, smooth
 from colombeau import tensor as T
 from colombeau.embed import (
     DistributionSpec,
@@ -28,7 +28,7 @@ from colombeau.errors import (
     QuadratureFailure,
 )
 from colombeau.gnumber import GeneralizedNumber
-from colombeau.grid import dyadic_grid
+from colombeau.grid import DEFAULT_GRID, dyadic_grid
 from colombeau.manifold import GeneralizedPoint, Transition
 from colombeau.manifolds import circle, euclidean, torus2
 from colombeau.mollifier import build_mollifier
@@ -615,6 +615,26 @@ def test_association_verdict_serialization(delta_fn):
     csv = v.to_csv().splitlines()
     assert csv[0] == "density,eps,pairing,extrapolated,target,residual,ok"
     assert len(csv) > 1
+
+
+@pytest.mark.parametrize("spec", ["fourier", "gausspoly:2"])
+def test_delta_in_the_plane_associates_to_delta(spec):
+    """The fixed 48^2 rule made the fourier case "not_associated" at grid 4..9."""
+    p = (0.1, 0.1)
+    U = G.embed_manifold({"0": dirac(p, dim=2)}, euclidean(2), build_mollifier(spec))
+    for grid in (dyadic_grid(4, 9), DEFAULT_GRID):
+        v = G.associate(U, dirac(p, dim=2), grid=grid)
+        assert v.status == "associated", (len(grid), v.rows)
+
+
+def test_an_unresolved_pairing_makes_the_verdict_unresolved(monkeypatch):
+    """Under a point budget that no first level fits, every pairing is NaN."""
+    p = (0.1, 0.1)
+    U = G.embed_manifold({"0": dirac(p, dim=2)}, euclidean(2), build_mollifier("fourier"))
+    monkeypatch.setattr(quadrature, "POINT_BUDGET", 100)
+    v = G.associate(U, dirac(p, dim=2), grid=dyadic_grid(4, 9))
+    assert v.status == "unresolved" and not v.associated
+    assert all(np.isnan(r["pairings"]).all() for r in v.rows)
 
 
 def test_delta_on_circle_associates_chartwise(fourier, s1):

@@ -713,6 +713,16 @@ def test_arguments_that_are_no_identifiers_share_their_atoms(name, atom_runs):
     assert runs == {f"numpy({name},y) exp(Dummy_0)": 1}
 
 
+def test_an_undefined_function_leaf_names_the_function():
+    """With scipy importable too; ``tests/test_cli.py`` runs it without."""
+    x = sp.Symbol("x")
+    leaf = from_sympy(sp.Function("f")(x), [x])
+    assert smooth._modules(sp.Function("f")(x)) is smooth._NumPyAtomPrinter
+    with pytest.raises(NameError, match="'f'") as err:
+        leaf(0.5)
+    assert err.value.name == "f"
+
+
 def test_library_functions_lambdify_against_numpy_alone():
     th = sp.Symbol("theta")
     for expr in (smoothstep_expr(sp.cos(th) / 2), sp.sin(th) * sp.exp(th),
