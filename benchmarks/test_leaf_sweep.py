@@ -28,7 +28,7 @@ def sweep():
     grid = dyadic_grid(4, 9)
 
     def run():
-        return G.overlap_residual(t2.atlas, F.comps, F.valence, grid, 9)
+        return G.overlap_residual(F, grid, 9)
 
     return run
 

@@ -20,14 +20,15 @@ import numpy as np
 from . import _mindex as mi
 from .errors import (DegreeOverflow, DomainError, InvalidDegree, InvalidSlots,
                      QuadratureFailure)
-from .gfunc import GeneralizedFunction, GeneralizedSection, _same_charts, _sum, integrate
+from .gfunc import (GeneralizedFunction, GeneralizedSection, _keys, _same_charts, _section,
+                    _sum, integrate)
 from .gnumber import GeneralizedNumber
 from .grid import DEFAULT_GRID
 from .manifolds import Manifold
 from .nets import Net, sup_norms
 from .quadrature import Sweep, cubature, interval_rule
 from .smooth import SmoothFn
-from .tensor import (GeneralizedTensorField, _keys, _lie_parts, coherence_check_tensor,
+from .tensor import (GeneralizedTensorField, _lie_parts, coherence_check_tensor,
                      random_coherent_functions)
 
 HOMOTOPY_NODES = 32   # Gauss-Legendre nodes in t of the radial homotopy
@@ -61,6 +62,8 @@ def _signed(net, negate):
 class GeneralizedKForm(GeneralizedSection):
     """Degree-k form with one net per chart and increasing index tuple."""
 
+    _Mismatch = InvalidDegree
+
     def __init__(self, space, degree: int, comps: dict, label: str = ""):
         k = int(degree)
         if k < 1:
@@ -88,14 +91,6 @@ class GeneralizedKForm(GeneralizedSection):
     def _like(self, comps, label: str = "") -> "GeneralizedKForm":
         return GeneralizedKForm(self.atlas, self.degree, comps, label)
 
-    def _zip(self, other, op):
-        if not isinstance(other, GeneralizedKForm):
-            raise TypeError(f"cannot combine a form with {other!r}")
-        _same_charts(self, other)
-        if other.degree != self.degree:
-            raise InvalidDegree(f"degree {other.degree} != {self.degree}")
-        return self._map(lambda c, K, net: op(net, other.comps[c][K]))
-
     # -- views -----------------------------------------------------------
 
     def to_tensor(self) -> GeneralizedTensorField:
@@ -113,17 +108,11 @@ class GeneralizedKForm(GeneralizedSection):
 
 
 def exterior_d(omega):
-    """Exterior derivative; accepts a generalized function as a 0-form."""
-    if isinstance(omega, GeneralizedFunction):
-        dim = omega.atlas.dim
-        comps = {c: {(i,): omega.nets[c].partial(mi.unit(dim, i))
-                     for i in range(dim)}
-                 for c in omega.nets}
-        return GeneralizedKForm(omega.atlas, 1, comps, label=f"d {omega.label}")
-    if not isinstance(omega, GeneralizedKForm):
+    """Exterior derivative; a generalized function is the 0-form, its part ``{(): net}``."""
+    if not isinstance(omega, (GeneralizedFunction, GeneralizedKForm)):
         raise TypeError(f"cannot differentiate {omega!r}")
     dim = omega.atlas.dim
-    k = omega.degree
+    k = omega.rank
     comps = {}
     for c, table in omega.comps.items():
         comps[c] = {}
@@ -137,16 +126,12 @@ def exterior_d(omega):
 
 
 def wedge(a, b):
-    """Wedge product; either factor may be a generalized function."""
-    if isinstance(a, GeneralizedFunction):
-        return b * a if isinstance(b, GeneralizedFunction) else b.__mul__(a)
-    if isinstance(b, GeneralizedFunction):
-        return a * b
-    if not isinstance(a, GeneralizedKForm) or not isinstance(b, GeneralizedKForm):
+    """Wedge product; either factor may be a generalized function, the 0-form."""
+    if not all(isinstance(f, (GeneralizedFunction, GeneralizedKForm)) for f in (a, b)):
         raise TypeError("wedge takes forms or generalized functions")
     _same_charts(a, b)
     dim = a.atlas.dim
-    k, l = a.degree, b.degree
+    k, l = a.rank, b.rank
     if k + l > dim:
         raise DegreeOverflow(f"degree {k}+{l} exceeds dimension {dim}")
     comps = {}
@@ -160,8 +145,7 @@ def wedge(a, b):
                     * b.comps[c][tuple(K[p] for p in comp)]
                 terms.append(_signed(term, _merge_sign(pos) < 0))
             comps[c][K] = _sum(terms)
-    return GeneralizedKForm(a.atlas, k + l, comps,
-                            label=f"({a.label})^({b.label})")
+    return _section(GeneralizedKForm, a.atlas, k + l, comps, f"({a.label})^({b.label})")
 
 
 def insert(omega: GeneralizedKForm, Xi: GeneralizedTensorField):
@@ -175,10 +159,6 @@ def insert(omega: GeneralizedKForm, Xi: GeneralizedTensorField):
         raise InvalidSlots("interior product inserts a vector field")
     _same_charts(omega, Xi)
     k = omega.degree
-    if k == 1:
-        nets = {c: _sum(Xi.comps[c][(m,)] * net for (m,), net in table.items())
-                for c, table in omega.comps.items()}
-        return GeneralizedFunction(omega.atlas, nets, label=f"i_Xi {omega.label}")
     comps = {}
     for c, table in omega.comps.items():
         terms = {J: [] for J in index_tuples(omega.atlas.dim, k - 1)}
@@ -187,7 +167,7 @@ def insert(omega: GeneralizedKForm, Xi: GeneralizedTensorField):
                 term = Xi.comps[c][(K[t],)] * net
                 terms[K[:t] + K[t + 1:]].append(_signed(term, t % 2))
         comps[c] = {J: _sum(ts, 0.0) for J, ts in terms.items()}
-    return GeneralizedKForm(omega.atlas, k - 1, comps, label=f"i_Xi {omega.label}")
+    return _section(GeneralizedKForm, omega.atlas, k - 1, comps, f"i_Xi {omega.label}")
 
 
 def lie_derivative_form(omega: GeneralizedKForm,
@@ -278,11 +258,8 @@ def homotopy_H(omega: GeneralizedKForm):
 
         return Net(dim, factory)
 
-    if k == 1:
-        return GeneralizedFunction(atlas, {c: comp_net(())},
-                                   label=f"H {omega.label}")
     comps = {c: {J: comp_net(J) for J in index_tuples(dim, k - 1)}}
-    return GeneralizedKForm(atlas, k - 1, comps, label=f"H {omega.label}")
+    return _section(GeneralizedKForm, atlas, k - 1, comps, f"H {omega.label}")
 
 
 def poincare_check(omega: GeneralizedKForm, grid=DEFAULT_GRID, n_samples: int = 21,
@@ -352,14 +329,24 @@ def stokes_check(omega, domain, grid=DEFAULT_GRID, tol: float = 1e-6) -> dict:
     Domains: ("box", box) for forms of degree dim - 1 on a coordinate
     box with lo < hi on every axis of the chart, a generalized function
     on a line chart counting as the 0-form on a 1-box (an interval), and
-    ("disk", radius) for 1-forms in the plane.  Anything else raises
-    DomainError.  The report carries lhs (integral of d omega), rhs
-    (boundary integral), and their gap for every eps; an eps where a box
-    integral is unresolved (NaN) is listed under "unresolved" and fails it.
+    ("disk",) or ("disk", radius) for 1-forms in the plane, radius 1 by
+    default.  Anything else raises DomainError.  The report carries lhs
+    (integral of d omega), rhs (boundary integral), and their gap for
+    every eps; an eps where a box integral is unresolved (NaN) is listed
+    under "unresolved" and fails it.
     """
-    kind = domain[0] if isinstance(domain, (tuple, list)) and domain else None
     if not isinstance(omega, (GeneralizedFunction, GeneralizedKForm)):
         raise TypeError("stokes_check needs a form or generalized function")
+    kind = domain[0] if isinstance(domain, (tuple, list)) and domain else None
+    try:
+        if kind == "disk" and len(domain) <= 2:
+            radius = float(domain[1]) if len(domain) > 1 else 1.0
+        elif kind == "box" and len(domain) == 2:
+            box = tuple((float(lo), float(hi)) for lo, hi in domain[1])
+        else:
+            raise ValueError
+    except (TypeError, ValueError):
+        raise DomainError(f"unsupported domain {domain!r}") from None
     names = omega.chart_names()
     if len(names) != 1:
         raise DomainError("the boundary theorem report works on a single chart")
@@ -368,11 +355,10 @@ def stokes_check(omega, domain, grid=DEFAULT_GRID, tol: float = 1e-6) -> dict:
 
     rows = []
     if kind == "disk":
-        if dim != 2 or not isinstance(omega, GeneralizedKForm) or omega.degree != 1:
+        if dim != 2 or omega.rank != 1:
             raise DomainError("disk domains take 1-forms in the plane")
-        radius = float(domain[1]) if len(domain) > 1 else 1.0
-        if radius <= 0:
-            raise DomainError(f"radius {radius} is not positive")
+        if not 0.0 < radius < np.inf:
+            raise DomainError(f"radius {radius} is not positive and finite")
         curl = exterior_d(omega).comps[c][(0, 1)]
         r_nodes, r_weights = interval_rule(0.0, radius, DISK_RADII)
         theta = np.linspace(0.0, 2.0 * np.pi, DISK_ANGLES, endpoint=False)
@@ -393,23 +379,18 @@ def stokes_check(omega, domain, grid=DEFAULT_GRID, tol: float = 1e-6) -> dict:
             if not (np.isfinite(lhs) and np.isfinite(rhs)):
                 raise QuadratureFailure(f"disk check at eps {e}: lhs {lhs}, rhs {rhs}")
             rows.append((lhs, rhs))
-    elif kind == "box":
-        is_form = isinstance(omega, GeneralizedKForm)
-        if (omega.degree if is_form else 0) != dim - 1:
+    else:
+        if omega.rank != dim - 1:
             raise DomainError("box domains take forms of degree dim - 1")
-        box = tuple((float(lo), float(hi)) for lo, hi in domain[1])
         if len(box) != dim or not all(lo < hi for lo, hi in box):
             raise DomainError(f"box {box} needs {dim} axes, each with lo < hi")
-        parts = omega.comps[c] if is_form else {(): omega.nets[c]}
         bulk = integrate_nform(exterior_d(omega), box, grid).values.tolist()
         rhs = 0.0
         for i in range(dim):
-            upper, lower = (_face_integral(parts[tuple(j for j in range(dim) if j != i)],
+            upper, lower = (_face_integral(omega.comps[c][tuple(j for j in range(dim) if j != i)],
                                            box, i, v, grid) for v in (box[i][1], box[i][0]))
             rhs = rhs + (-1.0) ** i * (upper - lower)
         rows = list(zip(bulk, rhs.tolist()))
-    else:
-        raise DomainError(f"unsupported domain {domain!r}")
 
     report_rows, unresolved = [], []
     worst = 0.0

@@ -11,6 +11,7 @@ testing against distribution targets, and integration.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -68,6 +69,10 @@ def _same_charts(a, b):
         raise AtlasMismatch("operands carry different chart sets")
 
 
+def _is_number(w) -> bool:
+    return np.isscalar(w) and not isinstance(w, (str, bytes))
+
+
 def _weight(section, w):
     """The chartwise weighting (chart, net) -> w * net, or None for other ``w``.
 
@@ -76,8 +81,8 @@ def _weight(section, w):
     """
     if isinstance(w, GeneralizedFunction):
         _same_charts(section, w)
-        return lambda c, net: w.nets[c] * net
-    if np.isscalar(w) and not isinstance(w, (str, bytes)):
+        return lambda c, net: w.net(c) * net
+    if _is_number(w):
         return lambda c, net: net * float(w)
     return None
 
@@ -89,17 +94,26 @@ def _sum(terms, empty=None):
     return empty if first is None else functools.reduce(operator.add, terms, first)
 
 
+def _keys(dim: int, rank: int) -> list:
+    """Every index tuple of (dim,) * rank, in C order; [()] at rank 0."""
+    return list(itertools.product(range(dim), repeat=rank))
+
+
 class GeneralizedSection:
     """Chartwise component nets on one atlas: a generalized section.
 
-    ``comps`` maps each chart carrying the section to its part there,
-    built by :meth:`_part`: the net itself for a scalar, else a dict from
-    index tuple to net in ``keys()`` order.  Every net is coerced by
-    ``nets._as_net`` and must live on R^dim of the atlas.  ``+`` and
-    ``-`` go to the subclass's ``_zip``, which checks the other operand;
-    ``-s`` and ``w * s`` are ``s * -1.0`` and ``s * w``.  Indexed
-    sections combine entrywise through :meth:`_map` and ``_like(comps)``.
+    ``comps`` maps each chart carrying the section to its part there, a
+    dict from each index tuple of ``keys()`` to its net, in that order,
+    built by :meth:`_part`.  A generalized function is the rank-0 case:
+    its part is ``{(): net}``.  Every net is coerced by ``nets._as_net``
+    and must live on R^dim of the atlas.  ``+`` and ``-`` go to
+    :meth:`_zip`, which combines a section of the same class and valence
+    entry by entry, and a number only at rank 0; ``-s`` and ``w * s`` are
+    ``s * -1.0`` and ``s * w``.  Sections combine entrywise through
+    :meth:`_map` and ``_like(comps)``.
     """
+
+    _Mismatch = InvalidSlots  # what ``+`` and ``-`` raise on another valence
 
     def __init__(self, space, parts: dict, label: str = ""):
         self.atlas = _atlas_of(space)
@@ -117,7 +131,27 @@ class GeneralizedSection:
                 f"net for chart {c!r} has dim {net.dim}, atlas has {self.atlas.dim}")
         return net
 
-    _part = _net
+    def _part(self, c, src) -> dict:
+        """{index: net} from a dict of exactly the indices, or from nested sequences or arrays."""
+        keys, shape = self.keys(), (self.atlas.dim,) * self.rank
+        if not isinstance(src, dict):
+            flat = [src.tolist() if isinstance(src, np.ndarray) else src]
+            for _ in shape:  # one nesting level per slot, so C order
+                if not all(isinstance(row, (list, tuple, np.ndarray)) and len(row) == shape[0]
+                           for row in flat):
+                    raise AtlasMismatch(f"components for chart {c!r} do not nest as {shape}")
+                flat = [x for row in flat for x in row]
+            src = dict(zip(keys, flat))
+        extra = [K for K in src if K not in keys]
+        if extra:
+            raise InvalidSlots(f"components for chart {c!r}: no index {extra[0]} in shape {shape}")
+        if len(src) != len(keys):
+            raise AtlasMismatch(f"components for chart {c!r} have keys {list(src)}, "
+                                f"want every index of shape {shape}")
+        return {K: self._net(c, src[K]) for K in keys}
+
+    def keys(self):
+        return _keys(self.atlas.dim, self.rank)
 
     def chart_names(self):
         return sorted(self.comps)
@@ -148,6 +182,19 @@ class GeneralizedSection:
         return self._like({c: {K: entry(c, K, net) for K, net in part.items()}
                            for c, part in self.comps.items()})
 
+    def _zip(self, other, op):
+        """``op(net, other's net)`` at every chart and key for a section of this class
+        and valence, ``op(net, float(other))`` for a number at rank 0, else
+        NotImplemented."""
+        if isinstance(other, type(self)):
+            _same_charts(self, other)
+            if other.valence != self.valence:
+                raise self._Mismatch(f"valence {other.valence} != {self.valence}")
+            return self._map(lambda c, K, net: op(net, other.comps[c][K]))
+        if self.rank == 0 and _is_number(other):
+            return self._map(lambda c, K, net: op(net, float(other)))
+        return NotImplemented
+
     def __mul__(self, w):
         weight = _weight(self, w)
         return NotImplemented if weight is None else self._map(lambda c, K, net: weight(c, net))
@@ -155,8 +202,13 @@ class GeneralizedSection:
     def __add__(self, other):
         return self._zip(other, operator.add)
 
+    __radd__ = __add__
+
     def __sub__(self, other):
         return self._zip(other, operator.sub)
+
+    def __rsub__(self, other):
+        return self._zip(other, lambda a, b: b - a)
 
     def __neg__(self):
         return self * -1.0
@@ -166,38 +218,34 @@ class GeneralizedSection:
 
 
 class GeneralizedFunction(GeneralizedSection):
-    """Per-chart nets subject to the overlap transformation law."""
+    """Per-chart nets subject to the overlap transformation law: the rank-0 section."""
+
+    valence = (0, 0)
 
     @property
     def nets(self) -> dict[str, Net]:
-        """The net of each chart: a scalar section's part is its net."""
-        return self.comps
+        """The net of each chart, read from its part ``{(): net}``."""
+        return {c: part[()] for c, part in self.comps.items()}
 
     def net(self, chart: str) -> Net:
         try:
-            return self.nets[chart]
+            return self.comps[chart][()]
         except KeyError:
             raise NotComparable(f"chart {chart!r} carries no net")
 
-    # -- algebra (chartwise, eps-wise) ----------------------------------
+    def _like(self, comps, label: str = "") -> "GeneralizedFunction":
+        return GeneralizedFunction(self.atlas, comps, label)
 
-    def _zip(self, other, op):
-        if isinstance(other, GeneralizedFunction):
-            _same_charts(self, other)
-            return GeneralizedFunction(
-                self.atlas, {c: op(self.nets[c], other.nets[c]) for c in self.nets})
-        if np.isscalar(other) and not isinstance(other, (str, bytes)):
-            return GeneralizedFunction(
-                self.atlas, {c: op(self.nets[c], float(other)) for c in self.nets})
-        return NotImplemented
-
-    __radd__ = GeneralizedSection.__add__
-
-    def __rsub__(self, other):
-        return self._zip(other, lambda a, b: b - a)
-
-    def __mul__(self, other):
+    def __mul__(self, other):  # U * V is U's net times V's, not the base's V-weighting of U
         return self._zip(other, operator.mul)
+
+
+def _section(cls, space, shape, comps: dict, label: str = ""):
+    """``cls(space, shape, comps, label)`` for a degree or valence ``shape``, and the
+    generalized function of ``comps`` when ``shape`` has rank 0."""
+    if shape in (0, (0, 0)):
+        return GeneralizedFunction(space, comps, label)
+    return cls(space, shape, comps, label)
 
 
 def sigma_embed(space, fns: dict) -> GeneralizedFunction:
@@ -219,11 +267,10 @@ def sigma_embed(space, fns: dict) -> GeneralizedFunction:
 # -- coherence -----------------------------------------------------------
 
 
-def _block_gaps(atlas: Atlas, comps: dict, valence, block: list, grid,
-                n_samples: int) -> list:
+def _block_gaps(section: GeneralizedSection, block: list, grid, n_samples: int) -> list:
     """(pair, box count, {eps: clamped gap per box}) of each transition in ``block``."""
+    atlas, comps, (r, s) = section.atlas, section.comps, section.valence
     dim = atlas.dim
-    r, s = valence
     zero = (0,) * dim
     parts: dict[str, list] = {}  # chart -> the block's points in it, in order
     jobs = []
@@ -297,13 +344,14 @@ def _block_gaps(atlas: Atlas, comps: dict, valence, block: list, grid,
             for j, (pair, starts, *_) in enumerate(jobs)]
 
 
-def overlap_residual(atlas: Atlas, comps: dict, valence, grid, n_samples: int) -> dict:
-    """Classify the transformation-law residual of chartwise components.
+def overlap_residual(section: GeneralizedSection, grid, n_samples: int) -> dict:
+    """Classify the transformation-law residual of a section's chart parts.
 
-    ``comps`` maps chart names to tensor parts for ``valence`` (r, s):
-    dicts from every index tuple of (dim,) * (r + s), in C order, to
-    nets; a scalar's part is ``{(): net}``.  For
-    each transition a -> b with Jacobian J carried by both charts, the
+    The section is a tensor field of valence (r, s) or a generalized
+    function, the rank-0 case: each chart part maps every index tuple of
+    (dim,) * (r + s), in C order, to a net, a scalar's part is
+    ``{(): net}``, and a form passes its ``to_tensor()`` view.  For each
+    transition a -> b with Jacobian J carried by both charts, the
     chart-a components are compared on the overlap boxes against the
     pullback of the chart-b ones: inverse-J factors on upper slots, J
     factors on lower slots, chart-b components at the mapped points.
@@ -331,6 +379,7 @@ def overlap_residual(atlas: Atlas, comps: dict, valence, grid, n_samples: int) -
     is bounded by the larger of ``SWEEP_POINTS`` and one transition's
     points.  The family is coherent when every fit is negligible.
     """
+    atlas, comps = section.atlas, section.comps
     grid = tuple(float(e) for e in grid)
     blocks, used = [], 0
     for (a, b), tr in sorted(atlas.transitions.items()):
@@ -344,8 +393,7 @@ def overlap_residual(atlas: Atlas, comps: dict, valence, grid, n_samples: int) -
         used += size
     rows = []
     for block in blocks:
-        for pair, n_boxes, sweep in _block_gaps(atlas, comps, valence, block, grid,
-                                                n_samples):
+        for pair, n_boxes, sweep in _block_gaps(section, block, grid, n_samples):
             for k in range(n_boxes):
                 gaps = [sweep[e][k] for e in grid]
                 if not np.all(np.isfinite(gaps)):
@@ -369,8 +417,7 @@ def coherence_check(U: GeneralizedFunction, grid=DEFAULT_GRID, n_samples: int = 
     The gap sup |U_a(x) - U_b(t_ab(x))| per eps is the rank-0 case of
     :func:`overlap_residual`; coherent means every fit is negligible.
     """
-    comps = {c: {(): net} for c, net in U.nets.items()}
-    return overlap_residual(U.atlas, comps, (0, 0), grid, n_samples)
+    return overlap_residual(U, grid, n_samples)
 
 
 # -- classification ------------------------------------------------------
@@ -454,7 +501,7 @@ def point_value(U: GeneralizedFunction, p: GeneralizedPoint,
     values = []
     for e in grid:
         c = mapper(p.coords_at(float(e)))
-        values.append(float(U.nets[target].at(float(e))(np.atleast_1d(c))))
+        values.append(float(U.net(target).at(float(e))(np.atleast_1d(c))))
     return GeneralizedNumber(grid, values, label=f"{U.label}({p.label})")
 
 

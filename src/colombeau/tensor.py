@@ -15,24 +15,18 @@ derivation.
 from __future__ import annotations
 
 import functools
-import itertools
 
 import numpy as np
 
 from . import _mindex as mi
-from .errors import AtlasMismatch, InvalidSlots, NotADerivation
-from .gfunc import (GeneralizedFunction, GeneralizedSection, _atlas_of, _same_charts, _sum,
-                    classify, overlap_residual)
+from .errors import InvalidSlots, NotADerivation
+from .gfunc import (GeneralizedFunction, GeneralizedSection, _atlas_of, _keys, _same_charts,
+                    _section, _sum, classify, overlap_residual)
 from .gnumber import GeneralizedNumber
 from .grid import DEFAULT_GRID
 from .manifolds import Manifold
 from .nets import Net
 from .smooth import from_sympy
-
-
-def _keys(dim: int, rank: int) -> list:
-    """Every index tuple of (dim,) * rank, in C order."""
-    return list(itertools.product(range(dim), repeat=rank))
 
 
 class GeneralizedTensorField(GeneralizedSection):
@@ -45,40 +39,10 @@ class GeneralizedTensorField(GeneralizedSection):
         self.valence = (r, s)
         super().__init__(space, comps, label)
 
-    def _part(self, c, src) -> dict:
-        """{index: net} from a dict of exactly the indices, or from nested sequences or arrays."""
-        keys, shape = self.keys(), (self.atlas.dim,) * self.rank
-        if not isinstance(src, dict):
-            flat = [src.tolist() if isinstance(src, np.ndarray) else src]
-            for _ in shape:  # one nesting level per slot, so C order
-                if not all(isinstance(row, (list, tuple, np.ndarray)) and len(row) == shape[0]
-                           for row in flat):
-                    raise AtlasMismatch(f"components for chart {c!r} do not nest as {shape}")
-                flat = [x for row in flat for x in row]
-            src = dict(zip(keys, flat))
-        extra = [K for K in src if K not in keys]
-        if extra:
-            raise InvalidSlots(f"components for chart {c!r}: no index {extra[0]} in shape {shape}")
-        if len(src) != len(keys):
-            raise AtlasMismatch(f"components for chart {c!r} have keys {list(src)}, "
-                                f"want every index of shape {shape}")
-        return {K: self._net(c, src[K]) for K in keys}
-
-    def keys(self):
-        return _keys(self.atlas.dim, self.rank)
-
     # -- module algebra over generalized functions ----------------------
 
     def _like(self, comps, label: str = "") -> "GeneralizedTensorField":
         return GeneralizedTensorField(self.atlas, self.valence, comps, label)
-
-    def _zip(self, other, op):
-        if not isinstance(other, GeneralizedTensorField):
-            return NotImplemented
-        _same_charts(self, other)
-        if other.valence != self.valence:
-            raise InvalidSlots(f"valence {other.valence} != {self.valence}")
-        return self._map(lambda c, K, net: op(net, other.comps[c][K]))
 
     # -- evaluation ------------------------------------------------------
 
@@ -153,7 +117,7 @@ def tensor_product(S: GeneralizedTensorField,
 def contract(T: GeneralizedTensorField, up: int = 0, low: int = 0):
     """Trace the ``up``-th upper slot against the ``low``-th lower slot.
 
-    Rank-2 input collapses to a GeneralizedFunction.
+    Rank-2 input collapses to a GeneralizedFunction, the rank-0 section.
     """
     r, s = T.valence
     if not (0 <= up < r):
@@ -168,29 +132,21 @@ def contract(T: GeneralizedTensorField, up: int = 0, low: int = 0):
                 + low_rest[:low] + (k,) + low_rest[low:] for k in range(dim))
         return _sum(T.comps[c][key] for key in keys)
 
-    if r + s == 2:
-        nets = {c: traced(c, ()) for c in T.comps}
-        return GeneralizedFunction(T.atlas, nets, label=f"tr {T.label}")
     comps = {c: {rest: traced(c, rest) for rest in _keys(dim, r + s - 2)} for c in T.comps}
-    return GeneralizedTensorField(T.atlas, (r - 1, s - 1), comps, label=f"tr {T.label}")
+    return _section(GeneralizedTensorField, T.atlas, (r - 1, s - 1), comps, f"tr {T.label}")
 
 
 # -- Lie derivatives -------------------------------------------------------
 
 
 def field_apply(Xi: GeneralizedTensorField, U: GeneralizedFunction) -> GeneralizedFunction:
-    """Xi acting on a generalized scalar: sum_m Xi^m d_m U per chart."""
+    """Xi acting on a generalized scalar: sum_m Xi^m d_m U per chart, the rank-0
+    :func:`gen_lie_derivative`."""
     if not isinstance(Xi, GeneralizedTensorField) or Xi.valence != (1, 0):
         raise InvalidSlots("only vector fields act on scalars")
     if not isinstance(U, GeneralizedFunction):
         raise TypeError(f"expected a generalized function, got {U!r}")
-    _same_charts(Xi, U)
-    dim = Xi.atlas.dim
-    nets = {}
-    for c in Xi.comps:
-        nets[c] = _sum(Xi.comps[c][(m,)] * U.nets[c].partial(mi.unit(dim, m))
-                       for m in range(dim))
-    return GeneralizedFunction(Xi.atlas, nets, label=f"Xi({U.label})")
+    return U._like(_lie_parts(U, Xi, U.keys()), label=f"Xi({U.label})")
 
 
 def _lie_parts(T: GeneralizedTensorField, Xi: GeneralizedTensorField, keys) -> dict:
@@ -246,7 +202,7 @@ def lie_derivative_tensor(T: GeneralizedTensorField, xi: dict) -> GeneralizedTen
 
 def bracket(X: GeneralizedTensorField, Y: GeneralizedTensorField) -> GeneralizedTensorField:
     """Lie bracket [X, Y] of two generalized vector fields."""
-    if not isinstance(X, GeneralizedTensorField) or X.valence != (1, 0):
+    if not all(isinstance(Z, GeneralizedTensorField) and Z.valence == (1, 0) for Z in (X, Y)):
         raise InvalidSlots("bracket takes vector fields")
     return gen_lie_derivative(Y, X)
 
@@ -295,7 +251,7 @@ def coherence_check_tensor(T: GeneralizedTensorField, grid=DEFAULT_GRID,
     The valence-(r, s) case of :func:`gfunc.overlap_residual`; coherent
     means every fit is negligible.
     """
-    return overlap_residual(T.atlas, T.comps, T.valence, grid, n_samples)
+    return overlap_residual(T, grid, n_samples)
 
 
 # -- seeded coherent inputs -------------------------------------------------

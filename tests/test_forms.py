@@ -321,8 +321,7 @@ def test_homotopy_on_stacked_nodes_matches_per_node_loop(space3):
     pts = box_lattice(space3.atlas.charts["0"].sample_box, 5)
     for omega in forms:
         H = F.homotopy_H(omega)
-        comps = {(): H.nets["0"]} if omega.degree == 1 else H.comps["0"]
-        for J, net in comps.items():
+        for J, net in H.comps["0"].items():
             for eps in (0.5, 2.0 ** -9):
                 fn = net.at(eps)
                 for alpha in mi.up_to(3, 2):
@@ -399,6 +398,11 @@ def test_stokes_disk(plane):
         F.stokes_check(w, ("disk", -1.0))
     with pytest.raises(DomainError):
         F.stokes_check(w, ("box", ((0.0, 1.0),)))
+    for domain in (("disk", 1.0, 2), ("disk", "a"), ("disk", None), ("disk", np.nan),
+                   ("disk", np.inf)):
+        with pytest.raises(DomainError):
+            F.stokes_check(w, domain)
+    assert F.stokes_check(w, ("disk",), grid=dyadic_grid(4, 8))["rows"] == rep["rows"]
 
 
 def test_quadrature_of_constant_components(line, plane):
@@ -473,7 +477,8 @@ def test_stokes_box_r3(space3):
     for domain in (("triangle", box),
                    ("box", ((0.5, 0.5), (-0.5, 1.5), (0.0, 2.0))),
                    ("box", ((1.0, -1.0), (-0.5, 1.5), (0.0, 2.0))),
-                   ("box", box[:2])):
+                   ("box", box[:2]), ("box",), ("box", box, 3), (), ("box", 5),
+                   ("box", ((-1.0, 1.0, 2.0),) + box[1:])):
         with pytest.raises(DomainError):
             F.stokes_check(w, domain)
 
@@ -507,6 +512,7 @@ def _store_case(case):
     t2, s3 = torus2(), euclidean(3)
     Xi, Al = seeded_field(t2, 50), T.random_tensor_field(t2, (0, 1), seed=100)
     A1 = F.random_kform(t2, 1, seed=125)
+    (U,) = T.random_coherent_functions(t2, count=1, seed=0)
     c_order = lambda dim, rank: list(itertools.product(range(dim), repeat=rank))
     reversed_dict = {idx: 1.0 for idx in reversed(c_order(2, 2))}
     cases = {
@@ -522,13 +528,16 @@ def _store_case(case):
         "wedge": lambda: (F.wedge(A1, A1 * 2.0), [(0, 1)]),
         "form from a sequence": lambda: (
             F.GeneralizedKForm(s3, 2, {"0": [1.0, 2.0, 3.0]}), [(0, 1), (0, 2), (1, 2)]),
+        "function product": lambda: (U * U, [()]),
+        "contraction": lambda: (T.contract(T.tensor_product(Xi, Al)), [()]),
     }
     return cases[case]()
 
 
 @pytest.mark.parametrize("case", ["vector field", "tensor from a dict", "tensor_product",
                                   "tensor sum", "gen_lie_derivative", "3-form view",
-                                  "2-form", "wedge", "form from a sequence"])
+                                  "2-form", "wedge", "form from a sequence",
+                                  "function product", "contraction"])
 def test_section_parts_are_index_dicts_in_key_order(case):
     section, keys = _store_case(case)
     assert section.keys() == keys
@@ -537,11 +546,90 @@ def test_section_parts_are_index_dicts_in_key_order(case):
         assert all(isinstance(net, Net) for net in part.values())
 
 
-def test_function_part_is_its_net(t2):
+def test_function_part_is_its_net_at_the_empty_index(t2):
+    # a generalized function is the rank-0 section: nets reads the one part
     (U,) = T.random_coherent_functions(t2, count=1, seed=0)
-    V = U * U
-    for c in V.chart_names():
-        assert isinstance(V.comps[c], Net) and V.nets[c] is V.comps[c]
+    for V in (U, U * U, U + 1.0, 1.0 - U, -U):
+        assert V.valence == (0, 0) and V.keys() == [()]
+        for c in V.chart_names():
+            assert V.comps[c] == {(): V.nets[c]} and V.nets[c] is V.comps[c][()]
+            assert V.net(c) is V.comps[c][()]
+
+
+def _zip_operands(t2):
+    (U,) = T.random_coherent_functions(t2, count=1, seed=0)
+    return {"U": U, "A1": F.random_kform(t2, 1, seed=125), "A2": F.random_kform(t2, 2, seed=1),
+            "Xi": seeded_field(t2, 50), "Al": T.random_tensor_field(t2, (0, 1), seed=100)}
+
+
+# a sum or difference of sections, and what it raises; None where it is
+# taken, entry by entry, as on the net values themselves
+ZIP_CASES = {
+    "form + form of another degree": (lambda s: s["A1"] + s["A2"], InvalidDegree),
+    "form - form of another degree": (lambda s: s["A2"] - s["A1"], InvalidDegree),
+    "tensor + tensor of another valence": (lambda s: s["Xi"] + s["Al"], InvalidSlots),
+    "tensor - tensor of another valence": (lambda s: s["Al"] - s["Xi"], InvalidSlots),
+    "form + tensor": (lambda s: s["A1"] + s["Al"], TypeError),
+    "tensor + form": (lambda s: s["Al"] + s["A1"], TypeError),
+    "U + tensor": (lambda s: s["U"] + s["Xi"], TypeError),
+    "U + form": (lambda s: s["U"] + s["A1"], TypeError),
+    'U + "a"': (lambda s: s["U"] + "a", TypeError),
+    "form + 1.0": (lambda s: s["A1"] + 1.0, TypeError),
+    "1.0 - tensor": (lambda s: 1.0 - s["Xi"], TypeError),
+    "U + 1.0": (lambda s: s["U"] + 1.0, None),
+    "1.0 - U": (lambda s: 1.0 - s["U"], None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ZIP_CASES))
+def test_plus_and_minus_check_their_operands(t2, case):
+    build, error = ZIP_CASES[case]
+    s = _zip_operands(t2)
+    if error is not None:
+        with pytest.raises(error) as info:
+            build(s)
+        assert info.type is error  # not a subclass standing in for it
+        return
+    c = sorted(t2.atlas.charts)[0]
+    pts = box_lattice(t2.atlas.charts[c].sample_box, 7)
+    for eps in (0.5, 2.0 ** -9):
+        want = build({"U": values(s["U"].nets[c], eps, pts)})
+        assert np.array_equal(values(build(s).nets[c], eps, pts), want)
+
+
+def test_degree_zero_routes_match_their_explicit_nets(t2):
+    """d, the wedge, i_X, the contraction and Xi(U) with a degree- or rank-0
+    operand or result go through the general formulas and equal the
+    explicit nets bitwise at derivative orders 0 and 1."""
+    s = _zip_operands(t2)
+    U, A1, Xi, Al = s["U"], s["A1"], s["Xi"], s["Al"]
+    pairs = []  # (got, want) nets
+    dU, UA = F.exterior_d(U), F.wedge(U, A1)
+    iA, tr = F.insert(A1, Xi), T.contract(T.tensor_product(Xi, Al))
+    XU = T.field_apply(Xi, U)
+    assert all(isinstance(V, GeneralizedFunction) for V in (iA, tr, XU))
+    assert isinstance(F.wedge(U, U), GeneralizedFunction)
+    for c in t2.atlas.charts:
+        pairs += [(dU.comps[c][(i,)], U.nets[c].partial(mi.unit(2, i))) for i in range(2)]
+        pairs += [(UA.comps[c][K], U.nets[c] * A1.comps[c][K]) for K in A1.keys()]
+        pairs.append((iA.nets[c], Xi.comps[c][(0,)] * A1.comps[c][(0,)]
+                      + Xi.comps[c][(1,)] * A1.comps[c][(1,)]))
+        pairs.append((tr.nets[c], Xi.comps[c][(0,)] * Al.comps[c][(0,)]
+                      + Xi.comps[c][(1,)] * Al.comps[c][(1,)]))
+        pairs.append((XU.nets[c], Xi.comps[c][(0,)] * U.nets[c].partial((1, 0))
+                      + Xi.comps[c][(1,)] * U.nets[c].partial((0, 1))))
+    pts = box_lattice(t2.atlas.charts[sorted(t2.atlas.charts)[0]].sample_box, 7)
+    for got, want in pairs:
+        for eps in (0.5, 2.0 ** -9):
+            for alpha in mi.up_to(2, 1):
+                assert got.at(eps)._partial_fn(alpha, pts).tobytes() \
+                    == want.at(eps)._partial_fn(alpha, pts).tobytes()
+
+
+def test_homotopy_of_a_one_form_is_a_function():
+    plane = euclidean(2, 1.0)
+    H = F.homotopy_H(seeded_form(plane, 1, seed=21))
+    assert isinstance(H, GeneralizedFunction) and H.keys() == [()]
 
 
 # -- the chart contract -------------------------------------------------------

@@ -308,31 +308,29 @@ def _row_key(slope, max_gap, n_clamped, verdict):
 
 
 def _residual_inputs(name, request):
-    """(atlas, comps, valence, grid, n_samples) of one overlap-residual input."""
+    """(section, grid, n_samples) of one overlap-residual input."""
     s1, y = circle(), sp.Symbol("y0")
-    scalar = lambda U: {c: {(): net} for c, net in U.nets.items()}
     if name == "circle-product":
         U, V = T.random_coherent_functions(s1, count=2, seed=0)
-        return s1.atlas, scalar(U * V), (0, 0), dyadic_grid(4, 9), 61
+        return U * V, dyadic_grid(4, 9), 61
     if name == "torus-field-apply":
         # rank 0 at the default 61**2 lattice: 2- and 4-box transitions
         t2 = torus2()
         (U,) = T.random_coherent_functions(t2, count=1, seed=3)
         Xi = T.random_tensor_field(t2, (1, 0), seed=53)
-        return t2.atlas, scalar(T.field_apply(Xi, U)), (0, 0), dyadic_grid(4, 9), 61
+        return T.field_apply(Xi, U), dyadic_grid(4, 9), 61
     if name == "torus-bracket":
         t2 = torus2()
-        F = T.bracket(T.random_tensor_field(t2, (1, 0), seed=50),
-                      T.random_tensor_field(t2, (1, 0), seed=75))
-        return t2.atlas, F.comps, F.valence, dyadic_grid(4, 9), 9
+        return T.bracket(T.random_tensor_field(t2, (1, 0), seed=50),
+                         T.random_tensor_field(t2, (1, 0), seed=75)), dyadic_grid(4, 9), 9
     if name == "incoherent-field":
         F = T.GeneralizedTensorField(s1, (1, 0), {"A": [from_sympy(sp.sin(y), [y])],
                                                   "B": [from_sympy(sp.cos(y), [y])]})
-        return s1.atlas, F.comps, F.valence, dyadic_grid(4, 9), 21
+        return F, dyadic_grid(4, 9), 21
     if name == "embedded-dirac":
         iota = G.embed_manifold({"A": dirac(np.pi / 2), "B": dirac(np.pi / 2)}, s1,
                                 request.getfixturevalue("fourier"))
-        return s1.atlas, scalar(iota), (0, 0), dyadic_grid(4, 11), 41
+        return iota, dyadic_grid(4, 11), 41
     if name == "rough-cubic":
         # sin(x/eps) through the cubic transition: the round trip's gap
         # outgrows the value clamp and the derivative scale decides
@@ -341,7 +339,7 @@ def _residual_inputs(name, request):
         U = G.GeneralizedFunction(atlas, {
             "U": Net(1, lambda e: from_sympy(sp.sin(x / e), [x])),
             "V": Net(1, lambda e: from_sympy(sp.sin(x_of_y / e), [y]))})
-        return atlas, scalar(U), (0, 0), dyadic_grid(4, 14), 41
+        return U, dyadic_grid(4, 14), 41
     atlas, x0 = request.getfixturevalue("scaled_line"), sp.Symbol("x0")
     if name == "jacobian-field":
         F = T.GeneralizedTensorField(atlas, (1, 0), {
@@ -349,7 +347,7 @@ def _residual_inputs(name, request):
     else:  # jacobian-one-form
         F = T.GeneralizedTensorField(atlas, (0, 1), {
             "L": [from_sympy(sp.sin(x0), [x0])], "S": [from_sympy(sp.sin(x0 / 2) / 2, [x0])]})
-    return atlas, F.comps, F.valence, dyadic_grid(4, 9), 17
+    return F, dyadic_grid(4, 9), 17
 
 
 @pytest.mark.parametrize("name", ["circle-product", "torus-field-apply", "torus-bracket",
@@ -359,11 +357,11 @@ def test_overlap_residual_rows_match_eager_reference(name, request):
     # the per-transition lattice, the sweep's leaf memo and its skipped
     # derivative scale change no row: slopes and max gaps bitwise, clamp
     # counts and verdicts exactly
-    atlas, comps, valence, grid, n = _residual_inputs(name, request)
-    rep = G.overlap_residual(atlas, comps, valence, grid, n)
+    section, grid, n = _residual_inputs(name, request)
+    rep = G.overlap_residual(section, grid, n)
     got = [_row_key(row["slope"], row["max_gap"], row["n_clamped"], row["verdict"])
            for row in rep["rows"]]
-    assert got == _reference_rows(atlas, comps, valence, grid, n)
+    assert got == _reference_rows(section.atlas, section.comps, section.valence, grid, n)
     assert rep["coherent"] is (name != "incoherent-field")
 
 

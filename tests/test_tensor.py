@@ -229,6 +229,20 @@ def test_bracket_antisymmetry_torus(t2):
         assert np.max(np.abs(field_values(Z, chart, eps, pts))) < 1e-12
 
 
+@pytest.mark.parametrize("operands", ["field, one-form", "one-form, field", "field, 2-tensor",
+                                      "field, function", "field, 1-form"])
+def test_bracket_takes_two_vector_fields(t2, operands):
+    (U,) = T.random_coherent_functions(t2, count=1, seed=1)
+    kinds = {"field": T.random_tensor_field(t2, (1, 0), seed=11),
+             "one-form": T.random_tensor_field(t2, (0, 1), seed=12),
+             "2-tensor": T.random_tensor_field(t2, (1, 1), seed=13),
+             "function": U, "1-form": random_kform(t2, 1, seed=14)}
+    X, Y = (kinds[k] for k in operands.split(", "))
+    with pytest.raises(InvalidSlots, match="bracket takes vector fields"):
+        T.bracket(X, Y)
+    assert T.bracket(kinds["field"], kinds["field"]).valence == (1, 0)
+
+
 def _incremental_probes(manifold, count, seed):
     """Reference: the probe expressions summed one term at a time."""
     rng = np.random.default_rng(seed)
