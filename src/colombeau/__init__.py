@@ -10,6 +10,8 @@ Subpackage map:
 * tensor, forms: generalized tensor fields and exterior calculus.
 * mechanics: symplectic structure and the singular oscillator.
 * cli, experiments: reproducible experiment driver.
+* _algebra, _mindex (private): the pointwise +, -, * every net-like class
+  shares, and multi-index helpers.
 """
 
 from .asymptotic import AsymptoticFit, estimate_order

@@ -70,8 +70,8 @@ class ExperimentConfig:
             raise ValueError(f"k_max must be at most {MAX_K}, got {self.k_max}")
         if self.m_max < 1:
             raise ValueError("m_max must be positive")
-        if self.tol is not None and (isinstance(self.tol, bool) or not self.tol > 0):
-            raise ValueError("tolerance override must be a positive number")
+        if self.tol is not None and (isinstance(self.tol, bool) or not 0 < self.tol < np.inf):
+            raise ValueError("tolerance override must be a finite positive number")
         if self.eps is not None:
             if self.experiment != "mechanics":
                 raise ValueError("eps applies to the mechanics experiment only")
@@ -252,8 +252,7 @@ def run_pullback_demo(cfg: ExperimentConfig):
          "ok": verdict.status == "associated_to_zero" and worst < tol,
          "status": verdict.status, "max_residual": worst, "tol": tol},
     ]
-    sup_rows = [{"eps": float(e), "sup": s}
-                for e, s in zip(grid, sup_norms(net, (0,), ((-1.0, 1.0),), grid))]
+    sup_rows = [{"eps": e, "sup": s} for e, s in zip(fit["grid"], fit["magnitudes"])]
     series = {"commutator_sup": _csv(("eps", "sup"), sup_rows),
               "commutator_pairings": verdict.to_csv()}
     return _report(cfg, checks), series

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _mindex as mi
+from ._algebra import Pointwise, is_number
 from .asymptotic import DEFAULT_M_MAX, estimate_order
 from .embed import DistributionSpec, embed_rn
 from .errors import (AtlasMismatch, CoherenceFailure, InvalidSlots, NotComparable,
@@ -69,10 +70,6 @@ def _same_charts(a, b):
         raise AtlasMismatch("operands carry different chart sets")
 
 
-def _is_number(w) -> bool:
-    return np.isscalar(w) and not isinstance(w, (str, bytes))
-
-
 def _weight(section, w):
     """The chartwise weighting (chart, net) -> w * net, or None for other ``w``.
 
@@ -82,7 +79,7 @@ def _weight(section, w):
     if isinstance(w, GeneralizedFunction):
         _same_charts(section, w)
         return lambda c, net: w.net(c) * net
-    if _is_number(w):
+    if is_number(w):
         return lambda c, net: net * float(w)
     return None
 
@@ -99,18 +96,19 @@ def _keys(dim: int, rank: int) -> list:
     return list(itertools.product(range(dim), repeat=rank))
 
 
-class GeneralizedSection:
+class GeneralizedSection(Pointwise):
     """Chartwise component nets on one atlas: a generalized section.
 
     ``comps`` maps each chart carrying the section to its part there, a
     dict from each index tuple of ``keys()`` to its net, in that order,
     built by :meth:`_part`.  A generalized function is the rank-0 case:
     its part is ``{(): net}``.  Every net is coerced by ``nets._as_net``
-    and must live on R^dim of the atlas.  ``+`` and ``-`` go to
-    :meth:`_zip`, which combines a section of the same class and valence
-    entry by entry, and a number only at rank 0; ``-s`` and ``w * s`` are
-    ``s * -1.0`` and ``s * w``.  Sections combine entrywise through
-    :meth:`_map` and ``_like(comps)``.
+    and must live on R^dim of the atlas.  ``+`` and ``-`` are the shared
+    pointwise ones (``_algebra.Pointwise``) over :meth:`_zip`, which
+    combines a section of the same class and valence entry by entry, and
+    a number only at rank 0; ``s * w`` and ``w * s`` weight by a number
+    or a generalized function, so ``-s`` is ``s * -1.0``.  Sections
+    combine entrywise through :meth:`_map` and ``_like(comps)``.
     """
 
     _Mismatch = InvalidSlots  # what ``+`` and ``-`` raise on another valence
@@ -191,7 +189,7 @@ class GeneralizedSection:
             if other.valence != self.valence:
                 raise self._Mismatch(f"valence {other.valence} != {self.valence}")
             return self._map(lambda c, K, net: op(net, other.comps[c][K]))
-        if self.rank == 0 and _is_number(other):
+        if self.rank == 0 and is_number(other):
             return self._map(lambda c, K, net: op(net, float(other)))
         return NotImplemented
 
@@ -199,22 +197,7 @@ class GeneralizedSection:
         weight = _weight(self, w)
         return NotImplemented if weight is None else self._map(lambda c, K, net: weight(c, net))
 
-    def __add__(self, other):
-        return self._zip(other, operator.add)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._zip(other, operator.sub)
-
-    def __rsub__(self, other):
-        return self._zip(other, lambda a, b: b - a)
-
-    def __neg__(self):
-        return self * -1.0
-
-    def __rmul__(self, w):
-        return self.__mul__(w)
+    __rmul__ = __mul__
 
 
 class GeneralizedFunction(GeneralizedSection):
@@ -236,8 +219,8 @@ class GeneralizedFunction(GeneralizedSection):
     def _like(self, comps, label: str = "") -> "GeneralizedFunction":
         return GeneralizedFunction(self.atlas, comps, label)
 
-    def __mul__(self, other):  # U * V is U's net times V's, not the base's V-weighting of U
-        return self._zip(other, operator.mul)
+    # U * V is U's net times V's, not the base's V-weighting of U
+    __mul__, __rmul__ = Pointwise.__mul__, Pointwise.__rmul__
 
 
 def _section(cls, space, shape, comps: dict, label: str = ""):
@@ -426,9 +409,11 @@ def coherence_check(U: GeneralizedFunction, grid=DEFAULT_GRID, n_samples: int = 
 def _expand_orders(orders, dim: int):
     alphas = []
     for item in orders:
-        if np.isscalar(item):
+        if is_number(item):
             total = int(item)
             alphas.extend(a for a in mi.up_to(dim, total) if mi.order(a) == total)
+        elif isinstance(item, (str, bytes)):
+            raise TypeError(f"order {item!r} is neither a total order nor a multi-index")
         else:
             alphas.append(mi.check(item, dim))
     return list(dict.fromkeys(alphas))  # first occurrences, in order
@@ -677,7 +662,7 @@ class AssociationVerdict:
 
 
 def _target_action(target, density: TestDensity) -> float:
-    if target is None or (np.isscalar(target) and float(target) == 0.0):
+    if target is None or (is_number(target) and float(target) == 0.0):
         return 0.0
     if isinstance(target, DistributionSpec):
         return target.action(density.fn)
@@ -705,11 +690,11 @@ def associate(U: GeneralizedFunction, target=None, densities=None, grid=DEFAULT_
     rows = []
     all_ok, resolved = True, True
     for d in densities:  # a pairing: u_eps times the density over its box
+        tgt = _target_action(target, d)
         sweep = Sweep(lambda e, d=d: U.net(d.chart).at(e) * d.fn)
         pairings = [integrate_box(sweep.at(float(e)), d.box, float(e), sweep) for e in grid]
         resolved = resolved and not sweep.unresolved
         limit, extrap_res = richardson_limit(grid, pairings)
-        tgt = _target_action(target, d)
         residual = abs(limit - tgt)
         ok = residual < tol
         all_ok = all_ok and ok
@@ -719,7 +704,7 @@ def associate(U: GeneralizedFunction, target=None, densities=None, grid=DEFAULT_
             "extrapolated": limit, "extrapolation_residual": extrap_res,
             "target": tgt, "residual": residual, "ok": ok,
         })
-    zero_target = target is None or (np.isscalar(target) and float(target) == 0.0)
+    zero_target = target is None or (is_number(target) and float(target) == 0.0)
     if not resolved:
         status = "unresolved"
     elif all_ok:

@@ -2,16 +2,15 @@
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
+from ._algebra import Pointwise, is_number
 from .asymptotic import DEFAULT_M_MAX, AsymptoticFit, estimate_order
 from .errors import DimensionMismatch
 from .grid import DEFAULT_GRID
 
 
-class GeneralizedNumber:
+class GeneralizedNumber(Pointwise):
     """A real net sampled on a fixed eps grid.
 
     Ring operations work pointwise in eps; two numbers are equal when
@@ -34,34 +33,13 @@ class GeneralizedNumber:
         return cls(DEFAULT_GRID, np.full_like(DEFAULT_GRID, float(c)))
 
     def _zip(self, other, op):
-        other = self._coerce(other)
+        if is_number(other):
+            other = GeneralizedNumber(self.grid, np.full_like(self.grid, float(other)))
+        elif not isinstance(other, GeneralizedNumber):
+            return NotImplemented
         if self.grid.shape != other.grid.shape or not np.array_equal(self.grid, other.grid):
             raise DimensionMismatch("generalized numbers live on different eps grids")
         return GeneralizedNumber(self.grid, op(self.values, other.values))
-
-    def __add__(self, other):
-        return self._zip(other, operator.add)
-
-    def __sub__(self, other):
-        return self._zip(other, operator.sub)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        return self._zip(other, operator.mul)
-
-    __radd__, __rmul__ = __add__, __mul__
-
-    def __neg__(self):
-        return GeneralizedNumber(self.grid, -self.values)
-
-    def _coerce(self, other):
-        if isinstance(other, GeneralizedNumber):
-            return other
-        if np.isscalar(other) and not isinstance(other, (str, bytes)):
-            return GeneralizedNumber(self.grid, np.full_like(self.grid, float(other)))
-        raise TypeError(f"cannot combine generalized number with {other!r}")
 
     def classify(self, m_max: int = DEFAULT_M_MAX) -> AsymptoticFit:
         return estimate_order(list(zip(self.grid, np.abs(self.values))), m_max=m_max)

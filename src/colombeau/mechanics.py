@@ -508,6 +508,8 @@ def solve_singular_oscillator(sys: HamiltonianSystem, t_span=(0.0, 2.0),
         raise ValueError(f"eps values must be finite and positive, got {eps_list}")
     if not (float(t_span[1]) > float(t_span[0])):
         raise ValueError("t_span must be increasing")
+    if int(n_samples) < 2:
+        raise ValueError(f"n_samples must be at least 2, got {n_samples}")
     out = []
     ts = np.linspace(float(t_span[0]), float(t_span[1]), int(n_samples))
     for eps in eps_list:
@@ -536,10 +538,14 @@ def reflection_limit_check(trajectories, q0: float, qdot0: float,
     """Sup distance to the reflected ray sign(q0)|q0 + qdot0 t|.
 
     The open window (t* - eta, t* + eta) around the impact time
-    t* = -q0/qdot0 is excluded; convergence there is not expected.
+    t* = -q0/qdot0 is excluded; convergence there is not expected.  A
+    negative ``eta``, or one that leaves no sample before or after the
+    window, raises ``ValueError``.
     """
     if not trajectories:
         raise ValueError("need at least one trajectory")
+    if not eta >= 0:
+        raise ValueError(f"eta must be non-negative, got {eta}")
     if qdot0 == 0.0:
         raise NoImpact("zero initial velocity: no impact time")
     t_star = -q0 / qdot0
@@ -550,7 +556,11 @@ def reflection_limit_check(trajectories, q0: float, qdot0: float,
     sgn = 1.0 if q0 > 0 else -1.0
     rows = []
     for tr in sorted(trajectories, key=lambda tr: -tr.eps):
-        mask = (tr.t <= t_star - eta) | (tr.t >= t_star + eta)
+        before, after = tr.t <= t_star - eta, tr.t >= t_star + eta
+        if not (before.any() and after.any()):
+            raise ValueError(f"eta={eta} leaves no sample on one side of the impact "
+                             f"time {t_star:.6g} at eps {tr.eps:g}")
+        mask = before | after
         limit = sgn * np.abs(q0 + qdot0 * tr.t[mask])
         dev = float(np.max(np.abs(tr.q[mask] - limit)))
         rows.append({"eps": tr.eps, "sup_deviation": dev})

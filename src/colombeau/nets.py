@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from . import _mindex as mi
+from ._algebra import Pointwise, is_number
 from .asymptotic import DEFAULT_M_MAX, AsymptoticFit, estimate_order
 from .errors import DimensionMismatch
 from .grid import DEFAULT_GRID
@@ -37,7 +38,7 @@ def sup_norm_on_box(f: SmoothFn, alpha, box, n_samples: int = 201) -> float:
     return float(np.max(np.abs(vals)))
 
 
-class Net:
+class Net(Pointwise):
     """An eps-parameterized family of smooth functions on R^dim."""
 
     def __init__(self, dim: int, factory, label: str = ""):
@@ -69,37 +70,15 @@ class Net:
 
     # -- pointwise-in-eps algebra --------------------------------------
 
-    def _check(self, other: "Net"):
-        if self.dim != other.dim:
+    def _zip(self, other, op):
+        """``op`` at each eps of the function and a net's, a SmoothFn or a number."""
+        if isinstance(other, (Net, SmoothFn)) and other.dim != self.dim:
             raise DimensionMismatch("nets on different dimensions")
-
-    def __add__(self, other):
-        other = _as_net(other, self.dim)
-        self._check(other)
-        return Net(self.dim, lambda eps: self.at(eps) + other.at(eps))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _as_net(other, self.dim)
-        self._check(other)
-        return Net(self.dim, lambda eps: self.at(eps) - other.at(eps))
-
-    def __rsub__(self, other):
-        return _as_net(other, self.dim) - self
-
-    def __mul__(self, other):
-        if np.isscalar(other) and not isinstance(other, (str, bytes)):
-            c = float(other)
-            return Net(self.dim, lambda eps: self.at(eps) * c)
-        other = _as_net(other, self.dim)
-        self._check(other)
-        return Net(self.dim, lambda eps: self.at(eps) * other.at(eps))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * -1.0
+        if isinstance(other, Net):
+            return Net(self.dim, lambda eps: op(self.at(eps), other.at(eps)))
+        if isinstance(other, SmoothFn) or is_number(other):
+            return Net(self.dim, lambda eps: op(self.at(eps), other))
+        return NotImplemented
 
     def partial(self, alpha) -> "Net":
         """The net of partial derivatives d^alpha u_eps."""
@@ -128,7 +107,7 @@ def _as_net(value, dim: int) -> Net:
         return value
     if isinstance(value, SmoothFn):
         return Net.constant_in_eps(value)
-    if np.isscalar(value) and not isinstance(value, (str, bytes)):
+    if is_number(value):
         return Net.constant_in_eps(constant(float(value), dim))
     raise TypeError(f"cannot use {value!r} as a net")
 

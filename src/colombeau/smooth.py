@@ -66,6 +66,7 @@ import contextlib
 import itertools
 import keyword
 import linecache
+import operator
 import warnings
 import weakref
 from typing import Callable, Sequence
@@ -80,6 +81,7 @@ from sympy.simplify.simplify import signsimp
 from sympy.utilities.lambdify import _get_namespace
 
 from . import _mindex as mi
+from ._algebra import Pointwise, is_number, rmul
 from .errors import DerivativeUnavailable, DimensionMismatch
 
 __all__ = ["SmoothFn", "from_sympy", "constant", "coordinate", "glue_exprs", "lift_axis",
@@ -145,7 +147,7 @@ def _as_points(x, dim: int):
     return a.reshape(-1, dim), a.shape[:-1]
 
 
-class SmoothFn:
+class SmoothFn(Pointwise):
     """A smooth function on R^dim with derivative evaluators.
 
     Parameters
@@ -188,52 +190,38 @@ class SmoothFn:
 
     # -- algebra ------------------------------------------------------
 
-    def __add__(self, other):
-        other = _coerce(other, self.dim)
+    def _zip(self, other, op):
+        """``op`` of this function and a SmoothFn or a number, value by value;
+        a product by the Leibniz rule, left factor first (the sum of its terms
+        depends on their order), and a number c times f as ``c * f``: the
+        Leibniz terms 0 * f' of a constant would turn -0.0 into 0.0 and inf
+        into NaN."""
+        product = op is operator.mul or op is rmul
+        if is_number(other):
+            if product:
+                c, f = float(other), self
+                return SmoothFn(self.dim, lambda alpha, pts: c * f._partial_fn(alpha, pts),
+                                f.max_order, f.uses_fd)
+            other = constant(float(other), self.dim)
+        elif not isinstance(other, SmoothFn):
+            return NotImplemented
         if other.dim != self.dim:
-            raise DimensionMismatch("adding functions of different dimension")
-        f, g = self, other
-
-        def pfn(alpha, pts):
-            return f._partial_fn(alpha, pts) + g._partial_fn(alpha, pts)
-
-        return SmoothFn(self.dim, pfn, _min_order(f, g), f.uses_fd or g.uses_fd)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (_coerce(other, self.dim) * -1.0)
-
-    def __rsub__(self, other):
-        return _coerce(other, self.dim) + (self * -1.0)
-
-    def __neg__(self):
-        return self * -1.0
-
-    def __mul__(self, other):
-        if np.isscalar(other) and not isinstance(other, (str, bytes)):
-            c = float(other)
-            f = self
+            raise DimensionMismatch("combining functions of different dimension")
+        f, g = (other, self) if op is rmul else (self, other)
+        if product:
 
             def pfn(alpha, pts):
-                return c * f._partial_fn(alpha, pts)
+                # general Leibniz rule; exact given exact factor derivatives
+                acc = np.zeros(pts.shape[0])
+                for beta, c, rest in mi.leibniz_terms(alpha):
+                    acc = acc + c * f._partial_fn(beta, pts) * g._partial_fn(rest, pts)
+                return acc
+        else:
 
-            return SmoothFn(self.dim, pfn, f.max_order, f.uses_fd)
-        other = _coerce(other, self.dim)
-        if other.dim != self.dim:
-            raise DimensionMismatch("multiplying functions of different dimension")
-        f, g = self, other
-
-        def pfn(alpha, pts):
-            # general Leibniz rule; exact given exact factor derivatives
-            acc = np.zeros(pts.shape[0])
-            for beta, c, rest in mi.leibniz_terms(alpha):
-                acc = acc + c * f._partial_fn(beta, pts) * g._partial_fn(rest, pts)
-            return acc
+            def pfn(alpha, pts):
+                return op(self._partial_fn(alpha, pts), other._partial_fn(alpha, pts))
 
         return SmoothFn(self.dim, pfn, _min_order(f, g), f.uses_fd or g.uses_fd)
-
-    __rmul__ = __mul__
 
     # -- composition with affine maps ---------------------------------
 
@@ -250,12 +238,12 @@ class SmoothFn:
         return SmoothFn(self.dim, pfn, f.max_order, f.uses_fd)
 
     def where(self, cond, other):
-        """Piecewise select: self where ``cond(pts)`` holds, ``other`` elsewhere.
+        """Piecewise select: self where ``cond(pts)`` holds, the SmoothFn ``other``
+        elsewhere.
 
         Caller is responsible for the seam being harmless (both branches
         agreeing on a neighborhood of the switching set).
         """
-        other = _coerce(other, self.dim)
         f, g = self, other
 
         def pfn(alpha, pts):
@@ -279,14 +267,6 @@ def _min_order(f: SmoothFn, g: SmoothFn):
     if g.max_order is None:
         return f.max_order
     return min(f.max_order, g.max_order)
-
-
-def _coerce(obj, dim: int) -> SmoothFn:
-    if isinstance(obj, SmoothFn):
-        return obj
-    if np.isscalar(obj) and not isinstance(obj, (str, bytes)):
-        return constant(float(obj), dim)
-    raise TypeError(f"cannot interpret {obj!r} as a smooth function")
 
 
 # -- constructors -----------------------------------------------------

@@ -65,7 +65,9 @@ def test_config_rejects_unknown_keys(tmp_path):
 
 @pytest.mark.parametrize("knob", ['"seed": "abc"', '"seed": 1.5', '"seed": true',
                                   '"k_min": 4.5', '"k_max": 9.0', '"m_max": 2.5',
-                                  '"mollifier": 3', '"tol": true'])
+                                  '"mollifier": 3', '"tol": true',
+                                  # an infinite tolerance passes every check
+                                  '"tol": Infinity', '"tol": 1e400'])
 def test_config_rejects_mistyped_knobs(tmp_path, knob):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"experiment": "classify", ' + knob + "}")

@@ -136,6 +136,12 @@ def test_classify_scaled_delta_is_bounded(delta_fn):
     assert rep["summary"] == "moderate" and rep["order"] == 0
 
 
+@pytest.mark.parametrize("orders", [("1",), (0, "1")])
+def test_classify_rejects_string_orders(delta_fn, orders):
+    with pytest.raises(TypeError):
+        G.classify(delta_fn, orders=orders)
+
+
 def test_classify_divergent(line):
     bad = G.GeneralizedFunction(
         line, {"0": Net(1, lambda e: from_sympy(sp.Float(e) ** -30 * (1 + 0 * X), [X]))})
@@ -588,6 +594,12 @@ def test_square_scaled_delta_recovers_kernel_energy(delta_fn):
     assert max(r["residual"] for r in v.rows) < 1e-6
     wrong = G.associate(W, dirac(0.0, weight=RHO_SQ + 0.01), grid=dyadic_grid(4, 11))
     assert wrong.status == "not_associated"
+
+
+@pytest.mark.parametrize("target", ["0", "abc", b"0"])
+def test_string_association_target_is_a_type_error(delta_fn, target):
+    with pytest.raises(TypeError, match="unsupported association target"):
+        G.associate(delta_fn, target=target)
 
 
 def test_heaviside_derivative_associates_to_delta(fourier, line):

@@ -328,6 +328,21 @@ def test_reflection_limit_sweep():
     assert eps_order == sorted(eps_order, reverse=True)
 
 
+@pytest.mark.parametrize("n_samples", [0, 1])
+def test_too_few_samples_rejected(n_samples):
+    sys = HamiltonianSystem(StrictDeltaNet(), 1.0, -1.0)
+    with pytest.raises(ValueError, match="n_samples"):
+        solve_singular_oscillator(sys, (0.0, 2.0), [0.1], n_samples=n_samples)
+
+
+@pytest.mark.parametrize("eta", [-0.5, 5.0])
+def test_reflection_window_must_leave_samples_on_both_sides(eta):
+    sys = HamiltonianSystem(StrictDeltaNet(), 1.0, -1.0)
+    trs = solve_singular_oscillator(sys, (0.0, 2.0), [0.1], n_samples=51)
+    with pytest.raises(ValueError, match="eta"):
+        reflection_limit_check(trs, 1.0, -1.0, eta=eta)
+
+
 def test_no_impact():
     still = HamiltonianSystem(None, 1.0, 0.0)
     trs = solve_singular_oscillator(still, (0.0, 2.0), [0.05], n_samples=51)
