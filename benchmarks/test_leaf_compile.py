@@ -1,4 +1,5 @@
-"""pytest-benchmark: one first-order derivative of a sympy leaf and its compilation.
+"""pytest-benchmark: one first-order derivative of a sympy leaf and its compilation,
+and the printing alone of a leaf's first-order derivatives.
 
     PYTHONPATH=src pytest benchmarks/test_leaf_compile.py
 
@@ -9,12 +10,19 @@ the circle, the 2-torus and euclidean(3).  Each round builds a fresh
 of its first derivative along axis 0: one derivative step and one
 compilation, nothing evaluated.  sympy's own caches are warm after the
 first round, on both sides of a comparison alike.
+
+The print-only case prints each first-order derivative of the same probe
+with the printer ``from_sympy`` would pick (``printer.doprint``, nothing
+compiled), after clearing sympy's cache at the start of each round, so
+that every round pays the term ordering and assumption queries a fresh
+derivative pays.
 """
 
 import pytest
 import sympy as sp
+from sympy.core.cache import clear_cache
 
-from colombeau import manifolds, tensor
+from colombeau import manifolds, smooth, tensor
 from colombeau.smooth import from_sympy
 
 
@@ -32,10 +40,13 @@ def _probe(manifold):
     return seen[0]
 
 
+def _manifold(name):
+    return manifolds.euclidean(3) if name == "euclidean3" else getattr(manifolds, name)()
+
+
 @pytest.mark.parametrize("name", ["circle", "torus2", "euclidean3"])
 def test_first_derivative_and_compile(benchmark, name):
-    manifold = manifolds.euclidean(3) if name == "euclidean3" else getattr(manifolds, name)()
-    expr, symbols = _probe(manifold)
+    expr, symbols = _probe(_manifold(name))
     unit = (1,) + (0,) * (len(symbols) - 1)
 
     def build():
@@ -44,3 +55,22 @@ def test_first_derivative_and_compile(benchmark, name):
     fn = benchmark(build)
     want = sp.diff(expr, symbols[0]).subs({x: 0.3 for x in symbols})
     assert float(fn(*[0.3] * len(symbols))) == pytest.approx(float(want), rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["circle", "torus2", "euclidean3"])
+def test_print_first_derivatives(benchmark, name):
+    expr, symbols = _probe(_manifold(name))
+    params = ",".join(map(str, symbols))
+    derivatives = [sp.diff(expr, x) for x in symbols]
+    printers = [smooth._modules(d) for d in derivatives]
+
+    def print_all():
+        return [printer(params).doprint(d) for printer, d in zip(printers, derivatives)]
+
+    def fresh_cache():
+        clear_cache()
+        return (), {}
+
+    sources = benchmark.pedantic(print_all, setup=fresh_cache, rounds=30)
+    for src in sources:
+        compile(src, "<leaf>", "eval")

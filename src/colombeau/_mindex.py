@@ -8,11 +8,20 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
+
+
+def index(a) -> int:
+    """``a`` as an int by ``operator.index``: a float or a string is a TypeError."""
+    try:
+        return operator.index(a)
+    except TypeError:
+        raise TypeError(f"{a!r} is not an integer") from None
 
 
 def check(alpha, dim: int) -> tuple[int, ...]:
     """Validate and normalize a multi-index for ``dim`` axes."""
-    alpha = tuple(int(a) for a in alpha)
+    alpha = tuple(map(index, alpha))
     if len(alpha) != dim:
         raise ValueError(f"multi-index {alpha} has {len(alpha)} entries, expected {dim}")
     if any(a < 0 for a in alpha):

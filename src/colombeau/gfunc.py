@@ -410,7 +410,7 @@ def _expand_orders(orders, dim: int):
     alphas = []
     for item in orders:
         if is_number(item):
-            total = int(item)
+            total = mi.index(item)
             alphas.extend(a for a in mi.up_to(dim, total) if mi.order(a) == total)
         elif isinstance(item, (str, bytes)):
             raise TypeError(f"order {item!r} is neither a total order nor a multi-index")

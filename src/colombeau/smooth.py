@@ -37,6 +37,11 @@ as lambdify prints it, except that a Piecewise is printed as nested
 the element ``select`` picks, at a few microseconds a call on a small
 array where ``select`` costs tens.  So every sum and product runs in the
 same order and the values are bitwise those of plain ``lambdify``.
+Sums, and a number times a symbol, sum, numpy function or positive
+integer power of a symbol, are printed by the printer's own
+``_print_Add`` and ``_print_Mul``: sympy's term order and text, without
+sympy's generic sign tests, which negate each product.  Other products
+go to sympy's method.
 
 A ``leaf_memo(*lattices)`` block names the lattice arrays it sweeps.
 Inside it each ``from_sympy`` leaf evaluates a given multi-index on a
@@ -77,6 +82,7 @@ from sympy.core.exprtools import factor_terms
 from sympy.core.function import AppliedUndef
 from sympy.logic.boolalg import ITE, simplify_logic
 from sympy.printing.numpy import NumPyPrinter, SciPyPrinter
+from sympy.printing.precedence import PRECEDENCE, precedence
 from sympy.simplify.simplify import signsimp
 from sympy.utilities.lambdify import _get_namespace
 
@@ -350,6 +356,33 @@ class _AtomPrinting(_WherePiecewise):
             return f"_atom({self._prefix + src!r}, lambda: {src})"
         return src
 
+    def _print_Add(self, expr, order=None):
+        """``StrPrinter._print_Add``'s text, without its precedence test of each
+        product, which negates the product to read its sign."""
+        out = ""
+        for term in self._as_ordered_terms(expr, order=order):
+            t = self._print(term)
+            sign, t = ("-", t[1:]) if t.startswith("-") and not term.is_Add else ("+", t)
+            if term.is_Add or not term.is_Mul and precedence(term) < PRECEDENCE["Add"]:
+                t = f"({t})"
+            out += f" {sign} {t}"
+        return out[3:] if out.startswith(" + ") else "-" + out[3:]
+
+    def _print_Mul(self, expr):
+        """A number times a symbol, a sum, a numpy function or a symbol to a
+        positive integer power, printed as ``CodePrinter._print_Mul`` prints it
+        without building the negated product; any other product by that method."""
+        c, f = expr.as_coeff_Mul()
+        if not ((c.is_Rational or c.is_Float)  # a Float is finite: inf is oo
+                and (f.is_Symbol or f.is_Add or type(f).__name__ in _NUMPY_FUNCTIONS
+                     or f.is_Pow and f.base.is_Symbol and f.exp.is_Integer and f.exp > 0)):
+            return super()._print_Mul(expr)
+        if c is sp.S.NegativeOne:  # unary minus binds between * and **
+            return "-" + self.parenthesize(f, (PRECEDENCE["Pow"] + PRECEDENCE["Mul"]) / 2)
+        # a product with a negative coefficient has the precedence of a sum
+        sign, c, level = ("-", -c, PRECEDENCE["Add"]) if c < 0 else ("", c, PRECEDENCE["Mul"])
+        return f"{sign}{self.parenthesize(c, level)}*{self.parenthesize(f, level)}"
+
 
 class _NumPyAtomPrinter(_AtomPrinting, NumPyPrinter):
     module_set = "numpy"
@@ -395,11 +428,12 @@ _sources = itertools.count()
 def lambdify(printer: _AtomPrinting, names: Sequence[str], expr) -> Callable:
     """``expr`` printed by ``printer`` and compiled as a function of ``names``.
 
-    The source is the one ``sp.lambdify`` writes with this printer, and the
-    function runs in the printer class's one namespace.  The source is kept
-    in ``linecache`` while the function lives, for ``inspect`` and
-    tracebacks.  (``bench/tracer.py`` times this as the ``smooth.lambdify``
-    layer.)
+    The source is the one ``sp.lambdify`` writes with this printer, which
+    prints sums and common products itself and the rest by sympy's
+    methods; the function runs in the printer class's one namespace.  The
+    source is kept in ``linecache`` while the function lives, for
+    ``inspect`` and tracebacks.  (``bench/tracer.py`` times this as the
+    ``smooth.lambdify`` layer.)
     """
     body = printer.doprint(expr)
     if "\n" in body:

@@ -142,6 +142,16 @@ def test_classify_rejects_string_orders(delta_fn, orders):
         G.classify(delta_fn, orders=orders)
 
 
+@pytest.mark.parametrize("orders", [(1.5,), (0, 1.0), (np.float64(2.0),), ((0.5,),)])
+def test_classify_rejects_non_integer_orders(orders):
+    # a total order of 1.5 was truncated to 1 and fit the multi-index (1,)
+    U = G.GeneralizedFunction(euclidean(1), {"0": 1.0})
+    with pytest.raises(TypeError, match="is not an integer"):
+        G.classify(U, orders=orders, n_samples=11)
+    rep = G.classify(U, orders=(np.int64(1),), n_samples=11)
+    assert [r["alpha"] for r in rep["rows"]] == [[1]]
+
+
 def test_classify_divergent(line):
     bad = G.GeneralizedFunction(
         line, {"0": Net(1, lambda e: from_sympy(sp.Float(e) ** -30 * (1 + 0 * X), [X]))})

@@ -8,7 +8,9 @@ import conftest
 import numpy as np
 import pytest
 import sympy as sp
+from sympy.printing.codeprinter import CodePrinter
 from sympy.printing.numpy import NumPyPrinter, SciPyPrinter
+from sympy.printing.str import StrPrinter
 
 from colombeau import _mindex as mi
 from colombeau import embed, experiments, forms, gfunc, manifolds, mechanics, smooth, tensor
@@ -694,6 +696,67 @@ def test_compiled_leaves_are_sympys_own(family, sympy_calls):
                                       np.ascontiguousarray(want).view(np.int64)), alpha
             else:
                 assert got is want, alpha
+
+
+class _SympyArithmetic(smooth._NumPyAtomPrinter):
+    """The atom printer with sympy's own printing of sums and products."""
+
+    _print_Add, _print_Mul = StrPrinter._print_Add, CodePrinter._print_Mul
+
+
+class _SciPySympyArithmetic(smooth._SciPyAtomPrinter):
+    _print_Add, _print_Mul = StrPrinter._print_Add, CodePrinter._print_Mul
+
+
+_Y, _POS = sp.Symbol("y"), sp.Symbol("t", positive=True)
+_F15 = sp.Float("1.23456789012345", 15)
+
+
+@pytest.mark.parametrize("expr", [
+    -X0 + sp.sin(X1), -sp.cos(X0) - 2 * X1,  # a leading negative term
+    -sp.sin(X0), -X0, -X0 ** 3, -sp.Float(1.0) * X0,  # a coefficient of -1
+    3 * X0, -3 * sp.exp(X1), sp.Rational(2, 3) * X0, -sp.Rational(2, 3) * sp.sin(X0),
+    _F15 * sp.cos(X0), -_F15 * X1 ** 2,  # Integer, Rational and Float coefficients
+    X0 + sp.Float(0.5), sp.Float(2.5),  # a Float printed inside a sum and alone
+    sp.diff(sp.Float(2.5) * X0, X0), sp.sin(X0) - sp.Float(0.25),
+    X0 ** 2, X0 ** -2, 3 * X0 ** -2, -X0 ** sp.Rational(1, 2), 2 * X0 * X1, -2 * X0 * _Y,
+    sp.Mul(2, X0 + 1, evaluate=False), sp.Mul(-_F15, X0 - sp.sin(X1), evaluate=False),
+    sp.Mul(-1, X0 + sp.sin(X1), evaluate=False), sp.exp(-1 / _POS), -2 * sp.exp(-1 / _POS),
+    sp.Piecewise((2 * X0, X0 > 0.3), (-sp.Rational(1, 2) * sp.cos(X0) * X1, True)) - X1,
+    -3 * sp.erf(X0) + X1, sp.Add(X0, sp.Add(X1, 2, evaluate=False), evaluate=False),
+])
+def test_sums_and_products_print_as_sympy_prints_them(expr):
+    """The library's ``_print_Add`` and ``_print_Mul`` against sympy's, on each
+    branch and fallback, with the scipy printer where sympy would pick it."""
+    scipy = smooth._modules(expr) is smooth._SciPyAtomPrinter
+    ours, ref = ((smooth._SciPyAtomPrinter, _SciPySympyArithmetic) if scipy
+                 else (smooth._NumPyAtomPrinter, _SympyArithmetic))
+    got, want = ours("x0,x1"), ref("x0,x1")
+    assert got.doprint(expr) == want.doprint(expr)
+    assert got.module_imports == want.module_imports
+
+
+@pytest.mark.parametrize("manifold", [manifolds.circle, manifolds.torus2])
+def test_probe_leaves_print_without_sympys_sum_and_product_printers(manifold, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sympy's printer was asked")
+
+    leaves = _probes(manifold())
+    monkeypatch.setattr(StrPrinter, "_print_Add", refuse)
+    monkeypatch.setattr(CodePrinter, "_print_Mul", refuse)
+    for expr, symbols in leaves:
+        f = from_sympy(expr, symbols)
+        for alpha in mi.up_to(len(symbols), 2):
+            assert callable(f._lambdified(alpha))
+
+
+@pytest.mark.parametrize("alpha", ["1", (1.7,), (1.0,), ("1",), (np.float64(1.0),)])
+def test_multi_index_entries_must_be_integers(alpha):
+    x = sp.Symbol("x")
+    f = from_sympy(x ** 2, [x])
+    with pytest.raises(TypeError, match="is not an integer"):
+        f.partial(alpha, 3.0)
+    assert f.partial((np.int64(1),), 3.0) == f.partial([1], 3.0) == 6.0
 
 
 @pytest.mark.parametrize("name", ["lambda", "x.1"])
