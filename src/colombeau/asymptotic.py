@@ -12,7 +12,11 @@ off a growth verdict.  A net behaving like eps^p yields slope p:
 Exact zeros are the strongest possible negligibility evidence; zero
 magnitudes are clamped to a tiny floor so the fit stays defined, and a
 net that vanishes identically on the grid is declared negligible
-outright with an infinite slope.
+outright with an infinite slope.  Given the ``scale`` a series was
+computed from, magnitudes within FLOOR_ULPS ulps of it are at the
+rounding floor (Higham, *Accuracy and Stability of Numerical
+Algorithms*, ch. 2-3): they leave the fit, and a series that ends there
+or keeps fewer than MIN_SAMPLES is negligible at working precision.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ SLOPE_TOLERANCE = 0.25
 DEFAULT_M_MAX = 6
 DIVERGENCE_ORDER = 20
 ZERO_FLOOR = 1e-300
+FLOOR_ULPS = 64
 
 NEGLIGIBLE = "negligible"
 MODERATE = "moderate"
@@ -79,22 +84,11 @@ def _validate(samples):
     return pairs
 
 
-def estimate_order(samples, m_max: int = DEFAULT_M_MAX) -> AsymptoticFit:
-    """Fit the asymptotic order of a sampled net.
-
-    ``samples`` is an iterable of (eps, magnitude) with at least four
-    distinct eps values in (0, 1].  Magnitudes are taken in absolute
-    value.
-    """
-    pairs = _validate(samples)
-    pairs.sort(key=lambda p: -p[0])
-    eps = np.array([e for e, _ in pairs])
-    mag = np.abs(np.array([m for _, m in pairs]))
-
+def _fit(eps, mag, m_max) -> AsymptoticFit:
     clamped = mag < ZERO_FLOOR
     n_clamped = int(clamped.sum())
-    if n_clamped == len(pairs):
-        # identically zero on the grid: negligible at every level
+    if len(mag) < MIN_SAMPLES or n_clamped == len(mag):
+        # identically zero, or too few samples above the rounding floor
         return AsymptoticFit(slope=math.inf, intercept=-math.inf, residual=0.0,
                              verdict=NEGLIGIBLE, order=None, m_max=m_max, grid=tuple(eps),
                              magnitudes=tuple(mag), n_clamped=n_clamped,
@@ -117,3 +111,31 @@ def estimate_order(samples, m_max: int = DEFAULT_M_MAX) -> AsymptoticFit:
     return AsymptoticFit(slope=slope, intercept=intercept, residual=residual, verdict=verdict,
                          order=order, m_max=m_max, grid=tuple(eps), magnitudes=tuple(mag),
                          n_clamped=n_clamped, note=note)
+
+
+def estimate_order(samples, m_max: int = DEFAULT_M_MAX, scale=None) -> AsymptoticFit:
+    """Fit the asymptotic order of a sampled net.
+
+    ``samples`` is an iterable of (eps, magnitude) with at least four
+    distinct eps values in (0, 1].  Magnitudes are taken in absolute
+    value.  Given a finite ``scale`` >= 0, magnitudes at most ``FLOOR_ULPS *
+    finfo.eps * scale`` count in ``n_clamped`` and leave the fit (slope +inf
+    when fewer than MIN_SAMPLES stay); then, or when the finest-eps sample
+    is at the floor, the fit is "negligible at working precision" (``note``).
+    """
+    pairs = _validate(samples)
+    pairs.sort(key=lambda p: -p[0])
+    eps = np.array([e for e, _ in pairs])
+    mag = np.abs(np.array([m for _, m in pairs]))
+    if scale is None:
+        return _fit(eps, mag, m_max)
+    if not 0.0 <= scale < math.inf:
+        raise InvalidSample(f"scale must be finite and non-negative, got {scale}")
+    floor = mag <= FLOOR_ULPS * np.finfo(float).eps * scale
+    fit = _fit(eps[~floor], mag[~floor], m_max)
+    fit.grid, fit.magnitudes = tuple(eps), tuple(mag)
+    fit.n_clamped += int(floor.sum())
+    if fit.slope == math.inf or floor[-1]:
+        fit.verdict, fit.order = NEGLIGIBLE, None
+        fit.note = f"negligible at working precision: {fit.n_clamped} magnitudes at the floor"
+    return fit

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 import sympy as sp
 
-from .asymptotic import estimate_order
+from .asymptotic import SLOPE_TOLERANCE, estimate_order
 from .embed import (dirac, embed_rn, heaviside, pullback_commutator_demo,
                     smooth_piece)
 from .forms import GeneralizedKForm, exterior_d, poincare_check, random_kform, stokes_check
@@ -167,42 +167,17 @@ def _window_expr(flat: float, outer: float):
     return smoothstep_expr((X + outer) / w) * smoothstep_expr((outer - X) / w)
 
 
-# Residual sups at the rounding floor of the unit-scale target witness
-# decay past what doubles can measure; they are dropped from the order
-# fit, and fewer than four live samples means the decay outran the grid.
-_RESIDUAL_FLOOR = 64 * np.finfo(float).eps
-
-
-def _floor_fit(samples, m_max):
-    live = [(e, s) for e, s in samples if s > _RESIDUAL_FLOOR]
-    n_floor = len(samples) - len(live)
-    if len(live) < 4:
-        return float("inf"), n_floor
-    return estimate_order(live, m_max=m_max).slope, n_floor
-
-
 def run_embed_check(cfg: ExperimentConfig):
     """Embedding minus direct inclusion of sin, on the line and the circle."""
     mol = build_mollifier(cfg.mollifier)
     grid = cfg.grid()
     order = mollifier_spec(cfg.mollifier)
-    need = cfg.m_max - 0.25 if order is None else order + 0.75
-    checks = []
-    rows = []
+    need = (cfg.m_max if order is None else order + 1) - SLOPE_TOLERANCE
 
     line = euclidean(1)
     wind = from_sympy(sp.sin(X) * _window_expr(1.2, 2.0), [X])
     target = sigma_embed(line, {"0": from_sympy(sp.sin(X), [X])})
     emb = GeneralizedFunction(line, {"0": embed_rn(smooth_piece(wind, -2.0, 2.0), mol)})
-    resid = emb - target
-    samples = list(zip(map(float, grid),
-                       sup_norms(resid.nets["0"], (0,), ((-1.0, 1.0),), grid, 21)))
-    slope_line, n_floor = _floor_fit(samples, cfg.m_max)
-    checks.append({"name": "line_sin_decay", "ok": slope_line >= need,
-                   "slope": slope_line, "threshold": need,
-                   "n_floor_samples": n_floor})
-    rows += [{"space": "line", "chart": "0", "eps": e, "sup": s} for e, s in samples]
-
     s1 = circle()
     sin_a = smooth_piece(from_sympy(sp.sin(Y), [Y]), -np.pi - 3.2, np.pi + 3.2)
     sin_b = smooth_piece(from_sympy(sp.sin(Y), [Y]), -3.2, 2 * np.pi + 3.2)
@@ -210,19 +185,22 @@ def run_embed_check(cfg: ExperimentConfig):
     sig = sigma_embed(s1, {"A": from_sympy(sp.sin(Y), [Y]),
                            "B": from_sympy(sp.sin(Y), [Y])})
     resid_c = iota - sig
-    slope_rows = [{"space": "line", "chart": "0", "slope": slope_line}]
-    worst = float("inf")
-    for c in sorted(resid_c.nets):
-        box = s1.atlas.charts[c].sample_box
-        samples_c = list(zip(map(float, grid),
-                             sup_norms(resid_c.nets[c], (0,), box, grid, 41)))
-        slope_c, nf = _floor_fit(samples_c, cfg.m_max)
-        worst = min(worst, slope_c)
-        slope_rows.append({"space": "circle", "chart": c, "slope": slope_c})
-        rows += [{"space": "circle", "chart": c, "eps": e, "sup": s}
-                 for e, s in samples_c]
-    checks.append({"name": "circle_sin_decay", "ok": worst >= need,
-                   "slope": worst, "threshold": need})
+    cases = [("line", "0", (emb - target).nets["0"], ((-1.0, 1.0),), 21)]
+    cases += [("circle", c, resid_c.nets[c], s1.atlas.charts[c].sample_box, 41)
+              for c in sorted(resid_c.nets)]
+    rows, slope_rows, fits = [], [], []
+    for space, c, net, box, n in cases:
+        samples = list(zip(map(float, grid), sup_norms(net, (0,), box, grid, n)))
+        # sups at the rounding floor of the unit-scale sine are left out of the fit
+        fits.append(estimate_order(samples, cfg.m_max, scale=1.0))
+        slope_rows.append({"space": space, "chart": c, "slope": fits[-1].slope})
+        rows += [{"space": space, "chart": c, "eps": e, "sup": s} for e, s in samples]
+    worst = min(fit.slope for fit in fits[1:])
+    checks = [{"name": "line_sin_decay", "ok": fits[0].slope >= need,
+               "slope": fits[0].slope, "threshold": need,
+               "n_floor_samples": fits[0].n_clamped},
+              {"name": "circle_sin_decay", "ok": worst >= need,
+               "slope": worst, "threshold": need}]
     series = {"embedding_residuals": _csv(("space", "chart", "eps", "sup"), rows),
               "decay_slopes": _csv(("space", "chart", "slope"), slope_rows)}
     return _report(cfg, checks), series
@@ -276,15 +254,13 @@ def run_point_value_demo(cfg: ExperimentConfig):
     mags = rng.uniform(0.15, 1.4, size=10)
     signs = np.where(rng.uniform(size=10) < 0.5, -1.0, 1.0)
     classical = sorted(float(s * m) for s, m in zip(signs, mags))
-    rows, slopes = [], []
+    rows, fits = [], []
     for x0 in classical:
         p = GeneralizedPoint.classical(F.atlas, "0", [x0])
         pv = point_value(F, p, grid=grid)
-        fit = pv.classify(m_max=cfg.m_max)
-        slopes.append(fit.slope)
+        fits.append(pv.classify(m_max=cfg.m_max))
         for e, v in zip(pv.grid, pv.values):
             rows.append({"point": x0, "eps": float(e), "value": float(v)})
-    ok_classical = all(s >= cfg.m_max - 0.25 for s in slopes)
 
     drift = GeneralizedPoint(F.atlas, "0", lambda e: np.array([e]),
                              ((-0.5, 0.5),), label="eps->eps")
@@ -294,8 +270,9 @@ def run_point_value_demo(cfg: ExperimentConfig):
     for e, v in zip(pv.grid, pv.values):
         rows.append({"point": "eps", "eps": float(e), "value": float(v)})
     checks = [
-        {"name": "negligible_at_classical_points", "ok": ok_classical,
-         "min_slope": min(slopes), "threshold": cfg.m_max - 0.25},
+        {"name": "negligible_at_classical_points",
+         "ok": all(fit.is_negligible for fit in fits),
+         "min_slope": min(fit.slope for fit in fits), "threshold": cfg.m_max - SLOPE_TOLERANCE},
         {"name": "kernel_value_along_drifting_point", "ok": gap < tol,
          "target": target, "max_gap": gap, "tol": tol},
     ]

@@ -726,9 +726,8 @@ def ck_associate(U: GeneralizedFunction, fns: dict, k: int, grid=DEFAULT_GRID,
     Coordinate partials stand in for iterated Lie derivatives; locally
     every iterated Lie derivative is a combination of them with smooth
     coefficients, so the verdicts agree.  Each sup sequence must end
-    below ``CK_TOL`` with a positive fitted slope, unless it already sits
-    at the rounding floor of the comparison function (a difference a
-    few ulps wide has no slope to measure).
+    below ``CK_TOL`` with a positive fitted slope, or be negligible with
+    its rounding floor set by ``1 + sup|d^alpha f|``.
     """
     dim = U.atlas.dim
     rows = []
@@ -739,14 +738,13 @@ def ck_associate(U: GeneralizedFunction, fns: dict, k: int, grid=DEFAULT_GRID,
         diff = U.nets[c] - Net.constant_in_eps(f)
         for alpha in mi.up_to(dim, k):
             sups = sup_norms(diff, alpha, box, grid, n_samples)
-            fit = estimate_order(zip(grid, sups))
-            final = sups[int(np.argmin(grid))]  # the raw sup, not the floor-clamped fit input
-            floor = COHERENCE_RTOL * (1.0 + sup_norm_on_box(f, alpha, box, n_samples))
-            row_ok = (final < CK_TOL) and (
-                fit.slope > 0.0 or fit.n_clamped == len(grid) or final <= floor)
+            fit = estimate_order(zip(grid, sups),
+                                 scale=1.0 + sup_norm_on_box(f, alpha, box, n_samples))
+            final = float(fit.magnitudes[-1])  # the finest eps
+            row_ok = final < CK_TOL and (fit.slope > 0.0 or fit.is_negligible)
             ok_all = ok_all and row_ok
             rows.append({"chart": c, "alpha": list(alpha), "slope": fit.slope,
-                         "final_sup": final, "floor": floor, "ok": row_ok})
+                         "final_sup": final, "note": fit.note, "ok": row_ok})
     return {"k": k, "ok": ok_all, "tol": CK_TOL, "rows": rows}
 
 

@@ -50,6 +50,8 @@ class GeneralizedNumber(Pointwise):
 
 
 def gn_equal(a: GeneralizedNumber, b: GeneralizedNumber) -> tuple[bool, AsymptoticFit]:
-    """Equality in the ring: the difference net is negligible."""
-    fit = (a - b).classify()
+    """Equality in the ring: the difference net is negligible, with the
+    rounding floor set by the largest |a| and |b| on the grid."""
+    scale = max(np.max(np.abs(a.values)), np.max(np.abs(b.values)))
+    fit = estimate_order(zip(a.grid, (a - b).values), scale=scale)
     return fit.is_negligible, fit

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from colombeau.asymptotic import (
     DIVERGENT,
+    FLOOR_ULPS,
     MODERATE,
     NEGLIGIBLE,
     estimate_order,
@@ -141,3 +142,55 @@ def test_json_round_trip_fields():
         assert key in d
     assert d["verdict"] == MODERATE
     assert len(d["grid"]) == len(dyadic_grid())
+
+
+# embed-check's line row at --grid 4..9 with the Fourier kernel: four live
+# sups, then two at the rounding floor of the unit-scale sine
+EMBED_CHECK_LINE_ROW = [(0.0625, 0.00070525353296391202), (0.03125, 1.2444384706156164e-05),
+                        (0.015625, 1.4779293122657577e-08), (0.0078125, 1.7430501486614958e-12),
+                        (0.00390625, 1.1102230246251565e-16), (0.001953125, 1.1102230246251565e-16)]
+
+
+def test_floor_samples_leave_the_live_fit_bitwise():
+    fit = estimate_order(EMBED_CHECK_LINE_ROW, scale=1.0)
+    live = estimate_order(EMBED_CHECK_LINE_ROW[:4])
+    assert fit.slope == live.slope == 9.549355992560594
+    assert (fit.intercept, fit.residual) == (live.intercept, live.residual)
+    assert fit.n_clamped == 2
+    # the finest sample sits at the floor
+    assert fit.verdict == NEGLIGIBLE
+    assert fit.note.startswith("negligible at working precision")
+    # every sample is kept for the report, unclamped
+    assert fit.magnitudes == tuple(m for _, m in EMBED_CHECK_LINE_ROW)
+
+
+def test_floor_is_inclusive_and_relative_to_scale():
+    floor = FLOOR_ULPS * np.finfo(float).eps
+    samples = [(2.0 ** -k, 2.0 ** -k) for k in range(4, 8)] + [(2.0 ** -8, 3.0 * floor)]
+    assert estimate_order(samples, scale=3.0).n_clamped == 1
+    assert estimate_order(samples, scale=2.9).n_clamped == 0
+
+
+def test_too_few_live_samples_is_negligible_with_infinite_slope():
+    # one sample above the floor, the finest: too few left to fit
+    samples = [(0.5, 1e-16), (0.25, 0.0), (0.125, 1e-15), (0.0625, 1.0)]
+    fit = estimate_order(samples, scale=1.0)
+    assert fit.slope == math.inf and fit.verdict == NEGLIGIBLE and fit.order is None
+    assert fit.n_clamped == 3
+    assert fit.note.startswith("negligible at working precision")
+
+
+def test_a_live_finest_sample_is_fit_as_usual():
+    # a floor sample mid-series drops out of the fit, the verdict stays the fit's
+    samples = [(0.5, 2.0), (0.25, 4.0), (0.125, 1e-20), (0.0625, 16.0), (0.03125, 32.0)]
+    fit = estimate_order(samples, scale=1.0)
+    assert fit.n_clamped == 1 and "negligible at working precision" not in fit.note
+    assert fit.slope == pytest.approx(-1.0, abs=1e-12)
+    assert fit.verdict == MODERATE and fit.order == 1
+
+
+@pytest.mark.parametrize("scale", [float("nan"), -1.0, float("inf")])
+def test_bad_scale_is_rejected(scale):
+    samples = [(2.0 ** -k, 1.0) for k in range(4, 9)]
+    with pytest.raises(InvalidSample):
+        estimate_order(samples, scale=scale)

@@ -19,10 +19,12 @@ from colombeau.embed import (
     smooth_piece,
 )
 from colombeau.errors import UnsupportedDistribution
+from colombeau.experiments import ExperimentConfig, run_experiment
 from colombeau.gfunc import default_densities
+from colombeau.grid import DEFAULT_GRID, dyadic_grid
 from colombeau.manifolds import euclidean
 from colombeau.mollifier import Mollifier, build_mollifier
-from colombeau.nets import Net, box_lattice, classify_net, sup_norm_on_box
+from colombeau.nets import Net, box_lattice, classify_net, sup_norm_on_box, sup_norms
 from colombeau.smooth import SmoothFn, from_sympy, smoothstep_expr
 
 X = sp.Symbol("x")
@@ -98,6 +100,53 @@ def test_embedded_delta_order_slopes(delta_net):
     fit1 = classify_net(delta_net, (1,), ((-1.0, 1.0),), n_samples="auto")
     assert fit1.slope == pytest.approx(-2.0, abs=0.05)
     assert fit1.order == 2
+
+
+@pytest.mark.parametrize("grid", [dyadic_grid(4, 9), DEFAULT_GRID], ids=["4..9", "default"])
+@pytest.mark.parametrize("spec", ["fourier", "gausspoly:3"])
+def test_embedded_sine_is_sine_at_working_precision(spec, grid):
+    # iota(sin) - sin on (-3, 3) sits at the rounding level of sin itself:
+    # without a floor its few-ulp sups fit to "moderate, order 0"
+    sin_fn = from_sympy(sp.sin(X), [X])
+    box = ((-3.0, 3.0),)
+    resid = embed_rn(smooth_piece(sin_fn, -10.0, 10.0), build_mollifier(spec)) \
+        - Net.constant_in_eps(sin_fn)
+    sups = sup_norms(resid, (0,), box, grid)
+    assert estimate_order(zip(grid, sups)).verdict == "moderate"
+    fit = estimate_order(zip(grid, sups), scale=sup_norm_on_box(sin_fn, (0,), box, 201))
+    assert fit.verdict == "negligible"
+    assert fit.note.startswith("negligible at working precision")
+
+
+def test_embedded_delta_stays_moderate_above_its_floor(delta_net):
+    grid = dyadic_grid(4, 9)
+    sups = sup_norms(delta_net, (0,), ((-3.0, 3.0),), grid)
+    fit = estimate_order(zip(grid, sups), scale=1.0)
+    assert fit.n_clamped == 0
+    assert fit.verdict == "moderate" and fit.order == 1
+
+
+# embed-check's decay fits, pinned bit for bit: the line's and the circle
+# charts' slopes as float.hex, the line's floor count and the threshold
+EMBED_CHECK_PINS = {
+    ("fourier", 9): (("0x1.31945304bd199p+3", "0x1.bae125ea0e2a4p+2", "0x1.18696aa5ae2d9p+3"),
+                     2, 5.75),
+    ("gausspoly:3", 8): (("inf", "inf", "inf"), 4, 3.75),
+}
+
+
+@pytest.mark.parametrize("spec, k_max", sorted(EMBED_CHECK_PINS))
+def test_embed_check_fits_are_pinned(spec, k_max):
+    slopes, n_floor, threshold = EMBED_CHECK_PINS[spec, k_max]
+    report, series = run_experiment(ExperimentConfig("embed-check", mollifier=spec, k_max=k_max))
+    line, circle = report["checks"]
+    rows = [r.split(",") for r in series["decay_slopes"].split()[1:]]
+    assert [float(r[2]).hex() for r in rows] == list(slopes)
+    assert float(line["slope"]).hex() == slopes[0]
+    assert float(circle["slope"]) == min(float.fromhex(h) for h in slopes[1:])
+    assert line["n_floor_samples"] == n_floor
+    assert line["threshold"] == circle["threshold"] == threshold
+    assert report["pass"]
 
 
 def test_derivative_entry_sign_conventions(fourier):

@@ -1,5 +1,7 @@
 """Generalized number ring: pointwise ops, equality by negligibility."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -38,6 +40,22 @@ def test_eps_and_exp_floor_are_nonzero_and_zero_respectively():
     tiny = GeneralizedNumber.from_fn(lambda e: np.exp(-1.0 / e))
     eq2, _ = gn_equal(tiny, zero)
     assert eq2
+
+
+def test_rounding_level_twins_are_equal():
+    # 0.1 + 0.2 and 0.3 differ by one ulp; without a floor the constant
+    # difference fits to "moderate, order 0"
+    g = dyadic_grid()
+    eq, fit = gn_equal(GeneralizedNumber(g, np.full_like(g, 0.1 + 0.2)),
+                       GeneralizedNumber.const(0.3))
+    assert eq and fit.note.startswith("negligible at working precision")
+    # sin^2 + cos^2 misses 1 by an ulp at scattered eps (read "moderate"
+    # and "divergent" without a floor)
+    for arg in (lambda e: 1.0 / e, lambda e: e):
+        one = GeneralizedNumber.from_fn(lambda e: math.sin(arg(e)) ** 2 + math.cos(arg(e)) ** 2)
+        assert np.any(one.values != 1.0)
+        eq, fit = gn_equal(one, GeneralizedNumber.const(1.0))
+        assert eq and fit.note.startswith("negligible at working precision")
 
 
 @settings(max_examples=40, deadline=None)
