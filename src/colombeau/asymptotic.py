@@ -12,11 +12,11 @@ off a growth verdict.  A net behaving like eps^p yields slope p:
 Exact zeros are the strongest possible negligibility evidence; zero
 magnitudes are clamped to a tiny floor so the fit stays defined, and a
 net that vanishes identically on the grid is declared negligible
-outright with an infinite slope.  Given the ``scale`` a series was
-computed from, magnitudes within FLOOR_ULPS ulps of it are at the
-rounding floor (Higham, *Accuracy and Stability of Numerical
-Algorithms*, ch. 2-3): they leave the fit, and a series that ends there
-or keeps fewer than MIN_SAMPLES is negligible at working precision.
+outright with an infinite slope.  Magnitudes within FLOOR_ULPS ulps of
+the ``scale`` they were computed from (one per eps, or one for all) are
+at the rounding floor (Higham, *Accuracy and Stability of Numerical
+Algorithms*, ch. 2-3) and leave the fit; a series that ends there or
+keeps fewer than MIN_SAMPLES is negligible at working precision.
 """
 
 from __future__ import annotations
@@ -116,22 +116,22 @@ def _fit(eps, mag, m_max) -> AsymptoticFit:
 def estimate_order(samples, m_max: int = DEFAULT_M_MAX, scale=None) -> AsymptoticFit:
     """Fit the asymptotic order of a sampled net.
 
-    ``samples`` is an iterable of (eps, magnitude) with at least four
-    distinct eps values in (0, 1].  Magnitudes are taken in absolute
-    value.  Given a finite ``scale`` >= 0, magnitudes at most ``FLOOR_ULPS *
-    finfo.eps * scale`` count in ``n_clamped`` and leave the fit (slope +inf
-    when fewer than MIN_SAMPLES stay); then, or when the finest-eps sample
-    is at the floor, the fit is "negligible at working precision" (``note``).
+    ``samples`` is an iterable of (eps, magnitude) with at least four distinct
+    eps values in (0, 1]; magnitudes are taken in absolute value.  Those at
+    most ``FLOOR_ULPS * finfo.eps * scale`` (``scale`` finite, >= 0, one for all
+    samples or one per sample) count in ``n_clamped`` and leave the fit (slope
+    +inf when fewer than MIN_SAMPLES stay); then, or with the finest-eps sample
+    at the floor, the verdict is "negligible at working precision" (``note``).
     """
     pairs = _validate(samples)
-    pairs.sort(key=lambda p: -p[0])
-    eps = np.array([e for e, _ in pairs])
-    mag = np.abs(np.array([m for _, m in pairs]))
+    order = np.argsort([-e for e, _ in pairs], kind="stable")
+    eps, mag = np.array([e for e, _ in pairs])[order], np.abs([m for _, m in pairs])[order]
     if scale is None:
         return _fit(eps, mag, m_max)
-    if not 0.0 <= scale < math.inf:
-        raise InvalidSample(f"scale must be finite and non-negative, got {scale}")
-    floor = mag <= FLOOR_ULPS * np.finfo(float).eps * scale
+    scale = np.asarray(scale, dtype=float)
+    if scale.shape not in ((), eps.shape) or not np.all((scale >= 0.0) & (scale < math.inf)):
+        raise InvalidSample(f"scale must be finite, non-negative, one or one per sample: {scale}")
+    floor = mag <= FLOOR_ULPS * np.finfo(float).eps * np.broadcast_to(scale, eps.shape)[order]
     fit = _fit(eps[~floor], mag[~floor], m_max)
     fit.grid, fit.magnitudes = tuple(eps), tuple(mag)
     fit.n_clamped += int(floor.sum())

@@ -51,7 +51,7 @@ class GeneralizedNumber(Pointwise):
 
 def gn_equal(a: GeneralizedNumber, b: GeneralizedNumber) -> tuple[bool, AsymptoticFit]:
     """Equality in the ring: the difference net is negligible, with the
-    rounding floor set by the largest |a| and |b| on the grid."""
-    scale = max(np.max(np.abs(a.values)), np.max(np.abs(b.values)))
-    fit = estimate_order(zip(a.grid, (a - b).values), scale=scale)
+    rounding floor at each eps set by the larger of |a| and |b| there."""
+    diff = (a - b).values
+    fit = estimate_order(zip(a.grid, diff), scale=np.maximum(np.abs(a.values), np.abs(b.values)))
     return fit.is_negligible, fit

@@ -189,7 +189,18 @@ def test_a_live_finest_sample_is_fit_as_usual():
     assert fit.verdict == MODERATE and fit.order == 1
 
 
-@pytest.mark.parametrize("scale", [float("nan"), -1.0, float("inf")])
+def test_per_sample_scale_follows_its_sample():
+    # samples out of eps order; each scale floors only its own magnitude
+    samples = [(2.0 ** -k, 2.0 ** (3 * k)) for k in (6, 4, 8, 5, 7)]
+    scales = [2.0 ** (6 * k) for k in (6, 4, 8, 5, 7)]
+    fit = estimate_order(samples, scale=scales)
+    assert fit.n_clamped == 0 and fit.slope == pytest.approx(-3.0, abs=1e-12)
+    scales[2] = 2.0 ** 24 / (FLOOR_ULPS * np.finfo(float).eps)
+    fit = estimate_order(samples, scale=scales)
+    assert fit.n_clamped == 1 and fit.note.startswith("negligible at working precision")
+
+
+@pytest.mark.parametrize("scale", [float("nan"), -1.0, float("inf"), [1.0, 1.0]])
 def test_bad_scale_is_rejected(scale):
     samples = [(2.0 ** -k, 1.0) for k in range(4, 9)]
     with pytest.raises(InvalidSample):

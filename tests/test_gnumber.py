@@ -58,6 +58,16 @@ def test_rounding_level_twins_are_equal():
         assert eq and fit.note.startswith("negligible at working precision")
 
 
+def test_moderate_difference_beside_large_operands_is_unequal():
+    # the difference eps^-3 is exact, and far above the rounding floor of
+    # eps^-6 at each eps; one floor for the whole grid, set by the largest
+    # eps^-6, would drop all but two samples and call the two equal
+    big = GeneralizedNumber.from_fn(lambda e: e ** -6)
+    eq, fit = gn_equal(GeneralizedNumber.from_fn(lambda e: e ** -6 + e ** -3), big)
+    assert not eq and fit.n_clamped == 0
+    assert fit.verdict == "moderate" and fit.order == 3
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     c1=st.floats(min_value=-10, max_value=10),
