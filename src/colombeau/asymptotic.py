@@ -9,14 +9,15 @@ off a growth verdict.  A net behaving like eps^p yields slope p:
 * otherwise                                        -> moderate of order
   N = ceil(max(0, -slope - SLOPE_TOLERANCE))
 
-Exact zeros are the strongest possible negligibility evidence; zero
-magnitudes are clamped to a tiny floor so the fit stays defined, and a
-net that vanishes identically on the grid is declared negligible
-outright with an infinite slope.  Magnitudes within FLOOR_ULPS ulps of
-the ``scale`` they were computed from (one per eps, or one for all) are
-at the rounding floor (Higham, *Accuracy and Stability of Numerical
-Algorithms*, ch. 2-3) and leave the fit; a series that ends there or
-keeps fewer than MIN_SAMPLES is negligible at working precision.
+Doubles cannot show decay below the rounding level of what a magnitude
+was computed from (Higham, *Accuracy and Stability of Numerical
+Algorithms*, ch. 2-3), and an exact zero is O(eps^m) for every m without
+having a slope.  One rule covers both: a magnitude at most FLOOR_ULPS ulps
+of its ``scale`` (one per eps, or one for all; 0 by default, so exactly
+the zeros) is at the floor and leaves the fit.  A series whose finest
+sample is at the floor is negligible at working precision, with slope
++inf when fewer than MIN_SAMPLES samples stay above it; a series whose
+finest sample is above the floor needs MIN_SAMPLES such samples to fit.
 """
 
 from __future__ import annotations
@@ -26,14 +27,15 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import _mindex
 from .errors import InsufficientSamples, InvalidSample
 
 MIN_SAMPLES = 4
 SLOPE_TOLERANCE = 0.25
 DEFAULT_M_MAX = 6
 DIVERGENCE_ORDER = 20
-ZERO_FLOOR = 1e-300
 FLOOR_ULPS = 64
+_FLOOR_REL = FLOOR_ULPS * float(np.finfo(float).eps)
 
 NEGLIGIBLE = "negligible"
 MODERATE = "moderate"
@@ -47,7 +49,9 @@ class AsymptoticFit:
     ``residual`` is the max absolute deviation of log magnitude from the
     fitted line; large residuals mean the power-law read is unreliable.
     ``order`` is the moderateness order N (0 for bounded nets), None for
-    the other verdicts.
+    the other verdicts.  ``n_clamped`` counts the samples at the floor,
+    exact zeros included, which the fit leaves out; ``magnitudes`` keeps
+    them all, unclamped.
     """
 
     slope: float
@@ -84,58 +88,50 @@ def _validate(samples):
     return pairs
 
 
-def _fit(eps, mag, m_max) -> AsymptoticFit:
-    clamped = mag < ZERO_FLOOR
-    n_clamped = int(clamped.sum())
-    if len(mag) < MIN_SAMPLES or n_clamped == len(mag):
-        # identically zero, or too few samples above the rounding floor
-        return AsymptoticFit(slope=math.inf, intercept=-math.inf, residual=0.0,
-                             verdict=NEGLIGIBLE, order=None, m_max=m_max, grid=tuple(eps),
-                             magnitudes=tuple(mag), n_clamped=n_clamped,
-                             note="all magnitudes at zero floor")
-    mag = np.maximum(mag, ZERO_FLOOR)
+def estimate_order(samples, m_max: int = DEFAULT_M_MAX, scale=0.0) -> AsymptoticFit:
+    """Fit the asymptotic order of a sampled net, floor rule as in the module docstring.
 
-    x = np.log(eps)
-    y = np.log(mag)
-    slope, intercept = map(float, np.polyfit(x, y, 1))
-    residual = float(np.max(np.abs(y - (slope * x + intercept))))
-
-    note = f"{n_clamped} magnitudes clamped to floor" if n_clamped else ""
-    if slope < -(DIVERGENCE_ORDER + SLOPE_TOLERANCE):
-        verdict, order = DIVERGENT, None
+    ``samples`` is an iterable of (eps, magnitude) with at least four distinct
+    eps values in (0, 1]; magnitudes are taken in absolute value.  ``m_max`` is
+    an integer >= 1; ``scale`` is finite and >= 0, one for all samples or one
+    per sample.  Samples at the floor count in ``n_clamped``; a verdict the
+    floor decides reads "negligible at working precision" in ``note``.
+    Fewer than MIN_SAMPLES samples above the floor raise InsufficientSamples
+    unless the finest sample is at the floor.
+    """
+    m_max = _mindex.index(m_max)
+    if m_max < 1:
+        raise InvalidSample(f"m_max must be at least 1, got {m_max}")
+    pairs = _validate(samples)
+    eps, mag = np.array([e for e, _ in pairs]), np.abs([m for _, m in pairs])
+    scale = np.asarray(scale, dtype=float)
+    if scale.shape not in ((), eps.shape) or not 0.0 <= scale.min() <= scale.max() < math.inf:
+        raise InvalidSample(f"scale must be finite, >= 0, one or one per sample: {scale}")
+    by_eps = np.argsort(-eps, kind="stable")
+    eps, mag, floor = eps[by_eps], mag[by_eps], (mag <= _FLOOR_REL * scale)[by_eps]
+    n_floor = int(np.count_nonzero(floor))
+    if len(mag) - n_floor >= MIN_SAMPLES:
+        live = ~floor
+        x, y = np.log(eps[live]), np.log(mag[live])
+        slope, intercept = map(float, np.polyfit(x, y, 1))
+        residual = float(np.max(np.abs(y - (slope * x + intercept))))
+    elif floor[-1]:
+        slope, intercept, residual = math.inf, -math.inf, 0.0
+    else:
+        # the finest sample is above the floor, so the floor cannot decide
+        raise InsufficientSamples(f"need at least {MIN_SAMPLES} samples above the floor "
+                                  f"when the finest is, got {len(mag) - n_floor}")
+    note = f"{n_floor} magnitudes at the floor" if n_floor else ""
+    order = None
+    if floor[-1]:
+        verdict, note = NEGLIGIBLE, "negligible at working precision: " + note
+    elif slope < -(DIVERGENCE_ORDER + SLOPE_TOLERANCE):
+        verdict = DIVERGENT
     elif slope >= m_max - SLOPE_TOLERANCE:
-        verdict, order = NEGLIGIBLE, None
+        verdict = NEGLIGIBLE
     else:
         verdict = MODERATE
         order = math.ceil(max(0.0, -slope - SLOPE_TOLERANCE))
     return AsymptoticFit(slope=slope, intercept=intercept, residual=residual, verdict=verdict,
                          order=order, m_max=m_max, grid=tuple(eps), magnitudes=tuple(mag),
-                         n_clamped=n_clamped, note=note)
-
-
-def estimate_order(samples, m_max: int = DEFAULT_M_MAX, scale=None) -> AsymptoticFit:
-    """Fit the asymptotic order of a sampled net.
-
-    ``samples`` is an iterable of (eps, magnitude) with at least four distinct
-    eps values in (0, 1]; magnitudes are taken in absolute value.  Those at
-    most ``FLOOR_ULPS * finfo.eps * scale`` (``scale`` finite, >= 0, one for all
-    samples or one per sample) count in ``n_clamped`` and leave the fit (slope
-    +inf when fewer than MIN_SAMPLES stay); then, or with the finest-eps sample
-    at the floor, the verdict is "negligible at working precision" (``note``).
-    """
-    pairs = _validate(samples)
-    order = np.argsort([-e for e, _ in pairs], kind="stable")
-    eps, mag = np.array([e for e, _ in pairs])[order], np.abs([m for _, m in pairs])[order]
-    if scale is None:
-        return _fit(eps, mag, m_max)
-    scale = np.asarray(scale, dtype=float)
-    if scale.shape not in ((), eps.shape) or not np.all((scale >= 0.0) & (scale < math.inf)):
-        raise InvalidSample(f"scale must be finite, non-negative, one or one per sample: {scale}")
-    floor = mag <= FLOOR_ULPS * np.finfo(float).eps * np.broadcast_to(scale, eps.shape)[order]
-    fit = _fit(eps[~floor], mag[~floor], m_max)
-    fit.grid, fit.magnitudes = tuple(eps), tuple(mag)
-    fit.n_clamped += int(floor.sum())
-    if fit.slope == math.inf or floor[-1]:
-        fit.verdict, fit.order = NEGLIGIBLE, None
-        fit.note = f"negligible at working precision: {fit.n_clamped} magnitudes at the floor"
-    return fit
+                         n_clamped=n_floor, note=note)

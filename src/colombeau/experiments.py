@@ -70,6 +70,8 @@ class ExperimentConfig:
             raise ValueError(f"k_max must be at most {MAX_K}, got {self.k_max}")
         if self.m_max < 1:
             raise ValueError("m_max must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.tol is not None and (isinstance(self.tol, bool) or not 0 < self.tol < np.inf):
             raise ValueError("tolerance override must be a finite positive number")
         if self.eps is not None:

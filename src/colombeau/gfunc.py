@@ -680,7 +680,7 @@ def associate(U: GeneralizedFunction, target=None, densities=None, grid=DEFAULT_
     chart coordinates), or a dict of specs per chart.  Each density is
     paired over the grid, Richardson-extrapolated to eps = 0, and
     compared with the target's action.  A pairing that is unresolved at
-    some eps makes the status "unresolved".
+    some eps (NaN from ``integrate``) makes the status "unresolved".
     """
     if densities is None:
         densities = default_densities(U.atlas, seed=7)
@@ -691,9 +691,8 @@ def associate(U: GeneralizedFunction, target=None, densities=None, grid=DEFAULT_
     all_ok, resolved = True, True
     for d in densities:  # a pairing: u_eps times the density over its box
         tgt = _target_action(target, d)
-        sweep = Sweep(lambda e, d=d: U.net(d.chart).at(e) * d.fn)
-        pairings = [integrate_box(sweep.at(float(e)), d.box, float(e), sweep) for e in grid]
-        resolved = resolved and not sweep.unresolved
+        pairings = integrate(U, d.fn, d.box, d.chart, grid).values.tolist()
+        resolved = resolved and not np.isnan(pairings).any()
         limit, extrap_res = richardson_limit(grid, pairings)
         residual = abs(limit - tgt)
         ok = residual < tol

@@ -1,5 +1,6 @@
 """Order estimation: thresholds, clamping, and the power-law invariant."""
 
+import json
 import math
 
 import numpy as np
@@ -64,18 +65,24 @@ def test_one_over_eps_is_moderate_order_one():
 def test_exp_minus_inverse_eps_is_negligible():
     fit = GeneralizedNumber.from_fn(lambda e: math.exp(-1.0 / e)).classify()
     # frozen oracle: exp(-1/eps) underflows to 0.0 for eps <= 2^-10, so the
-    # five smallest grid points sit at the clamp floor
+    # five smallest grid points are at the floor and the slope is the fit of
+    # the six non-zero samples
     assert fit.n_clamped == 5
-    assert fit.slope == pytest.approx(123.935804997, abs=1e-6)
+    assert fit.slope == pytest.approx(132.563064329, abs=1e-6)
     assert fit.verdict == NEGLIGIBLE
+    assert fit.note.startswith("negligible at working precision")
     # the huge residual records that this is no power law
     assert fit.residual > 1.0
 
 
 def test_constant_net_is_moderate_order_zero():
-    fit = GeneralizedNumber.from_fn(lambda e: 7.0).classify()
-    assert abs(fit.slope) < 1e-9
-    assert fit.verdict == MODERATE and fit.order == 0
+    for n_zeros in (0, 2, 4, 7):
+        # zeros at the coarsest eps of 2^-4..2^-14 leave the fit: they lend no slope
+        edge = 2.0 ** -(4 + n_zeros)
+        fit = GeneralizedNumber.from_fn(lambda e: 0.0 if e > edge else 7.0).classify()
+        assert fit.n_clamped == n_zeros
+        assert abs(fit.slope) < 1e-9
+        assert fit.verdict == MODERATE and fit.order == 0
 
 
 def test_inverse_cube_plus_one():
@@ -98,9 +105,10 @@ def test_partial_zero_magnitudes_are_clamped_not_fatal():
     vals = {float(e): (0.0 if i % 2 else float(e)) for i, e in enumerate(g)}
     fit = GeneralizedNumber.from_fn(lambda e: vals[e]).classify()
     assert fit.n_clamped == len(g) // 2
-    assert "clamped" in fit.note
-    # frozen oracle: mix of a slope-1 line and the flat floor
-    assert fit.slope == pytest.approx(0.636364, abs=1e-4)
+    assert fit.note == "5 magnitudes at the floor"
+    assert fit == estimate_order(zip(g, np.abs(list(vals.values()))), scale=0.0)
+    # frozen oracle: the zeros leave the fit, the slope-1 line stays
+    assert fit.slope == pytest.approx(1.0, abs=1e-12)
     assert fit.verdict == MODERATE and fit.order == 0
 
 
@@ -125,6 +133,12 @@ def test_verdict_invariants_against_slope():
 def test_sample_validation_errors():
     with pytest.raises(InsufficientSamples):
         estimate_order([(0.5, 1.0), (0.25, 2.0), (0.125, 4.0)])
+    # with the finest sample above the floor, the floor cannot read it negligible
+    with pytest.raises(InsufficientSamples):
+        estimate_order([(0.5, 1e-16), (0.25, 0.0), (0.125, 1e-15), (0.0625, 1.0)], scale=1.0)
+    # the constant 7 behind eight zeros of 2^-4..2^-14 keeps three samples
+    with pytest.raises(InsufficientSamples):
+        GeneralizedNumber.from_fn(lambda e: 0.0 if e > 2.0 ** -12 else 7.0).classify()
     with pytest.raises(InvalidSample):
         estimate_order([(1.5, 1.0), (0.5, 1.0), (0.25, 1.0), (0.125, 1.0)])
     with pytest.raises(InvalidSample):
@@ -133,6 +147,12 @@ def test_sample_validation_errors():
         estimate_order([(0.5, float("nan")), (0.25, 1.0), (0.125, 1.0), (0.0625, 1.0)])
     with pytest.raises(InvalidSample):
         estimate_order([(0.5, float("inf")), (0.25, 1.0), (0.125, 1.0), (0.0625, 1.0)])
+    # an m_max below 1 would read the constant 7 as negligible
+    for m_max in (0, -3):
+        with pytest.raises(InvalidSample):
+            estimate_order([(2.0 ** -k, 7.0) for k in range(4, 9)], m_max=m_max)
+    with pytest.raises(TypeError):
+        estimate_order([(2.0 ** -k, 7.0) for k in range(4, 9)], m_max=2.0)
 
 
 def test_json_round_trip_fields():
@@ -142,6 +162,9 @@ def test_json_round_trip_fields():
         assert key in d
     assert d["verdict"] == MODERATE
     assert len(d["grid"]) == len(dyadic_grid())
+    # a floor count is a plain int: reports serialize it as it stands
+    zeros = GeneralizedNumber.from_fn(lambda e: 0.0).classify().to_json()
+    assert type(zeros["n_clamped"]) is int and json.loads(json.dumps(zeros))["n_clamped"] == 11
 
 
 # embed-check's line row at --grid 4..9 with the Fourier kernel: four live
@@ -172,8 +195,8 @@ def test_floor_is_inclusive_and_relative_to_scale():
 
 
 def test_too_few_live_samples_is_negligible_with_infinite_slope():
-    # one sample above the floor, the finest: too few left to fit
-    samples = [(0.5, 1e-16), (0.25, 0.0), (0.125, 1e-15), (0.0625, 1.0)]
+    # one sample above the floor, the coarsest: too few left to fit
+    samples = [(0.5, 1.0), (0.25, 0.0), (0.125, 1e-15), (0.0625, 1e-16)]
     fit = estimate_order(samples, scale=1.0)
     assert fit.slope == math.inf and fit.verdict == NEGLIGIBLE and fit.order is None
     assert fit.n_clamped == 3

@@ -39,6 +39,8 @@ def test_malformed_flags_exit_two(tmp_path):
     assert main(["run", "mechanics", "--eps", "0.1,zap", "--out", out]) == 2
     assert main(["run", "mechanics", "--eps", "nan", "--out", out]) == 2
     assert main(["run", "classify", "--eps", "0.1,0.2", "--out", out]) == 2  # mechanics only
+    for name in ("classify", "poincare"):
+        assert main(["run", name, "--seed", "-1", "--out", out]) == 2, name
     assert main(["run", "--out", out]) == 2  # no experiment named anywhere
     assert not (tmp_path / "never").exists()
 
@@ -64,7 +66,7 @@ def test_config_rejects_unknown_keys(tmp_path):
 
 
 @pytest.mark.parametrize("knob", ['"seed": "abc"', '"seed": 1.5', '"seed": true',
-                                  '"k_min": 4.5', '"k_max": 9.0', '"m_max": 2.5',
+                                  '"seed": -1', '"k_min": 4.5', '"k_max": 9.0', '"m_max": 2.5',
                                   '"mollifier": 3', '"tol": true',
                                   # an infinite tolerance passes every check
                                   '"tol": Infinity', '"tol": 1e400'])
