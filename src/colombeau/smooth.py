@@ -11,10 +11,14 @@ a shape (m,) array is also accepted.
 A ``from_sympy`` leaf differentiates once per multi-index, from its cached
 parent: alpha with its last nonzero axis zeroed, differentiated along that
 axis.  That is the chain of ``sp.diff`` calls of differentiating from
-scratch axis by axis, and each step is ``sp.diff``'s own: ``_diff`` calls
-the expression's derivative rule and repeats only the checks of
-``Derivative.__new__`` that can change the result, with ``sp.diff`` as
-the fallback, so the expressions are unchanged.
+scratch axis by axis, and each step gives ``sp.diff``'s expression
+(``_diff``).  A first derivative applies each node's own rule and recurses
+with itself where the rule would call ``.diff``, so it builds no
+``Derivative`` per node and skips that constructor's ``is_zero`` query of
+each node's derivative.  No result can change: the constructor returns
+the derivative whether or not the query holds, its ``replace`` walk
+changes nothing without a ``Derivative``, and a first derivative is not
+simplified.
 
 A derivative is printed by a subclass of the printer ``sp.lambdify``
 would pick (``NumPyPrinter``, or ``SciPyPrinter`` when it names a
@@ -78,8 +82,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 import sympy as sp
+from sympy.core.basic import Basic
 from sympy.core.exprtools import factor_terms
-from sympy.core.function import AppliedUndef
+from sympy.core.function import AppliedUndef, ArgumentIndexError, Function
 from sympy.logic.boolalg import ITE, simplify_logic
 from sympy.printing.numpy import NumPyPrinter, SciPyPrinter
 from sympy.printing.precedence import PRECEDENCE, precedence
@@ -452,21 +457,78 @@ def lambdify(printer: _AtomPrinting, names: Sequence[str], expr) -> Callable:
     return fn
 
 
-def _diff(expr, symbol, n: int):
-    """``sp.diff(expr, symbol, n)``, through ``expr``'s own rule where that is the same.
+class _Unhandled(Exception):
+    """A node that ``_first_derivative`` leaves to ``sp.diff``."""
 
-    These are the steps of ``Derivative.__new__`` that can change the
-    result: zero when ``symbol`` is not free, the rule, and for n >= 2 the
-    ``is_zero`` test and then ``factor_terms(signsimp(.))``.  Its final
-    ``replace`` walk changes nothing without a ``Derivative`` in the
-    result, and its ``is_zero`` test returns a first derivative as it is.
-    An expression that is a ``Derivative`` or has no rule, and a rule that
-    gives ``None`` or a result holding a ``Derivative``, go to ``sp.diff``.
+
+def _first_derivative(expr, s):
+    """``expr.diff(s)`` for a symbol ``s``: each node's own rule at n = 1, with
+    this walk in place of ``.diff``.  That is ``Add``'s rule, ``Mul``'s
+    Leibniz terms in order (their coefficients are 1), ``Pow``'s rule, a
+    symbol's 1, and ``Function._eval_derivative``'s chain rule where the
+    class keeps it and ``Basic._eval_derivative_n_times``; any other node
+    gives its own ``_eval_derivative_n_times``.  Raises ``_Unhandled``
+    where ``.diff`` would leave a ``Derivative`` unevaluated.
+    """
+    if s not in expr.free_symbols:
+        return sp.S.Zero
+    cls = type(expr)
+    if cls is sp.Add:
+        return sp.Add(*[_first_derivative(a, s) for a in expr.args])
+    if cls is sp.Mul:
+        args = expr.args
+        return sp.Add(*[sp.Mul(*args[:i], _first_derivative(a, s), *args[i + 1:])
+                        for i, a in enumerate(args)])
+    if cls is sp.Pow:
+        b, e = expr.args
+        return expr * (_first_derivative(e, s) * sp.log(b) + _first_derivative(b, s) * e / b)
+    if isinstance(expr, sp.Symbol):
+        return sp.S.One
+    if (getattr(cls, "_eval_derivative", None) is Function._eval_derivative
+            and cls._eval_derivative_n_times is Basic._eval_derivative_n_times):
+        terms = []
+        for i, a in enumerate(expr.args, 1):
+            da = _first_derivative(a, s)
+            if da.is_zero:
+                continue
+            try:
+                df = expr.fdiff(i)
+            except ArgumentIndexError:
+                df = Function.fdiff(expr, i)
+            terms.append(df * da)
+        return sp.Add(*terms)
+    out = None
+    if hasattr(expr, "_eval_derivative") and not isinstance(expr, sp.Derivative):
+        out = expr._eval_derivative_n_times(s, sp.S.One)
+    if out is None:
+        raise _Unhandled
+    return out
+
+
+def _diff(expr, symbol, n: int):
+    """``sp.diff(expr, symbol, n)``, through ``expr``'s own rules where that is the same.
+
+    A first derivative is ``_first_derivative``'s walk, which skips the
+    ``Derivative.__new__`` of each node's ``.diff``: its ``is_zero`` query
+    of the node's derivative, most of the cost, which returns that
+    derivative either way, and its ``replace`` walk, which changes nothing
+    without a ``Derivative``.  For n >= 2 the rule is called once, and the
+    steps of ``Derivative.__new__`` that can change the result are
+    repeated: zero when ``symbol`` is not free, the rule, the ``is_zero``
+    test and ``factor_terms(signsimp(.))``.  A node the walk leaves
+    unhandled, an expression that is a ``Derivative`` or has no rule, and a
+    rule that gives ``None`` or a result holding a ``Derivative``, send the
+    whole expression to ``sp.diff``.
     """
     if symbol not in expr.free_symbols:
         return sp.Integer(0)
     out = None
-    if hasattr(expr, "_eval_derivative") and not isinstance(expr, sp.Derivative):
+    if n == 1:
+        try:
+            out = _first_derivative(expr, symbol)
+        except _Unhandled:
+            pass
+    elif hasattr(expr, "_eval_derivative") and not isinstance(expr, sp.Derivative):
         out = expr._eval_derivative_n_times(symbol, sp.Integer(n))
     if out is None or out.has(sp.Derivative):
         return sp.diff(expr, symbol, n)

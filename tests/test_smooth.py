@@ -8,6 +8,7 @@ import conftest
 import numpy as np
 import pytest
 import sympy as sp
+from sympy.core.cache import clear_cache
 from sympy.printing.codeprinter import CodePrinter
 from sympy.printing.numpy import NumPyPrinter, SciPyPrinter
 from sympy.printing.str import StrPrinter
@@ -696,6 +697,104 @@ def test_compiled_leaves_are_sympys_own(family, sympy_calls):
                                       np.ascontiguousarray(want).view(np.int64)), alpha
             else:
                 assert got is want, alpha
+
+
+# -- first derivatives without Derivative ------------------------------------
+
+
+def _coherent(manifold):
+    """The leaves ``random_coherent_functions`` builds on ``manifold``, seeds 0-2."""
+    return [leaf for seed in range(3) for leaf in _leaves_built_by(
+        tensor, lambda: tensor.random_coherent_functions(manifold, count=3, seed=seed))]
+
+
+# the leaf families whose first derivatives the library takes
+_FIRST_DERIVATIVE_FAMILIES = {
+    "trig-circle": lambda: _coherent(manifolds.circle()),
+    "trig-torus2": lambda: _coherent(manifolds.torus2()),
+    "poincare-polynomials": lambda: _coherent(manifolds.euclidean(3)),
+    "circle-partition": lambda: _leaves_built_by(manifolds, manifolds.circle),
+    "bump": lambda: _leaves_built_by(
+        gfunc, lambda: gfunc.default_densities(manifolds.torus2(), per_chart=1)),
+    "window": lambda: [(experiments._window_expr(1.2, 2.0), (experiments.X,))],
+    "mechanics-bump": lambda: _leaves_built_by(mechanics, mechanics.bump_profile),
+    "nested": lambda: [(sp.sin(sp.cos(X0)), (X0,)), (sp.exp(-1 / X0), (X0,)),
+                       (X0 ** X0, (X0,)),
+                       (sp.Rational(2, 3) * X0 ** 3 - sp.Rational(1, 5) * sp.cos(X0 * X1)
+                        + X1 / 7, (X0, X1))],
+}
+
+
+@pytest.mark.parametrize("family", sorted(_FIRST_DERIVATIVE_FAMILIES))
+def test_first_derivatives_are_sympys_own(family):
+    leaves = _FIRST_DERIVATIVE_FAMILIES[family]()
+    assert leaves
+    for expr, symbols in leaves:
+        for s in symbols:
+            clear_cache()  # neither side reads what the other built
+            got = smooth._diff(expr, s, 1)
+            clear_cache()
+            want = _DIFF(expr, s)
+            assert got == want and sp.srepr(got) == sp.srepr(want), (expr, s)
+
+
+def test_first_derivatives_of_trig_and_polynomial_leaves_build_no_derivative(monkeypatch):
+    leaves = [leaf for family in ("trig-circle", "trig-torus2", "poincare-polynomials")
+              for leaf in _FIRST_DERIVATIVE_FAMILIES[family]()]
+    new, calls = sp.Derivative.__new__, []
+
+    def counting(cls, *args, **kwargs):
+        calls.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(sp.Derivative, "__new__", staticmethod(counting))
+    for expr, symbols in leaves:
+        for s in symbols:
+            smooth._diff(expr, s, 1)
+    assert calls == []
+    expr, symbols = leaves[0]
+    _DIFF(expr, symbols[0])  # the wrapper sees sympy's own steps
+    assert calls
+
+
+class _NoRule(sp.Function):
+    """A function whose derivative rule gives ``None``."""
+
+    def _eval_derivative(self, s):
+        return None
+
+
+_F = sp.Function("f")
+
+
+@pytest.mark.parametrize("expr", [
+    sp.sin(X0) + _F(X0), X0 * _F(X0 ** 2),  # an undefined function
+    sp.erf(X0) + X0 * sp.gamma(X0), sp.besselj(0, X0 ** 2) * X0,  # functions numpy lacks
+    sp.sin(X0) + _NoRule(X0), X0 * _NoRule(X0) + 1,  # a rule that gives None
+], ids=["undefined-sum", "undefined-product", "erf-gamma", "besselj0", "no-rule-sum",
+        "no-rule-product"])
+def test_first_derivatives_sympy_leaves_unevaluated_are_sympys_own(expr):
+    got = smooth._diff(expr, X0, 1)
+    assert sp.srepr(got) == sp.srepr(_DIFF(expr, X0))
+    if expr.has(_NoRule):
+        with pytest.raises(smooth._Unhandled):  # the walk puts no None into a sum
+            smooth._first_derivative(expr, X0)
+        assert got.has(sp.Derivative)
+
+
+@pytest.mark.parametrize("symbol", [sp.Dummy("d"), sp.Symbol("lambda"), sp.Symbol("x.1")],
+                         ids=["dummy", "keyword", "dotted"])
+def test_first_derivatives_over_stand_ins_are_sympys_own(symbol, sympy_calls):
+    diffs, _ = sympy_calls
+    y = sp.Symbol("y")
+    expr = symbol ** 2 * sp.exp(symbol) * y + sp.sin(y * symbol)
+    f = from_sympy(expr, [symbol, y])
+    pts = _plane()
+    for alpha, s in [((1, 0), symbol), ((0, 1), y)]:
+        want = _reference_values(expr, (symbol, y), alpha, pts)
+        assert f._partial_fn(alpha, pts).tobytes() == want.tobytes(), alpha
+        assert diffs[-1][:2] == (s, 1)
+        assert sp.srepr(diffs[-1][2]) == sp.srepr(_DIFF(expr, s)), alpha
 
 
 class _SympyArithmetic(smooth._NumPyAtomPrinter):
