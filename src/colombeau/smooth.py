@@ -12,13 +12,18 @@ A ``from_sympy`` leaf differentiates once per multi-index, from its cached
 parent: alpha with its last nonzero axis zeroed, differentiated along that
 axis.  That is the chain of ``sp.diff`` calls of differentiating from
 scratch axis by axis, and each step gives ``sp.diff``'s expression
-(``_diff``).  A first derivative applies each node's own rule and recurses
-with itself where the rule would call ``.diff``, so it builds no
+(``_diff``).  A derivative of any order applies each node's own rule and
+recurses with itself where the rule would call ``.diff``, so it builds no
 ``Derivative`` per node and skips that constructor's ``is_zero`` query of
-each node's derivative.  No result can change: the constructor returns
-the derivative whether or not the query holds, its ``replace`` walk
-changes nothing without a ``Derivative``, and a first derivative is not
-simplified.
+each first derivative.  At order n >= 2 it follows
+``_eval_derivative_n_times``: a product's multinomial Leibniz terms, and
+for a sum, power or function n steps of the node's first-order rule, to
+a fixed point; each factor differentiated k >= 2 times is tested with
+``is_zero`` and simplified by ``factor_terms(signsimp(.))``, as the
+constructor does.  No result can change: the constructor returns the
+rule's result whether or not its query holds, its ``replace`` walk
+changes nothing without a ``Derivative``, and the steps that can change
+a result are repeated at every node.
 
 A derivative is printed by a subclass of the printer ``sp.lambdify``
 would pick (``NumPyPrinter``, or ``SciPyPrinter`` when it names a
@@ -72,6 +77,7 @@ from __future__ import annotations
 
 import builtins
 import contextlib
+import functools
 import itertools
 import keyword
 import linecache
@@ -86,6 +92,7 @@ from sympy.core.basic import Basic
 from sympy.core.exprtools import factor_terms
 from sympy.core.function import AppliedUndef, ArgumentIndexError, Function
 from sympy.logic.boolalg import ITE, simplify_logic
+from sympy.ntheory.multinomial import multinomial_coefficients_iterator
 from sympy.printing.numpy import NumPyPrinter, SciPyPrinter
 from sympy.printing.precedence import PRECEDENCE, precedence
 from sympy.simplify.simplify import signsimp
@@ -457,38 +464,90 @@ def lambdify(printer: _AtomPrinting, names: Sequence[str], expr) -> Callable:
     return fn
 
 
+@functools.cache
+def _multinomial(m: int, n: int) -> tuple:
+    """The (k_1, ..., k_m), coefficient pairs of the multinomial Leibniz
+    rule of order n for m factors, in the order ``Mul`` takes them; one
+    small immutable tuple per (m, n), built once instead of per product."""
+    return tuple(multinomial_coefficients_iterator(m, n))
+
+
 class _Unhandled(Exception):
-    """A node that ``_first_derivative`` leaves to ``sp.diff``."""
+    """A node that ``_derivative`` leaves to ``sp.diff``."""
 
 
-def _first_derivative(expr, s):
-    """``expr.diff(s)`` for a symbol ``s``: each node's own rule at n = 1, with
-    this walk in place of ``.diff``.  That is ``Add``'s rule, ``Mul``'s
-    Leibniz terms in order (their coefficients are 1), ``Pow``'s rule, a
-    symbol's 1, and ``Function._eval_derivative``'s chain rule where the
-    class keeps it and ``Basic._eval_derivative_n_times``; any other node
-    gives its own ``_eval_derivative_n_times``.  Raises ``_Unhandled``
-    where ``.diff`` would leave a ``Derivative`` unevaluated.
+def _derivative(expr, s, n: int):
+    """``expr.diff((s, n))`` for a symbol ``s`` and n >= 1, with this walk in
+    place of ``.diff``.
+
+    ``Derivative.__new__``'s steps: zero where ``s`` is not free, the rule,
+    and for n >= 2 its ``is_zero`` test and ``factor_terms(signsimp(.))``.
+    The rule is the node's ``_eval_derivative_n_times(s, n)``: a product's
+    multinomial Leibniz terms ``c * Mul(*factors)`` in sympy's order, each
+    factor differentiated k times; a symbol's 1 (n = 1) or 0; ``Basic``'s
+    loop of n ``_step``s, stopping at a fixed point, where the class keeps
+    it; any other node's own method.  Raises ``_Unhandled`` where ``.diff``
+    would leave a ``Derivative`` unevaluated.
     """
     if s not in expr.free_symbols:
         return sp.S.Zero
     cls = type(expr)
-    if cls is sp.Add:
-        return sp.Add(*[_first_derivative(a, s) for a in expr.args])
     if cls is sp.Mul:
-        args = expr.args
-        return sp.Add(*[sp.Mul(*args[:i], _first_derivative(a, s), *args[i + 1:])
-                        for i, a in enumerate(args)])
+        terms = []
+        for ks, c in _multinomial(len(expr.args), n):
+            factors = [_derivative(a, s, k) if k else a for k, a in zip(ks, expr.args)]
+            p = sp.Mul(*factors)
+            terms.append(p if c == 1 else c * p)  # 1 * p is p
+        out = sp.Add(*terms)
+    elif isinstance(expr, sp.Symbol):
+        out = sp.S.One if n == 1 else sp.S.Zero
+    elif cls._eval_derivative_n_times is Basic._eval_derivative_n_times:
+        out = expr
+        for _ in range(n):
+            prev, out = out, _step(out, s)
+            if out == prev:
+                break
+    elif hasattr(expr, "_eval_derivative") and not isinstance(expr, sp.Derivative):
+        out = expr._eval_derivative_n_times(s, sp.Integer(n))
+    else:
+        raise _Unhandled
+    if out is None or (n > 1 and out.has(sp.Derivative)):
+        raise _Unhandled
+    if n > 1 and not out.is_zero:
+        out = factor_terms(signsimp(out))
+    return out
+
+
+def _step(expr, s):
+    """``expr._eval_derivative(s)``, with ``_derivative`` in place of ``.diff``:
+    the rule of an ``Add``, ``Pow`` and ``Piecewise``, ``Mul``'s binary
+    products over the factors whose derivative is not zero, and
+    ``Function._eval_derivative``'s chain rule where the class keeps it
+    (its ``da.is_zero`` test and ``ArgumentIndexError`` fallback kept); any
+    other node's own rule.  Unlike ``.diff`` it does not return zero at
+    once where ``s`` is not free, as the rule does not.
+    """
+    cls = type(expr)
+    if cls is sp.Add:
+        return sp.Add(*[_derivative(a, s, 1) for a in expr.args])
+    if cls is sp.Mul:
+        args = list(expr.args)
+        terms = []
+        for i, a in enumerate(args):
+            d = _derivative(a, s, 1)
+            if d:
+                terms.append(functools.reduce(operator.mul, args[:i] + [d] + args[i + 1:],
+                                              sp.S.One))
+        return sp.Add.fromiter(terms)
     if cls is sp.Pow:
         b, e = expr.args
-        return expr * (_first_derivative(e, s) * sp.log(b) + _first_derivative(b, s) * e / b)
-    if isinstance(expr, sp.Symbol):
-        return sp.S.One
-    if (getattr(cls, "_eval_derivative", None) is Function._eval_derivative
-            and cls._eval_derivative_n_times is Basic._eval_derivative_n_times):
+        return expr * (_derivative(e, s, 1) * sp.log(b) + _derivative(b, s, 1) * e / b)
+    if cls is sp.Piecewise:
+        return sp.Piecewise(*[(_derivative(e, s, 1), c) for e, c in expr.args])
+    if getattr(cls, "_eval_derivative", None) is Function._eval_derivative:
         terms = []
         for i, a in enumerate(expr.args, 1):
-            da = _first_derivative(a, s)
+            da = _derivative(a, s, 1)
             if da.is_zero:
                 continue
             try:
@@ -499,7 +558,7 @@ def _first_derivative(expr, s):
         return sp.Add(*terms)
     out = None
     if hasattr(expr, "_eval_derivative") and not isinstance(expr, sp.Derivative):
-        out = expr._eval_derivative_n_times(s, sp.S.One)
+        out = expr._eval_derivative(s)
     if out is None:
         raise _Unhandled
     return out
@@ -508,33 +567,24 @@ def _first_derivative(expr, s):
 def _diff(expr, symbol, n: int):
     """``sp.diff(expr, symbol, n)``, through ``expr``'s own rules where that is the same.
 
-    A first derivative is ``_first_derivative``'s walk, which skips the
-    ``Derivative.__new__`` of each node's ``.diff``: its ``is_zero`` query
-    of the node's derivative, most of the cost, which returns that
-    derivative either way, and its ``replace`` walk, which changes nothing
-    without a ``Derivative``.  For n >= 2 the rule is called once, and the
-    steps of ``Derivative.__new__`` that can change the result are
-    repeated: zero when ``symbol`` is not free, the rule, the ``is_zero``
-    test and ``factor_terms(signsimp(.))``.  A node the walk leaves
-    unhandled, an expression that is a ``Derivative`` or has no rule, and a
-    rule that gives ``None`` or a result holding a ``Derivative``, send the
-    whole expression to ``sp.diff``.
+    ``_derivative`` takes the steps of ``Derivative.__new__`` that can
+    change a result at every node, and applies each rule in sympy's form
+    (n-ary Leibniz products for ``_eval_derivative_n_times``, binary ones
+    for ``Mul._eval_derivative``), but it builds no ``Derivative`` per
+    node.  That skips the constructor's ``is_zero`` query of each first
+    derivative, most of the cost, which returns that derivative either
+    way, and its ``replace`` walk, which changes nothing without a
+    ``Derivative``.  So the result is ``sp.diff``'s expression.  A node the
+    walk leaves unhandled, a rule that gives ``None``, and a result that
+    holds a ``Derivative`` send the whole expression to ``sp.diff``.
     """
-    if symbol not in expr.free_symbols:
-        return sp.Integer(0)
-    out = None
-    if n == 1:
-        try:
-            out = _first_derivative(expr, symbol)
-        except _Unhandled:
-            pass
-    elif hasattr(expr, "_eval_derivative") and not isinstance(expr, sp.Derivative):
-        out = expr._eval_derivative_n_times(symbol, sp.Integer(n))
-    if out is None or out.has(sp.Derivative):
-        return sp.diff(expr, symbol, n)
-    if n > 1 and not out.is_zero:
-        out = factor_terms(signsimp(out))
-    return out
+    try:
+        out = _derivative(expr, symbol, n)
+        if not out.has(sp.Derivative):
+            return out
+    except _Unhandled:
+        pass
+    return sp.diff(expr, symbol, n)
 
 
 def _stand_ins(symbols) -> dict:

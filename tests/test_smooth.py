@@ -778,8 +778,79 @@ def test_first_derivatives_sympy_leaves_unevaluated_are_sympys_own(expr):
     assert sp.srepr(got) == sp.srepr(_DIFF(expr, X0))
     if expr.has(_NoRule):
         with pytest.raises(smooth._Unhandled):  # the walk puts no None into a sum
-            smooth._first_derivative(expr, X0)
+            smooth._derivative(expr, X0, 1)
         assert got.has(sp.Derivative)
+
+
+# -- derivatives of order >= 2 without Derivative ----------------------------
+
+
+def test_derivatives_of_order_two_and_three_build_no_derivative(monkeypatch):
+    leaves = [leaf for family in ("probes-euclidean3", "probes-circle", "probes-torus2",
+                                  "smoothstep") for leaf in _LEAF_FAMILIES[family]()]
+    new, calls, orders = sp.Derivative.__new__, [], set()
+
+    def counting(cls, *args, **kwargs):
+        calls.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(sp.Derivative, "__new__", staticmethod(counting))
+    for expr, symbols in leaves:
+        dim = len(symbols)
+        exprs = {(0,) * dim: expr}
+        for alpha in mi.up_to(dim, 3)[1:]:  # parents first, as from_sympy takes them
+            i = max(i for i, k in enumerate(alpha) if k)
+            orders.add(alpha[i])
+            exprs[alpha] = smooth._diff(exprs[alpha[:i] + (0,) * (dim - i)], symbols[i],
+                                        alpha[i])
+    assert calls == [] and orders == {1, 2, 3}
+    _DIFF(expr, symbols[0], 2)  # the wrapper sees sympy's own steps
+    assert calls
+
+
+@pytest.mark.parametrize("expr", [
+    X0 ** 2 / 2 + 3,  # a sum whose first step is a bare symbol
+    sp.exp(X0), sp.exp(X0) + X0,  # fixed points
+    3 + 2 * X0 ** 3,  # a sum whose first step is a product
+    X0 ** 3 * sp.sin(X0), X0 * sp.exp(X0 ** 2),  # factors differentiated twice or more
+    sp.exp(-1 / X0) / (sp.exp(-1 / X0) + sp.exp(-1 / (1 - X0))),  # ... and simplified
+    X0 ** X0, sp.sin(sp.cos(X0)), sp.Rational(1, 3) * X0 ** 4,
+], ids=["half-square", "exp", "exp-sum", "cubic-sum", "cubic-sin", "x-gauss", "step-ratio",
+        "power-tower", "sin-cos", "third-quartic"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_derivatives_of_order_two_to_four_are_sympys_own(expr, n):
+    clear_cache()  # neither side reads what the other built
+    got = smooth._derivative(expr, X0, n)  # the walk alone: no fallback
+    clear_cache()
+    assert sp.srepr(got) == sp.srepr(_DIFF(expr, X0, n))
+
+
+def test_a_derivative_known_to_be_zero_is_not_simplified():
+    x, z = sp.Symbol("x", real=True), sp.Symbol("z", zero=True)
+    expr = z * x ** 3 + z * x ** 2
+    got = smooth._derivative(expr, x, 2)  # 6*x*z + 2*z, not 2*z*(3*x + 1)
+    assert got.is_zero and sp.srepr(got) == sp.srepr(_DIFF(expr, x, 2))
+
+
+@pytest.mark.parametrize("expr", [
+    sp.Mul(2, X0 ** 3 + X0, sp.sin(X0)),  # binary products: 2*(3*x**2 + 1) is distributed
+    sp.Pow(0, sp.Symbol("y")),  # no zero where x is not free: 0*log(0) is nan
+    sp.Piecewise((X0 ** 2, X0 > 1), (sp.exp(X0), True)),
+    sp.sin(X0) ** 3, sp.exp(X0) + X0, sp.sin(sp.cos(X0)), X0, sp.Integer(3),
+], ids=["product", "zero-power", "piecewise", "power", "sum", "chain", "symbol", "number"])
+def test_a_step_is_the_nodes_own_rule(expr):
+    assert sp.srepr(smooth._step(expr, X0)) == sp.srepr(expr._eval_derivative(X0))
+
+
+@pytest.mark.parametrize("expr", [_NoRule(X0), X0 ** 2 * _NoRule(X0)],
+                         ids=["no-rule", "no-rule-product"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_derivatives_of_order_two_to_four_sympy_leaves_unevaluated_are_sympys_own(expr, n):
+    with pytest.raises(smooth._Unhandled):
+        smooth._derivative(expr, X0, n)
+    got = smooth._diff(expr, X0, n)
+    assert got.has(sp.Derivative)
+    assert sp.srepr(got) == sp.srepr(_DIFF(expr, X0, n))
 
 
 @pytest.mark.parametrize("symbol", [sp.Dummy("d"), sp.Symbol("lambda"), sp.Symbol("x.1")],
