@@ -29,7 +29,8 @@ from .grid import DEFAULT_GRID
 from .manifold import Atlas, GeneralizedPoint, Transition
 from .manifolds import Manifold
 from .mollifier import Mollifier
-from .nets import Net, _as_net, box_lattice, classify_net, sup_norm_on_box, sup_norms
+from .nets import (Net, _as_net, _auto_samples, box_lattice, classify_net, lattice_sup,
+                   sup_norm_on_box, sup_norms)
 from .quadrature import Sweep, cubature
 from .smooth import SmoothFn, constant, from_sympy, leaf_memo, smoothstep_expr
 
@@ -490,50 +491,26 @@ def point_value(U: GeneralizedFunction, p: GeneralizedPoint,
     return GeneralizedNumber(grid, values, label=f"{U.label}({p.label})")
 
 
-def zero_test_by_points(U: GeneralizedFunction, count: int = 24, grid=DEFAULT_GRID) -> dict:
-    """One-sided zero test: sample generalized points, look for witnesses.
+def zero_test_by_points(U: GeneralizedFunction, grid=DEFAULT_GRID) -> dict:
+    """Zero test by point values, two-sided on the grid.
 
-    Draws classical points, eps-drifting points and bounded wobbling
-    point nets from the chart sample boxes.  Any non-negligible point
-    value witnesses U != 0; finding none is evidence, not proof.
+    Each chart's witness is the point net x_eps where |u_eps| reaches its
+    lattice sup on the chart's sample box, on the lattice of
+    ``sup_norms(..., n_samples="auto")``; it is defined at the grid's eps.
+    Its point value is that sup, so a chart gives a witness exactly when
+    its order-0 sup series is not negligible, as ``classify(U, orders=(0,),
+    n_samples="auto")`` reads it.
     """
-    rng = np.random.default_rng(0)
-    charts = U.chart_names()
-    dim = U.atlas.dim
-    witnesses = []
-    samples = []
-    for i in range(count):
-        c = charts[i % len(charts)]
-        box = U.atlas.charts[c].sample_box
-        lo = np.array([b[0] for b in box])
-        hi = np.array([b[1] for b in box])
-        pad = 0.15 * (hi - lo)
-        if i < len(charts):
-            # deterministic probe: drift away from the box center, the
-            # natural anchor for concentrating nets
-            kind = "drift"
-            x0 = (lo + hi) / 2.0
-            a = np.ones(dim)
-        else:
-            kind = ("classical", "drift", "wobble")[i % 3]
-            x0 = rng.uniform(lo + pad, hi - pad)
-            a = rng.uniform(-1.0, 1.0, size=dim)
-        if kind == "classical":
-            coords = (lambda x0: lambda e: x0)(x0)
-        elif kind == "drift":
-            coords = (lambda x0, a: lambda e: x0 + a * e)(x0, a)
-        else:
-            w = rng.uniform(1.0, 20.0)
-            coords = (lambda x0, a, w: lambda e: x0 + a * e * np.cos(w * e))(x0, a, w)
-        p = GeneralizedPoint(U.atlas, c, coords,
-                             tuple((l, h) for l, h in zip(lo, hi)), label=kind)
+    witnesses, alpha = [], (0,) * U.atlas.dim
+    for c in U.chart_names():
+        net, box = U.nets[c], U.atlas.charts[c].sample_box
+        argmax = {float(e): lattice_sup(net.at(e), alpha, box, _auto_samples(box, e))[1]
+                  for e in grid}
+        p = GeneralizedPoint(U.atlas, c, argmax.__getitem__, box, label=f"argmax {c}")
         fit = point_value(U, p, grid).classify()
-        samples.append({"chart": c, "kind": kind, "x0": x0.tolist(),
-                        "slope": fit.slope, "verdict": fit.verdict})
         if not fit.is_negligible:
-            witnesses.append(samples[-1])
-    return {"count": count, "witnesses": witnesses,
-            "all_negligible": not witnesses, "one_sided": True}
+            witnesses.append({"chart": c, "point": p, "fit": fit})
+    return {"witnesses": witnesses, "all_negligible": not witnesses}
 
 
 # -- association ---------------------------------------------------------

@@ -18,9 +18,9 @@ from typing import Callable
 
 import numpy as np
 
-from .asymptotic import AsymptoticFit
+from .asymptotic import AsymptoticFit, estimate_order
 from .errors import CoherenceFailure, NotComparable, PartitionMismatch
-from .gnumber import GeneralizedNumber
+from .grid import DEFAULT_GRID
 from .nets import box_lattice
 
 ROUND_TRIP_TOL = 1e-12
@@ -260,6 +260,9 @@ class GeneralizedPoint:
 def point_equiv(p: GeneralizedPoint, q: GeneralizedPoint) -> tuple[bool, AsymptoticFit]:
     """Equivalence of generalized points: coordinate gap is negligible.
 
+    The rounding floor at each eps is set by the larger coordinate norm
+    of the two points there, in the common chart.
+
     Requires a common witness chart, or q transportable into p's chart
     through an atlas transition; otherwise NotComparable.
     """
@@ -272,6 +275,7 @@ def point_equiv(p: GeneralizedPoint, q: GeneralizedPoint) -> tuple[bool, Asympto
         q_coords = lambda eps: t.fn(q.coords_at(eps)[None, :])[0]
     else:
         raise NotComparable(f"no common chart between {p.chart} and {q.chart}")
-    fit = GeneralizedNumber.from_fn(
-        lambda eps: np.linalg.norm(p.coords_at(eps) - q_coords(eps))).classify()
+    pairs = [(p.coords_at(e), q_coords(e)) for e in DEFAULT_GRID]
+    fit = estimate_order(zip(DEFAULT_GRID, [np.linalg.norm(x - y) for x, y in pairs]),
+                         scale=[max(np.linalg.norm(x), np.linalg.norm(y)) for x, y in pairs])
     return fit.is_negligible, fit

@@ -3,7 +3,8 @@
 A ``Net`` is a family eps -> SmoothFn on a fixed R^dim.  Algebra is
 pointwise in eps.  ``sup_norm_on_box`` realizes the seminorms used by
 the order classifier: max of |partial derivative| over a uniform
-lattice on a box; ``sup_norms`` takes it at each eps of a grid.
+lattice on a box, which ``lattice_sup`` returns with the point reaching
+it; ``sup_norms`` takes it at each eps of a grid.
 """
 
 from __future__ import annotations
@@ -28,14 +29,21 @@ def box_lattice(box, n_samples: int = 201) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-def sup_norm_on_box(f: SmoothFn, alpha, box, n_samples: int = 201) -> float:
-    """Max of |d^alpha f| over a uniform lattice on ``box``."""
+def lattice_sup(f: SmoothFn, alpha, box, n_samples: int = 201) -> tuple[float, np.ndarray]:
+    """Max of |d^alpha f| over a uniform lattice on ``box``, and the first
+    lattice point that reaches it (the first NaN's, if any is NaN)."""
     alpha = mi.check(alpha, f.dim)
     if len(box) != f.dim:
         raise DimensionMismatch(f"box has {len(box)} axes, function has {f.dim}")
     pts = box_lattice(box, n_samples)
-    vals = f.partial(alpha, pts)
-    return float(np.max(np.abs(vals)))
+    vals = np.abs(f.partial(alpha, pts))
+    k = int(np.argmax(vals))
+    return float(vals[k]), pts[k].copy()  # a copy does not keep the lattice alive
+
+
+def sup_norm_on_box(f: SmoothFn, alpha, box, n_samples: int = 201) -> float:
+    """Max of |d^alpha f| over a uniform lattice on ``box`` (see ``lattice_sup``)."""
+    return lattice_sup(f, alpha, box, n_samples)[0]
 
 
 class Net(Pointwise):

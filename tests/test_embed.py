@@ -323,6 +323,18 @@ def test_pullback_commutator_identity_map_is_zero(fourier):
     assert np.max(np.abs(net.at(0.125)(xs))) == 0.0
 
 
+@pytest.mark.parametrize("a, b", [(2.0, 0.5), (-0.5, 0.25)])
+def test_pullback_of_a_regular_piece_acts_through_the_inverse_map(a, b):
+    # <mu^* u, phi> = <u, phi o mu^-1> / |a| for mu(x) = a x + b; a < 0 swaps the bounds
+    u = smooth_piece(from_sympy(sp.exp(X) * (1 + X ** 2), [X]), -0.5, 1.0)
+    phi = from_sympy(sp.cos(X) + X ** 3, [X])
+    pulled = pullback_spec_affine(u, a, b)
+    (piece,) = pulled.regular
+    assert piece.lo < piece.hi and not pulled.singular
+    want = u.action(phi.scale_shift(1.0 / a, -b / a)) / abs(a)
+    assert pulled.action(phi) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
 def test_pullback_commutator_doubling_map(fourier):
     # iota(mu^* delta) - mu^* iota(delta) = rho_eps(x)/2 - rho_eps(2x):
     # a nonzero moderate net of order one

@@ -214,13 +214,71 @@ def test_point_value_transports_to_carried_chart(s1):
 
 def test_zero_test_finds_drift_witness(delta_fn, sigma_x):
     F = sigma_x * delta_fn
-    rep = G.zero_test_by_points(F, count=12, grid=dyadic_grid(4, 11))
-    assert rep["one_sided"] is True
+    rep = G.zero_test_by_points(F, grid=dyadic_grid(4, 11))
     assert rep["all_negligible"] is False
     assert len(rep["witnesses"]) >= 1
     zero = G.GeneralizedFunction(delta_fn.atlas, {"0": Net.zero(1)})
-    rep0 = G.zero_test_by_points(zero, count=12, grid=dyadic_grid(4, 11))
+    rep0 = G.zero_test_by_points(zero, grid=dyadic_grid(4, 11))
     assert rep0["all_negligible"] is True and rep0["witnesses"] == []
+
+
+def _zero_test_agrees_with_classify(U, grid):
+    """The zero test and the order-0 rows of ``classify``, checked to agree:
+    a witness per chart whose fit is not negligible, and none elsewhere."""
+    rep = G.zero_test_by_points(U, grid=grid)
+    rows = G.classify(U, orders=(0,), grid=grid, n_samples="auto")["rows"]
+    assert [w["chart"] for w in rep["witnesses"]] == \
+        [r["chart"] for r in rows if r["verdict"] != "negligible"]
+    assert rep["all_negligible"] is (not rep["witnesses"])
+    for w in rep["witnesses"]:
+        p = w["point"]
+        assert p.chart == w["chart"] and p.box == U.atlas.charts[p.chart].sample_box
+        assert all(p.in_box(e) for e in grid)
+        again = G.point_value(U, p, grid).classify()
+        assert (again.verdict, again.slope) == (w["fit"].verdict, w["fit"].slope)
+    return rep, rows
+
+
+@pytest.mark.parametrize("regular, grid", [
+    ("sigma", DEFAULT_GRID),
+    ("iota", dyadic_grid(4, 9)),  # the embedded piece is convolved on 2^18 + 1 points per eps
+])
+def test_zero_test_witness_follows_the_sup_to_the_product_peak(fourier, line, regular, grid):
+    # (x - 0.3) iota(delta at 0.3) peaks about one kernel width off 0.3
+    x = coordinate(0, 1) - 0.3
+    F = (G.sigma_embed(line, {"0": x}) if regular == "sigma" else
+         G.GeneralizedFunction(line, {"0": embed_rn(smooth_piece(x, -1.0, 1.0), fourier)}))
+    F = F * G.GeneralizedFunction(line, {"0": embed_rn(dirac(0.3), fourier)})
+    (w,) = _zero_test_agrees_with_classify(F, grid)[0]["witnesses"]
+    assert w["fit"].verdict == "moderate" and w["fit"].order == 0
+    for e in grid:
+        assert abs(w["point"].coords_at(e)[0] - 0.3) <= 1.25 * e
+
+
+@pytest.mark.parametrize("power, slope", [(8, 7.0), (4, 3.0)])
+def test_zero_test_reads_the_sup_order_of_a_scaled_delta(fourier, line, power, slope):
+    # eps^power iota(delta) has a sup of order eps^(power - 1): negligible at m_max 6
+    F = G.GeneralizedFunction(line, {"0": embed_rn(dirac(), fourier).scale_by_eps(power)})
+    rep, (row,) = _zero_test_agrees_with_classify(F, DEFAULT_GRID)
+    assert row["slope"] == pytest.approx(slope, abs=0.01)
+    assert len(rep["witnesses"]) == (slope < 6)
+
+
+def test_zero_test_on_the_circle(s1):
+    U = T.random_coherent_functions(s1, 1, seed=0)[0]
+    rep, _ = _zero_test_agrees_with_classify(U, DEFAULT_GRID)
+    assert [w["chart"] for w in rep["witnesses"]] == ["A", "B"]
+    assert _zero_test_agrees_with_classify(U - U, DEFAULT_GRID)[0]["witnesses"] == []
+
+
+@pytest.mark.slow
+def test_zero_test_on_the_torus():
+    # five eps: every eps samples the capped 511 x 511 lattice per chart
+    grid = dyadic_grid(4, 8)
+    U = T.random_coherent_functions(torus2(), 1, seed=0)[0]
+    rep, _ = _zero_test_agrees_with_classify(U, grid)
+    assert [w["chart"] for w in rep["witnesses"]] == ["AA", "AB", "BA", "BB"]
+    assert _zero_test_agrees_with_classify(U - U, grid)[0]["witnesses"] == []
 
 
 # -- coherence -------------------------------------------------------------

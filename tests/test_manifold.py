@@ -217,6 +217,18 @@ def test_point_equiv_scaling_invariance_on_cubic_line(cubic_line):
     assert fit_u.verdict == fit_v.verdict == "moderate"
 
 
+@pytest.mark.parametrize("x", [-0.3, -1.7])
+def test_point_equiv_reads_a_transported_rounding_gap_as_equal(s1, x):
+    # a classical point and its own image in the other chart: transported
+    # back, the gap is one or two ulps at every eps, not an order-0 gap
+    p = GeneralizedPoint.classical(s1.atlas, "A", [x])
+    q = GeneralizedPoint.classical(s1.atlas, "B", s1.atlas.transition("A", "B").fn(
+        np.array([[x]]))[0])
+    eq, fit = point_equiv(p, q)
+    assert 0.0 < max(fit.magnitudes) < 1e-15
+    assert eq and fit.verdict == "negligible"
+
+
 def test_point_equiv_not_comparable():
     m1 = euclidean(1)
     m2 = euclidean(1)

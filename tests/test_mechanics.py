@@ -10,6 +10,7 @@ from colombeau.errors import (DimensionMismatch, InvalidSlots, NoImpact,
                               StiffnessFailure)
 from colombeau.forms import exterior_d, insert
 from colombeau.gfunc import GeneralizedFunction, sigma_embed
+from colombeau.gnumber import GeneralizedNumber
 from colombeau.grid import dyadic_grid
 from colombeau.manifolds import euclidean
 from colombeau.mechanics import (BUMP_NORMALIZATION, HamiltonianSystem,
@@ -326,6 +327,21 @@ def test_reflection_limit_sweep():
     assert devs[0] < 0.25 and devs[-1] < 0.05
     eps_order = [r["eps"] for r in rep["rows"]]
     assert eps_order == sorted(eps_order, reverse=True)
+
+
+def test_generalized_initial_data_is_read_at_the_solves_eps():
+    # a constant generalized q0 on a grid holding the solve's eps is the scalar q0
+    q0 = GeneralizedNumber([0.1, 0.05, 0.025, 0.0125], [1.0] * 4, label="q0")
+    scalar, gen = (solve_singular_oscillator(HamiltonianSystem(StrictDeltaNet(), q, -1.0),
+                                             (0.0, 2.0), [0.05, 0.025], n_samples=201)
+                   for q in (1.0, q0))
+    for a, b in zip(scalar, gen):
+        for name in ("eps", "t", "q", "p", "energy", "energy_drift", "n_steps", "nfev",
+                     "n_segments"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    with pytest.raises(ValueError, match="not on the grid"):
+        solve_singular_oscillator(HamiltonianSystem(StrictDeltaNet(), q0, -1.0),
+                                  (0.0, 2.0), [0.03], n_samples=201)
 
 
 @pytest.mark.parametrize("n_samples", [0, 1])

@@ -8,8 +8,8 @@ import sympy as sp
 
 from colombeau.errors import DerivativeUnavailable, DimensionMismatch
 from colombeau.experiments import ExperimentConfig, run_experiment
-from colombeau.nets import (AUTO_LATTICE_CAP, Net, _auto_samples, classify_net,
-                            sup_norm_on_box)
+from colombeau.nets import (AUTO_LATTICE_CAP, Net, _auto_samples, box_lattice, classify_net,
+                            lattice_sup, sup_norm_on_box)
 from colombeau.smooth import constant, from_sympy
 
 
@@ -26,6 +26,22 @@ def test_sup_norm_2d_gaussian_cross_derivative(gauss2d):
     assert v == pytest.approx(0.735609753749, abs=1e-9)
     fine = sup_norm_on_box(gauss2d, (1, 1), box, n_samples=2001)
     assert abs(v - fine) < 1e-3
+
+
+def test_lattice_sup_returns_the_first_point_reaching_the_sup(gauss2d):
+    box = ((-2.0, 2.0), (-2.0, 2.0))
+    sup, x = lattice_sup(gauss2d, (1, 1), box)
+    assert sup == sup_norm_on_box(gauss2d, (1, 1), box)
+    vals = np.abs(gauss2d.partial((1, 1), box_lattice(box, 201)))
+    first = box_lattice(box, 201)[np.flatnonzero(vals == sup)[0]]
+    assert np.array_equal(x, first)
+    assert abs(gauss2d.partial((1, 1), x)) == sup
+    # a NaN anywhere is the sup, at the first NaN
+    t = sp.Symbol("t")
+    f = from_sympy(sp.log(t), [t])
+    sup, x = lattice_sup(f, (0,), ((-1.0, 1.0),), 5)
+    assert np.isnan(sup) and np.isnan(sup_norm_on_box(f, (0,), ((-1.0, 1.0),), 5))
+    assert x.tolist() == [-1.0]
 
 
 def test_sup_norm_validation(gauss2d):
