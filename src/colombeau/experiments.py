@@ -28,7 +28,7 @@ from .manifolds import euclidean, circle
 from .mechanics import (HamiltonianSystem, StrictDeltaNet, hamiltonian_vf, poisson,
                         reflection_limit_check, solve_singular_oscillator)
 from .mollifier import build_mollifier, mollifier_spec
-from .nets import Net, box_lattice, sup_norms
+from .nets import Net, box_lattice, classify_net, sup_norms
 from .smooth import constant, coordinate, from_sympy, smoothstep_expr
 from .tensor import bracket, field_apply
 
@@ -137,27 +137,25 @@ def run_classify(cfg: ExperimentConfig):
 
     fading = Net(1, lambda e: sin_fn * float(e) ** (cfg.m_max + 1))
     blowup = Net(1, lambda e: constant((1.0 / float(e)) ** 21, 1))
-    sups = {name: sup_norms(net, (0,), box, grid)
+    fits = {name: classify_net(net, (0,), box, grid, m_max=cfg.m_max)
             for name, net in (("fading", fading), ("blowup", blowup))}
-    fit_fading = estimate_order(zip(grid, sups["fading"]), m_max=cfg.m_max)
-    fit_blowup = estimate_order(zip(grid, sups["blowup"]), m_max=cfg.m_max)
 
     checks = [
         {"name": "embedded_delta_moderate",
          "ok": rep_delta["summary"] == "moderate",
          "summary": rep_delta["summary"], "order": rep_delta["order"]},
         {"name": "fading_net_negligible",
-         "ok": fit_fading.verdict == "negligible",
-         "slope": fit_fading.slope},
+         "ok": fits["fading"].verdict == "negligible",
+         "slope": fits["fading"].slope},
         {"name": "power_blowup_divergent",
-         "ok": fit_blowup.verdict == "divergent",
-         "slope": fit_blowup.slope},
+         "ok": fits["blowup"].verdict == "divergent",
+         "slope": fits["blowup"].slope},
     ]
     # iota(delta)'s rows are the chart-box sups behind its verdict, per order
     rows = [{"net": f"embedded_delta_d{sum(r['alpha'])}", "eps": e, "sup": m}
             for r in rep_delta["rows"] for e, m in zip(r["grid"], r["magnitudes"])]
-    rows += [{"net": name, "eps": float(e), "sup": s}
-             for name, series in sups.items() for e, s in zip(grid, series)]
+    rows += [{"net": name, "eps": e, "sup": m}
+             for name, fit in fits.items() for e, m in zip(fit.grid, fit.magnitudes)]
     return _report(cfg, checks), {"classification": _csv(("net", "eps", "sup"), rows)}
 
 
@@ -386,7 +384,8 @@ def run_stokes(cfg: ExperimentConfig):
 def _poisson_suite(system, grid) -> dict:
     sf = system.omega
     space = system.space
-    pts = box_lattice(space.atlas.charts["0"].sample_box, 7)
+    box = space.atlas.charts["0"].sample_box
+    pts = box_lattice(box, 7)
 
     def mk(expr, pert):
         base = from_sympy(expr, (X0, X1))
@@ -409,17 +408,13 @@ def _poisson_suite(system, grid) -> dict:
 
     anti_exact = True
     routes_exact = True
-    jac_max = 0.0
-    field_max = 0.0
     for e in grid:
         anti_exact &= bool(np.all(anti.nets["0"].at(e)(pts) == 0.0))
         routes_exact &= bool(np.array_equal(fg.nets["0"].at(e)(pts),
                                             lg.nets["0"].at(e)(pts)))
-        jac_max = float(np.maximum(jac_max, np.max(np.abs(jac.nets["0"].at(e)(pts)))))
-        for i in range(2):
-            gap = np.abs(lhs.comps["0"][(i,)].at(e)(pts)
-                         + rhs.comps["0"][(i,)].at(e)(pts))
-            field_max = float(np.maximum(field_max, np.max(gap)))
+    jac_max = float(np.max(sup_norms(jac.nets["0"], (0, 0), box, grid, 7)))
+    field_max = float(np.max([sup_norms(lhs.comps["0"][(i,)] + rhs.comps["0"][(i,)],
+                                        (0, 0), box, grid, 7) for i in range(2)]))
     return {"antisymmetry_exact": anti_exact, "lie_routes_exact": routes_exact,
             "jacobi_max": jac_max, "field_identity_max": field_max}
 

@@ -468,26 +468,21 @@ def classify(U: GeneralizedFunction, orders=(0, 1), boxes: dict | None = None,
 
 def point_value(U: GeneralizedFunction, p: GeneralizedPoint,
                 grid=DEFAULT_GRID) -> GeneralizedNumber:
-    """The net eps -> u_eps(p_eps), evaluated in a chart carrying U."""
+    """The net eps -> u_eps(p_eps), evaluated in a chart carrying U.
+
+    That chart is the point's own when U carries it, else the first chart
+    of U that an atlas transition reaches; the coordinates move there by
+    ``Atlas.transition``, the identity included.
+    """
     if p.atlas is not U.atlas:
         raise NotComparable("point and function live on different atlases")
-    chart = p.chart
-    mapper = None
-    if chart in U.nets:
-        target, mapper = chart, lambda c: c
-    else:
-        for b in U.chart_names():
-            tr = U.atlas.transitions.get((chart, b))
-            if tr is not None:
-                target, mapper = b, (lambda tr: lambda c: tr.fn(c[None, :])[0])(tr)
-                break
-        if mapper is None:
-            raise NotComparable(
-                f"witness chart {chart!r} carries no net and no transition reaches one")
-    values = []
-    for e in grid:
-        c = mapper(p.coords_at(float(e)))
-        values.append(float(U.net(target).at(float(e))(np.atleast_1d(c))))
+    carried = [p.chart] if p.chart in U.nets else [
+        b for b in U.chart_names() if (p.chart, b) in U.atlas.transitions]
+    if not carried:
+        raise NotComparable(
+            f"witness chart {p.chart!r} carries no net and no transition reaches one")
+    tr, net = U.atlas.transition(p.chart, carried[0]), U.net(carried[0])
+    values = [net.at(e)(tr.fn(p.coords_at(e)[None, :]))[0] for e in grid]
     return GeneralizedNumber(grid, values, label=f"{U.label}({p.label})")
 
 
@@ -497,17 +492,17 @@ def zero_test_by_points(U: GeneralizedFunction, grid=DEFAULT_GRID) -> dict:
     Each chart's witness is the point net x_eps where |u_eps| reaches its
     lattice sup on the chart's sample box, on the lattice of
     ``sup_norms(..., n_samples="auto")``; it is defined at the grid's eps.
-    Its point value is that sup, so a chart gives a witness exactly when
-    its order-0 sup series is not negligible, as ``classify(U, orders=(0,),
-    n_samples="auto")`` reads it.
+    Its point value is that sup, so its fit is the fit of the sups, and a
+    chart gives a witness exactly when its order-0 sup series is not
+    negligible, as ``classify(U, orders=(0,), n_samples="auto")`` reads it.
     """
     witnesses, alpha = [], (0,) * U.atlas.dim
     for c in U.chart_names():
         net, box = U.nets[c], U.atlas.charts[c].sample_box
-        argmax = {float(e): lattice_sup(net.at(e), alpha, box, _auto_samples(box, e))[1]
-                  for e in grid}
-        p = GeneralizedPoint(U.atlas, c, argmax.__getitem__, box, label=f"argmax {c}")
-        fit = point_value(U, p, grid).classify()
+        sup = {float(e): lattice_sup(net.at(e), alpha, box, _auto_samples(box, e))
+               for e in grid}
+        p = GeneralizedPoint(U.atlas, c, lambda e, s=sup: s[e][1], box, label=f"argmax {c}")
+        fit = estimate_order((e, s) for e, (s, _) in sup.items())
         if not fit.is_negligible:
             witnesses.append({"chart": c, "point": p, "fit": fit})
     return {"witnesses": witnesses, "all_negligible": not witnesses}
@@ -739,16 +734,11 @@ def product_consistency_check(U: GeneralizedFunction, V: GeneralizedFunction,
         raise ValueError("mode must be 'a' or 'b'")
     hyp = {"mode": mode}
     if mode == "a":
-        worst = 0.0
-        for c in U.chart_names():
-            box = U.atlas.charts[c].sample_box
-            x = box_lattice(box, 61)
-            for e in (grid[0], grid[len(grid) // 2], grid[-1]):
-                gu = U.nets[c].at(float(e))._partial_fn((0,) * U.atlas.dim, x)
-                gf = f[c]._partial_fn((0,) * U.atlas.dim, x)
-                worst = float(np.maximum(worst, np.max(np.abs(gu - gf))))
-        hyp["sigma_gap"] = worst
-        hyp["ok"] = worst == 0.0
+        three = [grid[0], grid[len(grid) // 2], grid[-1]]
+        hyp["sigma_gap"] = float(np.max([
+            sup_norms(U.nets[c] - f[c], (0,) * U.atlas.dim, U.atlas.charts[c].sample_box,
+                      three, 61) for c in U.chart_names()]))
+        hyp["ok"] = hyp["sigma_gap"] == 0.0
     else:
         ck = ck_associate(U, f, k, grid=grid)
         hyp["ck"] = {"k": k, "ok": ck["ok"]}

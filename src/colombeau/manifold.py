@@ -263,19 +263,16 @@ def point_equiv(p: GeneralizedPoint, q: GeneralizedPoint) -> tuple[bool, Asympto
     The rounding floor at each eps is set by the larger coordinate norm
     of the two points there, in the common chart.
 
-    Requires a common witness chart, or q transportable into p's chart
-    through an atlas transition; otherwise NotComparable.
+    q's coordinates move into p's chart by ``Atlas.transition``, the
+    identity when the charts agree; with no transition between the
+    charts the points are NotComparable.
     """
     if p.atlas is not q.atlas:
         raise NotComparable("points live on different atlases")
-    if q.chart == p.chart:
-        q_coords = q.coords_at
-    elif (q.chart, p.chart) in p.atlas.transitions:
-        t = p.atlas.transition(q.chart, p.chart)
-        q_coords = lambda eps: t.fn(q.coords_at(eps)[None, :])[0]
-    else:
+    if q.chart != p.chart and (q.chart, p.chart) not in p.atlas.transitions:
         raise NotComparable(f"no common chart between {p.chart} and {q.chart}")
-    pairs = [(p.coords_at(e), q_coords(e)) for e in DEFAULT_GRID]
+    t = p.atlas.transition(q.chart, p.chart)
+    pairs = [(p.coords_at(e), t.fn(q.coords_at(e)[None, :])[0]) for e in DEFAULT_GRID]
     fit = estimate_order(zip(DEFAULT_GRID, [np.linalg.norm(x - y) for x, y in pairs]),
                          scale=[max(np.linalg.norm(x), np.linalg.norm(y)) for x, y in pairs])
     return fit.is_negligible, fit

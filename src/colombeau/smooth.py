@@ -82,7 +82,6 @@ import itertools
 import keyword
 import linecache
 import operator
-import warnings
 import weakref
 from typing import Callable, Sequence
 
@@ -651,10 +650,8 @@ def from_sympy(expr, symbols: Sequence[sp.Symbol], label="") -> SmoothFn:
         # Piecewise lowers to np.where, which evaluates every branch;
         # guarded branches may divide by zero or overflow off their piece
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                # a constant derivative lambdifies to a scalar
-                return _per_point(lam(alpha)(*cols), len(pts))
+            # a constant derivative lambdifies to a scalar
+            return _per_point(lam(alpha)(*cols), len(pts))
 
     def pfn(alpha, pts):
         global _atoms

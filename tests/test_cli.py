@@ -1,5 +1,6 @@
 """Driver behavior: catalog, exit codes, files on disk, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -95,6 +96,33 @@ def test_reports_are_deterministic(tmp_path):
     assert main(["run", "classify", "--out", str(a)]) == 0
     assert main(["run", "classify", "--out", str(b)]) == 0
     assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
+
+
+# sha256 prefixes of the shipped reports at --seed 0: the eight catalog runs
+# at their defaults, and embed-check with gausspoly:3 on the grid 4..8.  A
+# change that moves report bytes on purpose updates the pin here.
+REPORT_DIGESTS = {
+    "classify": "dc04689107929084",
+    "embed-check": "713225e1ee49f304",
+    "embed-check_gausspoly3": "c8fbfa0dfce5d78b",
+    "mechanics": "ef81ff88b4e9f5b9",
+    "poincare": "f927b30a6ee2e047",
+    "point-value-demo": "220e0266b0a5f86b",
+    "product-demo": "b8f02e5c3bcaae70",
+    "pullback-demo": "1e9711b444227b2b",
+    "stokes": "3ca6bfe5e66ae735",
+}
+
+
+def test_shipped_reports_keep_their_bytes(tmp_path):
+    digests = {}
+    for name in REPORT_DIGESTS:
+        exp, _, variant = name.partition("_")
+        flags = ["--mollifier", "gausspoly:3", "--grid", "4..8"] if variant else []
+        out = tmp_path / name
+        assert main(["run", exp, *flags, "--seed", "0", "--out", str(out)]) == 0, name
+        digests[name] = hashlib.sha256((out / "report.json").read_bytes()).hexdigest()[:16]
+    assert digests == REPORT_DIGESTS, f"report digests now: {digests}"
 
 
 def test_config_file_with_flag_override(tmp_path):

@@ -29,7 +29,7 @@ from colombeau.errors import (
 )
 from colombeau.gnumber import GeneralizedNumber
 from colombeau.grid import DEFAULT_GRID, dyadic_grid
-from colombeau.manifold import GeneralizedPoint, Transition
+from colombeau.manifold import Atlas, GeneralizedPoint, Transition
 from colombeau.manifolds import circle, euclidean, torus2
 from colombeau.mollifier import build_mollifier
 from colombeau.nets import Net, box_lattice
@@ -212,6 +212,16 @@ def test_point_value_transports_to_carried_chart(s1):
         G.point_value(u, q)
 
 
+def test_point_value_not_comparable_without_a_transition_to_a_carried_chart(scaled_line):
+    # scaled_line's two charts with no transition joining them; the net lives on "S" only
+    atlas = Atlas("two-apart", 1, scaled_line.charts, {}, {})
+    u = G.GeneralizedFunction(atlas, {"S": Net.constant_in_eps(from_sympy(sp.sin(Y), [Y]))})
+    with pytest.raises(NotComparable, match="carries no net and no transition reaches one"):
+        G.point_value(u, GeneralizedPoint.classical(atlas, "L", [0.5]))
+    pv = G.point_value(u, GeneralizedPoint.classical(atlas, "S", [0.5]), grid=dyadic_grid(4, 7))
+    assert np.array_equal(pv.values, np.full(4, np.sin(0.5)))
+
+
 def test_zero_test_finds_drift_witness(delta_fn, sigma_x):
     F = sigma_x * delta_fn
     rep = G.zero_test_by_points(F, grid=dyadic_grid(4, 11))
@@ -224,7 +234,9 @@ def test_zero_test_finds_drift_witness(delta_fn, sigma_x):
 
 def _zero_test_agrees_with_classify(U, grid):
     """The zero test and the order-0 rows of ``classify``, checked to agree:
-    a witness per chart whose fit is not negligible, and none elsewhere."""
+    a witness per chart whose fit is not negligible, and none elsewhere.
+    A witness's fit is its chart's lattice sups, bit for bit: the same
+    magnitudes as the witness's own point values and as the chart's row."""
     rep = G.zero_test_by_points(U, grid=grid)
     rows = G.classify(U, orders=(0,), grid=grid, n_samples="auto")["rows"]
     assert [w["chart"] for w in rep["witnesses"]] == \
@@ -234,7 +246,11 @@ def _zero_test_agrees_with_classify(U, grid):
         p = w["point"]
         assert p.chart == w["chart"] and p.box == U.atlas.charts[p.chart].sample_box
         assert all(p.in_box(e) for e in grid)
+        (row,) = [r for r in rows if r["chart"] == w["chart"]]
         again = G.point_value(U, p, grid).classify()
+        for magnitudes in (again.magnitudes, row["magnitudes"]):
+            assert np.array_equal(np.array(w["fit"].magnitudes).view(np.int64),
+                                  np.array(magnitudes).view(np.int64))
         assert (again.verdict, again.slope) == (w["fit"].verdict, w["fit"].slope)
     return rep, rows
 

@@ -238,6 +238,17 @@ def test_point_equiv_not_comparable():
         point_equiv(p, q)
 
 
+def test_point_equiv_not_comparable_without_a_transition(scaled_line):
+    # scaled_line's two charts with no transition joining them: the chart check,
+    # not the atlas check, refuses, and Atlas.transition's CoherenceFailure never shows
+    atlas = Atlas("two-apart", 1, scaled_line.charts, {}, {})
+    p = GeneralizedPoint.classical(atlas, "L", [0.0])
+    q = GeneralizedPoint.classical(atlas, "S", [0.0])
+    with pytest.raises(NotComparable, match="no common chart between L and S"):
+        point_equiv(p, q)
+    assert point_equiv(p, GeneralizedPoint.classical(atlas, "L", [0.0]))[0]
+
+
 def test_generalized_point_box(s1):
     p = GeneralizedPoint(s1.atlas, "A", lambda eps: np.array([0.5 + eps]),
                          ((0.4, 0.6),))

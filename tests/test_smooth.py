@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import warnings
 import weakref
 
 import conftest
@@ -118,6 +119,24 @@ def test_where_combinator():
     f = one.where(lambda p: p[:, 0] > 0, two)
     xs = np.array([-1.0, 1.0])
     assert np.allclose(f(xs), [2.0, 1.0])
+
+
+def test_leaves_off_their_pieces_evaluate_without_a_warning():
+    # Piecewise lowers to np.where, which evaluates every branch: off its
+    # piece the bump divides by zero at |x| = 1 and overflows just past it,
+    # and sqrt(x) is NaN below 0.  The leaf's own np.errstate silences them
+    # (_partial_fn is the raw evaluator, outside SmoothFn.partial's errstate)
+    x = sp.Symbol("x")
+    root = from_sympy(sp.Piecewise((sp.sqrt(x), x > 0), (0, True)), [x])
+    bump = mechanics.bump_profile()
+    pts = np.array([[-2.0], [-1.0], [0.0], [1.0], [1.0 + 1e-7], [4.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha in ((0,), (1,), (2,)):
+            vals = bump._partial_fn(alpha, pts)
+            assert np.all(np.isfinite(vals)) and np.array_equal(vals[[0, 1, 3, 4, 5]], np.zeros(5))
+        assert np.array_equal(root._partial_fn((0,), pts), [0, 0, 0, 1, np.sqrt(1 + 1e-7), 2])
+        assert np.array_equal(root._partial_fn((1,), pts)[:3], np.zeros(3))
 
 
 def test_finite_difference_fallback_flagged():
