@@ -3,7 +3,7 @@
 
     PYTHONPATH=src pytest benchmarks/test_leaf_diff.py
 
-Outside the tier-1 suite (``testpaths = ["tests"]``).  Two cases:
+Outside the tier-1 suite (``testpaths = ["tests"]``).  Three cases:
 
 * first derivatives of the trigonometric polynomials the coherence
   workload differentiates: the seeded coherent probes
@@ -12,6 +12,11 @@ Outside the tier-1 suite (``testpaths = ["tests"]``).  Two cases:
 * pure second derivatives of the cubic polynomials ``poincare``
   differentiates: the probes ``forms.random_kform(euclidean(3, 1.0), 1,
   seed=0)`` builds, along every axis.
+
+* the same second derivatives by ``smooth._diff`` with and without the
+  Float-polynomial shortcut (``smooth._all_negative``): without it every
+  step takes ``is_zero`` and ``factor_terms(signsimp(.))`` as
+  ``Derivative.__new__`` does.
 
 Each round clears sympy's cache first, so that both sides pay what the
 derivatives of a fresh field pay: sympy caches its ``Add`` and ``Mul``
@@ -68,3 +73,11 @@ def test_first_derivatives(benchmark, name, way):
 def test_second_derivatives_poincare(benchmark, way):
     probes = _probes(lambda: forms.random_kform(manifolds.euclidean(3, 1.0), 1, seed=0))
     _bench(benchmark, [(e, s, 2) for e, symbols in probes for s in symbols], way)
+
+
+@pytest.mark.parametrize("shortcut", ["on", "off"])
+def test_second_derivatives_poincare_shortcut(benchmark, shortcut, monkeypatch):
+    probes = _probes(lambda: forms.random_kform(manifolds.euclidean(3, 1.0), 1, seed=0))
+    if shortcut == "off":  # no expression is in the class: sympy's simplifiers run
+        monkeypatch.setattr(smooth, "_all_negative", lambda expr: None)
+    _bench(benchmark, [(e, s, 2) for e, symbols in probes for s in symbols], "smooth._diff")

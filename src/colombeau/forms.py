@@ -203,11 +203,13 @@ def homotopy_H(omega: GeneralizedKForm):
 
     An evaluation on m points stacks the n_t scaled lattices t_q * x
     into one lattice of n_t * m points and evaluates each source
-    component and multi-index it needs once on that stack: a leaf call
-    sees n_t * m points, and an evaluation holds at most 2 * dim value
-    arrays of that length.  The sum over the nodes then runs node by
-    node in the same order as a per-node loop, so the values are the
-    same to the bit.
+    component and multi-index it needs once on that stack, as an
+    (n_t, m) array: a leaf call sees n_t * m points.  Each term of the
+    integrand is formed for all nodes at once, row q scaled by the node
+    powers t_q^|alpha| and alpha_m t_q^(|alpha|-1) taken one node at a
+    time as scalars, so every element is the product a per-node loop
+    forms.  The weighted sum over the nodes then runs node by node in
+    that loop's order, so the values are the same to the bit.
     """
     if not isinstance(omega, GeneralizedKForm):
         raise InvalidDegree("the homotopy applies to forms of degree >= 1")
@@ -231,27 +233,25 @@ def homotopy_H(omega: GeneralizedKForm):
             uses_fd = any(f.uses_fd for f in fns.values())
 
             def pfn(alpha, pts):
-                n_a = mi.order(alpha)
-                n = pts.shape[0]
+                n_a, n_t, n = mi.order(alpha), len(t_nodes), pts.shape[0]
                 stack = (t_nodes[:, None, None] * pts).reshape(-1, dim)
-                vals = {}  # (key, multi-index) -> values on the stack, per node
 
-                def at(key, beta):
-                    if (key, beta) not in vals:
-                        vals[key, beta] = fns[key]._partial_fn(beta, stack).reshape(len(t_nodes), n)
-                    return vals[key, beta]
+                def at(key, beta):  # row q: the values at the points t_q * x
+                    return fns[key]._partial_fn(beta, stack).reshape(n_t, n)
 
+                # each node's powers are the scalars the per-node loop took
+                powers = np.array([tq ** n_a for tq in t_nodes])[:, None]
+                layer = np.zeros((n_t, n))
+                for sign, m, key in terms:
+                    val = pts[:, m] * powers * at(key, alpha)
+                    if alpha[m]:
+                        lower = np.array([alpha[m] * tq ** (n_a - 1) for tq in t_nodes])
+                        val = val + lower[:, None] * at(key, mi.sub(alpha, mi.unit(dim, m)))
+                    layer = layer + sign * val
                 # no np.sum over the nodes: its pairwise order would change the bits
                 out = np.zeros(n)
-                for q, (tq, wq) in enumerate(zip(t_nodes, t_weights)):
-                    layer = np.zeros(n)
-                    for sign, m, key in terms:
-                        val = pts[:, m] * tq ** n_a * at(key, alpha)[q]
-                        if alpha[m]:
-                            val = val + alpha[m] * tq ** (n_a - 1) \
-                                * at(key, mi.sub(alpha, mi.unit(dim, m)))[q]
-                        layer = layer + sign * val
-                    out = out + wq * tq ** (k - 1) * layer
+                for tq, wq, row in zip(t_nodes, t_weights, layer):
+                    out = out + wq * tq ** (k - 1) * row
                 return out
 
             return SmoothFn(dim, pfn, max_order=max_order, uses_fd=uses_fd)

@@ -23,7 +23,10 @@ a fixed point; each factor differentiated k >= 2 times is tested with
 constructor does.  No result can change: the constructor returns the
 rule's result whether or not its query holds, its ``replace`` walk
 changes nothing without a ``Derivative``, and the steps that can change
-a result are repeated at every node.
+a result are repeated at every node.  A *Float polynomial* (a sum of
+Float multiples of monomials with positive integer exponents and a
+nonzero Float constant term) skips both: the simplifiers can only pull
+out a common negative sign there, which ``_derivative`` does itself.
 
 A derivative is printed by a subclass of the printer ``sp.lambdify``
 would pick (``NumPyPrinter``, or ``SciPyPrinter`` when it names a
@@ -64,13 +67,15 @@ values are read-only too.  Each registered lattice also has an atom
 table: while a leaf evaluates on that lattice, ``_atom`` returns the
 stored value of its key or runs the thunk once and stores the result,
 read-only, so every leaf and multi-index on the lattice shares each
-``sin``, ``cos`` or ``exp`` array.  Anywhere else ``_atom`` just runs
-the thunk.  The memo lives only while the outermost block runs and is
-dropped on exit, by exception too, so it holds at most the leaf values
-and atoms of the lattices that one block registers.  Overlap-residual
-sweeps open one block per group of transitions of at most
-``gfunc.SWEEP_POINTS`` points and register one lattice per chart: the
-group's points in it and their images in it.
+``sin``, ``cos`` or ``exp`` array.  A call on any other array gets a
+table of its own, whose arrays stay writable, so an atom printed twice
+(the smoothstep's ``exp(-1/u)``) is computed once per call.  The memo
+lives only while the outermost block runs and is dropped on exit, by
+exception too, so it holds at most the leaf values and atoms of the
+lattices that one block registers.  Overlap-residual sweeps open one
+block per group of transitions of at most ``gfunc.SWEEP_POINTS`` points
+and register one lattice per chart: the group's points in it and their
+images in it.
 """
 
 from __future__ import annotations
@@ -104,10 +109,16 @@ from .errors import DerivativeUnavailable, DimensionMismatch
 __all__ = ["SmoothFn", "from_sympy", "constant", "coordinate", "glue_exprs", "lift_axis",
            "leaf_memo"]
 
-# id(lattice) -> (lattice, {(leaf, alpha): read-only values}, {key: atom})
+
+class _SharedAtoms(dict):
+    """A registered lattice's atom table: {key: atom}, arrays stored read-only."""
+
+
+# id(lattice) -> (lattice, {(leaf, alpha): read-only values}, _SharedAtoms)
 # inside a leaf_memo block; holding the lattice keeps its id from being reused
-_memo: dict[int, tuple[np.ndarray, dict, dict]] | None = None
-# the atom table of the registered lattice a leaf is evaluating on, if any
+_memo: dict[int, tuple[np.ndarray, dict, _SharedAtoms]] | None = None
+# the atom table of the array a leaf is evaluating on: its registered
+# lattice's, or a plain dict for that one call
 _atoms: dict | None = None
 
 
@@ -130,7 +141,7 @@ def leaf_memo(*lattices: np.ndarray):
     if outer:
         _memo = {}
     for a in lattices:
-        _memo.setdefault(id(a), (a, {}, {}))
+        _memo.setdefault(id(a), (a, {}, _SharedAtoms()))
     try:
         yield
     finally:
@@ -139,14 +150,14 @@ def leaf_memo(*lattices: np.ndarray):
 
 
 def _atom(key: str, thunk):
-    """The atom ``key`` on the lattice being evaluated, computed at most once there."""
+    """The atom ``key`` on the array being evaluated, computed at most once there."""
     table = _atoms
     if table is None:
         return thunk()
     out = table.get(key)
     if out is None:
         out = table[key] = thunk()
-        if isinstance(out, np.ndarray):
+        if type(table) is _SharedAtoms and isinstance(out, np.ndarray):
             out.flags.writeable = False
     return out
 
@@ -480,7 +491,15 @@ def _derivative(expr, s, n: int):
     place of ``.diff``.
 
     ``Derivative.__new__``'s steps: zero where ``s`` is not free, the rule,
-    and for n >= 2 its ``is_zero`` test and ``factor_terms(signsimp(.))``.
+    and for n >= 2 its ``is_zero`` test and ``factor_terms(signsimp(.))``,
+    except on a *Float polynomial*: a sum of Floats and Floats times
+    positive integer powers of symbols, with a nonzero Float constant term.
+    Such a sum is not zero at the origin, so ``is_zero`` cannot hold;
+    ``signsimp`` rebuilds the same sum; ``factor_terms`` finds no content
+    (a Float has no Rational content, two Floats have gcd 1.0) and no
+    common symbol (the constant has none).  The one change left is its
+    common negative, ``-(...)`` when every coefficient is negative
+    (``_all_negative``), which is made here without the simplifiers.
     The rule is the node's ``_eval_derivative_n_times(s, n)``: a product's
     multinomial Leibniz terms ``c * Mul(*factors)`` in sympy's order, each
     factor differentiated k times; a symbol's 1 (n = 1) or 0; ``Basic``'s
@@ -512,9 +531,28 @@ def _derivative(expr, s, n: int):
         raise _Unhandled
     if out is None or (n > 1 and out.has(sp.Derivative)):
         raise _Unhandled
-    if n > 1 and not out.is_zero:
-        out = factor_terms(signsimp(out))
+    if n > 1:
+        negative = _all_negative(out)
+        if negative:  # factor_terms' common negative
+            out = sp.Mul(sp.S.NegativeOne, -out, evaluate=False)
+        elif negative is None and not out.is_zero:
+            out = factor_terms(signsimp(out))
     return out
+
+
+def _all_negative(expr):
+    """Whether every coefficient of a Float polynomial (see ``_derivative``)
+    is negative; None for any other expression."""
+    if type(expr) is not sp.Add or not any(a.is_Float and a for a in expr.args):
+        return None
+    signs = set()
+    for term in expr.args:
+        c, *factors = term.args if type(term) is sp.Mul else (term,)
+        if not (c.is_Float and all(f.is_Symbol or f.is_Pow and f.base.is_Symbol
+                                   and f.exp.is_Integer and f.exp > 0 for f in factors)):
+            return None
+        signs.add(c.is_negative)
+    return signs == {True}
 
 
 def _step(expr, s):
@@ -616,7 +654,8 @@ def from_sympy(expr, symbols: Sequence[sp.Symbol], label="") -> SmoothFn:
     the array's identity; any other array is evaluated directly.  Each
     derivative is compiled with its ``sin``, ``cos``, ``exp``, ... calls
     printed as atoms: on a registered lattice every leaf and multi-index
-    shares one evaluation of each atom, elsewhere an atom is just computed.
+    shares one evaluation of each atom, elsewhere each call computes an
+    atom once.
     """
     symbols = tuple(symbols)
     dim = len(symbols)
@@ -656,17 +695,16 @@ def from_sympy(expr, symbols: Sequence[sp.Symbol], label="") -> SmoothFn:
     def pfn(alpha, pts):
         global _atoms
         # the memo holds each registered lattice, so no other live array has its id
-        entry = None if _memo is None else _memo.get(id(pts))
-        if entry is None:
-            return evaluate(alpha, pts)
-        _, values, atoms = entry
-        out = values.get((lam, alpha))
+        _, values, atoms = (_memo and _memo.get(id(pts))) or (None, None, {})
+        out = None if values is None else values.get((lam, alpha))
         if out is None:
-            outer, _atoms = _atoms, atoms  # the atoms of this lattice, for this call
+            outer, _atoms = _atoms, atoms  # the atoms of this array, for this call
             try:
                 out = evaluate(alpha, pts)
             finally:
                 _atoms = outer
+            if values is None:
+                return out
             if np.may_share_memory(out, pts):  # e.g. the leaf x -> x
                 out = out.copy()
             out.setflags(write=False)

@@ -330,6 +330,52 @@ def test_homotopy_on_stacked_nodes_matches_per_node_loop(space3):
                     assert got.tobytes() == want.tobytes(), (omega.degree, J, alpha)
 
 
+def _homotopy_by_node_sums(omega, J, eps, alpha, pts, n_t=32):
+    """Reference: the homotopy component J of ``omega`` at ``eps`` as the
+    per-node loop evaluated it before its terms were stacked: each source
+    leaf on the stacked lattice, then every term and sum node by node."""
+    from colombeau.quadrature import interval_rule
+    dim, k = omega.atlas.dim, omega.degree
+    t_nodes, t_weights = interval_rule(0.0, 1.0, n_t)
+    terms = []
+    for m in range(dim):
+        sign, key = F.canonical_index((m,) + J)
+        if sign != 0:
+            terms.append((sign, m, omega.comps["0"][key].at(eps)))
+    n_a, n = mi.order(alpha), pts.shape[0]
+    stack = (t_nodes[:, None, None] * pts).reshape(-1, dim)
+
+    def at(f, beta):
+        return f._partial_fn(beta, stack).reshape(n_t, n)
+
+    out = np.zeros(n)
+    for q, (tq, wq) in enumerate(zip(t_nodes, t_weights)):
+        layer = np.zeros(n)
+        for sign, m, f in terms:
+            val = pts[:, m] * tq ** n_a * at(f, alpha)[q]
+            if alpha[m]:
+                val = val + alpha[m] * tq ** (n_a - 1) \
+                    * at(f, mi.sub(alpha, mi.unit(dim, m)))[q]
+            layer = layer + sign * val
+        out = out + wq * tq ** (k - 1) * layer
+    return out
+
+
+@pytest.mark.parametrize("space", [euclidean(3, 1.0), euclidean(2)], ids=["ball3", "plane"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_homotopy_terms_over_all_nodes_match_the_per_node_sums(space, k):
+    omega = F.random_kform(space, k, seed=40 + k)
+    H = F.homotopy_H(omega)
+    comps = {(): H.nets["0"]} if k == 1 else H.comps["0"]
+    pts = box_lattice(space.atlas.charts["0"].sample_box, 4)
+    for J, net in comps.items():
+        for eps in (0.5, 2.0 ** -7):
+            fn = net.at(eps)
+            for alpha in mi.up_to(space.atlas.dim, 1):
+                want = _homotopy_by_node_sums(omega, J, eps, alpha, pts)
+                assert fn._partial_fn(alpha, pts).tobytes() == want.tobytes(), (J, alpha)
+
+
 def test_homotopy_domain_guard(t2, line):
     w = F.random_kform(t2, 1, seed=1)
     with pytest.raises(DomainError):

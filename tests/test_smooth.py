@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import sys
 import warnings
 import weakref
 
@@ -467,6 +468,32 @@ def test_a_failing_leaf_resets_the_current_table(atom_runs):
     assert runs == {"numpy(x) exp(x)": 1} and smooth._atoms is None
 
 
+def test_a_call_off_the_memo_computes_each_repeated_atom_once(atom_runs, sympy_calls):
+    runs, _ = atom_runs
+    _, lambdified = sympy_calls
+    x = sp.Symbol("x")
+    expr = smoothstep_expr(sp.Float(1.25) * x + sp.Float(1.5))
+    f, pts = from_sympy(expr, [x]), _lattice(-1.5, 0.5, 41)
+    for alpha in ((0,), (1,), (2,)):
+        runs.clear()
+        got = f._partial_fn(alpha, pts)
+        src = inspect.getsource(lambdified[-1][2])
+        keys = {k for k in runs if src.count(repr(k)) >= 2}  # printed twice or more
+        assert keys and runs == dict.fromkeys(runs, 1) and smooth._atoms is None
+        want = _LAMBDIFY((x,), _diff_from_scratch(expr, (x,), alpha), modules=[np])
+        with np.errstate(all="ignore"):
+            assert got.tobytes() == want(pts[:, 0]).tobytes()
+        runs.clear()
+        assert f._partial_fn(alpha, pts).tobytes() == got.tobytes()  # a fresh table
+        assert runs == dict.fromkeys(runs, 1) and set(runs) >= keys
+
+
+def test_a_bare_atom_off_the_memo_stays_writable():
+    x = sp.Symbol("x")
+    v = from_sympy(sp.sin(x), [x])._partial_fn((0,), _lattice())
+    assert v.flags.writeable  # only a registered lattice's atoms are read-only
+
+
 # -- derivative chain and module choice ----------------------------------
 
 
@@ -849,6 +876,98 @@ def test_a_derivative_known_to_be_zero_is_not_simplified():
     expr = z * x ** 3 + z * x ** 2
     got = smooth._derivative(expr, x, 2)  # 6*x*z + 2*z, not 2*z*(3*x + 1)
     assert got.is_zero and sp.srepr(got) == sp.srepr(_DIFF(expr, x, 2))
+
+
+def _float_polynomial(rng, symbols, s, n, negative):
+    """A seeded polynomial in ``symbols`` with Float coefficients, mixed
+    monomials among its terms, whose n-th derivative along ``s`` keeps a
+    nonzero constant term; every coefficient negative if ``negative``."""
+    def coefficient():
+        if rng.random() < 0.3:
+            c = float(rng.integers(1, 6))  # an integral Float such as 4.0
+        else:
+            c = float(rng.choice([1e-3, 1.0, 1e3]) * rng.uniform(0.5, 2.0))
+        return sp.Float(-c if negative or rng.random() < 0.5 else c)
+
+    # the constant and a term in s of the n-th derivative
+    terms = [coefficient() * s ** n, coefficient() * s ** (n + int(rng.integers(1, 3)))]
+    for _ in range(rng.integers(1, 5)):
+        terms.append(coefficient() * sp.Mul(*[x ** int(rng.integers(0, 4)) for x in symbols]))
+    return sp.Add(*terms)
+
+
+@pytest.fixture
+def simplifiers(monkeypatch):
+    """Record, while ``on`` is set, each ``factor_terms`` call and each
+    ``is_zero`` query that ``_derivative`` itself makes (sympy's own
+    constructors ask ``is_zero`` of their arguments too)."""
+    calls, on, is_zero = [], [], sp.Expr.is_zero
+    factor_terms, walk = smooth.factor_terms, smooth._derivative.__code__
+
+    def factoring(expr, *args, **kwargs):
+        calls.extend(("factor_terms", expr) for _ in on)
+        return factor_terms(expr, *args, **kwargs)
+
+    def query(expr):
+        if sys._getframe(1).f_code is walk:
+            calls.extend(("is_zero", expr) for _ in on)
+        return is_zero.fget(expr)
+
+    monkeypatch.setattr(smooth, "factor_terms", factoring)
+    monkeypatch.setattr(sp.Expr, "is_zero", property(query))
+    return calls, on
+
+
+def test_float_polynomial_derivatives_skip_the_simplifiers_and_are_sympys_own(simplifiers):
+    """In the Float-polynomial class the common-sign rule is all that
+    ``is_zero`` and ``factor_terms(signsimp(.))`` would do."""
+    calls, on = simplifiers
+    rng = np.random.default_rng(0)
+    negated = 0
+    for case in range(120):
+        symbols = sp.symbols(f"x0:{case % 3 + 1}")
+        s, n = symbols[int(rng.integers(len(symbols)))], 2 + case % 2
+        expr = _float_polynomial(rng, symbols, s, n, negative=case % 4 == 0)
+        clear_cache()  # neither side reads what the other built
+        on.append(True)
+        got = smooth._derivative(expr, s, n)
+        on.clear()
+        clear_cache()
+        assert sp.srepr(got) == sp.srepr(_DIFF(expr, s, n)), (expr, s, n)
+        negated += got.is_Mul and got.args[0] is sp.S.NegativeOne
+    assert calls == [] and 30 <= negated < 120
+
+
+@pytest.mark.parametrize("expr", [
+    sp.Float(0.5) * X0 ** 4 + sp.Float(0.25) * X0 ** 3,  # no constant: x0*(6.0*x0 + 1.5)
+    X0 ** 3 / 3 + 2 * X0 ** 2,  # Rational coefficients: 2*(x0 + 2)
+    sp.Float(0.5) * X0 ** 2 * sp.sin(X0) + sp.Float(1.0) * X0 ** 3,
+    sp.Piecewise((sp.Float(0.5) * X0 ** 3, X0 > 0), (sp.Float(1.0) * X0 ** 2, True)),
+], ids=["no-constant", "rational", "trig", "piecewise"])
+def test_derivatives_outside_the_float_polynomial_class_take_sympys_simplifiers(
+        expr, simplifiers):
+    calls, on = simplifiers
+    clear_cache()
+    on.append(True)
+    got = smooth._derivative(expr, X0, 2)
+    on.clear()
+    clear_cache()
+    assert sp.srepr(got) == sp.srepr(_DIFF(expr, X0, 2))
+    assert [c[0] for c in calls] == ["is_zero", "factor_terms"]
+
+
+def test_poincare_second_derivatives_skip_the_simplifiers(simplifiers):
+    calls, on = simplifiers
+    probes = _leaves_built_by(tensor, lambda: forms.random_kform(
+        manifolds.euclidean(3, 1.0), 1, seed=0))
+    steps = [(expr, s) for expr, symbols in probes for s in symbols]
+    clear_cache()
+    on.append(True)
+    got = [smooth._diff(expr, s, 2) for expr, s in steps]
+    on.clear()
+    assert len(steps) == 9 and calls == []
+    clear_cache()
+    assert [sp.srepr(d) for d in got] == [sp.srepr(_DIFF(e, s, 2)) for e, s in steps]
 
 
 @pytest.mark.parametrize("expr", [
