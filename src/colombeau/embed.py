@@ -32,7 +32,7 @@ from .grid import DEFAULT_GRID
 from .mollifier import Mollifier
 from .nets import Net, classify_net
 from .quadrature import cubature, gauss_legendre, panel_rule
-from .smooth import SmoothFn
+from .smooth import SmoothFn, constant
 
 # (point, kernel node) pairs per convolution block: 2 MiB per float64 array
 CONV_BLOCK = 1 << 18
@@ -119,8 +119,6 @@ def dirac_prime() -> DistributionSpec:
 
 def heaviside() -> DistributionSpec:
     """Heaviside step modeled on the working box [-10, 10]."""
-    from .smooth import constant
-
     spec = DistributionSpec(1, label="heaviside")
     return spec.piece(constant(1.0, 1), 0.0, 10.0)
 
@@ -263,8 +261,6 @@ def embed_rn(spec: DistributionSpec, mol: Mollifier) -> Net:
         if spec.regular:
             parts.append(_regular_part_fn(spec.regular, mol, eps))
         if not parts:
-            from .smooth import constant
-
             return constant(0.0, dim)
         return sum(parts[1:], parts[0])
 

@@ -18,8 +18,8 @@ import itertools
 import numpy as np
 
 from . import _mindex as mi
-from .errors import (DegreeOverflow, DomainError, InvalidDegree, InvalidSlots,
-                     QuadratureFailure)
+from .errors import (AtlasMismatch, DegreeOverflow, DomainError, InvalidDegree,
+                     InvalidSlots, QuadratureFailure)
 from .gfunc import (GeneralizedFunction, GeneralizedSection, _keys, _same_charts, _section,
                     _sum, integrate)
 from .gnumber import GeneralizedNumber
@@ -75,6 +75,9 @@ class GeneralizedKForm(GeneralizedSection):
     def _part(self, c, table) -> dict:
         keys = self.keys()
         if not isinstance(table, dict):
+            if len(table) != len(keys):
+                raise AtlasMismatch(f"components for chart {c!r}: {len(table)} entries, want "
+                                    f"one per increasing degree-{self.degree} tuple, {len(keys)}")
             table = dict(zip(keys, table))
         extra = set(table) - set(keys)
         if extra:

@@ -32,7 +32,7 @@ from .mollifier import Mollifier
 from .nets import (Net, _as_net, _auto_samples, box_lattice, classify_net, lattice_sup,
                    sup_norm_on_box, sup_norms)
 from .quadrature import Sweep, cubature
-from .smooth import SmoothFn, constant, from_sympy, leaf_memo, smoothstep_expr
+from .smooth import SmoothFn, from_sympy, leaf_memo, smoothstep_expr
 
 # Relative clamp for overlap residuals: a gap this far below the net's
 # own scale is attributed to rounding and treated as exact agreement.
@@ -768,23 +768,23 @@ def product_consistency_check(U: GeneralizedFunction, V: GeneralizedFunction,
 
 
 def transport_net(net: Net, tr: Transition) -> Net:
-    """Pull a chart-local net through a transition given by affine pieces.
-
-    The result evaluates x -> f(t(x)) with exact derivatives, using the
-    transition's declared decomposition t(x) = a*x + b piece by piece.
-    """
-    if tr.affine_pieces is None:
-        raise CoherenceFailure("transition declares no affine pieces to transport through")
-    dim = net.dim
+    """Pull a chart-local net through an affine transition t, exactly: d^alpha of
+    f o t at x is prod_i J_ii(x)**alpha_i * (d^alpha f)(t(x)), one evaluation of f."""
+    if not tr.affine:
+        raise CoherenceFailure("transition is not declared affine; cannot transport through it")
 
     def factory(eps):
         f = net.at(eps)
-        out = constant(0.0, dim)
-        for mask, a, b in tr.affine_pieces:
-            out = f.scale_shift(a, b).where(mask, out)
-        return out
 
-    return Net(dim, factory, label=f"transported {net.label}")
+        def pfn(alpha, pts):
+            vals = f._partial_fn(alpha, tr.fn(pts))
+            if not any(alpha):
+                return vals
+            return np.prod(np.diagonal(tr.jac(pts), axis1=1, axis2=2) ** alpha, axis=1) * vals
+
+        return SmoothFn(net.dim, pfn, f.max_order, f.uses_fd)
+
+    return Net(net.dim, factory, label=f"transported {net.label}")
 
 
 def embed_manifold(specs: dict, manifold: Manifold, mol: Mollifier) -> GeneralizedFunction:
@@ -793,8 +793,8 @@ def embed_manifold(specs: dict, manifold: Manifold, mol: Mollifier) -> Generaliz
     Each chart j contributes zeta_j * ((chi_j u_j) * rho_eps) in its own
     coordinates; the plateau zeta_j (identically one on supp chi_j) cuts
     the mollified tail so every term stays supported inside its chart.
-    Terms are then transported to the other charts through the declared
-    affine transition pieces, and summed.
+    Terms are then transported to the other charts through the affine
+    transitions (``transport_net``), and summed.
     """
     atlas = manifold.atlas
     pou = manifold.pou

@@ -53,15 +53,16 @@ class Transition:
     ``fn`` maps (m, n) coordinate arrays to (m, n); ``jac`` returns
     (m, n, n) Jacobian matrices.
 
-    ``affine_pieces``, when set, decomposes the map into affine pieces
-    [(mask, a, b)] with t(x) = a * x + b where mask(x) holds; smooth
-    functions can then be pulled through the transition exactly.  The
-    pieces must cover the overlap.
+    ``affine`` declares that near every point the map is x -> a * x + b
+    with ``a`` diagonal and constant, so ``jac`` is diagonal and locally
+    constant; a smooth function is then pulled through exactly, its
+    derivatives scaled by powers of the diagonal (``gfunc.transport_net``).
+    ``Atlas.validate`` checks that the Jacobian is diagonal.
     """
 
     fn: Callable
     jac: Callable
-    affine_pieces: list | None = None
+    affine: bool = False
 
 
 class Atlas:
@@ -80,8 +81,7 @@ class Atlas:
         if a == b:
             eye = np.eye(self.dim)
             return Transition(lambda x: np.asarray(x, dtype=float),
-                              lambda x: np.broadcast_to(eye, (len(x), self.dim, self.dim)),
-                              [(lambda x: np.ones(len(x), dtype=bool), 1.0, 0.0)])
+                              lambda x: np.broadcast_to(eye, (len(x), self.dim, self.dim)), True)
         try:
             return self.transitions[(a, b)]
         except KeyError:
@@ -118,6 +118,9 @@ class Atlas:
                 back = t_ba.fn(y)
                 worst_inv = float(np.maximum(worst_inv, np.max(np.abs(back - x))))
                 jac = t_ab.jac(x)
+                if t_ab.affine and (jac * (1.0 - np.eye(self.dim))).any():
+                    raise CoherenceFailure(f"transition {a}->{b} is declared affine, "
+                                           "but its Jacobian is not diagonal")
                 min_det = float(np.minimum(min_det, np.min(np.abs(np.linalg.det(jac)))))
                 worst_jac = float(np.maximum(worst_jac, _jac_fd_residual(t_ab, x)))
             report["transition"][f"{a}->{b}"] = {

@@ -3,8 +3,9 @@
 Circle points are angles in [0, 2pi).  Chart "A" uses the angle wrapped
 to (-pi, pi); chart "B" uses the raw angle on (0, 2pi).  On the two
 overlap components the transition is the identity or a shift by 2pi, so
-Jacobians are identically one.  The torus is ``product(circle(),
-circle())``, with four charts named "AA", "AB", "BA", "BB".
+both transitions are declared affine, with unit Jacobians.  The torus is
+the product of one circle with itself, with four charts named "AA",
+"AB", "BA", "BB".
 
 Partition-of-unity members and the tapered coordinate surrogates are
 built from 2pi-periodic expressions in cos(theta), which makes one
@@ -136,14 +137,8 @@ def circle() -> Manifold:
 
     eye1 = lambda x: np.broadcast_to(np.eye(1), (len(x), 1, 1)).copy()
     transitions = {
-        ("A", "B"): Transition(a_to_b, eye1, affine_pieces=[
-            (lambda pts: pts[:, 0] > 0, 1.0, 0.0),
-            (lambda pts: pts[:, 0] <= 0, 1.0, TWO_PI),
-        ]),
-        ("B", "A"): Transition(b_to_a, eye1, affine_pieces=[
-            (lambda pts: pts[:, 0] < math.pi, 1.0, 0.0),
-            (lambda pts: pts[:, 0] >= math.pi, 1.0, -TWO_PI),
-        ]),
+        ("A", "B"): Transition(a_to_b, eye1, affine=True),
+        ("B", "A"): Transition(b_to_a, eye1, affine=True),
     }
     overlap = {
         ("A", "B"): [((0.15, math.pi - 0.15),), ((-math.pi + 0.15, -0.15),)],
@@ -252,13 +247,7 @@ def _product_transition(t1: Transition, t2: Transition, d1: int, d2: int) -> Tra
         out[:, d1:, d1:] = t2.jac(x[:, d1:])
         return out
 
-    pieces = []
-    for m1, a1, b1 in t1.affine_pieces or []:
-        for m2, a2, b2 in t2.affine_pieces or []:
-            mask = (lambda m1, m2: lambda x: m1(x[:, :d1]) & m2(x[:, d1:]))(m1, m2)
-            pieces.append((mask, np.r_[np.broadcast_to(a1, d1), np.broadcast_to(a2, d2)],
-                           np.r_[np.broadcast_to(b1, d1), np.broadcast_to(b2, d2)]))
-    return Transition(fn, jac, pieces or None)
+    return Transition(fn, jac, t1.affine and t2.affine)
 
 
 def _lift_surrogate(s: CoordinateSurrogate, charts: dict, lo: int, hi: int,
@@ -277,7 +266,7 @@ def product(M: Manifold, N: Manifold, name: str | None = None) -> Manifold:
     Charts are pairs of factor charts, named by joining the factor chart
     names, with M's coordinates first.  Transitions act factor by factor
     (the identity where a factor keeps its chart) with block-diagonal
-    Jacobians and products of the affine pieces; overlap boxes are
+    Jacobians, affine when both factors are; overlap boxes are
     products of factor boxes, M's outer, a kept chart contributing its
     ``diagonal_boxes``.  Partition members are products of factor
     members and every factor surrogate is lifted to its block of axes.
@@ -312,5 +301,6 @@ def product(M: Manifold, N: Manifold, name: str | None = None) -> Manifold:
 
 
 def torus2() -> Manifold:
-    """The 2-torus: ``product(circle(), circle())``, charts AA, AB, BA, BB."""
-    return product(circle(), circle(), name="torus2")
+    """The 2-torus: the product of one ``circle()`` with itself, charts AA, AB, BA, BB."""
+    s1 = circle()  # ``product`` only reads its factors
+    return product(s1, s1, name="torus2")

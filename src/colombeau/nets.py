@@ -18,11 +18,17 @@ from ._algebra import Pointwise, is_number
 from .asymptotic import DEFAULT_M_MAX, AsymptoticFit, estimate_order
 from .errors import DimensionMismatch
 from .grid import DEFAULT_GRID
+from .quadrature import POINT_BUDGET
 from .smooth import SmoothFn, constant
 
 
 def box_lattice(box, n_samples: int = 201) -> np.ndarray:
-    """Uniform lattice on a product box, shape (n_samples^dim, dim)."""
+    """Uniform lattice on a product box, shape (n_samples^dim, dim); ValueError,
+    before allocating, above ``quadrature.POINT_BUDGET`` points."""
+    points = int(n_samples) ** len(box)
+    if points > POINT_BUDGET:
+        raise ValueError(f"a {n_samples}-per-axis lattice in {len(box)}-d has {points} "
+                         f"points, over the budget {POINT_BUDGET}")
     box = [(float(lo), float(hi)) for lo, hi in box]
     axes = [np.linspace(lo, hi, n_samples) for lo, hi in box]
     mesh = np.meshgrid(*axes, indexing="ij")

@@ -6,7 +6,8 @@ coordinate-change machinery beyond the shift-by-2pi built-ins.  The
 inverse is closed form: x(y) = (2/sqrt(3)) sinh(asinh(3 sqrt(3) y / 2) / 3).
 ``scaled_line`` is a two-chart atlas on the real line, the second chart
 in doubled units: its constant non-unit Jacobian exercises the slot
-weights of the overlap residual.
+weights of the overlap residual, and its transitions, declared affine,
+the Jacobian powers of ``gfunc.transport_net``.
 """
 
 import math
@@ -111,10 +112,10 @@ def scaled_line() -> Atlas:
     transitions = {
         ("L", "S"): Transition(
             fn=lambda x: 2.0 * np.asarray(x, dtype=float),
-            jac=lambda x: np.full((len(x), 1, 1), 2.0)),
+            jac=lambda x: np.full((len(x), 1, 1), 2.0), affine=True),
         ("S", "L"): Transition(
             fn=lambda x: 0.5 * np.asarray(x, dtype=float),
-            jac=lambda x: np.full((len(x), 1, 1), 0.5)),
+            jac=lambda x: np.full((len(x), 1, 1), 0.5), affine=True),
     }
     boxes = {("L", "S"): [((-1.0, 1.0),)], ("S", "L"): [((-2.0, 2.0),)]}
     return Atlas("scaled-line", 1, charts, transitions, boxes)

@@ -97,6 +97,17 @@ def test_antisymmetric_storage(plane):
         F.GeneralizedKForm(plane, 0, {"0": {(): constant(1.0, 2)}})
 
 
+@pytest.mark.parametrize("entries", [1, 3])
+def test_kform_sequence_needs_one_entry_per_increasing_tuple(plane, entries):
+    # a sequence has no keys to leave out, so a short or long one is refused;
+    # a dict may leave components out, and they are zero
+    x0 = coordinate(0, 2)
+    with pytest.raises(AtlasMismatch):
+        F.GeneralizedKForm(plane, 1, {"0": [x0] * entries})
+    w = F.GeneralizedKForm(plane, 1, {"0": {(0,): x0}})
+    assert w.comps["0"][(1,)].at(0.5)(np.zeros((3, 2))).tolist() == [0.0] * 3
+
+
 def test_exterior_d_of_scalar(plane):
     U = sigma_embed(plane, {"0": from_sympy(X0 ** 2 * X1, [X0, X1])})
     dU = F.exterior_d(U)

@@ -33,7 +33,7 @@ from colombeau.manifold import Atlas, GeneralizedPoint, Transition
 from colombeau.manifolds import circle, euclidean, torus2
 from colombeau.mollifier import build_mollifier
 from colombeau.nets import Net, box_lattice
-from colombeau.smooth import coordinate, from_sympy
+from colombeau.smooth import SmoothFn, coordinate, from_sympy
 
 X = sp.Symbol("x")
 Y = sp.Symbol("y0")
@@ -819,10 +819,36 @@ def test_embed_manifold_zero_spec_gives_zero(fourier, s1):
         assert np.array_equal(iota.net(c).at(0.125)(xs), np.zeros(17))
 
 
-def test_transport_requires_affine_pieces():
+def test_transport_requires_an_affine_transition():
     tr = Transition(lambda pts: pts + 1.0, lambda pts: np.ones((len(pts), 1, 1)))
     with pytest.raises(CoherenceFailure):
         G.transport_net(Net.zero(1), tr)
+
+
+def test_transport_through_a_scaling_is_scale_shift(scaled_line):
+    # x -> 2x: each derivative of order k picks up 2**k, bit for bit as scale_shift
+    f = from_sympy(sp.sin(X) * sp.exp(-X ** 2), [X])
+    moved = G.transport_net(Net.constant_in_eps(f), scaled_line.transition("L", "S")).at(0.5)
+    xs = np.linspace(-1.0, 1.0, 101)
+    for k in range(3):
+        assert np.array_equal(moved.partial((k,), xs), f.scale_shift(2.0, 0.0).partial((k,), xs))
+
+
+def test_transport_on_the_torus_evaluates_its_source_once_per_call():
+    t2, calls = torus2(), []
+
+    def pfn(alpha, pts):
+        calls.append(len(pts))
+        return pts[:, 0] * pts[:, 1]
+
+    source = Net.constant_in_eps(SmoothFn(2, pfn))
+    pts = box_lattice(((0.2, 3.0), (-3.0, 3.0)), 9)
+    for a, b in t2.atlas.transitions:
+        moved = G.transport_net(source, t2.atlas.transition(a, b)).at(0.5)
+        for alpha in ((0, 0), (1, 0), (1, 1)):
+            calls.clear()
+            moved.partial(alpha, pts)
+            assert calls == [len(pts)], (a, b, alpha)
 
 
 def test_lie_route_agreement_on_embedded_sine(fourier, line):

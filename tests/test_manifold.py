@@ -102,6 +102,21 @@ def test_torus_is_circle_times_circle(s1, t2):
             assert np.max(np.abs(t_members[c](x) - want)) <= 1e-15
 
 
+def test_affine_transitions_have_diagonal_jacobians(s1, t2):
+    # transport_net scales by the Jacobian's diagonal: exact only while the
+    # Jacobian is diagonal, and constant on each (connected) overlap box
+    for atlas in (s1.atlas, t2.atlas):
+        cases = list(atlas.overlap_boxes.items())
+        cases += [((c, c), [ch.sample_box]) for c, ch in atlas.charts.items()]
+        for (a, b), boxes in cases:
+            tr = atlas.transition(a, b)
+            assert tr.affine, (a, b)
+            for box in boxes:
+                jac = tr.jac(box_lattice(box, 9))
+                assert not (jac * (1.0 - np.eye(atlas.dim))).any(), (a, b, box)
+                assert np.array_equal(jac, np.broadcast_to(jac[0], jac.shape)), (a, b, box)
+
+
 def test_cubic_line_validates(cubic_line):
     report = cubic_line.atlas.validate(n_samples=30)
     assert report["round_trip"]["V"] < 1e-12
@@ -132,6 +147,30 @@ def test_validation_catches_bad_jacobian():
                   {("0", "1"): [((-0.9, 0.9),)]})
     with pytest.raises(CoherenceFailure):
         atlas.validate(n_samples=9)
+
+
+@pytest.mark.parametrize("affine", [False, True])
+def test_validation_holds_an_affine_declaration_to_a_diagonal_jacobian(affine):
+    # a quarter turn is a valid transition, but transport_net cannot move a
+    # net through it by diagonal scaling, so it may not be declared affine
+    turn = np.array([[0.0, -1.0], [1.0, 0.0]])
+    charts = {name: Chart(name, 2, lambda p: True,
+                          lambda p, m=m: m @ np.asarray(p, dtype=float),
+                          lambda x, m=m: m.T @ np.asarray(x, dtype=float),
+                          ((-1.0, 1.0),) * 2)
+              for name, m in (("P", np.eye(2)), ("Q", turn))}
+    transitions = {
+        ("P", "Q"): Transition(lambda x: np.asarray(x) @ turn.T,
+                               lambda x: np.broadcast_to(turn, (len(x), 2, 2)), affine),
+        ("Q", "P"): Transition(lambda y: np.asarray(y) @ turn,
+                               lambda y: np.broadcast_to(turn.T, (len(y), 2, 2)), affine),
+    }
+    atlas = Atlas("turn", 2, charts, transitions, {("P", "Q"): [((-1.0, 1.0),) * 2]})
+    if not affine:
+        atlas.validate(n_samples=5)
+        return
+    with pytest.raises(CoherenceFailure, match="affine"):
+        atlas.validate(n_samples=5)
 
 
 def test_validation_raises_on_nan_transition():

@@ -9,7 +9,8 @@ import sympy as sp
 from colombeau.errors import DerivativeUnavailable, DimensionMismatch
 from colombeau.experiments import ExperimentConfig, run_experiment
 from colombeau.nets import (AUTO_LATTICE_CAP, Net, _auto_samples, box_lattice, classify_net,
-                            lattice_sup, sup_norm_on_box)
+                            lattice_sup, sup_norm_on_box, sup_norms)
+from colombeau.quadrature import POINT_BUDGET
 from colombeau.smooth import constant, from_sympy
 
 
@@ -98,6 +99,18 @@ def test_net_cache_returns_same_object():
     net = Net(1, lambda eps: from_sympy(sp.sin(x) * eps, [x]))
     assert net.at(0.5) is net.at(0.5)
     assert net.at(0.5) is not net.at(0.25)
+
+
+def test_lattice_point_budget(gauss2d):
+    # 10^6 per axis in 2-d is 10^12 points: refused before anything is allocated
+    box = ((-1.0, 1.0),) * 2
+    with pytest.raises(ValueError, match="budget"):
+        box_lattice(box, 10 ** 6)
+    with pytest.raises(ValueError, match="budget"):
+        sup_norms(Net.constant_in_eps(gauss2d), (0, 0), box, [0.5], n_samples=10 ** 6)
+    assert 2896 ** 2 <= POINT_BUDGET < 2897 ** 2  # the first refused request in 2-d
+    with pytest.raises(ValueError, match="budget"):
+        box_lattice(box, 2897)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
