@@ -17,7 +17,8 @@ of its ``scale`` (one per eps, or one for all; 0 by default, so exactly
 the zeros) is at the floor and leaves the fit.  A series whose finest
 sample is at the floor is negligible at working precision, with slope
 +inf when fewer than MIN_SAMPLES samples stay above it; a series whose
-finest sample is above the floor needs MIN_SAMPLES such samples to fit.
+finest sample is above the floor needs MIN_SAMPLES such samples to fit,
+and with fewer reads "unresolved": the grid cannot tell its order.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ _FLOOR_REL = FLOOR_ULPS * float(np.finfo(float).eps)
 NEGLIGIBLE = "negligible"
 MODERATE = "moderate"
 DIVERGENT = "divergent"
+UNRESOLVED = "unresolved"
 
 
 @dataclass
@@ -49,7 +51,8 @@ class AsymptoticFit:
     ``residual`` is the max absolute deviation of log magnitude from the
     fitted line; large residuals mean the power-law read is unreliable.
     ``order`` is the moderateness order N (0 for bounded nets), None for
-    the other verdicts.  ``n_clamped`` counts the samples at the floor,
+    the other verdicts; an unresolved fit has NaN slope, intercept and
+    residual.  ``n_clamped`` counts the samples at the floor,
     exact zeros included, which the fit leaves out; ``magnitudes`` keeps
     them all, unclamped.
     """
@@ -96,8 +99,8 @@ def estimate_order(samples, m_max: int = DEFAULT_M_MAX, scale=0.0) -> Asymptotic
     an integer >= 1; ``scale`` is finite and >= 0, one for all samples or one
     per sample.  Samples at the floor count in ``n_clamped``; a verdict the
     floor decides reads "negligible at working precision" in ``note``.
-    Fewer than MIN_SAMPLES samples above the floor raise InsufficientSamples
-    unless the finest sample is at the floor.
+    Fewer than MIN_SAMPLES samples above the floor read "unresolved" unless
+    the finest sample is at the floor.
     """
     m_max = _mindex.index(m_max)
     if m_max < 1:
@@ -117,13 +120,13 @@ def estimate_order(samples, m_max: int = DEFAULT_M_MAX, scale=0.0) -> Asymptotic
         residual = float(np.max(np.abs(y - (slope * x + intercept))))
     elif floor[-1]:
         slope, intercept, residual = math.inf, -math.inf, 0.0
-    else:
-        # the finest sample is above the floor, so the floor cannot decide
-        raise InsufficientSamples(f"need at least {MIN_SAMPLES} samples above the floor "
-                                  f"when the finest is, got {len(mag) - n_floor}")
+    else:  # the finest sample is above the floor, so the floor cannot decide
+        slope = intercept = residual = math.nan
     note = f"{n_floor} magnitudes at the floor" if n_floor else ""
     order = None
-    if floor[-1]:
+    if math.isnan(slope):
+        verdict = UNRESOLVED
+    elif floor[-1]:
         verdict, note = NEGLIGIBLE, "negligible at working precision: " + note
     elif slope < -(DIVERGENCE_ORDER + SLOPE_TOLERANCE):
         verdict = DIVERGENT

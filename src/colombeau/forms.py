@@ -28,8 +28,7 @@ from .manifolds import Manifold
 from .nets import Net, sup_norms
 from .quadrature import Sweep, cubature, interval_rule
 from .smooth import SmoothFn
-from .tensor import (GeneralizedTensorField, _lie_parts, coherence_check_tensor,
-                     random_coherent_functions)
+from .tensor import GeneralizedTensorField, _lie_parts, _seeded_comps, coherence_check_tensor
 
 HOMOTOPY_NODES = 32   # Gauss-Legendre nodes in t of the radial homotopy
 DISK_ANGLES = 256     # equispaced angles of the disk Stokes check
@@ -423,11 +422,7 @@ def random_kform(manifold: Manifold, k: int, seed: int = 0) -> GeneralizedKForm:
     The builtin periodic manifolds have unit-Jacobian transitions, so
     shared chart expressions satisfy the pullback law for every degree.
     """
-    atlas = manifold.atlas
-    keys = index_tuples(atlas.dim, int(k))
-    fns = random_coherent_functions(manifold, count=max(1, len(keys)), seed=seed)
-    comps = {c: {K: fns[t].nets[c] for t, K in enumerate(keys)}
-             for c in atlas.charts}
+    comps = _seeded_comps(manifold, index_tuples(manifold.atlas.dim, int(k)), seed)
     return GeneralizedKForm(manifold, int(k), comps, label=f"seeded {k}-form")
 
 

@@ -17,6 +17,7 @@ import operator
 from dataclasses import dataclass, field
 
 import numpy as np
+import sympy as sp
 
 from . import _mindex as mi
 from ._algebra import Pointwise, is_number
@@ -429,7 +430,8 @@ def classify(U: GeneralizedFunction, orders=(0, 1), boxes: dict | None = None,
     the negligibility summary may use order-0 fits alone once
     moderateness at the requested orders is established (a moderate net
     with negligible values is negligible), in which case
-    ``order0_shortcut`` is flagged.
+    ``order0_shortcut`` is flagged.  Any unresolved fit makes the summary
+    "unresolved".
     """
     alphas = _expand_orders(orders, U.atlas.dim)
     rows = []
@@ -444,7 +446,9 @@ def classify(U: GeneralizedFunction, orders=(0, 1), boxes: dict | None = None,
     all_moderate = all(v in ("moderate", "negligible") for v in verdicts)
     order0 = [r["fit"] for r in rows if mi.order(tuple(r["alpha"])) == 0]
     shortcut = False
-    if not all_moderate:
+    if "unresolved" in verdicts:
+        summary, order = "unresolved", None
+    elif not all_moderate:
         summary, order = "divergent", None
     elif all(v == "negligible" for v in verdicts):
         summary, order = "negligible", None
@@ -531,8 +535,6 @@ def default_densities(space, per_chart: int = 5, seed: int = 7) -> list[TestDens
 
     Each bump's half-width per axis is 0.15 to 0.45 of the box's.
     """
-    import sympy as sp
-
     atlas = _atlas_of(space)
     dim = atlas.dim
     rng = np.random.default_rng(seed)
@@ -768,23 +770,13 @@ def product_consistency_check(U: GeneralizedFunction, V: GeneralizedFunction,
 
 
 def transport_net(net: Net, tr: Transition) -> Net:
-    """Pull a chart-local net through an affine transition t, exactly: d^alpha of
-    f o t at x is prod_i J_ii(x)**alpha_i * (d^alpha f)(t(x)), one evaluation of f."""
+    """Pull a chart-local net through an affine transition t, exactly, by
+    ``SmoothFn._pullback`` with the Jacobian's diagonal."""
     if not tr.affine:
         raise CoherenceFailure("transition is not declared affine; cannot transport through it")
-
-    def factory(eps):
-        f = net.at(eps)
-
-        def pfn(alpha, pts):
-            vals = f._partial_fn(alpha, tr.fn(pts))
-            if not any(alpha):
-                return vals
-            return np.prod(np.diagonal(tr.jac(pts), axis1=1, axis2=2) ** alpha, axis=1) * vals
-
-        return SmoothFn(net.dim, pfn, f.max_order, f.uses_fd)
-
-    return Net(net.dim, factory, label=f"transported {net.label}")
+    diag = lambda pts: np.diagonal(tr.jac(pts), axis1=1, axis2=2)
+    return Net(net.dim, lambda eps: net.at(eps)._pullback(tr.fn, diag),
+               label=f"transported {net.label}")
 
 
 def embed_manifold(specs: dict, manifold: Manifold, mol: Mollifier) -> GeneralizedFunction:

@@ -34,16 +34,12 @@ from .gnumber import GeneralizedNumber
 from .manifolds import euclidean
 from .nets import Net
 from .quadrature import cubature, panel_rule
-from .smooth import SmoothFn, _per_point, from_sympy, lift_axis
+from .smooth import _GLUE_TAU, SmoothFn, _per_point, from_sympy, lift_axis
 from .tensor import GeneralizedTensorField
 
 # Mass of the unnormalized bump exp(-1/(1-x^2)) on (-1, 1), frozen from a
 # high-precision quadrature; the normalized profile divides by it.
 BUMP_NORMALIZATION = 0.44399381616807944
-
-# Below 1 - x^2 = _BUMP_GATE the bump is under 4e-44 and is clamped to
-# zero so lambdified branches never feed exp a huge positive argument.
-_BUMP_GATE = 0.01
 
 # StrictDeltaNet.l1_norm: an L1_NODES-point rule on L1_PANELS equal panels
 L1_PANELS, L1_NODES = 8, 64
@@ -55,15 +51,16 @@ ODE_RTOL, ODE_ATOL = 1e-10, 1e-12
 
 
 def bump_profile() -> SmoothFn:
-    """The normalized C-infinity bump supported on [-1, 1]."""
+    """The normalized C-infinity bump on [-1, 1]: 0 where 1 - x^2 <= _GLUE_TAU, as the
+    glue cuts exp(-1/t), so no branch feeds exp a huge positive argument."""
     x = sp.Symbol("x")
     body = sp.exp(-1 / (1 - x**2)) / BUMP_NORMALIZATION
-    expr = sp.Piecewise((body, 1 - x**2 > _BUMP_GATE), (0, True))
+    expr = sp.Piecewise((body, 1 - x**2 > _GLUE_TAU), (0, True))
     return from_sympy(expr, (x,), label="bump")
 
 
-class StrictDeltaNet:
-    """The scaled family delta_eps(x) = (1/eps) rho(x/eps).
+class StrictDeltaNet(Net):
+    """The scaled family delta_eps(x) = (1/eps) rho(x/eps), a ``Net`` on R^1.
 
     ``generator`` is a smooth profile supported in [-radius, radius];
     the default is the normalized bump.  Certificates report mass,
@@ -76,15 +73,11 @@ class StrictDeltaNet:
         if self.generator.dim != 1:
             raise DimensionMismatch("delta generator must be one-dimensional")
         self.radius = float(radius)
-        self.label = label
-        self.net = Net(1, self._at_eps, label=label)
+        super().__init__(1, self._at_eps, label=label)
 
     def _at_eps(self, eps: float) -> SmoothFn:
         a = 1.0 / float(eps)
         return self.generator.scale_shift(a, 0.0) * a
-
-    def at(self, eps: float) -> SmoothFn:
-        return self.net.at(eps)
 
     def support_radius(self, eps: float) -> float:
         return self.radius * float(eps)
@@ -293,12 +286,7 @@ class HamiltonianSystem:
         return lambda q: -float(sum(t(q) for t in terms))
 
     def energy_values(self, eps: float, q: np.ndarray, p: np.ndarray) -> np.ndarray:
-        e = 0.5 * p * p
-        if self.potential is not None:
-            e = e + self.potential(q)
-        if self.delta is not None:
-            e = e + self.delta.at(eps)(q)
-        return e
+        return self.hamiltonian().net("0").at(eps)(np.stack([q, p], -1))
 
 
 @dataclass

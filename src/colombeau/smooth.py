@@ -106,8 +106,7 @@ from . import _mindex as mi
 from ._algebra import Pointwise, is_number, rmul
 from .errors import DerivativeUnavailable, DimensionMismatch
 
-__all__ = ["SmoothFn", "from_sympy", "constant", "coordinate", "glue_exprs", "lift_axis",
-           "leaf_memo"]
+__all__ = ["SmoothFn", "from_sympy", "constant", "coordinate", "lift_axis", "leaf_memo"]
 
 
 class _SharedAtoms(dict):
@@ -253,17 +252,23 @@ class SmoothFn(Pointwise):
 
     # -- composition with affine maps ---------------------------------
 
+    def _pullback(self, g, diag):
+        """f o g for g diagonal and affine near each point, with diagonal s = ``diag(pts)``:
+        d^alpha (f o g)(x) = prod_i s_i(x)**alpha_i * (d^alpha f)(g(x)) (no s at alpha 0)."""
+
+        def pfn(alpha, pts):
+            vals = self._partial_fn(alpha, g(pts))
+            if not any(alpha):
+                return vals
+            return np.prod(diag(pts) ** np.array(alpha), axis=-1) * vals
+
+        return SmoothFn(self.dim, pfn, self.max_order, self.uses_fd)
+
     def scale_shift(self, a, b):
         """The function x -> f(a*x + b) with a, b scalars or per-axis vectors."""
         a_vec = np.broadcast_to(np.asarray(a, dtype=float), (self.dim,)).copy()
         b_vec = np.broadcast_to(np.asarray(b, dtype=float), (self.dim,)).copy()
-        f = self
-
-        def pfn(alpha, pts):
-            factor = float(np.prod(a_vec ** np.array(alpha)))
-            return factor * f._partial_fn(alpha, pts * a_vec + b_vec)
-
-        return SmoothFn(self.dim, pfn, f.max_order, f.uses_fd)
+        return self._pullback(lambda pts: pts * a_vec + b_vec, lambda pts: a_vec)
 
     def where(self, cond, other):
         """Piecewise select: self where ``cond(pts)`` holds, the SmoothFn ``other``
@@ -721,21 +726,10 @@ def from_sympy(expr, symbols: Sequence[sp.Symbol], label="") -> SmoothFn:
 _GLUE_TAU = 0.01  # below this, exp(-1/t) underflows anyway; branch to exact 0
 
 
-def glue_exprs():
-    """Sympy building blocks: (t, G(t), smoothstep S(t)).
-
-    G(t) = exp(-1/t) for t > tau else 0, S = G(t) / (G(t) + G(1-t)).
-    S is 0 for t <= tau, 1 for t >= 1 - tau, strictly increasing between.
-    The branch cuts introduce jumps of order exp(-1/tau) ~ 4e-44, far
-    below double rounding for every quantity built on top of these.
-    """
-    t = sp.Symbol("t", real=True)
-    bump = sp.Piecewise((sp.exp(-1 / t), t > _GLUE_TAU), (sp.Integer(0), True))
-    return t, bump, smoothstep_expr(t)
-
-
 def smoothstep_expr(u):
-    """Smoothstep S(u) in an arbitrary sympy expression ``u``, built directly."""
+    """Smoothstep S(u) = G(u) / (G(u) + G(1 - u)), G(t) = exp(-1/t), in a sympy
+    expression ``u``: 0 for u <= tau, 1 for u >= 1 - tau, strictly increasing
+    between; the cuts jump by about exp(-1/tau) ~ 4e-44, far below rounding."""
     up, dn = sp.exp(-1 / u), sp.exp(-1 / (1 - u))
     return sp.Piecewise((sp.Integer(0), u <= _GLUE_TAU), (sp.Integer(1), u >= 1 - _GLUE_TAU),
                         (up / (up + dn), True))

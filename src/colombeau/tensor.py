@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+import sympy as sp
 
 from . import _mindex as mi
 from .errors import InvalidSlots, NotADerivation
@@ -89,9 +90,7 @@ class GeneralizedTensorField(GeneralizedSection):
 
 def smooth_vector_field(space, fns: dict, label: str = "") -> GeneralizedTensorField:
     """Wrap chartwise component SmoothFn lists as a constant-in-eps field."""
-    atlas = _atlas_of(space)
-    comps = {c: [Net.constant_in_eps(f) for f in fs] for c, fs in fns.items()}
-    return GeneralizedTensorField(atlas, (1, 0), comps, label=label)
+    return GeneralizedTensorField(_atlas_of(space), (1, 0), fns, label=label)
 
 
 # -- products and contractions --------------------------------------------
@@ -266,8 +265,6 @@ def random_coherent_functions(manifold: Manifold, count: int = 5, seed: int = 0)
     per-function (1 + a*eps) factor gives the nets genuine eps
     dependence without disturbing coherence.
     """
-    import sympy as sp
-
     rng = np.random.default_rng(seed)
     atlas = manifold.atlas
     name = manifold.name
@@ -308,11 +305,14 @@ def random_tensor_field(manifold: Manifold, valence, seed: int = 0) -> Generaliz
     every valence.
     """
     r, s = int(valence[0]), int(valence[1])
-    atlas = manifold.atlas
-    keys = _keys(atlas.dim, r + s)
-    fns = random_coherent_functions(manifold, count=len(keys), seed=seed)
-    comps = {c: {K: fns[t].nets[c] for t, K in enumerate(keys)} for c in atlas.charts}
+    comps = _seeded_comps(manifold, _keys(manifold.atlas.dim, r + s), seed)
     return GeneralizedTensorField(manifold, (r, s), comps, label=f"seeded {valence}")
+
+
+def _seeded_comps(manifold: Manifold, keys, seed: int) -> dict:
+    """Per-chart components, one seeded coherent function's nets for each key."""
+    fns = random_coherent_functions(manifold, count=max(1, len(keys)), seed=seed)
+    return {c: {K: fns[t].nets[c] for t, K in enumerate(keys)} for c in manifold.atlas.charts}
 
 
 # -- derivations ------------------------------------------------------------

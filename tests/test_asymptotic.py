@@ -13,6 +13,7 @@ from colombeau.asymptotic import (
     FLOOR_ULPS,
     MODERATE,
     NEGLIGIBLE,
+    UNRESOLVED,
     estimate_order,
 )
 from colombeau.errors import InsufficientSamples, InvalidSample
@@ -133,12 +134,15 @@ def test_verdict_invariants_against_slope():
 def test_sample_validation_errors():
     with pytest.raises(InsufficientSamples):
         estimate_order([(0.5, 1.0), (0.25, 2.0), (0.125, 4.0)])
-    # with the finest sample above the floor, the floor cannot read it negligible
-    with pytest.raises(InsufficientSamples):
-        estimate_order([(0.5, 1e-16), (0.25, 0.0), (0.125, 1e-15), (0.0625, 1.0)], scale=1.0)
+    # with the finest sample above the floor, the floor cannot read it negligible,
+    # and one live sample cannot be fitted: the grid cannot tell the order
+    fit = estimate_order([(0.5, 1e-16), (0.25, 0.0), (0.125, 1e-15), (0.0625, 1.0)], scale=1.0)
+    assert fit.verdict == UNRESOLVED and fit.order is None and not fit.is_negligible
     # the constant 7 behind eight zeros of 2^-4..2^-14 keeps three samples
-    with pytest.raises(InsufficientSamples):
-        GeneralizedNumber.from_fn(lambda e: 0.0 if e > 2.0 ** -12 else 7.0).classify()
+    fit = GeneralizedNumber.from_fn(lambda e: 0.0 if e > 2.0 ** -12 else 7.0).classify()
+    assert fit.verdict == UNRESOLVED and fit.order is None and not fit.is_negligible
+    assert all(math.isnan(v) for v in (fit.slope, fit.intercept, fit.residual))
+    assert fit.n_clamped == 8
     with pytest.raises(InvalidSample):
         estimate_order([(1.5, 1.0), (0.5, 1.0), (0.25, 1.0), (0.125, 1.0)])
     with pytest.raises(InvalidSample):

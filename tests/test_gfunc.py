@@ -159,6 +159,17 @@ def test_classify_divergent(line):
     assert rep["summary"] == "divergent" and rep["order"] is None
 
 
+def test_classify_unresolved_row_makes_an_unresolved_summary(line):
+    # 1 + c x with c = 0 down to 2^-8 and c = eps at the two finest eps: the
+    # values are moderate, but two live derivative samples cannot be fitted
+    late = G.GeneralizedFunction(
+        line, {"0": Net(1, lambda e: from_sympy(1 + (e if e < 2.0 ** -8 else 0.0) * X, [X]))})
+    rep = G.classify(late, orders=(0, 1), grid=dyadic_grid(4, 10), n_samples=11)
+    assert rep["summary"] == "unresolved" and rep["order"] is None
+    assert [r["verdict"] for r in rep["rows"]] == ["moderate", "unresolved"]
+    assert rep["rows"][1]["order"] is None
+
+
 def test_classify_order0_shortcut(line):
     # values fall like eps^6 but the first derivative only like eps^3:
     # negligible values plus moderateness gives a negligible summary

@@ -68,6 +68,15 @@ def test_moderate_difference_beside_large_operands_is_unequal():
     assert fit.verdict == "moderate" and fit.order == 3
 
 
+def test_difference_at_the_three_finest_eps_is_unresolved():
+    # equal down to 2^-12, then 1 against 2: three live samples cannot be
+    # fitted, and the grid cannot tell their order, so the two are not equal
+    eq, fit = gn_equal(GeneralizedNumber.const(1.0),
+                       GeneralizedNumber.from_fn(lambda e: 1.0 if e > 2.0 ** -12 else 2.0))
+    assert not eq and fit.verdict == "unresolved" and fit.order is None
+    assert fit.n_clamped == 8 and math.isnan(fit.slope)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     c1=st.floats(min_value=-10, max_value=10),

@@ -93,6 +93,15 @@ def test_delta_generator_must_be_univariate():
         StrictDeltaNet(generator=constant(1.0, 2))
 
 
+def test_strict_delta_net_is_a_net():
+    delta, xs = StrictDeltaNet(), np.linspace(-0.06, 0.06, 41)
+    assert isinstance(delta, Net) and delta.label == "delta"
+    for e in GRID:
+        assert np.array_equal(delta.partial((1,)).at(e)(xs), delta.at(e).partial((1,), xs))
+        assert np.array_equal((delta * 2.0).at(e)(xs), delta.at(e)(xs) * 2.0)
+    assert delta.at(GRID[0]) is delta.at(GRID[0])  # the net caches each eps
+
+
 # -- musical isomorphisms -------------------------------------------------
 
 
@@ -294,6 +303,18 @@ def test_smooth_oscillator_closed_form():
     ref = np.cos(tr.t) - np.sin(tr.t)
     assert float(np.max(np.abs(tr.q - ref))) < 1e-9
     assert tr.energy_drift < 100.0 * tr.ode_tol
+
+
+def test_energy_is_read_from_the_hamiltonian_bit_for_bit():
+    y = sp.Symbol("y")
+    sys = HamiltonianSystem(StrictDeltaNet(), 1.0, -1.0,
+                            potential=from_sympy(sp.cos(y) + y ** 2 / 3, (y,)))
+    rng = np.random.default_rng(2)
+    q, p = rng.uniform(-0.1, 0.1, 200), rng.normal(size=200)
+    for eps in (0.1, 0.03):
+        # the three terms written out: p^2/2, the background, the delta net
+        want = 0.5 * p * p + sys.potential(q) + sys.delta.at(eps)(q)
+        assert np.array_equal(sys.energy_values(eps, q, p), want)
 
 
 def test_barrier_reflection():

@@ -19,7 +19,7 @@ from colombeau import _mindex as mi
 from colombeau import embed, experiments, forms, gfunc, manifolds, mechanics, smooth, tensor
 from colombeau.errors import DerivativeUnavailable, DimensionMismatch
 from colombeau.mollifier import build_mollifier
-from colombeau.nets import Net
+from colombeau.nets import Net, box_lattice
 from colombeau.smooth import SmoothFn, constant, coordinate, from_sympy, smoothstep_expr
 
 # sympy's own functions, kept before any test patches them
@@ -112,6 +112,33 @@ def test_scale_shift_exact():
     assert np.allclose(h(pts), ref)
     d = h.partial((1, 1), pts)
     assert np.allclose(d, 3 * -1 * np.cos(-pts[:, 1] + 2))
+
+
+def _scale_shift_by_closure(f, a, b):
+    """Reference: scale_shift as its own closure, a float factor times f at a*x + b."""
+    a_vec = np.broadcast_to(np.asarray(a, dtype=float), (f.dim,)).copy()
+    b_vec = np.broadcast_to(np.asarray(b, dtype=float), (f.dim,)).copy()
+
+    def pfn(alpha, pts):
+        factor = float(np.prod(a_vec ** np.array(alpha)))
+        return factor * f._partial_fn(alpha, pts * a_vec + b_vec)
+
+    return SmoothFn(f.dim, pfn)
+
+
+def test_scale_shift_is_its_closure_bit_for_bit():
+    x0, x1 = sp.symbols("x0 x1")
+    f = from_sympy(sp.sin(x0) * sp.exp(-x1 ** 2) + x0 * x1 ** 2, [x0, x1])
+    lattice = box_lattice(((-1.5, 1.5), (-1.0, 2.0)), 13)
+    lattice.flags.writeable = False
+    for a, b in (([3.0, -0.7], [0.0, 2.0]), ([1.0 / 3.0, 2.5], [-0.1, 0.3]), (-1.25, 0.5)):
+        got, ref = f.scale_shift(a, b), _scale_shift_by_closure(f, a, b)
+        for alpha in mi.up_to(2, 2):
+            want = ref._partial_fn(alpha, lattice)
+            assert np.array_equal(got._partial_fn(alpha, lattice), want), (a, b, alpha)
+            with smooth.leaf_memo(lattice):  # f's own values on the lattice are stored
+                f._partial_fn(alpha, lattice)
+                assert np.array_equal(got._partial_fn(alpha, lattice), want), (a, b, alpha)
 
 
 def test_where_combinator():
@@ -209,8 +236,8 @@ def test_partial_fn_returns_one_float_per_point(producer, m):
 
 
 def test_smoothstep_profile():
-    t, _, step = smooth.glue_exprs()
-    s = from_sympy(step, [t])
+    t = sp.Symbol("t", real=True)
+    s = from_sympy(smoothstep_expr(t), [t])
     ts = np.linspace(-0.5, 1.5, 101)
     vals = s(ts)
     assert np.all(vals[ts <= 0.0] == 0.0)
@@ -683,6 +710,8 @@ def _probes(manifold):
 
 
 _T = sp.Symbol("t", real=True)
+# the glue bump exp(-1/t), cut to 0 at t <= tau, and the smoothstep in t
+_GLUE_BUMP = sp.Piecewise((sp.exp(-1 / _T), _T > smooth._GLUE_TAU), (sp.Integer(0), True))
 # every family of leaf the library builds, and one undefined function
 _LEAF_FAMILIES = {
     "probes-euclidean3": lambda: _probes(manifolds.euclidean(3)),
@@ -693,8 +722,8 @@ _LEAF_FAMILIES = {
                             if leaf[0].has(sp.pi)][:1],
     "smoothstep": lambda: [(smoothstep_expr((X0 + sp.Rational(3, 2)) / sp.Rational(3, 10)),
                             (X0,))],
-    "glue-bump": lambda: [(smooth.glue_exprs()[1], (_T,))],
-    "glue-step": lambda: [(smooth.glue_exprs()[2], (_T,))],
+    "glue-bump": lambda: [(_GLUE_BUMP, (_T,))],
+    "glue-step": lambda: [(smoothstep_expr(_T), (_T,))],
     "window": lambda: [(experiments._window_expr(1.2, 2.0), (experiments.X,))],
     "mechanics-bump": lambda: _leaves_built_by(mechanics, mechanics.bump_profile),
     # golden_ratio is imported from scipy.constants on first use
