@@ -168,7 +168,10 @@ def _regular_part_fn(pieces, mol: Mollifier, eps: float) -> SmoothFn:
     of at most ``CONV_BLOCK`` (point, node) pairs, and each point's row
     is summed by its own ``np.vecdot``, so a value depends only on
     (x, eps), never on the other points of the call.  Derivatives fall on the
-    density, with closed-form kernel boundary terms at the piece edges.
+    density, with closed-form kernel boundary terms at the piece edges; a
+    density derivative known to vanish (``SmoothFn.vanishes``: a constant,
+    a polynomial above its degree) is not convolved, since its sweep adds
+    exact zeros.
     Windows cutting a panel mid-way get that panel replaced by an exact
     GL segment, so points near an edge stay accurate.
     """
@@ -206,7 +209,8 @@ def _regular_part_fn(pieces, mol: Mollifier, eps: float) -> SmoothFn:
             hit = np.nonzero((cut > -radius) & (cut < radius))[0]
             pan = np.clip(((cut[hit] + radius) // w_pan).astype(int), 0, n_panels - 1)
             keys.append(hit * n_panels + pan)
-        keys = np.unique(np.concatenate(keys))
+        keys = np.sort(np.concatenate(keys))  # unique, without np.unique's numpy.ma
+        keys = keys[np.diff(keys, prepend=-1) != 0]
         step = CONV_BLOCK // gl_nodes.size
         for s in range(0, keys.size, step):  # sorted keys: np.add.at adds in one order
             ipt = keys[s:s + step] // n_panels
@@ -233,7 +237,8 @@ def _regular_part_fn(pieces, mol: Mollifier, eps: float) -> SmoothFn:
         x = pts[:, 0]
         res = np.zeros(x.size)
         for p in pieces:
-            res += conv0(p.density, k, x, p.lo, p.hi)
+            if not p.density.vanishes((k,)):  # else a sum of exact zeros
+                res += conv0(p.density, k, x, p.lo, p.hi)
             for j in range(k):
                 m = k - 1 - j
                 flo = float(p.density._partial_fn((j,), np.array([[p.lo]]))[0])

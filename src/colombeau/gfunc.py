@@ -252,6 +252,24 @@ def sigma_embed(space, fns: dict) -> GeneralizedFunction:
 # -- coherence -----------------------------------------------------------
 
 
+def _open_mesh(pts: np.ndarray, n: int):
+    """Views of ``pts`` of shapes (S, n, 1, ...), (S, 1, n, ...), ..., one per
+    axis, whose broadcast, raveled in C order, is ``pts`` bit for bit, for S
+    boxes of n^dim points that are each a product grid; None in 1-d, where the
+    column serves, or when some box is not one."""
+    m, dim = pts.shape
+    if dim < 2 or m % n ** dim:
+        return None
+    grid = pts.reshape((m // n ** dim,) + (n,) * dim + (dim,))
+    bits = grid.view(np.int64)  # bitwise: -0.0 is not 0.0, and NaN is itself
+    axes = [(slice(None),) + tuple(slice(None) if j == i else slice(1) for j in range(dim))
+            + (i,) for i in range(dim)]
+    if all(np.array_equal(bits[..., i], np.broadcast_to(bits[ax], bits.shape[:-1]))
+           for i, ax in enumerate(axes)):
+        return [grid[ax] for ax in axes]
+    return None
+
+
 def _block_gaps(section: GeneralizedSection, block: list, grid, n_samples: int) -> list:
     """(pair, box count, {eps: clamped gap per box}) of each transition in ``block``."""
     atlas, comps, (r, s) = section.atlas, section.comps, section.valence
@@ -323,7 +341,7 @@ def _block_gaps(section: GeneralizedSection, block: list, grid, n_samples: int) 
 
     # clamped gaps are exact zeros: the fit counts them at its floor; the
     # memo serves the leaves every eps, component and transition share
-    with leaf_memo(*lattice.values()):
+    with leaf_memo(*((pts, _open_mesh(pts, n_samples)) for pts in lattice.values())):
         sweep = {e: gaps_at(e) for e in grid}
     return [(pair, len(starts), {e: sweep[e][j] for e in grid})
             for j, (pair, starts, *_) in enumerate(jobs)]
@@ -355,10 +373,14 @@ def overlap_residual(section: GeneralizedSection, grid, n_samples: int) -> dict:
     its image y counted together; a larger transition is a block alone.
     In each chart, a block's x (chart a) and y (chart b) arrays make one
     read-only lattice, registered with one :func:`smooth.leaf_memo`
-    block for the eps sweep.  Per eps each chart component, and its
-    first derivatives when a box needs them, is evaluated once on its
-    chart's lattice; each transition reads slices of those values, each
-    box its sup from its own slice.  The pullback weights (products of
+    block for the eps sweep, with its open mesh where each box is a
+    product grid, bit for bit (in 2-d and up): a sympy leaf's function of
+    one axis then runs on that axis's values, not on every point.  The
+    boxes x are such grids, and so are their images under the torus's
+    shifts, but not under a quarter turn.  Per eps each chart component,
+    and its first derivatives when a box needs them, is evaluated once on
+    its chart's lattice; each transition reads slices of those values,
+    each box its sup from its own slice.  The pullback weights (products of
     J and inverse-J entries) are computed once per transition.  A
     block's lattices, weights and memo are dropped after it, so memory
     is bounded by the larger of ``SWEEP_POINTS`` and one transition's

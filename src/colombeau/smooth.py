@@ -71,11 +71,17 @@ read-only, so every leaf and multi-index on the lattice shares each
 table of its own, whose arrays stay writable, so an atom printed twice
 (the smoothstep's ``exp(-1/u)``) is computed once per call.  The memo
 lives only while the outermost block runs and is dropped on exit, by
-exception too, so it holds at most the leaf values and atoms of the
-lattices that one block registers.  Overlap-residual sweeps open one
-block per group of transitions of at most ``gfunc.SWEEP_POINTS`` points
-and register one lattice per chart: the group's points in it and their
-images in it.
+exception too, so it holds at most the leaf values, atoms and meshes of
+the lattices that one block registers.  A lattice registered with an
+*open mesh*, per-axis arrays of shapes (S, n, 1, ...), (S, 1, n, ...),
+... for S boxes of n^dim product-grid points, is evaluated on the mesh:
+``sin(y0)`` takes the S*n values of its axis, not S*n^dim points, and
+the result is broadcast and raveled in C order, the lattice's own.  The
+bits are the flat columns': broadcasting applies the same scalar
+operation to the same operands.  Overlap-residual sweeps open one block
+per group of transitions of at most ``gfunc.SWEEP_POINTS`` points and
+register one lattice per chart: the group's points in it and their
+images in it, with its open mesh where it has one.
 """
 
 from __future__ import annotations
@@ -113,34 +119,47 @@ class _SharedAtoms(dict):
     """A registered lattice's atom table: {key: atom}, arrays stored read-only."""
 
 
-# id(lattice) -> (lattice, {(leaf, alpha): read-only values}, _SharedAtoms)
-# inside a leaf_memo block; holding the lattice keeps its id from being reused
-_memo: dict[int, tuple[np.ndarray, dict, _SharedAtoms]] | None = None
+# id(lattice) -> (lattice, {(leaf, alpha): read-only values}, _SharedAtoms, None or
+# (mesh, its shape)) in a leaf_memo block; the held lattice's id is not reused
+_memo: dict[int, tuple[np.ndarray, dict, _SharedAtoms, tuple | None]] | None = None
 # the atom table of the array a leaf is evaluating on: its registered
 # lattice's, or a plain dict for that one call
 _atoms: dict | None = None
 
 
 @contextlib.contextmanager
-def leaf_memo(*lattices: np.ndarray):
+def leaf_memo(*lattices):
     """Evaluate each sympy leaf once per (multi-index, lattice) in this block.
 
     Only the ``lattices`` named here are memoized, by identity; each must
     be a read-only array whose base, if any, is read-only too, else
-    ``ValueError``.  A nested block adds its lattices to the memo that
-    is already open; the outermost block drops it on exit.
+    ``ValueError``.  A pair ``(lattice, mesh)`` registers, unless mesh is
+    None, the lattice's open mesh: one array per axis whose broadcast,
+    raveled in C order, is the lattice bit for bit, as the caller
+    guarantees; its broadcast shape is taken once, here, and a wrong axis
+    count or size raises ``ValueError``.  A nested block adds its lattices
+    to the memo that is already open; the outermost block drops it on
+    exit, meshes too.
     """
     global _memo
+    entries = []
     for a in lattices:
+        a, mesh = a if isinstance(a, tuple) else (a, None)
         if (not isinstance(a, np.ndarray) or a.flags.writeable
                 or (isinstance(a.base, np.ndarray) and a.base.flags.writeable)):
             raise ValueError("a leaf_memo lattice must be a read-only array "
                              "that views no writable array")
+        if mesh is not None:  # its broadcast shape, once per lattice
+            full = np.broadcast(*mesh)
+            if len(mesh) != a.shape[-1] or full.size != len(a):
+                raise ValueError("a leaf_memo mesh must broadcast to the lattice's points")
+            mesh = (tuple(mesh), full.shape)
+        entries.append((a, mesh))
     outer = _memo is None
     if outer:
         _memo = {}
-    for a in lattices:
-        _memo.setdefault(id(a), (a, {}, _SharedAtoms()))
+    for a, mesh in entries:
+        _memo.setdefault(id(a), (a, {}, _SharedAtoms(), mesh))
     try:
         yield
     finally:
@@ -210,6 +229,10 @@ class SmoothFn(Pointwise):
 
     def __call__(self, x):
         return self.partial((0,) * self.dim, x)
+
+    def vanishes(self, alpha) -> bool:
+        """Whether d^alpha is identically zero as its constructor knows; False if unknown."""
+        return False
 
     def __repr__(self):
         tag = self.label or "smooth"
@@ -313,7 +336,9 @@ def constant(c: float, dim: int) -> SmoothFn:
             return np.full(pts.shape[0], c)
         return np.zeros(pts.shape[0])
 
-    return SmoothFn(dim, pfn, label=f"const {c}")
+    fn = SmoothFn(dim, pfn, label=f"const {c}")
+    fn.vanishes = lambda alpha: any(alpha) or not c
+    return fn
 
 
 def coordinate(axis: int, dim: int) -> SmoothFn:
@@ -656,11 +681,14 @@ def from_sympy(expr, symbols: Sequence[sp.Symbol], label="") -> SmoothFn:
     Derivatives and compiled callables are cached per multi-index, on this
     leaf only.  Inside a ``leaf_memo(*lattices)`` block values are also
     memoized, read-only, per multi-index and registered lattice, keyed by
-    the array's identity; any other array is evaluated directly.  Each
-    derivative is compiled with its ``sin``, ``cos``, ``exp``, ... calls
-    printed as atoms: on a registered lattice every leaf and multi-index
-    shares one evaluation of each atom, elsewhere each call computes an
-    atom once.
+    the array's identity; any other array is evaluated directly.  On a
+    lattice with an open mesh the leaf runs on the per-axis arrays, and
+    its result, broadcast and raveled in C order, is the flat columns'
+    bit for bit.  Each derivative is compiled with its ``sin``, ``cos``,
+    ``exp``, ... calls printed as atoms: on a registered lattice every
+    leaf and multi-index shares one evaluation of each atom, elsewhere
+    each call computes an atom once.  ``vanishes(alpha)`` holds where the
+    derivative expression is 0.
     """
     symbols = tuple(symbols)
     dim = len(symbols)
@@ -689,23 +717,29 @@ def from_sympy(expr, symbols: Sequence[sp.Symbol], label="") -> SmoothFn:
                 raise ImportError(f"{d} needs scipy.special: "
                                   "pip install 'colombeau[scipy]'") from err
         return fn
-    def evaluate(alpha, pts):
-        cols = [pts[:, i] for i in range(dim)]
+    def evaluate(alpha, pts, mesh):
+        cols = mesh[0] if mesh else [pts[:, i] for i in range(dim)]
         # Piecewise lowers to np.where, which evaluates every branch;
         # guarded branches may divide by zero or overflow off their piece
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            # a constant derivative lambdifies to a scalar
-            return _per_point(lam(alpha)(*cols), len(pts))
+            out = lam(alpha)(*cols)
+        if mesh and np.ndim(out):  # the lattice's points are the mesh's in C order
+            if out.shape != mesh[1]:  # free of some axis; cheaper than np.broadcast_to
+                full = np.empty(mesh[1])
+                full[...] = out
+                out = full
+            out = out.reshape(-1)
+        return _per_point(out, len(pts))  # a constant derivative lambdifies to a scalar
 
     def pfn(alpha, pts):
         global _atoms
         # the memo holds each registered lattice, so no other live array has its id
-        _, values, atoms = (_memo and _memo.get(id(pts))) or (None, None, {})
+        _, values, atoms, mesh = (_memo and _memo.get(id(pts))) or (None, None, {}, None)
         out = None if values is None else values.get((lam, alpha))
         if out is None:
             outer, _atoms = _atoms, atoms  # the atoms of this array, for this call
             try:
-                out = evaluate(alpha, pts)
+                out = evaluate(alpha, pts, mesh)
             finally:
                 _atoms = outer
             if values is None:
@@ -718,6 +752,7 @@ def from_sympy(expr, symbols: Sequence[sp.Symbol], label="") -> SmoothFn:
 
     fn = SmoothFn(dim, pfn, label=label or sp.srepr(expr)[:40])
     fn._lambdified = lam  # alpha -> the raw callable on columns, for hot loops
+    fn.vanishes = lambda alpha: derivative(mi.check(alpha, dim)) == 0
     return fn
 
 

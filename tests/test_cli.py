@@ -223,6 +223,20 @@ def test_cold_runs_load_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr[-2000:]
 
 
+def test_cold_stokes_run_loads_no_numpy_ma(tmp_path):
+    """The convolution's panel keys are deduplicated without ``np.unique``,
+    whose masked-array test imports ``numpy.ma`` (8-14 ms of a cold run)."""
+    src = str(Path(colombeau.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = ("import sys, colombeau.cli\n"
+            "assert colombeau.cli.main(['run', 'stokes', '--out', sys.argv[1]]) == 0\n"
+            "assert 'numpy.ma' not in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "stokes")], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
 # runs its arguments as its one child and prints that child's peak RSS in KiB;
 # one wrapper per measurement, since RUSAGE_CHILDREN is a maximum over children
 _PEAK_RSS = """

@@ -25,7 +25,7 @@ from colombeau.grid import DEFAULT_GRID, dyadic_grid
 from colombeau.manifolds import euclidean
 from colombeau.mollifier import Mollifier, build_mollifier
 from colombeau.nets import Net, box_lattice, classify_net, sup_norm_on_box, sup_norms
-from colombeau.smooth import SmoothFn, from_sympy, smoothstep_expr
+from colombeau.smooth import SmoothFn, constant, from_sympy, smoothstep_expr
 
 X = sp.Symbol("x")
 
@@ -226,6 +226,36 @@ def test_heaviside_embedding_and_derivative(fourier):
     want = fourier.deriv(0, xs / eps) / eps
     got = f.partial((1,), xs)
     assert np.allclose(got, want, rtol=1e-8, atol=1e-10)
+
+
+@pytest.mark.parametrize("density", ["constant", "quadratic"])
+def test_zero_density_derivatives_skip_their_convolution(fourier, density, monkeypatch):
+    """A density derivative that is zero by construction is not convolved: only
+    the jump terms at the piece's edges evaluate the density, below that order,
+    and the values are the bits of the full sweep, whose terms are exact zeros."""
+    dens = constant(1.0, 1) if density == "constant" else from_sympy(1 - X ** 2 / 4, [X])
+    first_zero = 1 if density == "constant" else 3
+    f = embed_rn(smooth_piece(dens, -0.5, 0.8), fourier).at(2.0 ** -6)
+    pts = np.linspace(-1.2, 1.3, 2000).reshape(-1, 1)
+    pfn, calls = dens._partial_fn, []
+
+    def spy(alpha, x):
+        calls.append((alpha, len(x)))
+        return pfn(alpha, x)
+
+    monkeypatch.setattr(dens, "_partial_fn", spy)
+    got = {}
+    for k in range(first_zero + 2):
+        calls.clear()
+        got[k] = f._partial_fn((k,), pts).tobytes()
+        assert dens.vanishes((k,)) is (k >= first_zero)
+        if k >= first_zero:
+            assert calls and all(alpha[0] < k and m == 1 for alpha, m in calls), k
+        else:
+            assert max(m for alpha, m in calls if alpha == (k,)) > len(pts), k
+    monkeypatch.setattr(dens, "vanishes", lambda alpha: False)  # the full sweep
+    for k in range(first_zero + 2):
+        assert f._partial_fn((k,), pts).tobytes() == got[k], k
 
 
 _BATCH_EPS = (2.0 ** -3, 2.0 ** -6, 2.0 ** -9)

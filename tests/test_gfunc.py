@@ -2,7 +2,9 @@
 values, coherence, association, products, and the atlas embedding."""
 
 import contextlib
+import gc
 import operator
+import weakref
 
 import numpy as np
 import pytest
@@ -29,7 +31,7 @@ from colombeau.errors import (
 )
 from colombeau.gnumber import GeneralizedNumber
 from colombeau.grid import DEFAULT_GRID, dyadic_grid
-from colombeau.manifold import Atlas, GeneralizedPoint, Transition
+from colombeau.manifold import Atlas, Chart, GeneralizedPoint, Transition
 from colombeau.manifolds import circle, euclidean, torus2
 from colombeau.mollifier import build_mollifier
 from colombeau.nets import Net, box_lattice
@@ -466,6 +468,12 @@ def test_overlap_residual_rows_match_eager_reference(name, request):
     assert rep["coherent"] is (name != "incoherent-field")
 
 
+def _points(cols):
+    """The points of a leaf call: its columns side by side, or its open mesh
+    broadcast and raveled in C order, the order of the lattice it stands for."""
+    return np.stack(np.broadcast_arrays(*cols), axis=-1).reshape(-1, len(cols))
+
+
 def test_overlap_residual_evaluates_one_lattice_per_transition(monkeypatch):
     # at n=61 each torus transition is larger than SWEEP_POINTS and sweeps
     # as a block alone: every leaf call sees one transition's boxes
@@ -485,7 +493,8 @@ def test_overlap_residual_evaluates_one_lattice_per_transition(monkeypatch):
         fn = lambdify(*args, **kwargs)
 
         def wrapped(*cols):
-            seen.append((len(cols[0]), np.column_stack(cols).tobytes()))
+            pts = _points(cols)
+            seen.append((len(pts), pts.tobytes(), cols[0].shape))
             return fn(*cols)
 
         return wrapped
@@ -493,8 +502,10 @@ def test_overlap_residual_evaluates_one_lattice_per_transition(monkeypatch):
     monkeypatch.setattr(smooth, "lambdify", recording)
     rep = G.coherence_check(U * V, grid=dyadic_grid(4, 9), n_samples=n)
     assert rep["coherent"] and len(rep["rows"]) == 32
-    assert max(m for m, _ in seen) <= 4 * n ** 2
-    owners = [lattices.get(pts) for _, pts in seen]  # None: no transition's lattice
+    assert max(m for m, _, _ in seen) <= 4 * n ** 2
+    # each torus lattice is boxes of product grids: every leaf sees it as a mesh
+    assert all(len(shape) == 3 and shape[1:] == (n, 1) for _, _, shape in seen)
+    owners = [lattices.get(pts) for _, pts, _ in seen]  # None: no transition's lattice
     assert None not in owners
     assert set(owners) == set(t2.atlas.transitions)
 
@@ -520,14 +531,16 @@ def test_overlap_residual_evaluates_one_lattice_per_chart_and_block(monkeypatch)
         fn = lambdify(*args, **kwargs)
 
         def wrapped(*cols):
-            seen.append(np.column_stack(cols).tobytes())
+            seen.append(_points(cols).tobytes())
             return fn(*cols)
 
         return wrapped
 
     @contextlib.contextmanager
     def registering(*lattices):
-        registered.extend(lattices)
+        for pts, mesh in lattices:  # the broadcast mesh is the lattice, bit for bit
+            assert mesh is not None and _points(mesh).tobytes() == pts.tobytes()
+            registered.append(pts)
         with leaf_memo(*lattices):
             yield
 
@@ -540,6 +553,81 @@ def test_overlap_residual_evaluates_one_lattice_per_chart_and_block(monkeypatch)
     assert seen and set(seen) <= {pts.tobytes() for pts in registered}
     assert sorted(np.unique(pts, axis=0).tobytes() for pts in registered) \
         == sorted(pts.tobytes() for pts in union.values())
+
+
+def _quarter_turn_function():
+    """A function on a square seen from two charts, P and Q = P turned a
+    quarter (y = (-x1, x0)), each part its own sympy leaf.  The image of a
+    product grid under the turn is a product grid with its axes swapped, so
+    chart Q's overlap lattice is not separable axis by axis."""
+    turn = np.array([[0.0, -1.0], [1.0, 0.0]])
+    charts = {name: Chart(name, 2, lambda p: True,
+                          lambda p, m=m: m @ np.asarray(p, dtype=float),
+                          lambda x, m=m: m.T @ np.asarray(x, dtype=float),
+                          ((-1.0, 1.0),) * 2)
+              for name, m in (("P", np.eye(2)), ("Q", turn))}
+    transitions = {("P", "Q"): Transition(lambda x: np.asarray(x) @ turn.T,
+                                          lambda x: np.broadcast_to(turn, (len(x), 2, 2)))}
+    atlas = Atlas("turn", 2, charts, transitions, {("P", "Q"): [((-1.0, 1.0),) * 2]})
+    u0, u1 = sp.symbols("u0 u1")
+    f = sp.sin(3 * u0) * sp.exp(u1 / 3) + u0 * u1 ** 2
+    return G.GeneralizedFunction(atlas, {  # f_Q(y) = f_P(y1, -y0)
+        "P": Net(2, lambda e: from_sympy(f * (1 + e), [u0, u1])),
+        "Q": Net(2, lambda e: from_sympy(f.xreplace({u0: u1, u1: -u0}) * (1 + e), [u0, u1]))})
+
+
+def test_a_lattice_that_is_no_open_mesh_keeps_its_columns_and_rows(monkeypatch):
+    U, grid, n = _quarter_turn_function(), dyadic_grid(4, 9), 9
+    x = box_lattice(((-1.0, 1.0),) * 2, n)
+    meshes, shapes = {}, set()
+    lambdify, leaf_memo = smooth.lambdify, G.leaf_memo
+
+    def recording(*args, **kwargs):
+        fn = lambdify(*args, **kwargs)
+
+        def wrapped(*cols):
+            shapes.add(tuple(c.shape for c in cols))
+            return fn(*cols)
+
+        return wrapped
+
+    @contextlib.contextmanager
+    def registering(*lattices):
+        meshes.update((pts.tobytes(), mesh) for pts, mesh in lattices)
+        with leaf_memo(*lattices):
+            yield
+
+    def rows(rep):
+        return [_row_key(r["slope"], r["max_gap"], r["n_clamped"], r["verdict"])
+                for r in rep["rows"]]
+
+    monkeypatch.setattr(smooth, "lambdify", recording)
+    monkeypatch.setattr(G, "leaf_memo", registering)
+    rep = G.overlap_residual(U, grid, n)
+    assert rep["coherent"] and len(rep["rows"]) == 1
+    # chart P's lattice is the box: a mesh; chart Q's is its turned image: columns
+    assert meshes.keys() == {x.tobytes(), U.atlas.transitions[("P", "Q")].fn(x).tobytes()}
+    assert meshes[x.tobytes()] is not None and list(meshes.values()).count(None) == 1
+    assert shapes == {((1, n, 1), (1, 1, n)), ((n * n,), (n * n,))}
+    monkeypatch.setattr(G, "_open_mesh", lambda pts, n: None)  # columns everywhere
+    assert rows(rep) == rows(G.overlap_residual(U, grid, n))
+    assert rows(rep) == _reference_rows(U.atlas, U.comps, U.valence, grid, n)
+
+
+def test_no_mesh_outlives_its_sweep(monkeypatch):
+    t2 = torus2()
+    U, V = T.random_coherent_functions(t2, count=2, seed=6)
+    open_mesh, refs = G._open_mesh, []
+
+    def spying(pts, n):
+        mesh = open_mesh(pts, n)
+        refs.extend(weakref.ref(m) for m in mesh)
+        return mesh
+
+    monkeypatch.setattr(G, "_open_mesh", spying)
+    assert G.coherence_check(U * V, grid=dyadic_grid(4, 9), n_samples=9)["coherent"]
+    gc.collect()
+    assert len(refs) == 8 and all(r() is None for r in refs) and smooth._memo is None
 
 
 def _evaluations(monkeypatch, check):
@@ -559,7 +647,7 @@ def _evaluations(monkeypatch, check):
 
         def wrapped(*cols):
             calls[serial] += 1
-            triples.add((block[0], serial, np.column_stack(cols).tobytes()))
+            triples.add((block[0], serial, _points(cols).tobytes()))
             return fn(*cols)
 
         return wrapped

@@ -65,6 +65,19 @@ def test_constant_and_coordinate():
     assert np.allclose(x1.partial((0, 2), pts), 0.0)
 
 
+def test_zero_derivatives_known_by_construction():
+    x, y = sp.symbols("x y")
+    assert [constant(3.5, 2).vanishes(a) for a in ((0, 0), (1, 0), (0, 2))] == [False, True, True]
+    assert constant(0.0, 1).vanishes((0,))
+    f = from_sympy(x ** 2 * 3 + y, [x, y])
+    assert [f.vanishes(a) for a in ((0, 0), (2, 0), (3, 0), (0, 1), (0, 2), (1, 1))] == \
+        [False, False, True, False, True, True]
+    assert from_sympy(sp.Float(2.5), [x]).vanishes((1,))
+    # what no constructor states is not known: the query is False
+    assert not coordinate(0, 1).vanishes((2,))
+    assert not (constant(1.0, 1) + constant(2.0, 1)).vanishes((1,))
+
+
 def test_product_leibniz_matches_symbolic():
     x = sp.Symbol("x")
     f = from_sympy(sp.sin(x), [x])
@@ -772,6 +785,94 @@ def test_compiled_leaves_are_sympys_own(family, sympy_calls):
                                       np.ascontiguousarray(want).view(np.int64)), alpha
             else:
                 assert got is want, alpha
+
+
+# -- leaves on an open mesh ---------------------------------------------------
+
+
+def _torus_image_axes(n):
+    """The open mesh of the image lattice of the torus transition AA -> BB
+    (four boxes of n x n points): axis arrays of shapes (4, n, 1), (4, 1, n)."""
+    t2 = manifolds.torus2()
+    x = np.concatenate([box_lattice(box, n) for box in t2.atlas.overlap_boxes[("AA", "BB")]])
+    y = t2.atlas.transitions[("AA", "BB")].fn(x)
+    mesh = gfunc._open_mesh(y, n)
+    assert mesh is not None and [m.shape for m in mesh] == [(4, n, 1), (4, 1, n)]
+    return mesh
+
+
+def _mesh_lattice(kind, dim):
+    """(read-only lattice, its open mesh) in ``dim`` axes: boxes of n^dim
+    product-grid points at seeded abscissae for ``kind`` "n x boxes"; or the
+    axes of a torus image lattice, taken in turn, for "torus-image"."""
+    if kind == "torus-image":
+        axes = _torus_image_axes(61)
+        mesh = [axes[i % 2] for i in range(dim)]
+    else:
+        n, boxes = map(int, kind.split("x"))
+        rng = np.random.default_rng(dim)
+        mesh = [rng.uniform(-1.6, 1.6, size=boxes * n).reshape(
+            (boxes,) + tuple(n if j == i else 1 for j in range(dim))) for i in range(dim)]
+    pts = np.stack(np.broadcast_arrays(*mesh), axis=-1).reshape(-1, dim).copy()
+    pts.flags.writeable = False
+    return pts, mesh
+
+
+@pytest.mark.parametrize("kind", ["9x1", "9x4", "61x1", "61x4", "torus-image"])
+@pytest.mark.parametrize("family", sorted(_LEAF_FAMILIES))
+def test_leaves_on_an_open_mesh_are_bitwise_flat(family, kind):
+    """A leaf evaluated through a registered lattice's per-axis arrays gives its
+    flat-column values bit for bit at orders 0-2 (odd axis lengths leave SIMD
+    tail lanes), or raises what the flat call raises."""
+    for expr, symbols in _LEAF_FAMILIES[family]():
+        f, dim = from_sympy(expr, symbols), len(symbols)
+        pts, mesh = _mesh_lattice(kind, dim)
+        if dim > 1 and kind != "torus-image":  # the builder finds the same mesh
+            n = mesh[0].shape[1]
+            assert [m.tobytes() for m in gfunc._open_mesh(pts, n)] == \
+                [m.tobytes() for m in mesh]
+        for alpha in mi.up_to(dim, 2):
+            flat = _outcome(lambda: f._partial_fn(alpha, pts))
+            with smooth.leaf_memo((pts, mesh)):  # one block per multi-index: small memo
+                got = _outcome(lambda: f._partial_fn(alpha, pts))
+            if isinstance(flat, np.ndarray):
+                assert got.shape == (len(pts),) and got.tobytes() == flat.tobytes(), alpha
+            else:
+                assert got is flat, alpha
+
+
+def test_open_mesh_needs_product_grids():
+    n = 9
+    pts = box_lattice(((-1.0, 1.0), (0.0, 2.0)), n)
+    assert [m.shape for m in gfunc._open_mesh(pts, n)] == [(1, n, 1), (1, 1, n)]
+    assert gfunc._open_mesh(pts[:, ::-1].copy(), n) is None  # axes swapped: a quarter turn
+    assert gfunc._open_mesh(pts[:, :1].copy(), n) is None  # 1-d: the columns serve
+    bent = pts.copy()
+    bent[5, 1] = np.nextafter(bent[5, 1], 9.0)  # one bit off the grid
+    assert gfunc._open_mesh(bent, n) is None
+    signed = pts.copy()
+    signed[np.flatnonzero(signed[:, 0] == 0.0)[0], 0] = -0.0  # -0.0 is another bit pattern
+    assert gfunc._open_mesh(signed, n) is None
+
+
+def test_leaf_memo_checks_and_drops_its_meshes():
+    x, y = sp.symbols("x y")
+    f = from_sympy(sp.sin(x) * sp.cos(y), [x, y])
+    pts, mesh = _mesh_lattice("9x4", 2)
+    with pytest.raises(ValueError, match="mesh"):
+        with smooth.leaf_memo((pts, mesh[:1])):  # an axis short
+            pass
+    with pytest.raises(ValueError, match="mesh"):
+        with smooth.leaf_memo((pts, [mesh[0], mesh[1][..., :2]])):  # 72 points, not 324
+            pass
+    refs = [weakref.ref(m) for m in mesh]
+    with smooth.leaf_memo((pts, mesh)):
+        del mesh
+        assert all(r() is not None for r in refs)  # the block holds the mesh
+        v = f._partial_fn((1, 1), pts)
+    assert smooth._memo is None
+    assert all(r() is None for r in refs)  # and no longer after it
+    assert v.tobytes() == f._partial_fn((1, 1), pts).tobytes()
 
 
 # -- first derivatives without Derivative ------------------------------------
