@@ -30,7 +30,7 @@ from .grid import DEFAULT_GRID
 from .manifold import Atlas, GeneralizedPoint, Transition
 from .manifolds import Manifold
 from .mollifier import Mollifier
-from .nets import (Net, _as_net, _auto_samples, box_lattice, classify_net, lattice_sup,
+from .nets import (Net, _as_net, _auto_samples, box_lattices, classify_net, lattice_sup,
                    sup_norm_on_box, sup_norms)
 from .quadrature import Sweep, cubature
 from .smooth import SmoothFn, from_sympy, leaf_memo, smoothstep_expr
@@ -278,61 +278,59 @@ def _block_gaps(section: GeneralizedSection, block: list, grid, n_samples: int) 
     parts: dict[str, list] = {}  # chart -> the block's points in it, in order
     jobs = []
     for (a, b), tr in block:
-        lattices = [box_lattice(box, n_samples) for box in atlas.overlap_boxes[(a, b)]]
-        x = np.concatenate(lattices)
+        boxes = atlas.overlap_boxes[(a, b)]
+        x = box_lattices(boxes, n_samples)
         # x and its image y join their charts' lattices at these slices
         xs, ys = (slice(k, k + len(x)) for k in
                   [sum(map(len, parts.setdefault(c, []))) for c in (a, b)])
         parts[a].append(x)
         parts[b].append(tr.fn(x))
-        # the weights need J on lower slots and its inverse on upper ones
+        # W[kb, ka] is the product, in slot order, of inverse-J entries on upper
+        # slots and J entries on lower ones, one (m,) row per pair; rank 0 has
+        # none: the pullback is the chart-b value itself
         jac = np.asarray(tr.jac(x), dtype=float) if r + s else None
         jinv = np.linalg.inv(jac) if r else None
-        weights = []  # per chart-a component, one array per chart-b component
-        for idx in comps[a]:
-            weights.append([])
-            for kdx in comps[b]:
-                w = np.ones(len(x))
-                for ai in range(r):
-                    w = w * jinv[:, idx[ai], kdx[ai]]
-                for bi in range(s):
-                    w = w * jac[:, kdx[r + bi], idx[r + bi]]
-                weights[-1].append(w)
-        starts = np.cumsum([0] + [len(p) for p in lattices[:-1]])
+        ia, kb = np.array(list(comps[a]))[None], np.array(list(comps[b]))[:, None]
+        factors = [jinv.transpose(1, 2, 0)[ia[..., i], kb[..., i]] for i in range(r)]
+        factors += [jac.transpose(1, 2, 0)[kb[..., i], ia[..., i]] for i in range(r, r + s)]
+        weights = functools.reduce(operator.mul, factors) if factors else None
+        starts = np.arange(len(boxes)) * (len(x) // len(boxes))
         jobs.append(((a, b), starts, xs, ys, weights))
     lattice = {c: np.concatenate(p) for c, p in parts.items()}
     for pts in lattice.values():  # the leaf memo keys them by identity
         pts.flags.writeable = False
 
+    def stacked(fns, alphas, pts):  # (K, m): each f at each alpha; one row is a view
+        v = [f._partial_fn(al, pts) for f in fns for al in alphas]
+        return v[0][None] if len(v) == 1 else np.stack(v)
+
     def gaps_at(e):
         fns = {c: [net.at(e) for net in comps[c].values()] for c in lattice}  # C order
-        vals = {c: [f._partial_fn(zero, lattice[c]) for f in fns[c]] for c in lattice}
+        vals = {c: stacked(fns[c], [zero], lattice[c]) for c in lattice}
         grads = {}  # chart -> its components' first derivatives, once a box needs them
         out = []
         for (a, b), starts, xs, ys, weights in jobs:
 
-            def raise_to(acc, v):
-                # per box: the max of |v| over its own slice joins the running
-                # sup; np.maximum lets a NaN through, so a NaN box stays NaN
-                return np.maximum(acc, np.maximum.reduceat(np.abs(v), starts))
+            def box_sup(v):
+                # per box the max of |v| over its own slice and every row; a
+                # max lets a NaN through, so a NaN box stays NaN
+                sups = np.maximum.reduceat(np.abs(v), starts, axis=-1)
+                return sups[0] if len(sups) == 1 else sups.max(axis=0)
 
-            gap, s0, s1 = (np.zeros(len(starts)) for _ in range(3))
-            vb = [v[ys] for v in vals[b]]
-            for va, row in zip(vals[a], weights):
-                va = va[xs]
-                pullback = np.zeros(len(va))
-                for w, v in zip(row, vb):
-                    pullback = pullback + w * v
-                gap = raise_to(gap, va - pullback)
-                s0 = raise_to(raise_to(s0, va), pullback)
+            va, pullback = vals[a][:, xs], vals[b][:, ys]
+            if weights is not None:
+                vb, pullback = pullback, weights[0] * pullback[0]
+                for w, v in zip(weights[1:], vb[1:]):
+                    pullback += w * v
+            gap = box_sup(va - pullback)
+            s0 = np.maximum(box_sup(va), box_sup(pullback))
+            s1 = np.zeros(len(starts))
             # COHERENCE_GRAD_RTOL * s1 >= 0, so the derivative scale can only
             # decide the clamp of a box the value term alone does not clamp
             if np.any(gap > COHERENCE_RTOL * s0):
                 if a not in grads:
-                    grads[a] = [f._partial_fn(mi.unit(dim, i), lattice[a])
-                                for f in fns[a] for i in range(dim)]
-                for g in grads[a]:
-                    s1 = raise_to(s1, g[xs])
+                    grads[a] = stacked(fns[a], [mi.unit(dim, i) for i in range(dim)], lattice[a])
+                s1 = box_sup(grads[a][:, xs])
             # a non-finite gap or scale must not clamp: it reads NaN
             finite = np.isfinite(gap) & np.isfinite(s0) & np.isfinite(s1)
             clamp = gap <= COHERENCE_RTOL * s0 + COHERENCE_GRAD_RTOL * s1
@@ -380,11 +378,14 @@ def overlap_residual(section: GeneralizedSection, grid, n_samples: int) -> dict:
     shifts, but not under a quarter turn.  Per eps each chart component,
     and its first derivatives when a box needs them, is evaluated once on
     its chart's lattice; each transition reads slices of those values,
-    each box its sup from its own slice.  The pullback weights (products of
-    J and inverse-J entries) are computed once per transition.  A
-    block's lattices, weights and memo are dropped after it, so memory
-    is bounded by the larger of ``SWEEP_POINTS`` and one transition's
-    points.  The family is coherent when every fit is negligible.
+    each box its sup from its own slice, over every component.  A
+    transition's boxes are one lattice, built at once, and its weights one
+    (K_b, K_a, m) array of J and inverse-J entry products; the pullback
+    adds the K_b weighted chart-b values in order, and at rank 0 it is the
+    chart-b value itself.  A block's lattices, weights and memo are
+    dropped after it, so memory is bounded by the larger of
+    ``SWEEP_POINTS`` and one transition's points.  The family is coherent
+    when every fit is negligible.
     """
     atlas, comps = section.atlas, section.comps
     grid = tuple(float(e) for e in grid)

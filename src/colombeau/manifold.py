@@ -255,10 +255,6 @@ class GeneralizedPoint:
             raise NotComparable(f"coords net returned shape {c.shape}")
         return c
 
-    def in_box(self, eps: float) -> bool:
-        c = self.coords_at(eps)
-        return all(lo <= v <= hi for v, (lo, hi) in zip(c, self.box))
-
 
 def point_equiv(p: GeneralizedPoint, q: GeneralizedPoint) -> tuple[bool, AsymptoticFit]:
     """Equivalence of generalized points: coordinate gap is negligible.

@@ -132,11 +132,6 @@ class SymplecticForm:
         m[n:, :n] = -np.eye(n)
         return m
 
-    @property
-    def inverse_matrix(self) -> np.ndarray:
-        # analytic inverse of the canonical block matrix, not a solve
-        return -self.matrix
-
     def as_form(self, space) -> GeneralizedKForm:
         atlas = _atlas_of(space)
         if atlas.dim != self.dim:

@@ -22,17 +22,31 @@ from .quadrature import POINT_BUDGET
 from .smooth import SmoothFn, constant
 
 
-def box_lattice(box, n_samples: int = 201) -> np.ndarray:
-    """Uniform lattice on a product box, shape (n_samples^dim, dim); ValueError,
-    before allocating, above ``quadrature.POINT_BUDGET`` points."""
-    points = int(n_samples) ** len(box)
-    if points > POINT_BUDGET:
-        raise ValueError(f"a {n_samples}-per-axis lattice in {len(box)}-d has {points} "
+def box_lattices(boxes, n_samples: int = 201) -> np.ndarray:
+    """Uniform lattices on S product boxes of one dimension, box after box,
+    shape (S * n_samples^dim, dim): each box's points in C order of its axes,
+    every axis ``np.linspace(lo, hi, n_samples)`` bit for bit; ValueError,
+    before allocating, above ``quadrature.POINT_BUDGET`` points per box."""
+    n, dim = int(n_samples), len(boxes[0])
+    if n ** dim > POINT_BUDGET:
+        raise ValueError(f"a {n}-per-axis lattice in {dim}-d has {n ** dim} "
                          f"points, over the budget {POINT_BUDGET}")
-    box = [(float(lo), float(hi)) for lo, hi in box]
-    axes = [np.linspace(lo, hi, n_samples) for lo, hi in box]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+    lo, hi = np.moveaxis(np.array(boxes, dtype=float), -1, 0)  # each (S, dim)
+    # once one row has a zero step linspace spaces all by its rule for those
+    flat = (hi - lo) / max(n - 1, 1) == 0
+    axes = np.empty((n,) + lo.shape)
+    for rows in (flat, ~flat) if flat.any() else (...,):
+        axes[:, rows] = np.linspace(lo[rows], hi[rows], n)
+    pts = np.empty((len(lo) * n ** dim, dim))
+    grid = pts.reshape((len(lo),) + (n,) * dim + (dim,))  # a view: fills write pts
+    for i in range(dim):  # axis i varies along lattice axis i, broadcast along the rest
+        grid[..., i] = axes[:, :, i].T.reshape((len(lo),) + (1,) * i + (n,) + (1,) * (dim - 1 - i))
+    return pts
+
+
+def box_lattice(box, n_samples: int = 201) -> np.ndarray:
+    """Uniform lattice on a product box, shape (n_samples^dim, dim): ``box_lattices``."""
+    return box_lattices([box], n_samples)
 
 
 def lattice_sup(f: SmoothFn, alpha, box, n_samples: int = 201) -> tuple[float, np.ndarray]:

@@ -245,7 +245,9 @@ class SmoothFn(Pointwise):
         a product by the Leibniz rule, left factor first (the sum of its terms
         depends on their order), and a number c times f as ``c * f``: the
         Leibniz terms 0 * f' of a constant would turn -0.0 into 0.0 and inf
-        into NaN."""
+        into NaN.  A Leibniz term is ``(c * f_beta) * g_rest``, with no ``c *``
+        for a binomial 1; the sum is the first term plus 0.0 (as from zeros:
+        -0.0 reads 0.0), then the later terms in order, in place."""
         product = op is operator.mul or op is rmul
         if is_number(other):
             if product:
@@ -262,9 +264,11 @@ class SmoothFn(Pointwise):
 
             def pfn(alpha, pts):
                 # general Leibniz rule; exact given exact factor derivatives
-                acc = np.zeros(pts.shape[0])
+                acc = None
                 for beta, c, rest in mi.leibniz_terms(alpha):
-                    acc = acc + c * f._partial_fn(beta, pts) * g._partial_fn(rest, pts)
+                    fb = f._partial_fn(beta, pts)
+                    term = (fb if c == 1 else c * fb) * g._partial_fn(rest, pts)
+                    acc = np.add(term, 0.0, out=term) if acc is None else np.add(acc, term, out=acc)
                 return acc
         else:
 

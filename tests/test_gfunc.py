@@ -29,6 +29,7 @@ from colombeau.errors import (
     PartitionMismatch,
     QuadratureFailure,
 )
+from colombeau.forms import random_kform, wedge
 from colombeau.gnumber import GeneralizedNumber
 from colombeau.grid import DEFAULT_GRID, dyadic_grid
 from colombeau.manifold import Atlas, Chart, GeneralizedPoint, Transition
@@ -258,7 +259,8 @@ def _zero_test_agrees_with_classify(U, grid):
     for w in rep["witnesses"]:
         p = w["point"]
         assert p.chart == w["chart"] and p.box == U.atlas.charts[p.chart].sample_box
-        assert all(p.in_box(e) for e in grid)
+        assert all(lo <= v <= hi for e in grid
+                   for v, (lo, hi) in zip(p.coords_at(e), p.box))
         (row,) = [r for r in rows if r["chart"] == w["chart"]]
         again = G.point_value(U, p, grid).classify()
         for magnitudes in (again.magnitudes, row["magnitudes"]):
@@ -378,6 +380,7 @@ def _reference_rows(atlas, comps, valence, grid, n_samples):
             jinv = np.linalg.inv(jac) if r else None
 
             def gap_at(e):
+                # np.max and np.maximum let a NaN through
                 gap, s0, s1 = 0.0, 0.0, 0.0
                 vb = {kdx: np.asarray(cb[kdx].at(e)._partial_fn(zero, y)) for kdx in cb}
                 for idx in ca:
@@ -391,16 +394,23 @@ def _reference_rows(atlas, comps, valence, grid, n_samples):
                         for bi in range(s):
                             w = w * jac[:, kdx[r + bi], idx[r + bi]]
                         pullback = pullback + w * vb[kdx]
-                    gap = max(gap, float(np.max(np.abs(va - pullback))))
-                    s0 = max(s0, float(np.max(np.abs(va))),
-                             float(np.max(np.abs(pullback))))
+                    gap = np.maximum(gap, np.max(np.abs(va - pullback)))
+                    s0 = np.maximum(s0, np.maximum(np.max(np.abs(va)),
+                                                   np.max(np.abs(pullback))))
                     for i in range(dim):
-                        s1 = max(s1, float(np.max(np.abs(
-                            fa._partial_fn(mi.unit(dim, i), x)))))
+                        s1 = np.maximum(s1, np.max(np.abs(
+                            fa._partial_fn(mi.unit(dim, i), x))))
+                if not np.isfinite([gap, s0, s1]).all():
+                    return np.nan  # a non-finite gap or scale does not clamp
                 return (0.0 if gap <= G.COHERENCE_RTOL * s0 + G.COHERENCE_GRAD_RTOL * s1
-                        else gap)
+                        else float(gap))
 
-            fit = GeneralizedNumber.from_fn(gap_at, grid).classify()
+            gaps = {e: gap_at(e) for e in grid}
+            if not np.isfinite(list(gaps.values())).all():
+                rows.append(_row_key(np.nan, np.nan, list(gaps.values()).count(0.0),
+                                     "non-finite"))
+                continue
+            fit = GeneralizedNumber.from_fn(gaps.__getitem__, grid).classify()
             rows.append(_row_key(fit.slope, float(max(fit.magnitudes)),
                                  fit.n_clamped, fit.verdict))
     return rows
@@ -443,6 +453,34 @@ def _residual_inputs(name, request):
             "U": Net(1, lambda e: from_sympy(sp.sin(x / e), [x])),
             "V": Net(1, lambda e: from_sympy(sp.sin(x_of_y / e), [y]))})
         return U, dyadic_grid(4, 14), 41
+    if name == "torus-two-tensor":
+        # four components per chart: the pullback sums a stack of them
+        return T.random_tensor_field(torus2(), (0, 2), seed=21), dyadic_grid(4, 9), 9
+    if name == "torus-two-form":
+        t2 = torus2()
+        return wedge(random_kform(t2, 1, seed=8),
+                     random_kform(t2, 1, seed=9)).to_tensor(), dyadic_grid(4, 9), 9
+    if name == "cubic-mixed-tensor":
+        # T^x_x is invariant: the weight J^-1 * J of a (1, 1) tensor, rounded
+        atlas, (x, y) = request.getfixturevalue("cubic_line").atlas, sp.symbols("x y")
+        x_of_y = 2 / sp.sqrt(3) * sp.sinh(sp.asinh(sp.Rational(3, 2) * sp.sqrt(3) * y) / 3)
+        return T.GeneralizedTensorField(atlas, (1, 1), {
+            "U": [[from_sympy(sp.sin(x) * sp.exp(x / 4), [x])]],
+            "V": [[from_sympy(sp.sin(x_of_y) * sp.exp(x_of_y / 4), [y])]]}), dyadic_grid(4, 9), 41
+    if name == "turned-mixed-tensor":
+        # a turn by 0.3 rad: four components, every weight a rounded
+        # product of an inverse-J entry and a J entry; not coherent
+        c, s = np.cos(0.3), np.sin(0.3)
+        u0, u1 = sp.symbols("u0 u1")
+        parts = [[sp.sin(u0) * u1, sp.cos(u1 - u0)], [sp.exp(u0 / 3), u0 * u1 ** 2]]
+        return T.GeneralizedTensorField(_turned_atlas(np.array([[c, -s], [s, c]])), (1, 1), {
+            chart: [[Net(2, lambda e, f=f, k=k: from_sympy(f * (1 + k * e), [u0, u1]))
+                     for f in row] for row in parts] for k, chart in enumerate("PQ")}), \
+            dyadic_grid(4, 9), 9
+    if name == "non-finite-function":
+        return _non_finite_section((0, 0)), dyadic_grid(4, 9), 9
+    if name == "non-finite-one-form":  # NaN in one component of a stack of two
+        return _non_finite_section((0, 1)), dyadic_grid(4, 9), 9
     atlas, x0 = request.getfixturevalue("scaled_line"), sp.Symbol("x0")
     if name == "jacobian-field":
         F = T.GeneralizedTensorField(atlas, (1, 0), {
@@ -453,19 +491,50 @@ def _residual_inputs(name, request):
     return F, dyadic_grid(4, 9), 17
 
 
+def _non_finite_section(valence):
+    """A section on the torus, every derivative alike: component 0 of chart
+    AA is NaN on part of its (+, +) quarter, +inf on part of (-, -), -inf on
+    part of (+, -), and -0.0 elsewhere; every other component is -0.0."""
+
+    def pattern(alpha, pts):
+        x0, x1 = pts[:, 0], pts[:, 1]
+        on = lambda v, lo: (lo <= v) & (v <= lo + 0.6)
+        return np.where(on(x0, 0.4) & on(x1, 0.4), np.nan,
+                        np.where(on(x0, -1.0) & on(x1, -1.0), np.inf,
+                                 np.where(on(x0, 0.4) & on(x1, -1.0), -np.inf, -0.0)))
+
+    t2 = torus2()
+    zero = SmoothFn(2, lambda alpha, pts: np.full(len(pts), -0.0))
+    comps = {c: {K: SmoothFn(2, pattern) if c == "AA" and not any(K) else zero
+                 for K in np.ndindex((2,) * sum(valence))} for c in t2.atlas.charts}
+    return T.GeneralizedTensorField(t2, valence, comps) if any(valence) \
+        else G.GeneralizedFunction(t2, {c: part[()] for c, part in comps.items()})
+
+
 @pytest.mark.parametrize("name", ["circle-product", "torus-field-apply", "torus-bracket",
                                   "incoherent-field", "embedded-dirac", "rough-cubic",
-                                  "jacobian-field", "jacobian-one-form"])
+                                  "jacobian-field", "jacobian-one-form", "torus-two-tensor",
+                                  "torus-two-form", "cubic-mixed-tensor",
+                                  "turned-mixed-tensor", "non-finite-function",
+                                  "non-finite-one-form"])
 def test_overlap_residual_rows_match_eager_reference(name, request):
-    # the per-transition lattice, the sweep's leaf memo and its skipped
-    # derivative scale change no row: slopes and max gaps bitwise, clamp
-    # counts and verdicts exactly
+    # the per-transition lattice, the sweep's leaf memo, its stacked
+    # components and weights and its skipped derivative scale change no
+    # row: slopes and max gaps bitwise, clamp counts and verdicts exactly
     section, grid, n = _residual_inputs(name, request)
-    rep = G.overlap_residual(section, grid, n)
+    with np.errstate(invalid="ignore" if "non-finite" in name else "warn"):  # 0 * inf, inf - inf
+        rep = G.overlap_residual(section, grid, n)
+        want = _reference_rows(section.atlas, section.comps, section.valence, grid, n)
     got = [_row_key(row["slope"], row["max_gap"], row["n_clamped"], row["verdict"])
            for row in rep["rows"]]
-    assert got == _reference_rows(section.atlas, section.comps, section.valence, grid, n)
-    assert rep["coherent"] is (name != "incoherent-field")
+    assert got == want
+    incoherent = name in ("incoherent-field", "turned-mixed-tensor") or "non-finite" in name
+    assert rep["coherent"] is not incoherent
+    if "non-finite" in name:  # NaN, +inf and -inf boxes, and clamped -0.0 ones
+        verdicts = [row["verdict"] for row in rep["rows"]]
+        assert verdicts.count("non-finite") and verdicts.count("negligible")
+        for row in rep["rows"]:
+            assert (row["n_clamped"] == len(grid)) is (row["verdict"] != "non-finite")
 
 
 def _points(cols):
@@ -555,12 +624,9 @@ def test_overlap_residual_evaluates_one_lattice_per_chart_and_block(monkeypatch)
         == sorted(pts.tobytes() for pts in union.values())
 
 
-def _quarter_turn_function():
-    """A function on a square seen from two charts, P and Q = P turned a
-    quarter (y = (-x1, x0)), each part its own sympy leaf.  The image of a
-    product grid under the turn is a product grid with its axes swapped, so
-    chart Q's overlap lattice is not separable axis by axis."""
-    turn = np.array([[0.0, -1.0], [1.0, 0.0]])
+def _turned_atlas(turn):
+    """Two charts on a square, P and Q = P turned by the matrix ``turn``
+    (y = turn @ x), and the one transition P -> Q."""
     charts = {name: Chart(name, 2, lambda p: True,
                           lambda p, m=m: m @ np.asarray(p, dtype=float),
                           lambda x, m=m: m.T @ np.asarray(x, dtype=float),
@@ -568,7 +634,15 @@ def _quarter_turn_function():
               for name, m in (("P", np.eye(2)), ("Q", turn))}
     transitions = {("P", "Q"): Transition(lambda x: np.asarray(x) @ turn.T,
                                           lambda x: np.broadcast_to(turn, (len(x), 2, 2)))}
-    atlas = Atlas("turn", 2, charts, transitions, {("P", "Q"): [((-1.0, 1.0),) * 2]})
+    return Atlas("turn", 2, charts, transitions, {("P", "Q"): [((-1.0, 1.0),) * 2]})
+
+
+def _quarter_turn_function():
+    """A function on a square seen from two charts, P and Q = P turned a
+    quarter (y = (-x1, x0)), each part its own sympy leaf.  The image of a
+    product grid under the turn is a product grid with its axes swapped, so
+    chart Q's overlap lattice is not separable axis by axis."""
+    atlas = _turned_atlas(np.array([[0.0, -1.0], [1.0, 0.0]]))
     u0, u1 = sp.symbols("u0 u1")
     f = sp.sin(3 * u0) * sp.exp(u1 / 3) + u0 * u1 ** 2
     return G.GeneralizedFunction(atlas, {  # f_Q(y) = f_P(y1, -y0)

@@ -291,6 +291,7 @@ def test_point_equiv_not_comparable_without_a_transition(scaled_line):
 def test_generalized_point_box(s1):
     p = GeneralizedPoint(s1.atlas, "A", lambda eps: np.array([0.5 + eps]),
                          ((0.4, 0.6),))
-    assert p.in_box(0.01)
-    assert not p.in_box(0.2)
+    (lo, hi), = p.box
+    assert lo <= p.coords_at(0.01)[0] <= hi
+    assert not lo <= p.coords_at(0.2)[0] <= hi
     assert wrap_pi(7.0) == pytest.approx(7.0 - TWO_PI)

@@ -1,15 +1,18 @@
 """Nets and lattice sup-norms."""
 
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 import sympy as sp
 
 from colombeau.errors import DerivativeUnavailable, DimensionMismatch
+from colombeau.gfunc import GeneralizedFunction, overlap_residual
+from colombeau.manifolds import torus2
 from colombeau.experiments import ExperimentConfig, run_experiment
-from colombeau.nets import (AUTO_LATTICE_CAP, Net, _auto_samples, box_lattice, classify_net,
-                            lattice_sup, sup_norm_on_box, sup_norms)
+from colombeau.nets import (AUTO_LATTICE_CAP, Net, _auto_samples, box_lattice, box_lattices,
+                            classify_net, lattice_sup, sup_norm_on_box, sup_norms)
 from colombeau.quadrature import POINT_BUDGET
 from colombeau.smooth import constant, from_sympy
 
@@ -111,6 +114,49 @@ def test_lattice_point_budget(gauss2d):
     assert 2896 ** 2 <= POINT_BUDGET < 2897 ** 2  # the first refused request in 2-d
     with pytest.raises(ValueError, match="budget"):
         box_lattice(box, 2897)
+
+
+def _meshgrid_lattice(box, n):
+    """One box's lattice as an explicit meshgrid of per-axis linspaces, stacked."""
+    axes = [np.linspace(float(lo), float(hi), n) for lo, hi in box]
+    return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+
+
+@pytest.mark.parametrize("n", [2, 9, 61])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("n_boxes", [1, 4])
+def test_box_lattices_are_meshgrids_bit_for_bit(n_boxes, dim, n):
+    # S boxes built at once are each box's meshgrid, box after box, bit for
+    # bit: zero-width axes, subnormal widths and -0.0 bounds among them
+    rng = np.random.default_rng(100 * dim + n)
+    specials = [(0.7, 0.7), (-1.0, -1.0 + 1e-320), (-3.0, -0.0), (np.pi, -np.e)]
+    boxes = [tuple(specials[(s + i) % 4] if rng.random() < 0.3
+                   else tuple(sorted(rng.normal(size=2) * 10.0 ** rng.integers(-3, 3)))
+                   for i in range(dim)) for s in range(n_boxes)]
+    got = box_lattices(boxes, n)
+    want = np.concatenate([_meshgrid_lattice(box, n) for box in boxes])
+    assert got.shape == want.shape == (n_boxes * n ** dim, dim)
+    assert got.view(np.int64).tobytes() == want.view(np.int64).tobytes()
+    first = box_lattice(boxes[0], n)
+    assert first.view(np.int64).tobytes() == _meshgrid_lattice(boxes[0], n).view(np.int64).tobytes()
+    assert first.base is None  # a read-only copy of it is a leaf-memo lattice
+
+
+def test_over_budget_lattices_are_refused_before_allocating():
+    t2 = torus2()
+    n = 2897  # the first refused request in 2-d: 8.4e6 points, 134 MB per chart
+    U = GeneralizedFunction(t2.atlas, {c: constant(1.0, 2) for c in t2.atlas.charts})
+    tracemalloc.start()
+    try:
+        for refuse in (lambda: box_lattice(((-1.0, 1.0),) * 2, n),
+                       lambda: box_lattices(t2.atlas.overlap_boxes[("AA", "BB")], n),
+                       lambda: overlap_residual(U, [0.5, 0.25], n)):
+            tracemalloc.reset_peak()
+            with pytest.raises(ValueError, match="budget"):
+                refuse()
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

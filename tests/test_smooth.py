@@ -91,6 +91,37 @@ def test_product_leibniz_matches_symbolic():
         assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
 
 
+_SPECIAL = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 1.5, -2.0, -0.0, 3.0, np.inf, 0.0])
+
+
+def _special_fn(shift):
+    """A 2-d SmoothFn whose d^alpha is ``_SPECIAL`` rolled by an alpha-dependent
+    amount: factors of -0.0, +-inf and NaN, and 0 * inf across them."""
+    return SmoothFn(2, lambda alpha, pts: np.roll(_SPECIAL, shift + 3 * alpha[0] + 5 * alpha[1]))
+
+
+@pytest.mark.parametrize("alpha", mi.up_to(2, 2))
+@pytest.mark.parametrize("shift", [0, 1, 4])
+def test_leibniz_product_is_the_sum_from_zeros_bit_for_bit(alpha, shift):
+    # the product's terms, without the c * of a binomial 1 and summed from
+    # the first term plus 0.0, are the old sum from zeros: -0.0, inf, NaN
+    # and 0 * inf included, compared as bits
+    f, g = _special_fn(shift), _special_fn(2 * shift + 1)
+    pts = np.zeros((len(_SPECIAL), 2))
+
+    def oracle(a, b):
+        acc = np.zeros(len(pts))
+        for beta, c, rest in mi.leibniz_terms(alpha):
+            acc = acc + c * a._partial_fn(beta, pts) * b._partial_fn(rest, pts)
+        return acc
+
+    with np.errstate(all="ignore"):
+        for a, b, product in ((f, g, f * g), (g, f, g * f), (f, g, g.__rmul__(f))):
+            got, want = product._partial_fn(alpha, pts), oracle(a, b)
+            assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+    assert any(c != 1 for _, c, _ in mi.leibniz_terms((2, 0)))  # a binomial 2 is covered
+
+
 @pytest.mark.parametrize("alpha", [(0,), (3,), (0, 0), (2, 1), (1, 0, 2), (3, 3)])
 def test_leibniz_terms_match_the_index_helpers(alpha):
     # the cached terms are the products' old triples, in sub_indices order
