@@ -304,6 +304,7 @@ def _block_gaps(section: GeneralizedSection, block: list, grid, n_samples: int) 
         v = [f._partial_fn(al, pts) for f in fns for al in alphas]
         return v[0][None] if len(v) == 1 else np.stack(v)
 
+    @np.errstate(invalid="ignore")  # 0 * inf and inf - inf: NaN, a "non-finite" row
     def gaps_at(e):
         fns = {c: [net.at(e) for net in comps[c].values()] for c in lattice}  # C order
         vals = {c: stacked(fns[c], [zero], lattice[c]) for c in lattice}

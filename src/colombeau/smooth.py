@@ -8,14 +8,19 @@ for products, affine substitutions, linear combinations).
 Points are arrays of shape (..., dim); in dimension one a bare scalar or
 a shape (m,) array is also accepted.
 
-A ``from_sympy`` leaf differentiates once per multi-index, from its cached
-parent: alpha with its last nonzero axis zeroed, differentiated along that
-axis.  That is the chain of ``sp.diff`` calls of differentiating from
-scratch axis by axis, and each step gives ``sp.diff``'s expression
-(``_diff``).  A derivative of any order applies each node's own rule and
-recurses with itself where the rule would call ``.diff``, so it builds no
-``Derivative`` per node and skips that constructor's ``is_zero`` query of
-each first derivative.  At order n >= 2 it follows
+A ``from_sympy`` leaf differentiates once per multi-index, from its
+cached parent: alpha with its last nonzero axis zeroed, differentiated
+along that axis.  That is the chain of ``sp.diff`` calls of
+differentiating from scratch axis by axis, and each step gives
+``sp.diff``'s expression (``_diff``).  A derivative of any order applies
+each node's own rule and recurses with itself where the rule would call
+``.diff``, so it builds no ``Derivative`` per node and skips that
+constructor's ``is_zero`` query of each first derivative.  At n = 1 a
+number c times one factor g, with ``Mul(0, g)`` zero and ``k*rest`` the
+derivative of g, is ``Mul(c*k, rest)``: Leibniz's ``0*g + c*dg``, in the
+arguments a sum collecting it multiplies again, which then hit sympy's
+cache (a sum ``rest`` with k != 1 is left to ``0 + Mul(c, dg)``, which
+keeps a rational ``c*k*(sum)`` unexpanded).  At order n >= 2 it follows
 ``_eval_derivative_n_times``: a product's multinomial Leibniz terms, and
 for a sum, power or function n steps of the node's first-order rule, to
 a fixed point; each factor differentiated k >= 2 times is tested with
@@ -52,8 +57,13 @@ same order and the values are bitwise those of plain ``lambdify``.
 Sums, and a number times a symbol, sum, numpy function or positive
 integer power of a symbol, are printed by the printer's own
 ``_print_Add`` and ``_print_Mul``: sympy's term order and text, without
-sympy's generic sign tests, which negate each product.  Other products
-go to sympy's method.
+sympy's generic sign tests, which negate each product (a coefficient's
+sign is read off the number).  Other products go to sympy's method.  The
+terms are sorted by sympy's default-order key, a Rational or Float
+coefficient read by ``complex(float(c))`` instead of ``evalf``; a sum with
+another coefficient, a number factor or an ``Order`` is sorted by sympy.
+A derivative that is 0 is not printed: its values are ``np.zeros``, the
+compiled ``0``'s bits.
 
 A ``leaf_memo(*lattices)`` block names the lattice arrays it sweeps.
 Inside it each ``from_sympy`` leaf evaluates a given multi-index on a
@@ -98,8 +108,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 import sympy as sp
+from mpmath.libmp import fzero, mpf_lt
 from sympy.core.basic import Basic
-from sympy.core.exprtools import factor_terms
+from sympy.core.exprtools import decompose_power, factor_terms
 from sympy.core.function import AppliedUndef, ArgumentIndexError, Function
 from sympy.logic.boolalg import ITE, simplify_logic
 from sympy.ntheory.multinomial import multinomial_coefficients_iterator
@@ -435,9 +446,39 @@ class _AtomPrinting(_WherePiecewise):
             return super()._print_Mul(expr)
         if c is sp.S.NegativeOne:  # unary minus binds between * and **
             return "-" + self.parenthesize(f, (PRECEDENCE["Pow"] + PRECEDENCE["Mul"]) / 2)
-        # a product with a negative coefficient has the precedence of a sum
-        sign, c, level = ("-", -c, PRECEDENCE["Add"]) if c < 0 else ("", c, PRECEDENCE["Mul"])
-        return f"{sign}{self.parenthesize(c, level)}*{self.parenthesize(f, level)}"
+        # a product with a negative coefficient has the precedence of a sum (its
+        # sign read off the number, as ``c < 0`` reads it); a positive Integer or
+        # Float is an atom, a fraction is parenthesized: (10/3)*x
+        negative = c.p < 0 if c.is_Rational else mpf_lt(c._mpf_, fzero)
+        sign, c, level = ("-", -c, PRECEDENCE["Add"]) if negative else ("", c, PRECEDENCE["Mul"])
+        text = self._print(c) if c.is_Integer or c.is_Float else self.parenthesize(c, level)
+        return f"{sign}{text}*{self.parenthesize(f, level)}"
+
+    def _as_ordered_terms(self, expr, order=None):
+        """``expr.as_ordered_terms()``: sympy's code at the default order, but a
+        Rational or Float coefficient is read as ``complex(float(c))``, the bits
+        of ``complex(c)`` without ``evalf``; any other term takes sympy's path."""
+        if (order or self.order) is not None or not expr.is_Add:
+            return super()._as_ordered_terms(expr, order=order)
+        key = lambda a: not isinstance(a, (sp.Number, sp.NumberSymbol))
+        args = sorted(expr.args, key=key)  # a positive number, then a negative product
+        if len(args) == 2 and not key(args[0]) and isinstance(args[1], sp.Mul):
+            head = sorted(args[1].args, key=key)
+            if (len(head) == 2 and isinstance(head[0], sp.Number)
+                    and args[0].is_positive and head[0].is_negative):
+                return args
+        terms, gens = [], set()
+        for term in expr.args:
+            c, rest = term.as_coeff_Mul()
+            factors = sp.Mul.make_args(rest) if rest is not sp.S.One else ()
+            if not (c.is_Rational or c.is_Float) or any(  # an Order is not commutative
+                    f.is_number or not f.is_commutative for f in factors):
+                return super()._as_ordered_terms(expr, order=order)
+            terms.append((term, complex(float(c)), dict(map(decompose_power, factors))))
+            gens.update(terms[-1][2])
+        gens = sorted(gens, key=sp.default_sort_key)
+        rows = [(t, ((z.real, z.imag), tuple(p.get(g, 0) for g in gens), ())) for t, z, p in terms]
+        return [t for t, _ in sorted(rows, key=expr._parse_order(None)[0])]
 
 
 class _NumPyAtomPrinter(_AtomPrinting, NumPyPrinter):
@@ -536,7 +577,8 @@ def _derivative(expr, s, n: int):
     (``_all_negative``), which is made here without the simplifiers.
     The rule is the node's ``_eval_derivative_n_times(s, n)``: a product's
     multinomial Leibniz terms ``c * Mul(*factors)`` in sympy's order, each
-    factor differentiated k times; a symbol's 1 (n = 1) or 0; ``Basic``'s
+    factor differentiated k times, at n = 1 a number times one factor as the
+    module docstring says; a symbol's 1 (n = 1) or 0; ``Basic``'s
     loop of n ``_step``s, stopping at a fixed point, where the class keeps
     it; any other node's own method.  Raises ``_Unhandled`` where ``.diff``
     would leave a ``Derivative`` unevaluated.
@@ -544,7 +586,13 @@ def _derivative(expr, s, n: int):
     if s not in expr.free_symbols:
         return sp.S.Zero
     cls = type(expr)
-    if cls is sp.Mul:
+    if cls is sp.Mul and n == 1 and len(expr.args) == 2 and expr.args[0].is_Number \
+            and sp.Mul(0, expr.args[1]) is sp.S.Zero:  # Leibniz's 0*g + c*dg
+        c, dg = expr.args[0], _derivative(expr.args[1], s, 1)
+        k, rest = dg.as_coeff_Mul()
+        # Mul(c, dg) holds a rational c*k*(sum) unexpanded where Mul(c*k, sum) expands
+        out = sp.Add(0, sp.Mul(c, dg)) if rest.is_Add and k is not sp.S.One else sp.Mul(c * k, rest)
+    elif cls is sp.Mul:
         terms = []
         for ks, c in _multinomial(len(expr.args), n):
             factors = [_derivative(a, s, k) if k else a for k, a in zip(ks, expr.args)]
@@ -636,19 +684,10 @@ def _step(expr, s):
 
 
 def _diff(expr, symbol, n: int):
-    """``sp.diff(expr, symbol, n)``, through ``expr``'s own rules where that is the same.
-
-    ``_derivative`` takes the steps of ``Derivative.__new__`` that can
-    change a result at every node, and applies each rule in sympy's form
-    (n-ary Leibniz products for ``_eval_derivative_n_times``, binary ones
-    for ``Mul._eval_derivative``), but it builds no ``Derivative`` per
-    node.  That skips the constructor's ``is_zero`` query of each first
-    derivative, most of the cost, which returns that derivative either
-    way, and its ``replace`` walk, which changes nothing without a
-    ``Derivative``.  So the result is ``sp.diff``'s expression.  A node the
-    walk leaves unhandled, a rule that gives ``None``, and a result that
-    holds a ``Derivative`` send the whole expression to ``sp.diff``.
-    """
+    """``sp.diff(expr, symbol, n)``, through ``expr``'s own rules (``_derivative``,
+    see the module docstring) where that is the same.  A node the walk leaves
+    unhandled, a rule that gives ``None``, and a result that holds a
+    ``Derivative`` send the whole expression to ``sp.diff``."""
     try:
         out = _derivative(expr, symbol, n)
         if not out.has(sp.Derivative):
@@ -722,6 +761,8 @@ def from_sympy(expr, symbols: Sequence[sp.Symbol], label="") -> SmoothFn:
                                   "pip install 'colombeau[scipy]'") from err
         return fn
     def evaluate(alpha, pts, mesh):
+        if derivative(alpha) == 0:  # the bits of the compiled 0, nothing compiled
+            return np.zeros(len(pts))
         cols = mesh[0] if mesh else [pts[:, i] for i in range(dim)]
         # Piecewise lowers to np.where, which evaluates every branch;
         # guarded branches may divide by zero or overflow off their piece

@@ -4,6 +4,7 @@ values, coherence, association, products, and the atlas embedding."""
 import contextlib
 import gc
 import operator
+import warnings
 import weakref
 
 import numpy as np
@@ -522,8 +523,10 @@ def test_overlap_residual_rows_match_eager_reference(name, request):
     # components and weights and its skipped derivative scale change no
     # row: slopes and max gaps bitwise, clamp counts and verdicts exactly
     section, grid, n = _residual_inputs(name, request)
-    with np.errstate(invalid="ignore" if "non-finite" in name else "warn"):  # 0 * inf, inf - inf
+    with warnings.catch_warnings():  # a non-finite row is the documented outcome, no warning
+        warnings.simplefilter("error")
         rep = G.overlap_residual(section, grid, n)
+    with np.errstate(invalid="ignore" if "non-finite" in name else "warn"):  # 0 * inf, inf - inf
         want = _reference_rows(section.atlas, section.comps, section.valence, grid, n)
     got = [_row_key(row["slope"], row["max_gap"], row["n_clamped"], row["verdict"])
            for row in rep["rows"]]

@@ -1,6 +1,7 @@
 """SmoothFn: exact derivative algebra and shape handling."""
 
 import ast
+import contextlib
 import inspect
 import sys
 import warnings
@@ -10,9 +11,12 @@ import conftest
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.core.cache import clear_cache
 from sympy.printing.codeprinter import CodePrinter
 from sympy.printing.numpy import NumPyPrinter, SciPyPrinter
+from sympy.printing.printer import Printer
 from sympy.printing.str import StrPrinter
 
 from colombeau import _mindex as mi
@@ -702,6 +706,28 @@ def test_derivatives_from_the_parent_match_from_scratch(build, sympy_calls):
     assert len(diffs) == len(alphas) - 1  # one per distinct nonzero multi-index
 
 
+def test_a_vanishing_derivative_is_not_printed(sympy_calls):
+    """A derivative that is 0 compiles nothing; its values are the bits the
+    compiled ``0`` gives, flat, on a registered lattice and on its open mesh."""
+    _, lambdified = sympy_calls
+    x, y = sp.symbols("x y")
+    expr = x ** 2 * y + sp.sin(x)
+    f = from_sympy(expr, [x, y])
+    pts, mesh = _mesh_lattice("9x4", 2)
+    alphas = mi.up_to(2, 3)
+    for alpha in alphas:
+        want = _reference_values(expr, (x, y), alpha, pts)
+        for block in (contextlib.nullcontext(), smooth.leaf_memo(pts),
+                      smooth.leaf_memo((pts, mesh))):
+            with block:
+                got = f._partial_fn(alpha, pts)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), alpha
+    vanishing = [alpha for alpha in alphas if f.vanishes(alpha)]
+    assert vanishing == [(0, 2), (0, 3), (1, 2)]
+    assert len(lambdified) == len(alphas) - len(vanishing)
+    assert all(d != 0 for d, _, _ in lambdified)
+
+
 def test_a_derivative_extends_its_parent_by_one_axis(sympy_calls):
     diffs, _ = sympy_calls
     x, y = sp.symbols("x y")
@@ -1217,6 +1243,98 @@ def test_probe_leaves_print_without_sympys_sum_and_product_printers(manifold, mo
         f = from_sympy(expr, symbols)
         for alpha in mi.up_to(len(symbols), 2):
             assert callable(f._lambdified(alpha))
+
+
+# a Number times one factor, as the shortcuts of ``_derivative``, ``_print_Mul``
+# and ``_as_ordered_terms`` see them: Integer, Rational and Float coefficients
+# of both signs, +-1 among them
+_NUMBERS = st.one_of(
+    st.sampled_from([sp.S.One, sp.S.NegativeOne, sp.Float(1.0), sp.Float(-1.0)]),
+    st.integers(-12, 12).filter(bool).map(sp.Integer),
+    st.builds(sp.Rational, st.integers(-12, 12).filter(bool), st.integers(2, 9)),
+    st.floats(-20, 20, allow_nan=False, allow_infinity=False).filter(bool).map(sp.Float))
+
+
+def _factor(kind, k):
+    return [sp.sin(k * X0), sp.cos(k * X1), sp.exp(-1 / X0), X0 ** (k + 1), 1 / X1,
+            smoothstep_expr((X0 + 1) / 2), X0 * X1, sp.pi * X0][kind]
+
+
+def _assert_shortcuts_are_sympys(expr):
+    """``_diff`` is ``sp.diff`` along each symbol, and every sum of ``expr`` and
+    of those derivatives has sympy's term order and, atoms unwrapped, sympy's
+    source."""
+    exprs = [expr]
+    for s in sorted(expr.free_symbols, key=str):
+        d, want = smooth._diff(expr, s, 1), _DIFF(expr, s)
+        assert d == want and sp.srepr(d) == sp.srepr(want), s
+        exprs.append(d)
+    printer = smooth._NumPyAtomPrinter("x0,x1")
+    for e in exprs:
+        for a in sp.preorder_traversal(e):
+            if a.is_Add:
+                assert printer._as_ordered_terms(a) == a.as_ordered_terms()
+        if e.has(sp.zoo):  # lambdify prints no zoo
+            continue
+        src = inspect.getsource(smooth.lambdify(smooth._modules(e)("x0,x1"), ["x0", "x1"], e))
+        assert _unwrap_atoms(src) == inspect.getsource(_LAMBDIFY(
+            (X0, X1), e, modules=[np], printer=_WherePrinter(_LAMBDIFY_SETTINGS)))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(st.lists(st.tuples(_NUMBERS, st.integers(0, 7), st.integers(1, 3)),
+                min_size=1, max_size=4))
+def test_derivative_and_printing_shortcuts_are_sympys_own(terms):
+    _assert_shortcuts_are_sympys(sp.Add(*[c * _factor(kind, k) for c, kind, k in terms]))
+
+
+_INFINITE = sp.Symbol("w", infinite=True)
+
+
+@pytest.mark.parametrize("expr", [
+    sp.I * sp.sin(X0) - 2 * X1,  # a complex number factor
+    sp.oo * sp.cos(X0) + X1, -sp.oo * X0 ** 2 + sp.sin(X1),  # infinite coefficients
+    sp.zoo * X0 + sp.sin(X1),  # a complex-infinite factor
+    3 * _INFINITE + sp.sin(X0),  # 0 * w is nan, not 0: the Leibniz terms are kept
+], ids=["I", "oo", "-oo", "zoo", "infinite-symbol"])
+def test_shortcut_fallbacks_are_sympys_own(expr, monkeypatch):
+    ordered, products = [], []
+    monkeypatch.setattr(Printer, "_as_ordered_terms", _recorded(Printer._as_ordered_terms, ordered))
+    monkeypatch.setattr(smooth, "_multinomial", _recorded(smooth._multinomial, products))
+    _assert_shortcuts_are_sympys(expr)
+    if expr.has(_INFINITE):
+        assert sp.Mul(0, _INFINITE) is sp.nan and products  # 3*w took the Leibniz terms
+    else:
+        assert ordered  # some sum was ordered by sympy
+
+
+def _recorded(fn, calls):
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+    return recording
+
+
+class _ScaledSum(sp.Function):
+    """A function whose derivative is the unevaluated product 3*(x + x1)."""
+
+    def fdiff(self, argindex=1):
+        return sp.Mul(3, self.args[0] + X1, evaluate=False)
+
+
+def test_a_number_times_a_scaled_sum_keeps_sympys_product():
+    # 2 * 3*(x0 + x1) is the held 6*(x0 + x1), where 6 * (x0 + x1) would expand
+    expr = 2 * _ScaledSum(X0)
+    _assert_shortcuts_are_sympys(expr)
+    assert sp.srepr(smooth._diff(expr, X0, 1)) == sp.srepr(sp.Mul(6, X0 + X1, evaluate=False))
+
+
+def test_order_terms_are_ordered_by_sympy(monkeypatch):
+    ordered = []
+    monkeypatch.setattr(Printer, "_as_ordered_terms", _recorded(Printer._as_ordered_terms, ordered))
+    expr = 1 + X0 - 2 * X0 ** 2 + sp.O(X0 ** 3)
+    got = smooth._NumPyAtomPrinter("x0")._as_ordered_terms(expr)
+    assert got == expr.as_ordered_terms() and got[-1].is_Order and ordered
 
 
 @pytest.mark.parametrize("alpha", ["1", (1.7,), (1.0,), ("1",), (np.float64(1.0),)])
