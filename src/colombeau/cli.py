@@ -1,10 +1,18 @@
 """Command line driver.
 
 ``colombeau run <experiment>`` executes one named experiment and writes
-``report.json`` plus ``series/*.csv`` under the output directory; the
-exit status is 0 when every in-suite check passed, 1 when some check
-failed (the report is still written), and 2 for usage errors, which
-never touch the filesystem.  ``colombeau list`` prints the catalog.
+``report.json`` plus ``series/*.csv`` under the output directory, removing
+any other ``*.csv`` from ``series/``; the exit status is 0 when every
+in-suite check passed, 1 when some check failed (the report is still
+written), and 2 for usage errors: a bad flag or config, which writes
+nothing, or an output directory that cannot be made, found before the
+experiment runs.  ``colombeau list`` prints the catalog.
+
+``main`` first freezes the heap the imports built (``gc.freeze``): it
+lives until exit, so no collection walks it, and the interpreter's final
+collections skip it instead of spending about 0.1 s of a cold run on it.
+A caller that runs ``main`` in its own process finds its heap frozen
+when ``main`` returns; ``gc.unfreeze`` undoes that.
 
 A JSON config file may carry the scientific knobs (experiment, k_min,
 k_max, mollifier, m_max, seed, eps, tol); explicit flags override it.
@@ -16,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import re
 import sys
@@ -97,16 +106,22 @@ def _run(args) -> int:
     except (TypeError, ValueError) as exc:
         return _usage_error(str(exc))
 
+    out_dir = Path(args.out) if args.out is not None else Path(f"{experiment}-report")
+    series_dir = out_dir / "series"
+    try:
+        series_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _usage_error(f"cannot write to {out_dir}: {exc}")
+
     report, series = run_experiment(cfg)
 
-    out_dir = Path(args.out) if args.out is not None else Path(f"{experiment}-report")
-    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(
         json.dumps(report, sort_keys=True, indent=2) + "\n")
-    series_dir = out_dir / "series"
-    series_dir.mkdir(exist_ok=True)
     for stem in sorted(series):
         (series_dir / f"{stem}.csv").write_text(series[stem])
+    for stale in series_dir.glob("*.csv"):
+        if stale.stem not in series and stale.is_file():
+            stale.unlink()
 
     for c in report["checks"]:
         mark = "ok" if c["ok"] else "FAIL"
@@ -117,6 +132,7 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
+    gc.freeze()  # the import-time heap lives until exit: keep every collection off it
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -1,5 +1,6 @@
 """Driver behavior: catalog, exit codes, files on disk, determinism."""
 
+import gc
 import hashlib
 import json
 import os
@@ -10,7 +11,22 @@ from pathlib import Path
 import pytest
 
 import colombeau
+from colombeau import cli
 from colombeau.cli import main
+
+
+@pytest.fixture(autouse=True)
+def _unfreeze():
+    """``main`` freezes the heap of the process it runs in; thaw pytest's after each test."""
+    yield
+    gc.unfreeze()
+
+
+def _child_env() -> dict:
+    """The environment with this checkout's ``src`` first on ``PYTHONPATH``."""
+    src = str(Path(colombeau.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
 
 
 def test_list_catalog_stable(capsys):
@@ -76,6 +92,31 @@ def test_config_rejects_mistyped_knobs(tmp_path, knob):
     cfg.write_text('{"experiment": "classify", ' + knob + "}")
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("under_file", [False, True], ids=["file", "under-file"])
+def test_unusable_out_exits_two_before_the_run(tmp_path, monkeypatch, capsys, under_file):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    out = taken / "o" if under_file else taken
+
+    def never(cfg):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setattr(cli, "run_experiment", never)
+    assert main(["run", "classify", "--out", str(out)]) == 2
+    assert f"error: cannot write to {out}: " in capsys.readouterr().err
+    assert taken.read_text() == "not a directory\n"
+
+
+def test_series_holds_only_this_runs_csvs(tmp_path):
+    out = tmp_path / "o"
+    assert main(["run", "classify", "--out", str(out)]) == 0
+    (out / "series" / "notes.txt").write_text("mine\n")
+    assert main(["run", "point-value-demo", "--out", str(out)]) == 0
+    assert sorted(p.name for p in (out / "series").iterdir()) == ["notes.txt",
+                                                                    "point_values.csv"]
+    assert (out / "series" / "notes.txt").read_text() == "mine\n"
 
 
 def test_run_writes_report_and_series(tmp_path, capsys):
@@ -215,9 +256,7 @@ def test_cold_runs_load_no_scipy(tmp_path):
     """Every catalog experiment, and the regular-piece action, run where scipy cannot be
     imported; only a leaf naming a function numpy lacks asks for the scipy extra, and
     a leaf calling an undefined function names it instead."""
-    src = str(Path(colombeau.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    env = _child_env()
     proc = subprocess.run([sys.executable, "-c", _COLD_RUN, str(tmp_path)], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
@@ -226,13 +265,48 @@ def test_cold_runs_load_no_scipy(tmp_path):
 def test_cold_stokes_run_loads_no_numpy_ma(tmp_path):
     """The convolution's panel keys are deduplicated without ``np.unique``,
     whose masked-array test imports ``numpy.ma`` (8-14 ms of a cold run)."""
-    src = str(Path(colombeau.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    env = _child_env()
     code = ("import sys, colombeau.cli\n"
             "assert colombeau.cli.main(['run', 'stokes', '--out', sys.argv[1]]) == 0\n"
             "assert 'numpy.ma' not in sys.modules\n")
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "stokes")], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_piped_cold_run_prints_every_line(tmp_path):
+    """A buffered stdout that is a pipe still gets every line of a run: the frozen heap
+    does not keep the interpreter from flushing it at exit."""
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    out = tmp_path / "pv"
+    proc = subprocess.run([sys.executable, "-m", "colombeau.cli", "run", "point-value-demo",
+                           "--out", str(out)], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    report = json.loads((out / "report.json").read_text())
+    assert report["pass"] is True
+    assert proc.stdout.splitlines() == [f"  [ ok ] {c['name']}" for c in report["checks"]] + [
+        f"point-value-demo: PASS  ({out / 'report.json'})"]
+
+
+# a run frees some frozen objects by reference counting, as it should (its
+# argv, entries evicted from sympy's cache), so the count is read after `list`
+_FREEZE = """
+import gc
+import colombeau.cli
+
+argv = ["list"]
+gc.collect()
+tracked = len(gc.get_objects())
+assert colombeau.cli.main(argv) == 0
+frozen = gc.get_freeze_count()
+assert frozen >= tracked, (frozen, tracked)
+"""
+
+
+def test_main_freezes_the_import_heap():
+    proc = subprocess.run([sys.executable, "-c", _FREEZE], env=_child_env(),
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
 
@@ -248,9 +322,7 @@ print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 
 def test_stokes_run_peak_rss_stays_near_the_import_floor(tmp_path):
     """Embedding convolves in bounded blocks, so a run holds no large temporaries."""
-    src = str(Path(colombeau.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    env = _child_env()
 
     def peak_mb(*argv):
         proc = subprocess.run([sys.executable, "-c", _PEAK_RSS, sys.executable, *argv],
